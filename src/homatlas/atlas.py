@@ -221,15 +221,17 @@ def _bands_overlap(alphas, b1, b2, alpha_min):
     return False
 
 
+def _intersections(alphas, bands, alpha_min):
+    out = []
+    for i, b1 in enumerate(bands):
+        for b2 in bands[i + 1:]:
+            out.append((b1.k, b2.k, _bands_overlap(alphas, b1, b2, alpha_min)))
+    return tuple(out)
+
+
 def pairwise_intersections(atlas: StripMap2D, alpha_min: float = 0.0):
     """(k1, k2, overlap) over k-pairs, restricted to |alpha| >= alpha_min."""
-    out = []
-    for i, b1 in enumerate(atlas.bands):
-        for b2 in atlas.bands[i + 1:]:
-            out.append(
-                (b1.k, b2.k, _bands_overlap(atlas.alphas, b1, b2, alpha_min))
-            )
-    return tuple(out)
+    return _intersections(atlas.alphas, atlas.bands, alpha_min)
 
 
 def boundary_slope(atlas: StripMap2D, k: int, kind: str,
@@ -318,21 +320,13 @@ def run_strip_atlas(family_template: FamilyHandle, k_range,
                 hit = True
                 break
         crossings.append((band.k, hit))
-    atlas = StripMap2D(
+    return StripMap2D(
         alphas=alphas,
         k_values=k_values,
         bands=bands,
-        intersections=(),
+        intersections=_intersections(alphas, bands, 0.0),
         axis_crossings=tuple(crossings),
         failures=tuple(failures),
-    )
-    return StripMap2D(
-        alphas=atlas.alphas,
-        k_values=atlas.k_values,
-        bands=atlas.bands,
-        intersections=pairwise_intersections(atlas),
-        axis_crossings=atlas.axis_crossings,
-        failures=atlas.failures,
     )
 
 

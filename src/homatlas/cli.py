@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .atlas import certify_global_resonance, run_cascade, run_strip_atlas
 from .config import SUBCOMMANDS, load_config
-from .exceptions import ConfigError, HomatlasError, ResonantParameterError
+from .exceptions import (ConfigError, HomatlasError, ResonantParameterError,
+                         TangencyError)
 from .family import (
     HenonLikeRecipe,
     LocalMapParams,
@@ -69,15 +70,14 @@ def family_from_config(fam: dict):
             )
         else:
             raise ConfigError(f"unknown recipe {name!r}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, TangencyError) as exc:
+        # recipe constructors reject a non-quadratic tangency up front
         raise ConfigError(f"bad family parameters: {exc}") from exc
-    handle = build_family(local, recipe, mu=fam["mu"], h0=fam["h0"])
+    # the deprecated h0 key is accepted and ignored
+    handle = build_family(local, recipe, mu=fam["mu"])
     if fam["alpha"] is not None or fam["s0"] is not None:
         handle = tune_to(
-            handle,
-            alpha_target=fam["alpha"],
-            s0_target=fam["s0"],
-            h0=fam["h0"],
+            handle, alpha_target=fam["alpha"], s0_target=fam["s0"]
         )
     return handle
 

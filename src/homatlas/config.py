@@ -31,7 +31,7 @@ _FAMILY_SCHEMA = {
     "y_minus": ("float", 1.0),
     "n0": ("int", 1),
     "mu": ("float", 0.0),
-    "h0": ("float", 0.05),
+    "h0": ("float", 0.05),  # deprecated, ignored
     "alpha": ("optfloat", None),
     "s0": ("optfloat", None),
     "p1": ("float", 0.3),
@@ -81,6 +81,10 @@ _EXPERIMENT_SCHEMAS = {
         "grid_n": ("int", 9),
     },
 }
+
+# experiment keys confined to the open interval (0, 1), where the limit
+# map's 2-periodic orbit (whose twist henon reports) is elliptic
+_UNIT_INTERVAL_KEYS = {"henon": ("M", "scan_min", "scan_max")}
 
 _OUTPUT_SCHEMA = {
     "dir": ("str", "out"),
@@ -175,11 +179,15 @@ def load_config(subcommand, path=None, overrides=(), out_dir=None):
         raw[section][key] = value.strip()
     if out_dir is not None:
         raw["output"]["dir"] = out_dir
+    experiment = _validated("experiment", experiment_schema, raw["experiment"])
+    for key in _UNIT_INTERVAL_KEYS.get(subcommand, ()):
+        if not 0.0 < experiment[key] < 1.0:
+            raise ConfigError(
+                f"experiment.{key} = {experiment[key]!r} must lie in (0, 1)"
+            )
     return RunConfig(
         subcommand=subcommand,
         family=_validated("family", _FAMILY_SCHEMA, raw["family"]),
-        experiment=_validated(
-            "experiment", experiment_schema, raw["experiment"]
-        ),
+        experiment=experiment,
         output=_validated("output", _OUTPUT_SCHEMA, raw["output"]),
     )

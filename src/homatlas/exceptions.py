@@ -26,7 +26,7 @@ class OrientationError(HomatlasError):
 
 
 class ExtractionError(HomatlasError):
-    """Finite-difference Taylor extraction failed its consistency checks."""
+    """A Taylor expansion failed its consistency checks."""
 
 
 class TargetUnreachableError(HomatlasError):

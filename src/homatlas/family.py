@@ -11,9 +11,10 @@ Near (0, y_minus) the global map expands as
     ybar          = mu + c x + d eta^2 + f20 x^2 + f11 x eta
                     + f30 x^3 + f21 x^2 eta + f12 x eta^2 + f03 eta^3 + ...
 
-with eta = y - y_minus.  The coefficients are extracted numerically by
-Richardson-extrapolated central differences; determinant -1 forces b c = 1
-and 2 a d - b f11 - 2 e02 c = 0, both of which are asserted at build time.
+with eta = y - y_minus.  The coefficients are read off one evaluation of
+the global stages on degree-3 Taylor jets (see ``mapcore.Jet``), exact up
+to roundoff; determinant -1 forces b c = 1 and 2 a d - b f11 - 2 e02 c = 0,
+both of which are checked at build time.
 
 Two recipes are provided.  The fold recipe composes a swap, a product shear
 and a cotangent lift, giving a = 0 and x-independent first component; the
@@ -35,7 +36,8 @@ from .exceptions import (
     TangencyError,
     TargetUnreachableError,
 )
-from .mapcore import HShear, Lift, MapExpr, Moser, Swap, Translate, VShear, eval_map
+from .mapcore import (HShear, Jet, Lift, MapExpr, Moser, Swap, Translate,
+                      VShear, eval_map)
 
 __all__ = [
     "LocalMapParams",
@@ -118,20 +120,21 @@ class HenonLikeRecipe:
     def __post_init__(self):
         p = tuple(float(v) for v in self.p)
         q = tuple(float(v) for v in self.q)
-        if abs(p[0]) > 1e-14:
-            raise TangencyError("P must vanish at 0")
         if len(p) < 2 or abs(p[1]) < 1e-12:
             raise TangencyError("P'(0) must be nonzero")
-        if abs(q[0]) > 1e-14 or (len(q) > 1 and abs(q[1]) > 1e-14):
-            raise TangencyError("Q must vanish to second order at 0")
+        if abs(p[0]) > 1e-14:
+            raise TangencyError("P must vanish at 0")
         if len(q) < 3 or abs(q[2]) < 1e-12:
             raise TangencyError("quadratic tangency needs Q''(0) != 0")
+        if abs(q[0]) > 1e-14 or abs(q[1]) > 1e-14:
+            raise TangencyError("Q must vanish to second order at 0")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
     def stages(self, mu: float) -> MapExpr:
         p_prime = npoly.polyder(np.asarray(self.p))
-        h = tuple(npoly.polymul(np.asarray(self.q), p_prime))
+        # plain floats keep jet arithmetic off the slower numpy scalars
+        h = tuple(float(v) for v in npoly.polymul(np.asarray(self.q), p_prime))
         return MapExpr(
             (
                 Translate(0.0, -self.y_minus),
@@ -222,100 +225,31 @@ class FamilyHandle:
         return replace(self, globalmap=spec)
 
 
-# Central-difference weights on offsets -2..2, to be divided by h**order.
-_STENCILS = {
-    0: {0: 1.0},
-    1: {-1: -0.5, 1: 0.5},
-    2: {-1: 1.0, 0: -2.0, 1: 1.0},
-    3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
-}
-
-_ORDERS = [
-    (0, 0), (1, 0), (0, 1),
-    (2, 0), (1, 1), (0, 2),
-    (3, 0), (2, 1), (1, 2), (0, 3),
-]
-
-
-def _jet_at_step(stages: MapExpr, x0: float, y0: float, h: float) -> dict:
-    offs = np.arange(-2, 3)
-    gx, gy = np.meshgrid(x0 + h * offs, y0 + h * offs, indexing="ij")
-    fx, fy = eval_map(stages, (gx, gy))
-    out = {}
-    for m, n in _ORDERS:
-        wx = _STENCILS[m]
-        wy = _STENCILS[n]
-        acc_f = 0.0
-        acc_g = 0.0
-        for i, wi in wx.items():
-            for j, wj in wy.items():
-                w = wi * wj
-                acc_f += w * fx[i + 2, j + 2]
-                acc_g += w * fy[i + 2, j + 2]
-        scale = h ** (m + n)
-        out[(m, n)] = (acc_f / scale, acc_g / scale)
-    return out
-
-
-def _richardson(seq):
-    """Extrapolate three O(h^2) estimates at h, h/2, h/4; return value and
-    the disagreement between the last two extrapolation levels."""
-    a, b, c = seq
-    r1 = (4.0 * b - a) / 3.0
-    r2 = (4.0 * c - b) / 3.0
-    r3 = (16.0 * r2 - r1) / 15.0
-    return r3, abs(r3 - r2)
-
-
 def extract_taylor(globalmap: GlobalMapSpec, h0: float = 0.05) -> TaylorData:
     """Expansion coefficients of the global map at (0, y_minus).
 
-    Central finite differences at steps h0, h0/2, h0/4 combined by
-    Richardson extrapolation; raises if the two finest extrapolation
-    levels disagree beyond tolerance.
+    The global stages run once on degree-3 jets seeded at (0, y_minus), so
+    every coefficient is exact up to roundoff.  ``h0`` is deprecated and
+    ignored; it was the step of an earlier finite-difference extraction.
     """
-    jets = [
-        _jet_at_step(globalmap.stages, 0.0, globalmap.y_minus, h0 / 2**i)
-        for i in range(3)
-    ]
-    deriv = {}
-    for key in _ORDERS:
-        fval, ferr = _richardson([jets[i][key][0] for i in range(3)])
-        gval, gerr = _richardson([jets[i][key][1] for i in range(3)])
-        tol = 1e-6 * max(1.0, abs(fval), abs(gval))
-        if max(ferr, gerr) > tol:
-            raise ExtractionError(
-                f"ill-conditioned extraction at order {key}: "
-                f"Richardson levels disagree by {max(ferr, gerr):.3e}"
-            )
-        deriv[key] = (fval, gval)
-
-    f0, g0 = deriv[(0, 0)]
+    f, g = eval_map(globalmap.stages, Jet.variables(0.0, globalmap.y_minus, 3))
+    f0, g0 = f.c[0], g.c[0]
     if abs(f0 - globalmap.x_plus) > 1e-8 or abs(g0 - globalmap.mu) > 1e-8:
         raise TangencyError(
             "global map does not carry (0, y_minus) to (x_plus, mu)"
         )
-    g_eta = deriv[(0, 1)][1]
+    g_eta = g.coeff(0, 1)
     if abs(g_eta) > 1e-8:
         raise TangencyError(f"not a tangency: G_eta(0) = {g_eta:.3e}")
-    d = deriv[(0, 2)][1] / 2.0
+    d = g.coeff(0, 2)
     if abs(d) < 1e-8:
         raise TangencyError("not a quadratic tangency: d = 0")
 
     return TaylorData(
-        a=deriv[(1, 0)][0],
-        b=deriv[(0, 1)][0],
-        c=deriv[(1, 0)][1],
-        d=d,
-        e20=deriv[(2, 0)][0] / 2.0,
-        e11=deriv[(1, 1)][0],
-        e02=deriv[(0, 2)][0] / 2.0,
-        f20=deriv[(2, 0)][1] / 2.0,
-        f11=deriv[(1, 1)][1],
-        f30=deriv[(3, 0)][1] / 6.0,
-        f21=deriv[(2, 1)][1] / 2.0,
-        f12=deriv[(1, 2)][1] / 2.0,
-        f03=deriv[(0, 3)][1] / 6.0,
+        a=f.coeff(1, 0), b=f.coeff(0, 1), c=g.coeff(1, 0), d=d,
+        e20=f.coeff(2, 0), e11=f.coeff(1, 1), e02=f.coeff(0, 2),
+        f20=g.coeff(2, 0), f11=g.coeff(1, 1),
+        f30=g.coeff(3, 0), f21=g.coeff(2, 1), f12=g.coeff(1, 2), f03=g.coeff(0, 3),
     )
 
 
@@ -341,9 +275,8 @@ def build_family(local: LocalMapParams, recipe, mu: float = 0.0,
     and the extracted coefficients satisfy the two identities forced by
     determinant -1 (b*c = 1 and 2*a*d - b*f11 - 2*e02*c = 0).
 
-    h0 is the base finite-difference step of the jet extraction; recipes
-    with steep nonlinear terms need a smaller step to pass the
-    consistency checks.
+    h0 is deprecated and ignored: the coefficients come from Taylor jets
+    and need no step size.
     """
     stages = recipe.stages(mu)
     if stages.n_swaps % 2 == 0:
@@ -355,7 +288,7 @@ def build_family(local: LocalMapParams, recipe, mu: float = 0.0,
         stages=stages,
         n0=recipe.n0,
     )
-    t = extract_taylor(spec, h0=h0)
+    t = extract_taylor(spec)
     if abs(t.b * t.c - 1.0) > 1e-10:
         raise ExtractionError(f"bc = {t.b * t.c!r}, expected 1")
     ident = 2.0 * t.a * t.d - t.b * t.f11 - 2.0 * t.e02 * t.c
@@ -400,7 +333,7 @@ def tune_to(
     The alpha knob is the linear coefficient b of P (so c = 1/b moves with
     it and bc = 1 stays an identity); the s0 knob is the quadratic
     coefficient of P.  Only the fold recipe exposes these knobs, and its
-    reachable set is s0 <= 0.
+    reachable set is s0 <= 0.  h0 is deprecated and ignored.
     """
     if alpha_target is None and s0_target is None:
         return handle
@@ -422,7 +355,7 @@ def tune_to(
 
         def alpha_of(bval):
             p[1] = bval
-            fam = build_family(local, replace(recipe, p=tuple(p)), mu, h0=h0)
+            fam = build_family(local, replace(recipe, p=tuple(p)), mu)
             return fam.alpha
 
         b_star = _secant(alpha_of, b_seed, b_seed * (1.0 + 1e-3), alpha_target, tol)
@@ -443,14 +376,14 @@ def tune_to(
 
         def s0_of(p2val):
             p[2] = p2val
-            fam = build_family(local, replace(recipe, p=tuple(p)), mu, h0=h0)
+            fam = build_family(local, replace(recipe, p=tuple(p)), mu)
             return fam.s0
 
         p2_star = _secant(s0_of, p2_seed, p2_seed + 1e-3, s0_target, tol)
         p[2] = p2_star
         recipe = replace(recipe, p=tuple(p))
 
-    out = build_family(local, recipe, mu, h0=h0)
+    out = build_family(local, recipe, mu)
     if alpha_target is not None and abs(out.alpha - alpha_target) > 10 * tol:
         raise TargetUnreachableError("target unreachable: alpha residual too large")
     if s0_target is not None and abs(out.s0 - s0_target) > 10 * tol:

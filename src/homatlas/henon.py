@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .exceptions import NotEllipticError, ResonantParameterError
-from .mapcore import HShear, MapExpr, Swap
+from .exceptions import ExtractionError, ResonantParameterError
+from .mapcore import HShear, Jet, MapExpr, Swap
 
 __all__ = [
     "StabilityClass",
@@ -132,29 +132,15 @@ def _elliptic_frame(M: float):
     return lam, v, ell
 
 
-def _pmul(p, q, max_deg=3):
-    out = {}
-    for (j1, k1), c1 in p.items():
-        for (j2, k2), c2 in q.items():
-            j, k = j1 + j2, k1 + k2
-            if j + k <= max_deg:
-                out[(j, k)] = out.get((j, k), 0.0) + c1 * c2
-    return out
-
-
-def _paxpy(out, poly, scale):
-    for key, c in poly.items():
-        out[key] = out.get(key, 0.0) + scale * c
-    return out
-
-
 def birkhoff_b1(M: float) -> float:
     """First Birkhoff coefficient of the elliptic 2-periodic orbit.
 
     Degree-3 complex normal form of the second-iterate map at (-s, s):
-    after removing the non-resonant quadratic terms the resonant cubic
-    coefficient c1 gives the twist as Im(conj(lam)*c1).  Undefined at the
-    strong resonances M = 1/2 (lam**4 = 1) and M = 3/4 (lam**3 = 1).
+    ``step`` runs twice on degree-3 jets in the frame coordinates
+    (z, conj z) of ``_elliptic_frame``; after removing the non-resonant
+    quadratic terms the resonant cubic coefficient c1 gives the twist as
+    Im(conj(lam)*c1).  Undefined at the strong resonances M = 1/2
+    (lam**4 = 1) and M = 3/4 (lam**3 = 1).
     """
     if not 0.0 < M < 1.0:
         raise ValueError("elliptic 2-periodic orbit requires 0 < M < 1")
@@ -162,37 +148,23 @@ def birkhoff_b1(M: float) -> float:
         raise ResonantParameterError(f"strong resonance at M = {M}")
     s = math.sqrt(M)
     lam, v, ell = _elliptic_frame(M)
+    v0, v1, l0, l1 = (complex(t) for t in (v[0], v[1], ell[0], ell[1]))
+    z, zbar = Jet.variables(0.0, 0.0, 3)
+    p = (
+        -s + (v0 * z + v0.conjugate() * zbar),
+        s + (v1 * z + v1.conjugate() * zbar),
+    )
+    x2, y2 = step(M, step(M, p))
+    znew = l0 * (x2 + s) + l1 * (y2 - s)
+    if abs(znew.coeff(1, 0) - lam) > 1e-10 or abs(znew.coeff(0, 1)) > 1e-10:
+        raise ExtractionError(
+            "second iterate is not diagonal in the elliptic frame"
+        )
 
-    xi = {(1, 0): v[0], (0, 1): np.conj(v[0])}
-    eta = {(1, 0): v[1], (0, 1): np.conj(v[1])}
-    eta2 = _pmul(eta, eta)
-    # second iterate around the orbit point, exact through cubic order:
-    # xi' = xi - 2s eta - eta^2
-    # eta' = 2s xi + (1-4s^2) eta - xi^2 + 4s xi eta - (2s+4s^2) eta^2
-    #        + 2 xi eta^2 - 4s eta^3
-    xi_new = {}
-    _paxpy(xi_new, xi, 1.0)
-    _paxpy(xi_new, eta, -2.0 * s)
-    _paxpy(xi_new, eta2, -1.0)
-    eta_new = {}
-    _paxpy(eta_new, xi, 2.0 * s)
-    _paxpy(eta_new, eta, 1.0 - 4.0 * s * s)
-    _paxpy(eta_new, _pmul(xi, xi), -1.0)
-    _paxpy(eta_new, _pmul(xi, eta), 4.0 * s)
-    _paxpy(eta_new, eta2, -(2.0 * s + 4.0 * s * s))
-    _paxpy(eta_new, _pmul(xi, eta2), 2.0)
-    _paxpy(eta_new, _pmul(eta, eta2), -4.0 * s)
-
-    znew = {}
-    _paxpy(znew, xi_new, ell[0])
-    _paxpy(znew, eta_new, ell[1])
-    assert abs(znew.get((1, 0), 0.0) - lam) < 1e-10
-    assert abs(znew.get((0, 1), 0.0)) < 1e-10
-
-    a20 = znew.get((2, 0), 0.0)
-    a11 = znew.get((1, 1), 0.0)
-    a02 = znew.get((0, 2), 0.0)
-    a21 = znew.get((2, 1), 0.0)
+    a20 = znew.coeff(2, 0)
+    a11 = znew.coeff(1, 1)
+    a02 = znew.coeff(0, 2)
+    a21 = znew.coeff(2, 1)
     lam2 = lam * lam
     c1 = (
         a21

@@ -8,21 +8,25 @@ therefore never drift away from area preservation: the determinant of the
 composite is (-1)**(number of swaps) up to floating-point roundoff.
 
 Points are plain ``(x, y)`` tuples of floats.  ``eval_map`` also accepts numpy
-arrays for both coordinates and then evaluates the whole batch at once.
+arrays for both coordinates and then evaluates the whole batch at once, and
+it accepts ``Jet`` coordinates: derivatives of any order come from running
+the stages on Taylor jets (forward-mode automatic differentiation, Griewank
+& Walther, *Evaluating Derivatives*, SIAM 2008).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .exceptions import EscapeError
 
 __all__ = [
     "ESCAPE_RADIUS",
+    "Jet",
     "VShear",
     "HShear",
     "Swap",
@@ -40,15 +44,123 @@ __all__ = [
 ESCAPE_RADIUS = 1.0e8
 
 
+def _index(i: int, j: int) -> int:
+    """Position of the coefficient of dx**i dy**j in graded order."""
+    return (i + j) * (i + j + 1) // 2 + j
+
+
+@functools.cache
+def _product_pairs(n: int) -> tuple:
+    """Per coefficient of a degree-n product, the (left, right) index pairs
+    whose products sum to it; the pair with right index 0 comes last."""
+    return tuple(
+        tuple(
+            (_index(i1, j1), _index(d - j - i1, j - j1))
+            for i1 in range(d - j + 1)
+            for j1 in range(j + 1)
+            if (i1, j1) != (d - j, j)
+        )
+        + ((_index(d - j, j), 0),)
+        for d in range(n + 1)
+        for j in range(d + 1)
+    )
+
+
+class Jet:
+    """Truncated bivariate Taylor polynomial of degree n.
+
+    ``c`` lists the real or complex coefficients of dx**i dy**j, i + j <= n,
+    in graded order 1, dx, dy, dx**2, dx dy, dy**2, dx**3, ...  Arithmetic
+    with numbers and with jets of the same degree follows the truncated
+    product rule; the value part ``c[0]`` comes out exactly as the same
+    arithmetic on plain numbers.
+    """
+
+    __slots__ = ("n", "c")
+    # numpy scalars defer to the jet operators instead of wrapping the jet
+    __array_ufunc__ = None
+
+    def __init__(self, n: int, c: list):
+        self.n = n
+        self.c = c
+
+    @classmethod
+    def variables(cls, x, y, n: int):
+        """The pair of degree-n jets x + dx and y + dy, n >= 1."""
+        zero = [0.0] * ((n + 1) * (n + 2) // 2 - 3)
+        return cls(n, [x, 1.0, 0.0] + zero), cls(n, [y, 0.0, 1.0] + zero)
+
+    def coeff(self, i: int, j: int):
+        """Taylor coefficient of dx**i dy**j."""
+        return self.c[_index(i, j)]
+
+    def __neg__(self):
+        return Jet(self.n, [-a for a in self.c])
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.n, [a + b for a, b in zip(self.c, other.c)])
+        return Jet(self.n, [self.c[0] + other] + self.c[1:])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.n, [a * other for a in self.c])
+        a, b = self.c, other.c
+        out = []
+        for pairs in _product_pairs(self.n):
+            s = 0.0
+            for i, j in pairs:
+                s += a[i] * b[j]
+            out.append(s)
+        return Jet(self.n, out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.n, [a / other for a in self.c])
+        # solve q * other = self in graded order; all pairs but the last
+        # pick an already computed coefficient of q
+        a, b = self.c, other.c
+        q = []
+        for k, pairs in enumerate(_product_pairs(self.n)):
+            s = a[k]
+            for i, j in pairs[:-1]:
+                s -= q[i] * b[j]
+            q.append(s / b[0])
+        return Jet(self.n, q)
+
+    def __rtruediv__(self, other):
+        return Jet(self.n, [other] + [0.0] * (len(self.c) - 1)) / self
+
+
+def _value(v):
+    """The value part of a jet; numbers and arrays pass through."""
+    return v.c[0] if isinstance(v, Jet) else v
+
+
 def _polyval(coeffs, t):
-    return npoly.polyval(t, np.asarray(coeffs, dtype=float))
+    """Horner evaluation of sum(coeffs[i] * t**i) on floats, arrays or jets.
+
+    The operation order is that of ``numpy.polynomial.polynomial.polyval``,
+    so array results match it bit for bit.
+    """
+    out = coeffs[-1] + t * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * t
+    return out
 
 
 def _polyder(coeffs):
-    c = np.asarray(coeffs, dtype=float)
-    if c.size <= 1:
-        return np.zeros(1)
-    return npoly.polyder(c)
+    return tuple(j * c for j, c in enumerate(coeffs))[1:] or (0.0,)
 
 
 @dataclass(frozen=True)
@@ -60,10 +172,6 @@ class VShear:
     def apply(self, x, y):
         return x + _polyval(self.g, y), y
 
-    def jac(self, x, y):
-        gp = float(_polyval(_polyder(self.g), y))
-        return np.array([[1.0, gp], [0.0, 1.0]])
-
 
 @dataclass(frozen=True)
 class HShear:
@@ -74,10 +182,6 @@ class HShear:
     def apply(self, x, y):
         return x, y + _polyval(self.h, x)
 
-    def jac(self, x, y):
-        hp = float(_polyval(_polyder(self.h), x))
-        return np.array([[1.0, 0.0], [hp, 1.0]])
-
 
 @dataclass(frozen=True)
 class Swap:
@@ -85,9 +189,6 @@ class Swap:
 
     def apply(self, x, y):
         return y, x
-
-    def jac(self, x, y):
-        return np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -100,9 +201,6 @@ class Translate:
     def apply(self, x, y):
         return x + self.dx, y + self.dy
 
-    def jac(self, x, y):
-        return np.eye(2)
-
 
 @dataclass(frozen=True)
 class Diagonal:
@@ -112,9 +210,6 @@ class Diagonal:
 
     def apply(self, x, y):
         return self.lam * x, y / self.lam
-
-    def jac(self, x, y):
-        return np.array([[self.lam, 0.0], [0.0, 1.0 / self.lam]])
 
 
 @dataclass(frozen=True)
@@ -140,23 +235,9 @@ class Moser:
     def apply(self, x, y):
         u = x * y
         b = self.bval(u)
-        if np.any(np.asarray(b) <= 1.0e-9):
+        if np.any(_value(b) <= 1.0e-9):
             raise EscapeError("saddle stage factor left its positive domain")
         return self.lam * x * b, y / (self.lam * b)
-
-    def jac(self, x, y):
-        u = x * y
-        b = float(self.bval(u))
-        if b <= 1.0e-9:
-            raise EscapeError("saddle stage factor left its positive domain")
-        bp = float(self.bder(u))
-        r = u * bp / b
-        return np.array(
-            [
-                [self.lam * b * (1.0 + r), self.lam * b * x * x * bp / b],
-                [-y * y * bp / (self.lam * b * b), (1.0 - r) / (self.lam * b)],
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -172,17 +253,9 @@ class Lift:
 
     def apply(self, x, y):
         pp = _polyval(_polyder(self.p), x)
-        if np.any(np.abs(np.asarray(pp)) < 1.0e-12):
+        if np.any(abs(_value(pp)) < 1.0e-12):
             raise EscapeError("lift stage hit a critical point of P")
         return _polyval(self.p, x), y / pp
-
-    def jac(self, x, y):
-        dp = _polyder(self.p)
-        pp = float(_polyval(dp, x))
-        if abs(pp) < 1.0e-12:
-            raise EscapeError("lift stage hit a critical point of P")
-        ppp = float(_polyval(_polyder(dp), x))
-        return np.array([[pp, 0.0], [-y * ppp / (pp * pp), 1.0 / pp]])
 
 
 @dataclass(frozen=True)
@@ -205,13 +278,17 @@ class MapExpr:
 
 
 def _check_escape(x, y, stage_idx):
-    size = np.abs(x) + np.abs(y)
-    if np.any(~np.isfinite(size)) or np.any(size > ESCAPE_RADIUS):
+    # a NaN size fails the comparison too, so non-finite points escape
+    if not np.all(abs(_value(x)) + abs(_value(y)) <= ESCAPE_RADIUS):
         raise EscapeError("orbit escaped", stage=stage_idx)
 
 
 def eval_map(expr: MapExpr, p):
-    """Apply the composition to a point (or to arrays of coordinates)."""
+    """Apply the composition to a point, to arrays of coordinates, or to jets.
+
+    Escapes are detected on the value part and reported with the index of
+    the stage at which they happened.
+    """
     x, y = p
     for i, stage in enumerate(expr.stages):
         try:
@@ -225,14 +302,9 @@ def eval_map(expr: MapExpr, p):
 
 
 def jacobian(expr: MapExpr, p):
-    """Exact chain-rule Jacobian of the composition at a point."""
-    x, y = float(p[0]), float(p[1])
-    jac = np.eye(2)
-    for i, stage in enumerate(expr.stages):
-        jac = stage.jac(x, y) @ jac
-        x, y = stage.apply(x, y)
-        _check_escape(x, y, i)
-    return jac
+    """Exact Jacobian of the composition at a point, from degree-1 jets."""
+    fx, fy = eval_map(expr, Jet.variables(float(p[0]), float(p[1]), 1))
+    return np.array([[fx.c[1], fx.c[2]], [fy.c[1], fy.c[2]]])
 
 
 def iterate(expr: MapExpr, p, n):

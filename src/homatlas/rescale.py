@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import theilslopes
 
 from .exceptions import PrecisionFloorError
 from .family import FamilyHandle
@@ -233,6 +232,14 @@ def fit_cubic_coefficient(rr: RescaledReturnMap, n: int = 13) -> float:
     return float(coef[3])
 
 
+def _theil_sen_slope(x, y) -> float:
+    """Median of the pairwise slopes dy/dx over pairs with dx > 0, the same
+    arithmetic as the slope of ``scipy.stats.theilslopes(y, x)``."""
+    dx = x[:, np.newaxis] - x
+    dy = y[:, np.newaxis] - y
+    return float(np.median(dy[dx > 0] / dx[dx > 0]))
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     m: float
@@ -280,11 +287,9 @@ def convergence_report(family: FamilyHandle, k_values, m: float,
     # residuals below the floor are rounding noise amplified by the
     # lam**(-2k) scale of the chain, not signal; skip trend fits there
     if all(s > 1e-10 for s in sups) and len(sups) >= 3:
-        slope = float(theilslopes(np.log(np.asarray(sups)), ks)[0])
+        slope = _theil_sen_slope(ks, np.log(np.asarray(sups)))
         slope_ok = band[0] <= slope <= band[1]
-        norm_slope = float(
-            theilslopes(np.log(np.asarray(normalized)), ks)[0]
-        )
+        norm_slope = _theil_sen_slope(ks, np.log(np.asarray(normalized)))
         bounded = norm_slope <= 0.05
     else:
         slope, slope_ok = None, None

@@ -39,6 +39,7 @@ __all__ = [
     "window_halfwidth",
     "k_min",
     "k_max",
+    "check_window",
     "strips",
     "validate_cross_form",
     "CrossFormReport",
@@ -140,13 +141,19 @@ class ReturnMap:
     k: int
 
 
-def build_return_map(family: FamilyHandle, k: int) -> ReturnMap:
+def check_window(family: FamilyHandle, k: int) -> None:
+    """The validity window of every strip computation: raise unless
+    k_min(family) <= k <= k_max(family)."""
     if k < k_min(family):
         raise StripWindowError(f"strip outside window: k={k} < {k_min(family)}")
     if k > k_max(family):
         raise PrecisionFloorError(
             f"k={k} puts lam**2k below the binary64 noise floor"
         )
+
+
+def build_return_map(family: FamilyHandle, k: int) -> ReturnMap:
+    check_window(family, k)
     return ReturnMap(family, k)
 
 
@@ -179,8 +186,7 @@ def strips(family: FamilyHandle, k: int, n_boundary: int = 64):
     of sigma0.  Distances are measured at the center line and carry the
     sign of lam**k in the box but are reported as absolute values.
     """
-    if k < k_min(family):
-        raise StripWindowError(f"strip outside window: k={k} < {k_min(family)}")
+    check_window(family, k)
     local = family.local
     delta = window_halfwidth(family)
     xp, ym = family.x_plus, family.y_minus
@@ -261,7 +267,10 @@ def validate_cross_form(local: LocalMapParams, k_values, x_plus: float = 1.0,
         yk = rng.uniform(y_minus - delta, y_minus + delta, n_samples)
         y0 = solve_y0(local, k, x0, yk)
         xk, yk_check = t0_pow_closed(local, (x0, y0), k)
-        assert np.max(np.abs(yk_check - yk)) < 1e-12
+        if not np.max(np.abs(yk_check - yk)) < 1e-12:
+            raise CrossFormSolveError(
+                f"solved y0 does not reproduce y_k at k={k}"
+            )
         lamk = float(local.lam) ** k
         r1 = 1.0 + beta1 * k * lamk * x0 * yk
         res = np.maximum(
@@ -348,8 +357,11 @@ def classify_horseshoe(family: FamilyHandle, k_values) -> HorseshoeClass:
     the opening side of the image parabola, i.e. when
     -sign(d) * sign(lam**k) * sign(alpha) > 0.  The tag reflects the
     measured pattern; "inconclusive" is returned when sampling cannot
-    stabilize a count (only expected near alpha = 0).
+    stabilize a count (only expected near alpha = 0).  Every k must lie
+    in the validity window (see ``check_window``).
     """
+    for k in k_values:
+        check_window(family, k)
     t = family.taylor
     evidence = {}
     measured = {}

@@ -134,6 +134,39 @@ def test_validation_error_exit_1(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "result.json"))
 
 
+@pytest.mark.parametrize(
+    "override", ["M=1.5", "M=0", "scan_min=0", "scan_max=1.2", "M=nan"]
+)
+def test_henon_range_error_exit_1(tmp_path, capsys, override):
+    out = str(tmp_path / "run")
+    assert main(["henon", "--set", override, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert not os.path.exists(os.path.join(out, "result.json"))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [("recipe=sandwich", "d=0"), ("recipe=fold", "q=0,0,0,1"), ("q=",)],
+)
+def test_recipe_tangency_error_is_config_error(tmp_path, capsys, overrides):
+    argv = ["family-check", "--out", str(tmp_path / "run")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert "tangency" in err["error"]["message"]
+
+
+def test_classify_outside_validity_window_fails(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["classify", "--set", "lam=0.99", "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "StripWindowError"
+    assert not os.path.exists(os.path.join(out, "result.json"))
+
+
 def test_unknown_format_exit_1(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(["henon", "--set", "formats=pdf", "--out", out]) == 1

@@ -73,7 +73,7 @@ def symbolic_jet(stages, y_minus):
     return out
 
 
-def assert_matches_symbolic(fam):
+def assert_matches_symbolic(fam, tol=1e-8):
     jet = symbolic_jet(fam.globalmap.stages, fam.y_minus)
     t = fam.taylor
     pairs = [
@@ -86,7 +86,7 @@ def assert_matches_symbolic(fam):
     ]
     for got, key in pairs:
         want = jet.get(key, 0.0)
-        assert abs(got - want) < 1e-8 * max(1.0, abs(want)), (key, got, want)
+        assert abs(got - want) < tol * max(1.0, abs(want)), (key, got, want)
 
 
 def test_plain_fold_taylor_by_hand():
@@ -120,6 +120,20 @@ def test_fold_matches_symbolic_expansion():
         HenonLikeRecipe(p=(0, 0.8, 0.25, -0.1), q=(0, 0, 1.3, 0.4), y_minus=1.2),
     )
     assert_matches_symbolic(fam)
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        HenonLikeRecipe(p=(0, 1, 0.3), q=(0, 0, 1, 1)),
+        HenonLikeRecipe(p=(0, 0.8, 0.25, -0.1), q=(0, 0, 1.3, 0.4), y_minus=1.2),
+        ShearSandwichRecipe(),
+        ShearSandwichRecipe(p1=0.3, p2=0.15, q1=0.4, d=1.1, m3=0.5, w1=0.2, w2=0.05),
+    ],
+)
+def test_extraction_exact_to_roundoff(recipe):
+    # the jet extraction has no truncation error, only roundoff
+    assert_matches_symbolic(build_family(LOCAL, recipe), tol=1e-13)
 
 
 def test_sandwich_matches_symbolic_and_closed_forms():

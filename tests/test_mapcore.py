@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from homatlas.exceptions import EscapeError
 from homatlas.mapcore import (
     Diagonal,
     HShear,
+    Jet,
     Lift,
     MapExpr,
     Moser,
@@ -64,7 +66,10 @@ def test_moser_reduces_to_diagonal_when_beta_empty():
     d = Diagonal(-0.6)
     for p in [(0.3, 0.9), (-1.2, 0.1)]:
         assert m.apply(*p) == d.apply(*p)
-        assert np.allclose(m.jac(*p), d.jac(*p), rtol=0, atol=0)
+        assert np.allclose(
+            jacobian(MapExpr((m,)), p), jacobian(MapExpr((d,)), p),
+            rtol=0, atol=0,
+        )
 
 
 @pytest.mark.parametrize(
@@ -213,7 +218,88 @@ def test_moser_jacobian_det_one_and_product_invariant(b1, x, y):
     m = Moser(0.5, beta=(b1,))
     if m.bval(x * y) <= 1e-3:
         return
-    det = np.linalg.det(m.jac(x, y))
+    det = np.linalg.det(jacobian(MapExpr((m,)), (x, y)))
     assert abs(det - 1.0) < 1e-12
     x2, y2 = m.apply(x, y)
     assert abs(x2 * y2 - x * y) <= 1e-14 * max(1.0, abs(x * y))
+
+
+def _random_jet(rng, n, complex_coeffs=False):
+    # eighths are exact in binary, which keeps the sympy rationals small
+    size = (n + 1) * (n + 2) // 2
+    c = rng.integers(-8, 9, size) / 8.0
+    if complex_coeffs:
+        c = c + 1j * rng.integers(-8, 9, size) / 8.0
+    c[0] = 1.5 + 0.5 * c[0]  # keep the value part away from zero
+    return Jet(n, [complex(v) if complex_coeffs else float(v) for v in c])
+
+
+def _sym(jet, x, y):
+    return sum(
+        sp.nsimplify(jet.coeff(i, d - i), rational=True) * x**i * y**(d - i)
+        for d in range(jet.n + 1)
+        for i in range(d + 1)
+    )
+
+
+def _assert_jet_equals_series(jet, expr, x, y, tol=1e-14):
+    t = sp.Symbol("t")
+    ser = sp.series(expr.subs({x: t * x, y: t * y}), t, 0, jet.n + 1)
+    poly = sp.Poly(sp.expand(ser.removeO().subs(t, 1)), x, y)
+    want = {m: complex(c) for m, c in zip(poly.monoms(), poly.coeffs())}
+    for d in range(jet.n + 1):
+        for i in range(d + 1):
+            w = want.get((i, d - i), 0.0)
+            assert abs(jet.coeff(i, d - i) - w) <= tol * max(1.0, abs(w)), (
+                (i, d - i), jet.coeff(i, d - i), w
+            )
+
+
+@pytest.mark.parametrize("n,complex_coeffs", [(1, False), (3, False), (3, True)])
+def test_jet_product_and_reciprocal_match_sympy_series(n, complex_coeffs):
+    rng = np.random.default_rng(11 + n)
+    x, y = sp.symbols("x y")
+    a = _random_jet(rng, n, complex_coeffs)
+    b = _random_jet(rng, n, complex_coeffs)
+    sa, sb = _sym(a, x, y), _sym(b, x, y)
+    _assert_jet_equals_series(a * b, sa * sb, x, y)
+    _assert_jet_equals_series(1.0 / b, 1 / sb, x, y)
+    _assert_jet_equals_series(a / b, sa / sb, x, y)
+    _assert_jet_equals_series(2.5 - a * 0.5 + b, sp.Rational(5, 2) - sa / 2 + sb, x, y)
+
+
+def test_polyval_matches_numpy_bit_for_bit():
+    from numpy.polynomial import polynomial as npoly
+
+    from homatlas.mapcore import _polyval
+
+    rng = np.random.default_rng(2)
+    t = rng.uniform(-3.0, 3.0, 500)
+    for coeffs in [(0.7,), (0.1, -0.3, 0.7), tuple(rng.normal(size=6))]:
+        want = npoly.polyval(t, np.asarray(coeffs))
+        assert np.array_equal(_polyval(coeffs, t), want)
+        assert _polyval(coeffs, float(t[0])) == want[0]
+
+
+def test_jet_value_part_matches_float_evaluation():
+    expr = MapExpr(
+        (
+            Translate(0.0, -1.0),
+            HShear((0.0, 0.3, 0.15)),
+            Moser(0.5, beta=(0.4, -0.2)),
+            Swap(),
+            Lift((0.0, 1.1, 0.2, -0.05)),
+            VShear((0.1, 0.2, 0.05)),
+        )
+    )
+    p = (0.07, 1.03)
+    fx, fy = eval_map(expr, Jet.variables(p[0], p[1], 3))
+    assert (fx.c[0], fy.c[0]) == eval_map(expr, p)
+
+
+def test_jacobian_escape_reports_stage():
+    # B(xy) = 1 - 2xy leaves its domain at the second stage
+    expr = MapExpr((Translate(0.0, 0.0), Moser(0.5, beta=(-2.0,))))
+    with pytest.raises(EscapeError) as exc:
+        jacobian(expr, (1.0, 1.0))
+    assert exc.value.stage == 1

@@ -16,6 +16,7 @@ from homatlas.family import (
     tune_to,
 )
 from homatlas.rescale import (
+    _theil_sen_slope,
     build_chain,
     convergence_report,
     eval_rescaled,
@@ -272,3 +273,17 @@ def test_chain_inversion_property(x, y, k):
     back = to_rescaled(chain, small)
     assert abs(back[0] - x) < 1e-8
     assert abs(back[1] - y) < 1e-8
+
+
+def test_theil_sen_slope_equals_scipy():
+    from scipy.stats import theilslopes
+
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 7, 8):
+        ks = np.arange(8.0, 8.0 + n)
+        y = -1.4 * ks + rng.normal(0.0, 0.3, n)
+        assert _theil_sen_slope(ks, y) == theilslopes(y, ks)[0]
+    # repeated x values drop out of the pairwise slopes in both
+    ks = np.array([8.0, 9.0, 9.0, 10.0, 12.0])
+    y = rng.normal(0.0, 1.0, 5)
+    assert _theil_sen_slope(ks, y) == theilslopes(y, ks)[0]

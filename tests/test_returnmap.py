@@ -193,6 +193,23 @@ def test_strips_reject_small_k():
         strips(fam, 2)
 
 
+def test_strips_reject_large_k():
+    fam = build_family(LocalMapParams(0.5), HenonLikeRecipe())
+    with pytest.raises(PrecisionFloorError):
+        strips(fam, k_max(fam) + 1)
+
+
+def test_classifier_enforces_validity_window():
+    # lam = 0.99 needs k of about 240 before sigma0 maps into Pi-minus
+    fam = build_family(LocalMapParams(0.99), HenonLikeRecipe())
+    assert k_min(fam) > 14
+    with pytest.raises(StripWindowError):
+        classify_horseshoe(fam, range(8, 15))
+    fam = build_family(LocalMapParams(0.5), HenonLikeRecipe())
+    with pytest.raises(PrecisionFloorError):
+        classify_horseshoe(fam, range(8, k_max(fam) + 2))
+
+
 def test_strip_boundary_brackets_membership():
     fam = build_family(LocalMapParams(0.5, (0.8,)), HenonLikeRecipe())
     s0, s1 = strips(fam, 8, n_boundary=40)
@@ -213,6 +230,17 @@ def test_in_sigma0_handles_far_points():
     y = np.array([0.5**8, 2.0, -90.0, -2.0])
     m = in_sigma0(fam, 8, x, y)
     assert m.tolist() == [True, False, False, False]
+
+
+def test_cross_form_inconsistent_solve_raises(monkeypatch):
+    import homatlas.returnmap as returnmap
+
+    def off_by_one_percent(local, k, x0, yk):
+        return 1.01 * solve_y0(local, k, x0, yk)
+
+    monkeypatch.setattr(returnmap, "solve_y0", off_by_one_percent)
+    with pytest.raises(CrossFormSolveError):
+        validate_cross_form(LocalMapParams(0.5, (1.0,)), range(6, 8))
 
 
 def test_cross_form_residual_zero_without_moser_terms():

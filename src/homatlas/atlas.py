@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import (
     BracketError,
@@ -31,6 +30,7 @@ from .exceptions import (
     TargetUnreachableError,
 )
 from .family import FamilyHandle, tune_to
+from .henon import brentq
 from .orbits import (
     find_two_periodic,
     locate_bifurcation,

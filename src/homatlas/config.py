@@ -86,6 +86,9 @@ _EXPERIMENT_SCHEMAS = {
 # map's 2-periodic orbit (whose twist henon reports) is elliptic
 _UNIT_INTERVAL_KEYS = {"henon": ("M", "scan_min", "scan_max")}
 
+# experiment keys that count grid points
+_COUNT_KEYS = ("scan_n", "grid_n", "n_alpha")
+
 _OUTPUT_SCHEMA = {
     "dir": ("str", "out"),
     "formats": ("str", "json,csv,svg"),
@@ -185,6 +188,16 @@ def load_config(subcommand, path=None, overrides=(), out_dir=None):
             raise ConfigError(
                 f"experiment.{key} = {experiment[key]!r} must lie in (0, 1)"
             )
+    for key in _COUNT_KEYS:
+        if key in experiment and experiment[key] < 1:
+            raise ConfigError(
+                f"experiment.{key} = {experiment[key]!r} must be at least 1"
+            )
+    if "k_min" in experiment and experiment["k_min"] > experiment["k_max"]:
+        raise ConfigError(
+            f"experiment.k_min = {experiment['k_min']!r} exceeds "
+            f"experiment.k_max = {experiment['k_max']!r}"
+        )
     return RunConfig(
         subcommand=subcommand,
         family=_validated("family", _FAMILY_SCHEMA, raw["family"]),

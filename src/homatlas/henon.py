@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import ExtractionError, ResonantParameterError
 from .mapcore import HShear, Jet, MapExpr, Swap
@@ -34,6 +33,7 @@ __all__ = [
     "rotation_number_slope",
     "horseshoe_certificate",
     "bifurcation_values",
+    "brentq",
 ]
 
 
@@ -246,6 +246,69 @@ def horseshoe_certificate(M: float, margin: float = 1e-9) -> bool:
         if not ((above[0] and below[1]) or (below[0] and above[1])):
             return False
     return True
+
+
+def brentq(f, a, b, xtol=2e-12):
+    """Root of f in the sign-changing bracket [a, b] by Brent's method.
+
+    Brent, *Algorithms for Minimization Without Derivatives* (1973),
+    ch. 4, ported step for step from the widely used C routine
+    ``brentq.c`` with its relative tolerance 4 eps and 100 iterations, so
+    it returns the same floats.  Raises ValueError when f(a) and f(b)
+    share a sign or f gives NaN, and RuntimeError when the iterations
+    run out.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return fx
+
+    rtol = 4.0 * np.finfo(float).eps
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def _located_two_orbit_trace(M: float) -> float:

@@ -17,7 +17,6 @@ the stages on Taylor jets (forward-mode automatic differentiation, Griewank
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -321,10 +320,3 @@ def iterate(expr: MapExpr, p, n):
             ) from err
     return x, y
 
-
-def polish_pow(lam: float, k: int):
-    """sign-correct |lam|**k via the log domain; stable for large k."""
-    if k == 0:
-        return 1.0
-    s = -1.0 if (lam < 0 and k % 2) else 1.0
-    return s * math.exp(k * math.log(abs(lam)))

@@ -8,6 +8,9 @@ closed-form orbits of the limit map x' = y, y' = M + x - y^2: fixed
 points at X = Y = +-sqrt(M), the 2-periodic orbit swapping (-s, s) and
 (s, -s) with s = sqrt(M).
 
+Every solve, the border locator's too, runs on one residual: F^r(z) - z
+and D(F^r)(z) for the rescaled return map F, r = 1 or 2 rounds.
+
 Bifurcation location works in the parameter M rather than mu, again for
 conditioning.  A fixed point has multipliers (+1, -1) exactly when its
 trace vanishes, because the product of its multipliers is -1; the
@@ -56,6 +59,7 @@ __all__ = [
 ]
 
 _EVAL_ERRORS = (EscapeError, CrossFormSolveError)
+_ROUNDOFF_FLOOR = 100.0  # stalled within this factor of tol: converged
 
 
 def _strip_from_cross(family, k, p):
@@ -112,16 +116,20 @@ def seed_from_limit(rm: ReturnMap, m: float, orbit: str):
 
 
 def _newton(fun_jac, z0, tol=1e-11, max_steps=50, window=None):
-    """Damped Newton; returns the converged point or raises."""
+    """Damped Newton on fun_jac(z) -> (f, jac, ...); returns the converged
+    point and fun_jac's output there, or raises.  A residual that no step
+    lowers but that is within _ROUNDOFF_FLOOR * tol sits at its roundoff
+    floor and counts as converged."""
     z = np.asarray(z0, dtype=float)
     try:
-        f, jac = fun_jac(z)
+        out = fun_jac(z)
     except _EVAL_ERRORS as exc:
         raise NewtonDivergedError("Newton diverged: seed escaped") from exc
     for _ in range(max_steps):
+        f, jac = out[0], out[1]
         norm = float(np.max(np.abs(f)))
         if norm < tol:
-            return z
+            return z, out
         if abs(np.linalg.det(jac)) < 1e-14 * max(1.0, norm):
             raise NewtonDivergedError(
                 "singular Jacobian near a parabolic point"
@@ -134,17 +142,43 @@ def _newton(fun_jac, z0, tol=1e-11, max_steps=50, window=None):
                 alpha /= 2.0
                 continue
             try:
-                f_try, jac_try = fun_jac(z_try)
+                out_try = fun_jac(z_try)
             except _EVAL_ERRORS:
                 alpha /= 2.0
                 continue
-            if float(np.max(np.abs(f_try))) < (1.0 - 0.25 * alpha) * norm:
-                z, f, jac = z_try, f_try, jac_try
+            if float(np.max(np.abs(out_try[0]))) < (1.0 - 0.25 * alpha) * norm:
+                z, out = z_try, out_try
                 break
             alpha /= 2.0
         else:
+            if norm < _ROUNDOFF_FLOOR * tol:
+                return z, out
             raise NewtonDivergedError("Newton diverged: no descent step")
     raise NewtonDivergedError("Newton diverged after 50 damped steps")
+
+
+def _return_residual(rr, z, rounds):
+    """F^rounds(z) - z and D(F^rounds)(z) for the rescaled return map F,
+    rounds 1 or 2."""
+    out = eval_rescaled(rr, z)
+    jac = rescaled_jacobian(rr, z)
+    if rounds == 2:
+        jac = rescaled_jacobian(rr, out) @ jac
+        out = eval_rescaled(rr, out)
+    return np.array([out[0] - z[0], out[1] - z[1]]), jac
+
+
+def _solve_orbit(rr, z0, rounds, window=None):
+    """Newton for F^rounds(z) = z from a rescaled seed; returns z, the
+    residual and D(F^rounds) there."""
+    eye = np.eye(2)
+
+    def fun_jac(z):
+        f, jac = _return_residual(rr, z, rounds)
+        return f, jac - eye, jac
+
+    z, (f, _, jac) = _newton(fun_jac, z0, window=window)
+    return z, f, jac
 
 
 def _orbit_record(rm, chain, rescaled_pts, jac, residual):
@@ -187,16 +221,8 @@ def find_fixed_point(rm: ReturnMap, seed) -> OrbitRecord:
     """
     rr = rescaled_return_map(rm)
     win = 1.5 * rescaled_window(rr) + 2.0
-
-    def fun_jac(z):
-        fx, fy = eval_rescaled(rr, z)
-        jac = rescaled_jacobian(rr, z)
-        return np.array([fx - z[0], fy - z[1]]), jac - np.eye(2)
-
     cross = _cross_from_strip(rm.family, rm.k, seed)
-    z = _newton(fun_jac, to_rescaled(rr.chain, cross), window=win)
-    f, _ = fun_jac(z)
-    jac = rescaled_jacobian(rr, z)
+    z, f, jac = _solve_orbit(rr, to_rescaled(rr.chain, cross), 1, window=win)
     return _orbit_record(
         rm, rr.chain, [z], jac, float(np.max(np.abs(f)))
     )
@@ -207,20 +233,11 @@ def find_two_periodic(rm: ReturnMap, seed) -> OrbitRecord:
     fixed point."""
     rr = rescaled_return_map(rm)
     win = 1.5 * rescaled_window(rr) + 2.0
-
-    def fun_jac(z):
-        mid = eval_rescaled(rr, z)
-        out = eval_rescaled(rr, mid)
-        jac = rescaled_jacobian(rr, mid) @ rescaled_jacobian(rr, z)
-        return np.array([out[0] - z[0], out[1] - z[1]]), jac - np.eye(2)
-
     cross = _cross_from_strip(rm.family, rm.k, seed)
-    z = _newton(fun_jac, to_rescaled(rr.chain, cross), window=win)
+    z, f, jac2 = _solve_orbit(rr, to_rescaled(rr.chain, cross), 2, window=win)
     mid = np.array(eval_rescaled(rr, z))
     if float(np.max(np.abs(mid - z))) < 1e-6:
         raise CollapsedOrbitError("collapsed to fixed point")
-    f, _ = fun_jac(z)
-    jac2 = rescaled_jacobian(rr, mid) @ rescaled_jacobian(rr, z)
     return _orbit_record(
         rm, rr.chain, [z, mid], jac2, float(np.max(np.abs(f)))
     )
@@ -231,83 +248,35 @@ def _rescaled_at(family: FamilyHandle, k: int, m: float):
     return rescaled_return_map(build_return_map(family.with_mu(mu), k))
 
 
-def _fp_branch(rr, m):
-    """Newton for the fixed point on the X = +sqrt(M) branch."""
-    root = math.sqrt(max(m, 0.0)) + 1e-3
-
-    def fun_jac(z):
-        fx, fy = eval_rescaled(rr, z)
-        return (
-            np.array([fx - z[0], fy - z[1]]),
-            rescaled_jacobian(rr, z) - np.eye(2),
-        )
-
-    return _newton(fun_jac, (root, root))
-
-
-def _two_orbit_branch(rr, m):
-    """Newton for the 2-orbit continued from the limit closed form."""
-    root = math.sqrt(max(m, 1e-9))
-
-    def fun_jac(z):
-        mid = eval_rescaled(rr, z)
-        out = eval_rescaled(rr, mid)
-        jac = rescaled_jacobian(rr, mid) @ rescaled_jacobian(rr, z)
-        return np.array([out[0] - z[0], out[1] - z[1]]), jac - np.eye(2)
-
-    return _newton(fun_jac, (-root, root))
-
-
-def _trace_components(family: FamilyHandle, k: int, kind: str):
-    """Residual system for the bordered search in (X, Y, M)."""
-
-    def components(z):
-        x, y, m = z
-        rr = _rescaled_at(family, k, m)
-        if kind == "plus":
-            fx, fy = eval_rescaled(rr, (x, y))
-            tr = float(np.trace(rescaled_jacobian(rr, (x, y))))
-            return np.array([fx - x, fy - y, tr])
-        mid = eval_rescaled(rr, (x, y))
-        out = eval_rescaled(rr, mid)
-        jac2 = rescaled_jacobian(rr, mid) @ rescaled_jacobian(rr, (x, y))
-        return np.array(
-            [out[0] - x, out[1] - y, float(np.trace(jac2)) + 2.0]
-        )
-
-    return components
-
-
 def locate_bifurcation(family: FamilyHandle, k: int, kind: str,
                        m_bracket=None) -> BifurcationPoint:
     """Parameter value where the return map changes stability type.
 
     kind "plus" targets the fixed-point border with multipliers
     (+1, -1); kind "minus" targets the 2-orbit's double multiplier -1.
-    A bordered Newton in (X, Y, M) with the trace condition adjoined
-    runs first; on failure (or a root escaping the bracket) a scan with
-    bisection over M takes over.  For kind plus the trace on a branch
-    only touches zero at the border, so the scan bisects orbit
-    existence rather than a trace sign change.
+    A bordered Newton in (X, Y, M) solves the orbit equations with the
+    trace condition adjoined, seeded at the limit-map orbit of the
+    border when m_bracket holds it; its 3x3 Jacobian is central
+    differences.  Raises NewtonDivergedError when the Newton fails and
+    BracketError when the border it finds lies outside m_bracket.
     """
     if kind not in ("plus", "minus"):
         raise ValueError(f"unknown bifurcation kind {kind!r}")
+    plus = kind == "plus"
     if m_bracket is None:
-        m_bracket = (-0.5, 0.5) if kind == "plus" else (0.5, 1.5)
-    target = 0.0 if kind == "plus" else 1.0
-    seed_m = (
-        target
-        if m_bracket[0] <= target <= m_bracket[1]
-        else 0.5 * (m_bracket[0] + m_bracket[1])
-    )
-    root = math.sqrt(max(seed_m, 0.0))
-    seed = (
-        np.array([root, root, seed_m])
-        if kind == "plus"
-        else np.array([-math.sqrt(max(seed_m, 0.25)),
-                       math.sqrt(max(seed_m, 0.25)), seed_m])
-    )
-    components = _trace_components(family, k, kind)
+        m_bracket = (-0.5, 0.5) if plus else (0.5, 1.5)
+    lo, hi = m_bracket
+    target = 0.0 if plus else 1.0  # the limit map's border
+    seed_m = target if lo <= target <= hi else 0.5 * (lo + hi)
+    root = math.sqrt(max(seed_m, 0.0 if plus else 0.25))
+    # limit-map seeds: the fixed point (s, s), the 2-orbit point (-s, s)
+    seed = np.array([root if plus else -root, root, seed_m])
+    rounds, border_trace = (1, 0.0) if plus else (2, -2.0)
+
+    def components(z):
+        f, jac = _return_residual(_rescaled_at(family, k, z[2]), z[:2], rounds)
+        # trace - (-2.0) rounds exactly as trace + 2.0 does
+        return np.array([f[0], f[1], float(np.trace(jac)) - border_trace])
 
     def fun_jac(z):
         f = components(z)
@@ -320,16 +289,12 @@ def locate_bifurcation(family: FamilyHandle, k: int, kind: str,
             jac[:, j] = (components(zp) - components(zm)) / (2.0 * h)
         return f, jac
 
-    try:
-        z = _newton(fun_jac, seed, tol=1e-10)
-        m_star = float(z[2])
-        if m_bracket[0] <= m_star <= m_bracket[1]:
-            return BifurcationPoint(
-                kind=kind, mu=mu_from_m(family, k, m_star), k=k
-            )
-    except NewtonDivergedError:
-        pass
-    m_star = _bracket_scan(family, k, kind, m_bracket)
+    z, _ = _newton(fun_jac, seed, tol=1e-10)
+    m_star = float(z[2])
+    if not lo <= m_star <= hi:
+        raise BracketError(
+            f"bracket failed: border at M = {m_star!r} outside [{lo}, {hi}]"
+        )
     return BifurcationPoint(kind=kind, mu=mu_from_m(family, k, m_star), k=k)
 
 
@@ -337,53 +302,9 @@ def two_orbit_trace(family: FamilyHandle, k: int, m: float) -> float:
     """Trace of the second-iterate derivative along the continued
     2-orbit branch, with the parameter given as rescaled M."""
     rr = _rescaled_at(family, k, m)
-    z = _two_orbit_branch(rr, m)
-    mid = eval_rescaled(rr, z)
-    jac2 = rescaled_jacobian(rr, mid) @ rescaled_jacobian(rr, z)
+    root = math.sqrt(max(m, 1e-9))
+    _, _, jac2 = _solve_orbit(rr, (-root, root), 2)
     return float(np.trace(jac2))
-
-
-def _scan_value(family, k, kind, m):
-    """Scalar observable for the fallback scan.
-
-    plus: +-1 existence flag for the fixed-point branch (the border is a
-    fold, so existence flips sign there while the trace does not).
-    minus: trace of the second-iterate derivative plus 2.
-    """
-    try:
-        if kind == "plus":
-            _fp_branch(_rescaled_at(family, k, m), m)
-            return 1.0
-        return two_orbit_trace(family, k, m) + 2.0
-    except NewtonDivergedError:
-        return -1.0 if kind == "plus" else None
-
-
-def _bracket_scan(family, k, kind, m_bracket, n_scan=17):
-    grid = np.linspace(m_bracket[0], m_bracket[1], n_scan)
-    values = [_scan_value(family, k, kind, float(m)) for m in grid]
-    lo = hi = vlo = None
-    for i in range(n_scan - 1):
-        va, vb = values[i], values[i + 1]
-        if va is not None and vb is not None and va * vb <= 0.0:
-            lo, hi, vlo = float(grid[i]), float(grid[i + 1]), va
-            break
-    if lo is None:
-        raise BracketError(
-            "bracket failed: no sign change of the border condition"
-        )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        vm = _scan_value(family, k, kind, mid)
-        if vm is None:
-            raise BracketError("bracket failed: orbit lost during bisection")
-        if vm == 0.0 or hi - lo < 1e-13:
-            break
-        if vlo * vm <= 0.0:
-            hi = mid
-        else:
-            lo, vlo = mid, vm
-    return 0.5 * (lo + hi)
 
 
 def phase_of_elliptic(record: OrbitRecord) -> float:

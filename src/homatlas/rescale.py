@@ -233,8 +233,8 @@ def fit_cubic_coefficient(rr: RescaledReturnMap, n: int = 13) -> float:
 
 
 def _theil_sen_slope(x, y) -> float:
-    """Median of the pairwise slopes dy/dx over pairs with dx > 0, the same
-    arithmetic as the slope of ``scipy.stats.theilslopes(y, x)``."""
+    """Theil-Sen slope: the median of the pairwise slopes dy/dx over pairs
+    with dx > 0."""
     dx = x[:, np.newaxis] - x
     dy = y[:, np.newaxis] - y
     return float(np.median(dy[dx > 0] / dx[dx > 0]))

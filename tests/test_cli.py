@@ -146,6 +146,31 @@ def test_henon_range_error_exit_1(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("henon", "scan_n=-1"),
+        ("rescale-verify", "grid_n=0"),
+        ("atlas2d", "n_alpha=0"),
+        *(
+            (sub, "k_min=5", "k_max=4")
+            for sub in ("cross-form", "classify", "cascade", "atlas2d",
+                        "resonance", "rescale-verify")
+        ),
+    ],
+)
+def test_bad_sizes_are_config_errors(tmp_path, capsys, argv):
+    out = str(tmp_path / "run")
+    sub, *overrides = argv
+    cmd = [sub, "--out", out]
+    for item in overrides:
+        cmd += ["--set", item]
+    assert main(cmd) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert not os.path.exists(os.path.join(out, "result.json"))
+
+
+@pytest.mark.parametrize(
     "overrides",
     [("recipe=sandwich", "d=0"), ("recipe=fold", "q=0,0,0,1"), ("q=",)],
 )

@@ -1,12 +1,20 @@
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
+import homatlas
+from homatlas import henon
 from homatlas.exceptions import ResonantParameterError
 from homatlas.henon import (
     bifurcation_values,
     birkhoff_b1,
+    brentq,
     classify_from_trace,
     fixed_points,
     horseshoe_certificate,
@@ -145,3 +153,58 @@ def test_horseshoe_certificate_monotone_in_sampled_range():
     for M in np.arange(9.5, 14.0, 0.5):
         if horseshoe_certificate(float(M)):
             assert horseshoe_certificate(float(M) + 1.0)
+
+
+def test_brentq_port_equals_scipy_on_bifurcation_values(monkeypatch):
+    ours = bifurcation_values()
+    monkeypatch.setattr(henon, "brentq", scipy_brentq)
+    assert bifurcation_values() == ours
+
+
+_SMOOTH = (
+    lambda x: math.cos(x) - x,
+    lambda x: x**3 - 2.0 * x - 5.0,
+    lambda x: math.exp(x) - 3.0,
+    lambda x: math.tanh(4.0 * (x - 0.3)),
+    lambda x: (x - 0.1) ** 5,
+    lambda x: math.sin(10.0 * x) + 0.3,
+    lambda x: x * x - 2.0,
+    lambda x: math.atan(x - 0.77),
+)
+
+
+@pytest.mark.parametrize("index", range(len(_SMOOTH)))
+def test_brentq_port_equals_scipy_on_smooth_brackets(index):
+    f = _SMOOTH[index]
+    rng = np.random.default_rng(index)
+    for _ in range(60):
+        a = float(rng.uniform(-3.0, 0.0))
+        b = float(rng.uniform(0.5, 4.0))
+        xtol = float(10.0 ** rng.uniform(-15.0, -3.0))
+        try:
+            expected = scipy_brentq(f, a, b, xtol=xtol)
+        except (ValueError, RuntimeError) as exc:
+            # same-sign brackets, and flat roots out of iterations
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                brentq(f, a, b, xtol=xtol)
+            continue
+        assert brentq(f, a, b, xtol=xtol) == expected
+
+
+def test_brentq_endpoint_root_and_same_sign_bracket():
+    assert brentq(lambda x: x, 0.0, 1.0) == 0.0
+    assert brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan, -1.0, 1.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(homatlas.__file__))
+    code = "import sys, homatlas; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "False"

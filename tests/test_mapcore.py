@@ -20,8 +20,8 @@ from homatlas.mapcore import (
     eval_map,
     iterate,
     jacobian,
-    polish_pow,
 )
+from homatlas.returnmap import _signed_pow
 
 
 def fd_jacobian(expr, p, h=1.0e-6):
@@ -191,13 +191,17 @@ def test_vectorized_eval_matches_scalar():
         assert by[i] == sy
 
 
-def test_polish_pow_signs_and_magnitude():
-    assert polish_pow(0.5, 0) == 1.0
-    assert abs(polish_pow(0.5, 10) - 0.5**10) < 1e-18
-    assert polish_pow(-0.5, 3) < 0
-    assert polish_pow(-0.5, 4) > 0
-    # stays finite far beyond where naive powers underflow badly
-    assert polish_pow(0.5, 900) > 0.0
+def test_signed_pow_signs_and_magnitude():
+    assert _signed_pow(0.5, 0) == 1.0
+    assert abs(_signed_pow(0.5, 10) - 0.5**10) < 1e-18
+    assert _signed_pow(-0.5, 3) < 0
+    assert _signed_pow(-0.5, 4) > 0
+    # k > 64 takes the log domain: stays finite far beyond where naive
+    # powers underflow badly, and keeps the sign of odd powers
+    assert _signed_pow(0.5, 900) > 0.0
+    assert _signed_pow(-0.5, 900) > 0.0
+    assert _signed_pow(-0.5, 901) < 0.0
+    assert _signed_pow(0.5, 900) == pytest.approx(0.5**900, rel=1e-12)
 
 
 coef = st.floats(min_value=-0.9, max_value=0.9, allow_nan=False)

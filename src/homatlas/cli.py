@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .atlas import certify_global_resonance, run_cascade, run_strip_atlas
 from .config import SUBCOMMANDS, load_config
-from .exceptions import (ConfigError, HomatlasError, ResonantParameterError,
-                         TangencyError)
+from .exceptions import (ConfigError, HomatlasError, NonFiniteResultError,
+                         ResonantParameterError, TangencyError)
 from .family import (
     HenonLikeRecipe,
     LocalMapParams,
@@ -34,7 +34,7 @@ from .family import (
 )
 from .henon import bifurcation_values, birkhoff_b1, horseshoe_certificate
 from .rescale import convergence_report
-from .returnmap import classify_horseshoe, validate_cross_form
+from .returnmap import check_window, classify_horseshoe, validate_cross_form
 from .svgplot import Series, line_chart, save_svg
 
 __all__ = ["main", "family_from_config"]
@@ -205,6 +205,8 @@ def _run_cross_form(cfg, threads):
     family = family_from_config(cfg.family)
     exp = cfg.experiment
     ks = range(exp["k_min"], exp["k_max"] + 1)
+    for k in ks:
+        check_window(family, k)
     report = validate_cross_form(
         family.local, ks, x_plus=family.x_plus, y_minus=family.y_minus
     )
@@ -518,25 +520,32 @@ def _formats(cfg) -> tuple:
 
 
 def _write_outputs(cfg, payload, rows, svgs, warnings, elapsed):
+    """Serialize the result envelope, then write the chosen formats; a
+    non-finite number raises NonFiniteResultError before any file is
+    written."""
     out_dir = cfg.output["dir"]
     formats = _formats(cfg)
+    envelope = {
+        "schema_version": 1,
+        "tool": "homatlas",
+        "version": __version__,
+        "subcommand": cfg.subcommand,
+        "config": {
+            "family": _jsonify(cfg.family),
+            "experiment": _jsonify(cfg.experiment),
+            "output": _jsonify(cfg.output),
+        },
+        "wall_clock_s": elapsed,
+        "warnings": list(warnings),
+        "payload": _jsonify(payload),
+    }
+    try:
+        text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResultError(f"result not serializable: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     if "json" in formats:
-        envelope = {
-            "schema_version": 1,
-            "tool": "homatlas",
-            "version": __version__,
-            "subcommand": cfg.subcommand,
-            "config": {
-                "family": _jsonify(cfg.family),
-                "experiment": _jsonify(cfg.experiment),
-                "output": _jsonify(cfg.output),
-            },
-            "wall_clock_s": elapsed,
-            "warnings": list(warnings),
-            "payload": _jsonify(payload),
-        }
-        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+        text += "\n"
         path = os.path.join(out_dir, "result.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -623,7 +632,11 @@ def main(argv=None) -> int:
         _report_error(cfg.subcommand, exc, out_dir=cfg.output["dir"])
         return 2
     elapsed = time.monotonic() - start
-    _write_outputs(cfg, payload, rows, svgs, warnings, elapsed)
+    try:
+        _write_outputs(cfg, payload, rows, svgs, warnings, elapsed)
+    except NonFiniteResultError as exc:
+        _report_error(cfg.subcommand, exc, out_dir=cfg.output["dir"])
+        return 2
     return 0
 
 

@@ -11,6 +11,7 @@ output schema.
 
 from __future__ import annotations
 
+import math
 import os
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
@@ -112,17 +113,23 @@ def _convert(kind, key, raw):
         if kind == "int":
             return int(str(raw), 10)
         if kind == "float":
-            return float(raw)
-        if kind == "optfloat":
-            return None if raw is None or raw == "" else float(raw)
-        if kind == "floats":
-            if isinstance(raw, (tuple, list)):
-                return tuple(float(v) for v in raw)
-            text = str(raw).replace(",", " ")
-            return tuple(float(v) for v in text.split())
+            value = float(raw)
+        elif kind == "optfloat":
+            value = None if raw is None or raw == "" else float(raw)
+        elif kind == "floats":
+            items = raw
+            if not isinstance(raw, (tuple, list)):
+                items = str(raw).replace(",", " ").split()
+            value = tuple(float(v) for v in items)
+        else:
+            raise ConfigError(f"unknown schema kind {kind!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    raise ConfigError(f"unknown schema kind {kind!r}")
+    # nan and +-inf would reach the results, which JSON cannot carry
+    numbers = value if isinstance(value, tuple) else (value,)
+    if not all(v is None or math.isfinite(v) for v in numbers):
+        raise ConfigError(f"non-finite value for {key}: {raw!r}")
+    return value
 
 
 def _validated(section_name, schema, raw):

@@ -69,5 +69,9 @@ class PrecisionFloorError(HomatlasError):
     """A parameter conversion would lose all significant digits."""
 
 
+class NonFiniteResultError(HomatlasError):
+    """A result holds NaN or infinity, which JSON cannot carry."""
+
+
 class ConfigError(HomatlasError):
     """Invalid run configuration."""

@@ -225,12 +225,11 @@ class FamilyHandle:
         return replace(self, globalmap=spec)
 
 
-def extract_taylor(globalmap: GlobalMapSpec, h0: float = 0.05) -> TaylorData:
+def extract_taylor(globalmap: GlobalMapSpec) -> TaylorData:
     """Expansion coefficients of the global map at (0, y_minus).
 
     The global stages run once on degree-3 jets seeded at (0, y_minus), so
-    every coefficient is exact up to roundoff.  ``h0`` is deprecated and
-    ignored; it was the step of an earlier finite-difference extraction.
+    every coefficient is exact up to roundoff.
     """
     f, g = eval_map(globalmap.stages, Jet.variables(0.0, globalmap.y_minus, 3))
     f0, g0 = f.c[0], g.c[0]
@@ -266,17 +265,14 @@ def s0_invariant(handle: FamilyHandle) -> float:
     return t.d * xp * (t.a * t.c + t.f20 * xp) - 0.25 * (t.f11 * xp) ** 2
 
 
-def build_family(local: LocalMapParams, recipe, mu: float = 0.0,
-                 h0: float = 0.05) -> FamilyHandle:
+def build_family(local: LocalMapParams, recipe,
+                 mu: float = 0.0) -> FamilyHandle:
     """Assemble and audit a family from a local saddle and a global recipe.
 
     Checks at build time: the global composition is orientation-reversing,
     the marked point is carried to (x_plus, mu), the tangency is quadratic,
     and the extracted coefficients satisfy the two identities forced by
     determinant -1 (b*c = 1 and 2*a*d - b*f11 - 2*e02*c = 0).
-
-    h0 is deprecated and ignored: the coefficients come from Taylor jets
-    and need no step size.
     """
     stages = recipe.stages(mu)
     if stages.n_swaps % 2 == 0:
@@ -326,14 +322,13 @@ def tune_to(
     alpha_target: float | None = None,
     s0_target: float | None = None,
     tol: float = 1e-8,
-    h0: float = 0.05,
 ) -> FamilyHandle:
     """Retune the recipe knobs so the extracted invariants hit the targets.
 
     The alpha knob is the linear coefficient b of P (so c = 1/b moves with
     it and bc = 1 stays an identity); the s0 knob is the quadratic
     coefficient of P.  Only the fold recipe exposes these knobs, and its
-    reachable set is s0 <= 0.  h0 is deprecated and ignored.
+    reachable set is s0 <= 0.
     """
     if alpha_target is None and s0_target is None:
         return handle

@@ -17,6 +17,8 @@ the stages on Taylor jets (forward-mode automatic differentiation, Griewank
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,7 @@ __all__ = [
     "MapExpr",
     "eval_map",
     "jacobian",
+    "jacobian_of",
     "iterate",
 ]
 
@@ -43,36 +46,37 @@ __all__ = [
 ESCAPE_RADIUS = 1.0e8
 
 
-def _index(i: int, j: int) -> int:
-    """Position of the coefficient of dx**i dy**j in graded order."""
-    return (i + j) * (i + j + 1) // 2 + j
-
-
 @functools.cache
-def _product_pairs(n: int) -> tuple:
-    """Per coefficient of a degree-n product, the (left, right) index pairs
-    whose products sum to it; the pair with right index 0 comes last."""
-    return tuple(
-        tuple(
-            (_index(i1, j1), _index(d - j - i1, j - j1))
-            for i1 in range(d - j + 1)
-            for j1 in range(j + 1)
-            if (i1, j1) != (d - j, j)
-        )
-        + ((_index(d - j, j), 0),)
-        for d in range(n + 1)
-        for j in range(d + 1)
+def _layout(n: int, size: int):
+    """Positions of the exponents of degree-n jets with ``size`` coefficients
+    in graded order (total degree, then lexicographically descending), and
+    per product coefficient the (left, right) index pairs summed into it:
+    left exponents ascending, so the pair with right index 0 comes last."""
+    m = next(m for m in itertools.count(1) if math.comb(n + m, m) >= size)
+    exps = sorted(
+        (e for e in itertools.product(range(n + 1), repeat=m) if sum(e) <= n),
+        key=lambda e: (sum(e), [-a for a in e]),
     )
+    index = {e: i for i, e in enumerate(exps)}
+    pairs = tuple(
+        tuple(
+            (index[e1], index[tuple(a - b for a, b in zip(e, e1))])
+            for e1 in itertools.product(*(range(a + 1) for a in e))
+        )
+        for e in exps
+    )
+    return index, pairs
 
 
 class Jet:
-    """Truncated bivariate Taylor polynomial of degree n.
+    """Truncated multivariate Taylor polynomial of degree n.
 
-    ``c`` lists the real or complex coefficients of dx**i dy**j, i + j <= n,
-    in graded order 1, dx, dy, dx**2, dx dy, dy**2, dx**3, ...  Arithmetic
-    with numbers and with jets of the same degree follows the truncated
-    product rule; the value part ``c[0]`` comes out exactly as the same
-    arithmetic on plain numbers.
+    ``c`` lists the real or complex coefficients of the monomials of total
+    degree <= n in graded order; for two variables that is 1, dx, dy,
+    dx**2, dx dy, dy**2, dx**3, ...  Arithmetic with numbers and with jets
+    of the same degree and size follows the truncated product rule; the
+    value part ``c[0]`` comes out exactly as the same arithmetic on plain
+    numbers.
     """
 
     __slots__ = ("n", "c")
@@ -84,14 +88,24 @@ class Jet:
         self.c = c
 
     @classmethod
-    def variables(cls, x, y, n: int):
-        """The pair of degree-n jets x + dx and y + dy, n >= 1."""
-        zero = [0.0] * ((n + 1) * (n + 2) // 2 - 3)
-        return cls(n, [x, 1.0, 0.0] + zero), cls(n, [y, 0.0, 1.0] + zero)
+    def variables(cls, *values_and_degree):
+        """variables(v1, ..., vm, n): the jets v1 + d1, ..., vm + dm, n >= 1."""
+        *values, n = values_and_degree
+        size = math.comb(n + len(values), n)
+        return tuple(
+            cls(n, [v] + [float(j == i) for j in range(size - 1)])
+            for i, v in enumerate(values)
+        )
 
-    def coeff(self, i: int, j: int):
-        """Taylor coefficient of dx**i dy**j."""
-        return self.c[_index(i, j)]
+    def coeff(self, *exponents):
+        """Taylor coefficient of d1**e1 d2**e2 ... for exponents e1, e2, ..."""
+        return self.c[_layout(self.n, len(self.c))[0][exponents]]
+
+    def diff(self, i: int):
+        """Partial derivative in the i-th variable, a jet of degree n - 1."""
+        index = _layout(self.n, len(self.c))[0]
+        c = [e[i] * self.c[j] for e, j in index.items() if e[i]]
+        return Jet(self.n - 1, c)
 
     def __neg__(self):
         return Jet(self.n, [-a for a in self.c])
@@ -114,7 +128,7 @@ class Jet:
             return Jet(self.n, [a * other for a in self.c])
         a, b = self.c, other.c
         out = []
-        for pairs in _product_pairs(self.n):
+        for pairs in _layout(self.n, len(a))[1]:
             s = 0.0
             for i, j in pairs:
                 s += a[i] * b[j]
@@ -130,7 +144,7 @@ class Jet:
         # pick an already computed coefficient of q
         a, b = self.c, other.c
         q = []
-        for k, pairs in enumerate(_product_pairs(self.n)):
+        for k, pairs in enumerate(_layout(self.n, len(a))[1]):
             s = a[k]
             for i, j in pairs[:-1]:
                 s -= q[i] * b[j]
@@ -222,14 +236,8 @@ class Moser:
     lam: float
     beta: tuple = ()
 
-    def _b_coeffs(self):
-        return (1.0,) + tuple(self.beta)
-
     def bval(self, u):
-        return _polyval(self._b_coeffs(), u)
-
-    def bder(self, u):
-        return _polyval(_polyder(self._b_coeffs()), u)
+        return _polyval((1.0,) + tuple(self.beta), u)
 
     def apply(self, x, y):
         u = x * y
@@ -300,10 +308,16 @@ def eval_map(expr: MapExpr, p):
     return x, y
 
 
+def jacobian_of(fun, p):
+    """Exact Jacobian at a point of a planar map ``fun(z) -> (x, y)`` that
+    runs on jets, read from one pass on degree-1 jets."""
+    fx, fy = fun(Jet.variables(float(p[0]), float(p[1]), 1))
+    return np.array([fx.c[1:], fy.c[1:]])
+
+
 def jacobian(expr: MapExpr, p):
     """Exact Jacobian of the composition at a point, from degree-1 jets."""
-    fx, fy = eval_map(expr, Jet.variables(float(p[0]), float(p[1]), 1))
-    return np.array([[fx.c[1], fx.c[2]], [fy.c[1], fy.c[2]]])
+    return jacobian_of(functools.partial(eval_map, expr), p)
 
 
 def iterate(expr: MapExpr, p, n):

@@ -8,8 +8,9 @@ closed-form orbits of the limit map x' = y, y' = M + x - y^2: fixed
 points at X = Y = +-sqrt(M), the 2-periodic orbit swapping (-s, s) and
 (s, -s) with s = sqrt(M).
 
-Every solve, the border locator's too, runs on one residual: F^r(z) - z
-and D(F^r)(z) for the rescaled return map F, r = 1 or 2 rounds.
+Every solve runs r = 1 or 2 rounds of the rescaled return map F on Taylor
+jets: of degree 1 in (X, Y) for an orbit, of degree 2 in (X, Y, M) for a
+border, where they give the exact bordered Jacobian.
 
 Bifurcation location works in the parameter M rather than mu, again for
 conditioning.  A fixed point has multipliers (+1, -1) exactly when its
@@ -20,6 +21,7 @@ derivative is -2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,12 +37,12 @@ from .exceptions import (
 )
 from .family import FamilyHandle
 from .henon import StabilityClass, classify_from_trace
+from .mapcore import Jet
 from .rescale import (
     build_chain,
     eval_rescaled,
     from_rescaled,
     mu_from_m,
-    rescaled_jacobian,
     rescaled_return_map,
     rescaled_window,
     to_rescaled,
@@ -157,25 +159,18 @@ def _newton(fun_jac, z0, tol=1e-11, max_steps=50, window=None):
     raise NewtonDivergedError("Newton diverged after 50 damped steps")
 
 
-def _return_residual(rr, z, rounds):
-    """F^rounds(z) - z and D(F^rounds)(z) for the rescaled return map F,
-    rounds 1 or 2."""
-    out = eval_rescaled(rr, z)
-    jac = rescaled_jacobian(rr, z)
-    if rounds == 2:
-        jac = rescaled_jacobian(rr, out) @ jac
-        out = eval_rescaled(rr, out)
-    return np.array([out[0] - z[0], out[1] - z[1]]), jac
-
-
 def _solve_orbit(rr, z0, rounds, window=None):
     """Newton for F^rounds(z) = z from a rescaled seed; returns z, the
-    residual and D(F^rounds) there."""
-    eye = np.eye(2)
+    residual and D(F^rounds) there.  Each step reads the residual and
+    D(F^rounds) from one pass on degree-1 jets."""
 
     def fun_jac(z):
-        f, jac = _return_residual(rr, z, rounds)
-        return f, jac - eye, jac
+        fx, fy = Jet.variables(float(z[0]), float(z[1]), 1)
+        for _ in range(rounds):
+            fx, fy = eval_rescaled(rr, (fx, fy))
+        f = np.array([fx.c[0] - z[0], fy.c[0] - z[1]])
+        jac = np.array([fx.c[1:], fy.c[1:]])
+        return f, jac - np.eye(2), jac
 
     z, (f, _, jac) = _newton(fun_jac, z0, window=window)
     return z, f, jac
@@ -243,9 +238,24 @@ def find_two_periodic(rm: ReturnMap, seed) -> OrbitRecord:
     )
 
 
-def _rescaled_at(family: FamilyHandle, k: int, m: float):
+def _rescaled_at(family: FamilyHandle, k: int, m):
     mu = mu_from_m(family, k, m)
     return rescaled_return_map(build_return_map(family.with_mu(mu), k))
+
+
+def _border_residual(family: FamilyHandle, k: int, kind: str, z):
+    """F^r(X, Y) - (X, Y) and tr D(F^r) - t at z = (X, Y, M), (r, t) =
+    (1, 0) for kind "plus" and (2, -2) for "minus", and its exact 3x3
+    Jacobian, from one pass on degree-2 jets in (X, Y, M)."""
+    rounds, border_trace = (1, 0.0) if kind == "plus" else (2, -2.0)
+    x, y, m = Jet.variables(float(z[0]), float(z[1]), float(z[2]), 2)
+    rr = _rescaled_at(family, k, m)
+    fx, fy = x, y
+    for _ in range(rounds):
+        fx, fy = eval_rescaled(rr, (fx, fy))
+    rows = (fx - x, fy - y, fx.diff(0) + fy.diff(1) - border_trace)
+    f = np.array([r.c[0] for r in rows])
+    return f, np.array([r.c[1:4] for r in rows])
 
 
 def locate_bifurcation(family: FamilyHandle, k: int, kind: str,
@@ -256,8 +266,9 @@ def locate_bifurcation(family: FamilyHandle, k: int, kind: str,
     (+1, -1); kind "minus" targets the 2-orbit's double multiplier -1.
     A bordered Newton in (X, Y, M) solves the orbit equations with the
     trace condition adjoined, seeded at the limit-map orbit of the
-    border when m_bracket holds it; its 3x3 Jacobian is central
-    differences.  Raises NewtonDivergedError when the Newton fails and
+    border when m_bracket holds it.  Each step runs the rounds once on
+    degree-2 jets in (X, Y, M), which give the residual and its exact
+    3x3 Jacobian.  Raises NewtonDivergedError when the Newton fails and
     BracketError when the border it finds lies outside m_bracket.
     """
     if kind not in ("plus", "minus"):
@@ -271,25 +282,9 @@ def locate_bifurcation(family: FamilyHandle, k: int, kind: str,
     root = math.sqrt(max(seed_m, 0.0 if plus else 0.25))
     # limit-map seeds: the fixed point (s, s), the 2-orbit point (-s, s)
     seed = np.array([root if plus else -root, root, seed_m])
-    rounds, border_trace = (1, 0.0) if plus else (2, -2.0)
-
-    def components(z):
-        f, jac = _return_residual(_rescaled_at(family, k, z[2]), z[:2], rounds)
-        # trace - (-2.0) rounds exactly as trace + 2.0 does
-        return np.array([f[0], f[1], float(np.trace(jac)) - border_trace])
-
-    def fun_jac(z):
-        f = components(z)
-        jac = np.empty((3, 3))
-        for j in range(3):
-            h = 1e-6 * max(1.0, abs(z[j]))
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            jac[:, j] = (components(zp) - components(zm)) / (2.0 * h)
-        return f, jac
-
-    z, _ = _newton(fun_jac, seed, tol=1e-10)
+    z, _ = _newton(
+        functools.partial(_border_residual, family, k, kind), seed, tol=1e-10
+    )
     m_star = float(z[2])
     if not lo <= m_star <= hi:
         raise BracketError(

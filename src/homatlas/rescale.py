@@ -24,14 +24,8 @@ import numpy as np
 
 from .exceptions import PrecisionFloorError
 from .family import FamilyHandle
-from .mapcore import eval_map, jacobian
-from .returnmap import (
-    ReturnMap,
-    build_return_map,
-    solve_y0,
-    t0_pow_closed,
-    t0_pow_jacobian,
-)
+from .mapcore import _value, eval_map, jacobian_of
+from .returnmap import ReturnMap, build_return_map, solve_y0, t0_pow_closed
 
 __all__ = [
     "RescaleChain",
@@ -88,17 +82,20 @@ def _r1_factor(family: FamilyHandle, k: int) -> float:
 
 
 def build_chain(family: FamilyHandle, k: int) -> RescaleChain:
+    """The chain at the family's mu.  A jet mu (see ``mapcore.Jet``) gives
+    m1, m2, m3, m_effective and offset[0] as jets carrying d/dmu."""
     t = family.taylor
     lamk = family.lam ** k
     xp, ym = family.x_plus, family.y_minus
     d_k = t.d + lamk * t.f12 * xp
+    mu = _value(family.mu)
     m1 = math.fsum(
         [
-            family.mu,
+            mu,
             lamk * (t.c * xp - ym) * _r1_factor(family, k),
             lamk * lamk * xp * (t.a * t.c + t.f20 * xp),
         ]
-    )
+    ) + (family.mu - mu)
     m2 = -d_k / lamk**2 * m1
     m3 = m2 + (t.f11 * xp) ** 2 / 4.0
     nu1 = -(t.e02 / (t.b * t.d)) * lamk
@@ -200,27 +197,8 @@ def eval_rescaled(rr: RescaledReturnMap, p):
 
 
 def rescaled_jacobian(rr: RescaledReturnMap, p):
-    """Exact derivative of the rescaled map at a point (scalar only).
-
-    Built from the closed-form saddle-power derivative via the implicit
-    function theorem on the cross pair, then conjugated by the chain.
-    """
-    family = rr.rm.family
-    local = family.local
-    k = rr.rm.k
-    x0, yk = from_rescaled(rr.chain, p)
-    x0, yk = float(x0), float(yk)
-    y0 = solve_y0(local, k, x0, yk)
-    j0 = t0_pow_jacobian(local, (x0, y0), k)
-    # d(x_k, y_k)/d(x0, y_k): dy0 eliminated through the second row of j0
-    dh = np.array([[1.0 / j0[1, 1], j0[0, 1] / j0[1, 1]], [0.0, 1.0]])
-    xk, _ = t0_pow_closed(local, (x0, y0), k)
-    j1 = jacobian(family.global_expr(), (float(xk), yk))
-    xb0, yb0 = eval_map(family.global_expr(), (float(xk), yk))
-    jb0 = t0_pow_jacobian(local, (float(xb0), float(yb0)), k)
-    dg = np.array([[1.0, 0.0], [jb0[1, 0], jb0[1, 1]]])
-    dk = dg @ j1 @ dh
-    return rr.chain.matrix @ dk @ rr.chain.inverse
+    """Exact derivative of the rescaled map at a point, from degree-1 jets."""
+    return jacobian_of(lambda z: eval_rescaled(rr, z), p)
 
 
 def fit_cubic_coefficient(rr: RescaledReturnMap, n: int = 13) -> float:

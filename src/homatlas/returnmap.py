@@ -1,13 +1,13 @@
 """First-return maps T1 o T0^k and the strip geometry they act on.
 
-The local saddle map preserves u = x*y, which gives closed forms for its
-k-th power and that power's derivative with no accumulation of roundoff
-over k.  The return map composes the closed-form power with the global
-map.  Strips are the windows where returning orbits live: sigma0 near the
-incoming homoclinic point (x_plus, 0), sigma1 = T0^k(sigma0) near the
-outgoing one (0, y_minus).  The horseshoe classifier counts crossings of
-the folded image of the tangency fiber through sigma0, sampled adaptively
-until the count stabilizes.
+The local saddle map preserves u = x*y, which gives a closed form for its
+k-th power, and on Taylor jets for its derivatives, with no accumulation
+of roundoff over k.  The return map composes the closed-form power with
+the global map.  Strips are the windows where returning orbits live:
+sigma0 near the incoming homoclinic point (x_plus, 0), sigma1 =
+T0^k(sigma0) near the outgoing one (0, y_minus).  The horseshoe classifier
+counts crossings of the folded image of the tangency fiber through
+sigma0, sampled adaptively until the count stabilizes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .exceptions import (
     StripWindowError,
 )
 from .family import FamilyHandle, LocalMapParams
-from .mapcore import ESCAPE_RADIUS, eval_map, jacobian
+from .mapcore import ESCAPE_RADIUS, Jet, _value, eval_map, jacobian_of
 
 __all__ = [
     "ReturnMap",
@@ -48,7 +48,19 @@ __all__ = [
 
 
 def _signed_pow(base, k: int):
-    """base**k, stable for large k via the log domain; base must be nonzero."""
+    """base**k, stable for large k via the log domain; base must be nonzero.
+
+    On a jet the value comes from the float path, the higher coefficients
+    from the series base0**k * sum C(k, j) r**j, r = (base - base0)/base0.
+    """
+    if isinstance(base, Jet):
+        b0 = base.c[0]
+        r = (base - b0) / b0
+        term = total = 1.0
+        for j in range(1, base.n + 1):
+            term = term * r * ((k - j + 1) / j)
+            total = total + term
+        return _signed_pow(b0, k) * total
     if k <= 64:
         return base ** k
     sign = np.where(np.signbit(base) & bool(k % 2), -1.0, 1.0)
@@ -60,37 +72,23 @@ def t0_pow_closed(local: LocalMapParams, p, k: int):
 
     x_k = lam**k * x * B(u)**k and y_k = x*y/x_k; one scaling factor is
     computed (log-domain for large k) and applied to both coordinates.
+    Runs on floats, arrays and jets; the guards test value parts.
     """
     x, y = p
-    u = np.asarray(x) * np.asarray(y)
-    b = local.stage().bval(u)
-    if np.any(np.asarray(b) <= 1e-9):
+    b = local.stage().bval(x * y)
+    if np.any(_value(b) <= 1e-9):
         raise EscapeError("saddle factor left its positive domain")
     factor = _signed_pow(local.lam * b, k)
     xk = x * factor
     yk = y / factor
-    if np.any(np.abs(xk) + np.abs(yk) > ESCAPE_RADIUS):
+    if np.any(abs(_value(xk)) + abs(_value(yk)) > ESCAPE_RADIUS):
         raise EscapeError("orbit escaped during the saddle passage")
     return xk, yk
 
 
 def t0_pow_jacobian(local: LocalMapParams, p, k: int):
-    """Exact derivative of the k-th saddle power; determinant 1 identically."""
-    x, y = float(p[0]), float(p[1])
-    u = x * y
-    stage = local.stage()
-    b = float(stage.bval(u))
-    if b <= 1e-9:
-        raise EscapeError("saddle factor left its positive domain")
-    bp = float(stage.bder(u))
-    factor = float(_signed_pow(local.lam * b, k))
-    r = k * u * bp / b
-    return np.array(
-        [
-            [factor * (1.0 + r), factor * k * x * x * bp / b],
-            [-(k * y * y * bp / b) / factor, (1.0 - r) / factor],
-        ]
-    )
+    """Exact derivative of the k-th saddle power, from degree-1 jets."""
+    return jacobian_of(lambda z: t0_pow_closed(local, z, k), p)
 
 
 def solve_y0(local: LocalMapParams, k: int, x0, yk, tol: float = 1e-15,
@@ -98,10 +96,28 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk, tol: float = 1e-15,
     """Solve y0 from the cross pair (x0, y_k): y0 = lam**k y_k B(x0 y0)**k.
 
     Fixed-point iteration from the B = 1 value; the contraction factor is
-    O(k lam**k), so a handful of sweeps reaches full precision.
+    O(k lam**k), so a handful of sweeps reaches full precision.  On jets
+    the value converges the same way; then n Newton steps with the
+    derivative frozen at the value each gain one order of the degree-n jet.
     """
     lamk = float(local.lam) ** k
     stage = local.stage()
+    if isinstance(x0, Jet) or isinstance(yk, Jet):
+        if not local.moser_coeffs:
+            return lamk * yk
+
+        def phi(x, y, y0):
+            return lamk * y * _signed_pow(stage.bval(x * y0), k)
+
+        v0, vk = _value(x0), _value(yk)
+        y0 = solve_y0(local, k, v0, vk, tol, max_iter)
+        slope = phi(v0, vk, Jet.variables(y0, 1)[0]).c[1]
+        y = phi(x0, yk, y0)
+        for _ in range(y.n):
+            y.c[0] = y0
+            y = y + (phi(x0, yk, y) - y) / (1.0 - slope)
+        y.c[0] = y0
+        return y
     y0 = lamk * np.asarray(yk, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     if not local.moser_coeffs:
@@ -163,10 +179,7 @@ def eval_return(rm: ReturnMap, p):
 
 
 def return_jacobian(rm: ReturnMap, p):
-    q = t0_pow_closed(rm.family.local, p, rm.k)
-    j0 = t0_pow_jacobian(rm.family.local, p, rm.k)
-    j1 = jacobian(rm.family.global_expr(), q)
-    return j1 @ j0
+    return jacobian_of(lambda z: eval_return(rm, z), p)
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,8 @@ def _s0_tuned(s0):
     base = build_family(
         LocalMapParams(0.5),
         HenonLikeRecipe(p=(0, 1, np.sqrt(-s0))),
-        h0=0.02,
     )
-    return tune_to(base, s0_target=s0, h0=0.02)
+    return tune_to(base, s0_target=s0)
 
 
 def test_acceptance_1_limit_map_roots(capsys):

@@ -26,10 +26,9 @@ def _exact_family(lam=0.5):
 
 
 def _s0_family(s0, lam=0.5):
-    # outgoing quadratic jet sets s0 = -p2^2 while alpha stays 0;
-    # the steeper jets need a finer extraction step
+    # outgoing quadratic jet sets s0 = -p2^2 while alpha stays 0
     recipe = HenonLikeRecipe(p=(0.0, 1.0, math.sqrt(-s0)))
-    return build_family(LocalMapParams(lam), recipe, h0=0.02)
+    return build_family(LocalMapParams(lam), recipe)
 
 
 def test_cascade_exact_family_rows():

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from homatlas import cli
 from homatlas.cli import family_from_config, main
 from homatlas.config import load_config
 from homatlas.exceptions import ConfigError
@@ -182,6 +183,46 @@ def test_recipe_tangency_error_is_config_error(tmp_path, capsys, overrides):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ConfigError"
     assert "tangency" in err["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "sub,override",
+    [
+        ("henon", "m_horseshoe=nan"),
+        ("henon", "m_horseshoe=inf"),
+        ("family-check", "mu=nan"),
+        ("family-check", "alpha=-inf"),
+        ("family-check", "beta=0.1,inf"),
+        ("atlas2d", "eps=nan"),
+    ],
+)
+def test_non_finite_values_are_config_errors(tmp_path, capsys, sub, override):
+    out = str(tmp_path / "run")
+    assert main([sub, "--set", override, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert not os.path.exists(os.path.join(out, "result.json"))
+
+
+def test_non_finite_result_writes_no_files(tmp_path, capsys, monkeypatch):
+    def nan_result(cfg, threads):
+        return {"value": float("nan")}, [["value"], ["nan"]], {}, []
+
+    monkeypatch.setitem(cli._HANDLERS, "henon", nan_result)
+    out = str(tmp_path / "run")
+    assert main(["henon", "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NonFiniteResultError"
+    assert os.listdir(out) == ["error.json"]
+
+
+def test_cross_form_outside_validity_window_fails(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    argv = ["cross-form", "--set", "k_min=0", "--set", "k_max=2"]
+    assert main(argv + ["--out", out]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "StripWindowError"
+    assert not os.path.exists(os.path.join(out, "result.json"))
 
 
 def test_classify_outside_validity_window_fails(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -228,9 +229,15 @@ def test_moser_jacobian_det_one_and_product_invariant(b1, x, y):
     assert abs(x2 * y2 - x * y) <= 1e-14 * max(1.0, abs(x * y))
 
 
-def _random_jet(rng, n, complex_coeffs=False):
+def _exponents(n, m):
+    """Exponent tuples of the m-variate monomials of degree <= n."""
+    exps = itertools.product(range(n + 1), repeat=m)
+    return [e for e in exps if sum(e) <= n]
+
+
+def _random_jet(rng, n, complex_coeffs=False, m=2):
     # eighths are exact in binary, which keeps the sympy rationals small
-    size = (n + 1) * (n + 2) // 2
+    size = math.comb(n + m, m)
     c = rng.integers(-8, 9, size) / 8.0
     if complex_coeffs:
         c = c + 1j * rng.integers(-8, 9, size) / 8.0
@@ -238,25 +245,24 @@ def _random_jet(rng, n, complex_coeffs=False):
     return Jet(n, [complex(v) if complex_coeffs else float(v) for v in c])
 
 
-def _sym(jet, x, y):
+def _sym(jet, *syms):
     return sum(
-        sp.nsimplify(jet.coeff(i, d - i), rational=True) * x**i * y**(d - i)
-        for d in range(jet.n + 1)
-        for i in range(d + 1)
+        sp.nsimplify(jet.coeff(*e), rational=True)
+        * sp.Mul(*(s**p for s, p in zip(syms, e)))
+        for e in _exponents(jet.n, len(syms))
     )
 
 
-def _assert_jet_equals_series(jet, expr, x, y, tol=1e-14):
+def _assert_jet_equals_series(jet, expr, *syms, tol=1e-14):
     t = sp.Symbol("t")
-    ser = sp.series(expr.subs({x: t * x, y: t * y}), t, 0, jet.n + 1)
-    poly = sp.Poly(sp.expand(ser.removeO().subs(t, 1)), x, y)
+    ser = sp.series(expr.subs({s: t * s for s in syms}), t, 0, jet.n + 1)
+    poly = sp.Poly(sp.expand(ser.removeO().subs(t, 1)), *syms)
     want = {m: complex(c) for m, c in zip(poly.monoms(), poly.coeffs())}
-    for d in range(jet.n + 1):
-        for i in range(d + 1):
-            w = want.get((i, d - i), 0.0)
-            assert abs(jet.coeff(i, d - i) - w) <= tol * max(1.0, abs(w)), (
-                (i, d - i), jet.coeff(i, d - i), w
-            )
+    for e in _exponents(jet.n, len(syms)):
+        w = want.get(e, 0.0)
+        assert abs(jet.coeff(*e) - w) <= tol * max(1.0, abs(w)), (
+            e, jet.coeff(*e), w
+        )
 
 
 @pytest.mark.parametrize("n,complex_coeffs", [(1, False), (3, False), (3, True)])
@@ -270,6 +276,32 @@ def test_jet_product_and_reciprocal_match_sympy_series(n, complex_coeffs):
     _assert_jet_equals_series(1.0 / b, 1 / sb, x, y)
     _assert_jet_equals_series(a / b, sa / sb, x, y)
     _assert_jet_equals_series(2.5 - a * 0.5 + b, sp.Rational(5, 2) - sa / 2 + sb, x, y)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_three_variable_jet_product_and_quotient_match_sympy_series(n):
+    rng = np.random.default_rng(23 + n)
+    syms = sp.symbols("x y z")
+    a = _random_jet(rng, n, m=3)
+    b = _random_jet(rng, n, m=3)
+    sa, sb = _sym(a, *syms), _sym(b, *syms)
+    _assert_jet_equals_series(a * b, sa * sb, *syms)
+    _assert_jet_equals_series(a / b, sa / sb, *syms)
+    # the partial derivative in z is the series of d(sa)/dz, one degree lower
+    _assert_jet_equals_series(a.diff(2), sp.diff(sa, syms[2]), *syms)
+
+
+def test_jet_variables_layout():
+    x, y, z = Jet.variables(0.5, -1.0, 2.0, 2)
+    assert (x.c[0], y.c[0], z.c[0]) == (0.5, -1.0, 2.0)
+    assert [x.coeff(1, 0, 0), y.coeff(0, 1, 0), z.coeff(0, 0, 1)] == [1.0] * 3
+    assert len(x.c) == 10
+    # two variables keep the graded order 1, dx, dy, dx^2, dx dy, dy^2
+    u, v = Jet.variables(1.0, 2.0, 2)
+    w = u * u * 3.0 + u * v * 5.0 + v * v * 7.0
+    assert w.coeff(2, 0) == w.c[3] == 3.0
+    assert w.coeff(1, 1) == w.c[4] == 5.0
+    assert w.coeff(0, 2) == w.c[5] == 7.0
 
 
 def test_polyval_matches_numpy_bit_for_bit():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from homatlas.family import (
     build_family,
     tune_to,
 )
+from homatlas.mapcore import eval_map
 from homatlas.orbits import (
+    _border_residual,
     find_fixed_point,
     find_two_periodic,
     locate_bifurcation,
@@ -278,6 +281,74 @@ def test_intervals_disjoint_for_nonzero_alpha():
     widths = [hi - lo for lo, hi in spans]
     assert widths[1] < widths[0]
     assert widths[2] < widths[1]
+
+
+def _cubic_family():
+    # Moser term, cubic tangency and alpha != 0 exercise every jet path
+    base = build_family(
+        LocalMapParams(0.5, (0.3,)),
+        HenonLikeRecipe(p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 1.0)),
+    )
+    return tune_to(base, alpha_target=-0.04)
+
+
+_BORDER_SEEDS = {"plus": (0.0, 0.0, 0.0), "minus": (-1.0, 1.0, 1.0)}
+
+
+@pytest.mark.parametrize("k", [8, 12])
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_border_jacobian_matches_central_differences(kind, k):
+    family = _cubic_family()
+    z = np.array(_BORDER_SEEDS[kind])
+    _, jac = _border_residual(family, k, kind, z)
+    fd = np.empty((3, 3))
+    for j in range(3):
+        h = 1e-6 * max(1.0, abs(z[j]))
+        zp, zm = z.copy(), z.copy()
+        zp[j] += h
+        zm[j] -= h
+        fp = _border_residual(family, k, kind, zp)[0]
+        fm = _border_residual(family, k, kind, zm)[0]
+        fd[:, j] = (fp - fm) / (2.0 * h)
+    assert np.max(np.abs(jac - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+
+def _mpmath_border(family, k, kind):
+    """The border's mu for the unrescaled return map T1 o T0^k at 50
+    digits: T0^k by k Moser steps, the trace by mp.diff, the bordered
+    system by mp.findroot from the limit-map seed."""
+    rounds, target = (1, 0) if kind == "plus" else (2, -2)
+    moser = family.local.stage()
+
+    def ret(x, y, mu):
+        expr = family.recipe.stages(mu)
+        for _ in range(rounds):
+            for _ in range(k):
+                x, y = moser.apply(x, y)
+            x, y = eval_map(expr, (x, y))
+        return x, y
+
+    def system(x, y, mu):
+        fx, fy = ret(x, y, mu)
+        trace = (mp.diff(lambda s: ret(s, y, mu)[0], x)
+                 + mp.diff(lambda s: ret(x, s, mu)[1], y))
+        return [fx - x, fy - y, trace - target]
+
+    seed = _BORDER_SEEDS[kind]
+    mu0 = mu_from_m(family, k, seed[2])
+    x0, yk = from_rescaled(build_chain(family.with_mu(mu0), k), seed[:2])
+    y0 = solve_y0(family.local, k, float(x0), float(yk))
+    with mp.workdps(50):
+        seed = (mp.mpf(float(x0)), mp.mpf(y0), mp.mpf(mu0))
+        return float(mp.findroot(system, seed)[2])
+
+
+@pytest.mark.parametrize("k", [8, 12])
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_border_matches_mpmath_border(kind, k):
+    family = _cubic_family()
+    mu = locate_bifurcation(family, k, kind).mu
+    assert abs(mu - _mpmath_border(family, k, kind)) <= 1e-10 * 0.5 ** (2 * k)
 
 
 def test_bracket_error_outside_border():

@@ -3,6 +3,7 @@ cross-form residuals, and the horseshoe classifier."""
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +19,9 @@ from homatlas.family import (
     build_family,
     tune_to,
 )
-from homatlas.mapcore import iterate
+from homatlas.mapcore import Jet, iterate
 from homatlas.returnmap import (
+    _signed_pow,
     build_return_map,
     classify_horseshoe,
     eval_return,
@@ -158,6 +160,66 @@ def test_solve_y0_scalar_and_failure():
     bad = LocalMapParams(0.5, (-400.0,))
     with pytest.raises(CrossFormSolveError):
         solve_y0(bad, 4, 1.1, 1.1)
+
+
+_MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _b_sym(u, beta):
+    return 1 + sum(sp.Rational(b) * u ** (i + 1) for i, b in enumerate(beta))
+
+
+@pytest.mark.parametrize("lam,k", [(0.5, 9), (-0.5, 9), (0.5, 70), (-0.5, 71)])
+def test_saddle_power_jet_matches_sympy_series(lam, k):
+    # k > 64 takes the log-domain branch of _signed_pow
+    beta = (0.375, -0.25)
+    local = LocalMapParams(lam, beta)
+    p = (1.0625, 0.015625)
+    jx, jy = Jet.variables(*p, 2)
+    got = jx * _signed_pow(local.lam * local.stage().bval(jx * jy), k)
+    x, y = sp.symbols("x y")
+    expr = (sp.Rational(lam) * _b_sym(x * y, beta)) ** k * x
+    at = {x: sp.Rational(p[0]), y: sp.Rational(p[1])}
+    for i, j in _MONOMIALS:
+        want = float(
+            sp.diff(expr, x, i, y, j).subs(at)
+            / (sp.factorial(i) * sp.factorial(j))
+        )
+        assert abs(got.coeff(i, j) - want) <= 1e-13 * abs(want), (i, j)
+
+
+@pytest.mark.parametrize("lam,k", [(0.5, 9), (-0.5, 9), (0.5, 70), (-0.5, 71)])
+def test_solve_y0_jet_matches_sympy_implicit_series(lam, k):
+    # y0(x0, yk) solves F = y0 - lam^k yk B(x0 y0)^k = 0; its Taylor
+    # coefficients follow from implicit differentiation of F
+    beta = (0.375, -0.25)
+    local = LocalMapParams(lam, beta)
+    p = (1.0625, 0.9375)
+    got = solve_y0(local, k, *Jet.variables(*p, 2))
+    x, w, y = sp.symbols("x w y")
+    f = y - sp.Rational(lam) ** k * w * _b_sym(x * y, beta) ** k
+    at = {x: sp.Rational(p[0]), w: sp.Rational(p[1])}
+    ystar = sp.nsolve(f.subs(at), y, got.c[0], prec=50)
+    at[y] = ystar
+
+    def d(*v):
+        return sp.diff(f, *v).evalf(50, subs=at)
+
+    fy = d(y)
+    first = {a: -d(a) / fy for a in (x, w)}
+
+    def second(a, b):
+        return -(d(a, b) + d(a, y) * first[b] + d(b, y) * first[a]
+                 + d(y, y) * first[a] * first[b]) / fy
+
+    want = {
+        (0, 0): ystar, (1, 0): first[x], (0, 1): first[w],
+        (2, 0): second(x, x) / 2, (1, 1): second(x, w),
+        (0, 2): second(w, w) / 2,
+    }
+    for e in _MONOMIALS:
+        w = float(want[e])
+        assert abs(got.coeff(*e) - w) <= 1e-13 * abs(w), e
 
 
 def test_strip_distances_exact_without_moser_terms():

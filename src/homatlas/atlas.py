@@ -1,17 +1,15 @@
 """Sweep orchestration: cascades in mu, two-parameter strip maps in
 (mu, alpha), and the global-resonance certificate.
 
-Everything here composes the border locator and the 2-orbit solver over
-grids.  Sweeps can fan out over a thread pool; results are merged in
-grid order so reruns are bit-identical for a fixed grid.  Individual
-solver failures are recorded as flagged partial results instead of
-aborting a whole sweep.
+Everything here composes the bordered locator and the 2-orbit solver
+over grids, one cell after another in grid order.  Individual solver
+failures are recorded as flagged partial results instead of aborting a
+whole sweep.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +28,8 @@ from .exceptions import (
     TargetUnreachableError,
 )
 from .family import FamilyHandle, tune_to
-from .henon import brentq
 from .orbits import (
+    _locate_trace,
     find_two_periodic,
     locate_bifurcation,
     seed_from_limit,
@@ -74,6 +72,9 @@ _TRACE_TARGETS = (
     (-0.5, "twistless"),
     (-1.0, "resonance-1:3"),
 )
+# the M range of a cascade row's phase curve and resonance flags
+_M_RANGE = (0.02, 0.98)
+_N_PHI = 25
 
 
 @dataclass(frozen=True)
@@ -140,11 +141,11 @@ class ResonanceCertificate:
     verdict: str
 
 
-def _cascade_row(family: FamilyHandle, k: int, n_phi: int = 25) -> CascadeRow:
+def _cascade_row(family: FamilyHandle, k: int) -> CascadeRow:
     try:
         plus = locate_bifurcation(family, k, "plus")
         minus = locate_bifurcation(family, k, "minus")
-        m_grid = np.linspace(0.02, 0.98, n_phi)
+        m_grid = np.linspace(*_M_RANGE, _N_PHI)
         traces = np.array(
             [two_orbit_trace(family, k, float(m)) for m in m_grid]
         )
@@ -153,19 +154,11 @@ def _cascade_row(family: FamilyHandle, k: int, n_phi: int = 25) -> CascadeRow:
         curve = tuple(zip(mus.tolist(), phis.tolist()))
         flags = []
         for target, tag in _TRACE_TARGETS:
-            g = traces - target
-            for i in range(n_phi - 1):
-                if g[i] == 0.0 or g[i] * g[i + 1] < 0.0:
-                    m_star = brentq(
-                        lambda m: two_orbit_trace(family, k, m) - target,
-                        float(m_grid[i]),
-                        float(m_grid[i + 1]),
-                        xtol=1e-12,
-                    )
-                    flags.append(
-                        ResonanceFlag(tag, mu_from_m(family, k, m_star))
-                    )
-                    break
+            try:
+                m_star = _locate_trace(family, k, 2, target, _M_RANGE)
+            except BracketError:
+                continue
+            flags.append(ResonanceFlag(tag, mu_from_m(family, k, m_star)))
         return CascadeRow(
             k=k,
             mu_plus=plus.mu,
@@ -188,14 +181,9 @@ def _cascade_row(family: FamilyHandle, k: int, n_phi: int = 25) -> CascadeRow:
         )
 
 
-def run_cascade(family: FamilyHandle, k_range, threads: int = 1):
+def run_cascade(family: FamilyHandle, k_range):
     """Bifurcation intervals, phase curves, and resonance flags per k."""
-    ks = tuple(int(k) for k in k_range)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(lambda k: _cascade_row(family, k), ks))
-    else:
-        rows = tuple(_cascade_row(family, k) for k in ks)
+    rows = tuple(_cascade_row(family, int(k)) for k in k_range)
     return CascadeResult(
         lam=family.lam, alpha=family.alpha, s0=family.s0, rows=rows
     )
@@ -250,9 +238,24 @@ def boundary_slope(atlas: StripMap2D, k: int, kind: str,
     return float(np.polyfit(arr[:, 0], arr[:, 1], 1)[0])
 
 
+def _atlas_cell(fam, k):
+    """(mu_plus, mu_minus, note) of one atlas cell; a failed border is
+    None and named in the note."""
+    if fam is None:
+        return (None, None, "family tuning failed")
+    mus, notes = [], []
+    for kind in ("plus", "minus"):
+        try:
+            mus.append(locate_bifurcation(fam, k, kind).mu)
+        except _SOLVER_ERRORS as exc:
+            mus.append(None)
+            notes.append(f"{kind}: {type(exc).__name__}")
+    return (*mus, "; ".join(notes) or None)
+
+
 def run_strip_atlas(family_template: FamilyHandle, k_range,
                     alpha_range=None, eps: float = 0.05,
-                    n_alpha: int = 41, threads: int = 1) -> StripMap2D:
+                    n_alpha: int = 41) -> StripMap2D:
     """Trace the border curves over an alpha-grid of tuned families.
 
     Each grid column retunes the family to the target alpha; each cell
@@ -275,40 +278,17 @@ def run_strip_atlas(family_template: FamilyHandle, k_range,
             tuned.append(None)
             failures.append((None, a, "tune", f"{type(exc).__name__}: {exc}"))
 
-    def cell(task):
-        k, i = task
-        fam = tuned[i]
-        if fam is None:
-            return (None, None, "family tuning failed")
-        out = {}
-        notes = []
-        for kind in ("plus", "minus"):
-            try:
-                out[kind] = locate_bifurcation(fam, k, kind).mu
-            except _SOLVER_ERRORS as exc:
-                out[kind] = None
-                notes.append(f"{kind}: {type(exc).__name__}")
-        return (out["plus"], out["minus"], "; ".join(notes) or None)
-
-    tasks = [(k, i) for k in k_values for i in range(len(alphas))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(cell, tasks))
-    else:
-        cells = [cell(t) for t in tasks]
-
     bands = []
-    for j, k in enumerate(k_values):
-        chunk = cells[j * len(alphas):(j + 1) * len(alphas)]
-        for i, (_, _, note) in enumerate(chunk):
+    for k in k_values:
+        plus, minus = [], []
+        for a, fam in zip(alphas, tuned):
+            mu_plus, mu_minus, note = _atlas_cell(fam, k)
+            plus.append(mu_plus)
+            minus.append(mu_minus)
             if note is not None:
-                failures.append((k, alphas[i], "locate", note))
+                failures.append((k, a, "locate", note))
         bands.append(
-            StripBand(
-                k=k,
-                mu_plus=tuple(c[0] for c in chunk),
-                mu_minus=tuple(c[1] for c in chunk),
-            )
+            StripBand(k=k, mu_plus=tuple(plus), mu_minus=tuple(minus))
         )
     bands = tuple(bands)
     crossings = []

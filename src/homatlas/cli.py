@@ -118,7 +118,7 @@ def _cell(value):
 # ---------------------------------------------------------------- handlers
 
 
-def _run_henon(cfg, threads):
+def _run_henon(cfg):
     exp = cfg.experiment
     warnings = []
     values = bifurcation_values()
@@ -157,7 +157,7 @@ def _run_henon(cfg, threads):
     return payload, rows, {f"{cfg.subcommand}.svg": chart}, warnings
 
 
-def _run_family_check(cfg, threads):
+def _run_family_check(cfg):
     family = family_from_config(cfg.family)
     t = family.taylor
     bc_minus_one = t.b * t.c - 1.0
@@ -201,7 +201,7 @@ def _run_family_check(cfg, threads):
     return payload, rows, {f"{cfg.subcommand}.svg": chart}, []
 
 
-def _run_cross_form(cfg, threads):
+def _run_cross_form(cfg):
     family = family_from_config(cfg.family)
     exp = cfg.experiment
     ks = range(exp["k_min"], exp["k_max"] + 1)
@@ -232,7 +232,7 @@ def _run_cross_form(cfg, threads):
     return payload, rows, {f"{cfg.subcommand}.svg": chart}, []
 
 
-def _run_classify(cfg, threads):
+def _run_classify(cfg):
     family = family_from_config(cfg.family)
     exp = cfg.experiment
     result = classify_horseshoe(
@@ -265,12 +265,10 @@ def _run_classify(cfg, threads):
     return payload, rows, {f"{cfg.subcommand}.svg": chart}, warnings
 
 
-def _run_cascade(cfg, threads):
+def _run_cascade(cfg):
     family = family_from_config(cfg.family)
     exp = cfg.experiment
-    result = run_cascade(
-        family, range(exp["k_min"], exp["k_max"] + 1), threads=threads
-    )
+    result = run_cascade(family, range(exp["k_min"], exp["k_max"] + 1))
     warnings = [
         f"k={row.k}: {row.error}" for row in result.rows if row.error
     ]
@@ -333,7 +331,7 @@ def _run_cascade(cfg, threads):
     return payload, rows, svgs, warnings
 
 
-def _run_atlas2d(cfg, threads):
+def _run_atlas2d(cfg):
     family = family_from_config(cfg.family)
     exp = cfg.experiment
     atlas = run_strip_atlas(
@@ -341,7 +339,6 @@ def _run_atlas2d(cfg, threads):
         range(exp["k_min"], exp["k_max"] + 1),
         eps=exp["eps"],
         n_alpha=exp["n_alpha"],
-        threads=threads,
     )
     warnings = [
         f"k={k} alpha={alpha:.6g} {stage}: {note}"
@@ -389,7 +386,7 @@ def _run_atlas2d(cfg, threads):
     return payload, rows, {f"{cfg.subcommand}.svg": chart}, warnings
 
 
-def _run_resonance(cfg, threads):
+def _run_resonance(cfg):
     family = family_from_config(cfg.family)
     exp = cfg.experiment
     cert = certify_global_resonance(
@@ -446,7 +443,7 @@ def _run_resonance(cfg, threads):
     return payload, rows, {f"{cfg.subcommand}.svg": chart}, warnings
 
 
-def _run_rescale_verify(cfg, threads):
+def _run_rescale_verify(cfg):
     family = family_from_config(cfg.family)
     exp = cfg.experiment
     report = convergence_report(
@@ -599,7 +596,8 @@ def _build_parser():
             help="override a config key (repeatable)",
         )
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored; sweeps run sequentially")
     return parser
 
 
@@ -622,9 +620,7 @@ def main(argv=None) -> int:
         return 1
     start = time.monotonic()
     try:
-        payload, rows, svgs, warnings = _HANDLERS[cfg.subcommand](
-            cfg, max(1, args.threads)
-        )
+        payload, rows, svgs, warnings = _HANDLERS[cfg.subcommand](cfg)
     except ConfigError as exc:
         _report_error(cfg.subcommand, exc)
         return 1

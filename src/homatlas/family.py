@@ -128,6 +128,8 @@ class HenonLikeRecipe:
             raise TangencyError("quadratic tangency needs Q''(0) != 0")
         if abs(q[0]) > 1e-14 or abs(q[1]) > 1e-14:
             raise TangencyError("Q must vanish to second order at 0")
+        if not (self.x_plus > 0.0 and self.y_minus > 0.0):
+            raise TangencyError("x_plus and y_minus must be positive")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -170,6 +172,8 @@ class ShearSandwichRecipe:
     def __post_init__(self):
         if abs(self.d) < 1e-12:
             raise TangencyError("quadratic tangency needs d != 0")
+        if not (self.x_plus > 0.0 and self.y_minus > 0.0):
+            raise TangencyError("x_plus and y_minus must be positive")
 
     def stages(self, mu: float) -> MapExpr:
         return MapExpr(

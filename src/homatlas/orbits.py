@@ -16,7 +16,8 @@ Bifurcation location works in the parameter M rather than mu, again for
 conditioning.  A fixed point has multipliers (+1, -1) exactly when its
 trace vanishes, because the product of its multipliers is -1; the
 2-orbit has a double multiplier -1 when the trace of the second-iterate
-derivative is -2.
+derivative is -2.  One bordered locator solves (F^r(z) - z, tr D(F^r) -
+t) = 0 for both borders and for the 2-orbit's resonance traces.
 """
 
 from __future__ import annotations
@@ -243,19 +244,51 @@ def _rescaled_at(family: FamilyHandle, k: int, m):
     return rescaled_return_map(build_return_map(family.with_mu(mu), k))
 
 
-def _border_residual(family: FamilyHandle, k: int, kind: str, z):
-    """F^r(X, Y) - (X, Y) and tr D(F^r) - t at z = (X, Y, M), (r, t) =
-    (1, 0) for kind "plus" and (2, -2) for "minus", and its exact 3x3
-    Jacobian, from one pass on degree-2 jets in (X, Y, M)."""
-    rounds, border_trace = (1, 0.0) if kind == "plus" else (2, -2.0)
+def _border_residual(family: FamilyHandle, k: int, rounds: int, trace, z):
+    """F^r(X, Y) - (X, Y) and tr D(F^r) - trace at z = (X, Y, M) for r =
+    rounds, and its exact 3x3 Jacobian, from one pass on degree-2 jets in
+    (X, Y, M)."""
     x, y, m = Jet.variables(float(z[0]), float(z[1]), float(z[2]), 2)
     rr = _rescaled_at(family, k, m)
     fx, fy = x, y
     for _ in range(rounds):
         fx, fy = eval_rescaled(rr, (fx, fy))
-    rows = (fx - x, fy - y, fx.diff(0) + fy.diff(1) - border_trace)
+    rows = (fx - x, fy - y, fx.diff(0) + fy.diff(1) - trace)
     f = np.array([r.c[0] for r in rows])
     return f, np.array([r.c[1:4] for r in rows])
+
+
+def _locate_trace(family: FamilyHandle, k: int, rounds: int, trace,
+                  m_bracket) -> float:
+    """M where the r-orbit (r = rounds) has tr D(F^r) = trace.
+
+    Bordered Newton on _border_residual, seeded at the limit map's orbit:
+    (0, 0) at M = 0 for r = 1 (trace 0 only), or (-s, s) with s = sqrt(M)
+    at M = (2 - trace)/4 for r = 2, where the limit 2-orbit has
+    tr D(F^2) = 2 - 4M.  Raises NewtonDivergedError when the Newton fails
+    and BracketError when M lies outside m_bracket.
+    """
+    if rounds == 1:
+        seed = (0.0, 0.0, 0.0)
+    else:
+        m0 = (2.0 - trace) / 4.0
+        seed = (-math.sqrt(m0), math.sqrt(m0), m0)
+    z, _ = _newton(
+        functools.partial(_border_residual, family, k, rounds, trace),
+        np.array(seed),
+        tol=1e-10,
+    )
+    m_star = float(z[2])
+    lo, hi = m_bracket
+    if not lo <= m_star <= hi:
+        raise BracketError(
+            f"bracket failed: border at M = {m_star!r} outside [{lo}, {hi}]"
+        )
+    return m_star
+
+
+# kind -> (rounds, trace at the border, default M bracket)
+_BORDERS = {"plus": (1, 0.0, (-0.5, 0.5)), "minus": (2, -2.0, (0.5, 1.5))}
 
 
 def locate_bifurcation(family: FamilyHandle, k: int, kind: str,
@@ -263,33 +296,18 @@ def locate_bifurcation(family: FamilyHandle, k: int, kind: str,
     """Parameter value where the return map changes stability type.
 
     kind "plus" targets the fixed-point border with multipliers
-    (+1, -1); kind "minus" targets the 2-orbit's double multiplier -1.
-    A bordered Newton in (X, Y, M) solves the orbit equations with the
-    trace condition adjoined, seeded at the limit-map orbit of the
-    border when m_bracket holds it.  Each step runs the rounds once on
-    degree-2 jets in (X, Y, M), which give the residual and its exact
-    3x3 Jacobian.  Raises NewtonDivergedError when the Newton fails and
-    BracketError when the border it finds lies outside m_bracket.
+    (+1, -1), where tr DF = 0; kind "minus" targets the 2-orbit's double
+    multiplier -1, where tr D(F^2) = -2.  Both go through _locate_trace,
+    which also finds the resonance flags of a cascade row.  Raises
+    NewtonDivergedError when the Newton fails and BracketError when the
+    border it finds lies outside m_bracket.
     """
-    if kind not in ("plus", "minus"):
+    if kind not in _BORDERS:
         raise ValueError(f"unknown bifurcation kind {kind!r}")
-    plus = kind == "plus"
+    rounds, trace, default_bracket = _BORDERS[kind]
     if m_bracket is None:
-        m_bracket = (-0.5, 0.5) if plus else (0.5, 1.5)
-    lo, hi = m_bracket
-    target = 0.0 if plus else 1.0  # the limit map's border
-    seed_m = target if lo <= target <= hi else 0.5 * (lo + hi)
-    root = math.sqrt(max(seed_m, 0.0 if plus else 0.25))
-    # limit-map seeds: the fixed point (s, s), the 2-orbit point (-s, s)
-    seed = np.array([root if plus else -root, root, seed_m])
-    z, _ = _newton(
-        functools.partial(_border_residual, family, k, kind), seed, tol=1e-10
-    )
-    m_star = float(z[2])
-    if not lo <= m_star <= hi:
-        raise BracketError(
-            f"bracket failed: border at M = {m_star!r} outside [{lo}, {hi}]"
-        )
+        m_bracket = default_bracket
+    m_star = _locate_trace(family, k, rounds, trace, m_bracket)
     return BifurcationPoint(kind=kind, mu=mu_from_m(family, k, m_star), k=k)
 
 

@@ -56,13 +56,6 @@ def test_cascade_exact_family_rows():
         assert abs(phi_mid - math.pi / 2.0) < 1e-9
 
 
-def test_cascade_threads_deterministic():
-    family = _exact_family()
-    serial = run_cascade(family, (8, 9))
-    pooled = run_cascade(family, (8, 9), threads=2)
-    assert serial == pooled
-
-
 def test_cascade_disjoint_intervals_and_width_ratio():
     base = _exact_family()
     family = tune_to(base, alpha_target=-0.1)

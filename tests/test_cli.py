@@ -186,6 +186,20 @@ def test_recipe_tangency_error_is_config_error(tmp_path, capsys, overrides):
 
 
 @pytest.mark.parametrize(
+    "sub,override", [("cross-form", "x_plus=-1"), ("classify", "y_minus=0")]
+)
+def test_non_positive_homoclinic_points_are_config_errors(
+    tmp_path, capsys, sub, override
+):
+    out = str(tmp_path / "run")
+    assert main([sub, "--set", override, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ConfigError"
+    assert "must be positive" in err["error"]["message"]
+    assert not os.path.exists(os.path.join(out, "result.json"))
+
+
+@pytest.mark.parametrize(
     "sub,override",
     [
         ("henon", "m_horseshoe=nan"),
@@ -205,7 +219,7 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys, sub, override):
 
 
 def test_non_finite_result_writes_no_files(tmp_path, capsys, monkeypatch):
-    def nan_result(cfg, threads):
+    def nan_result(cfg):
         return {"value": float("nan")}, [["value"], ["nan"]], {}, []
 
     monkeypatch.setitem(cli._HANDLERS, "henon", nan_result)

@@ -285,6 +285,16 @@ def test_cubic_tangency_rejected():
         HenonLikeRecipe(p=(0, 1), q=(0, 0, 0, 1.0))
 
 
+@pytest.mark.parametrize("recipe", [HenonLikeRecipe, ShearSandwichRecipe])
+@pytest.mark.parametrize(
+    "points", [(-1.0, 1.0), (1.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
+)
+def test_non_positive_homoclinic_points_rejected(recipe, points):
+    # the strip window min(x_plus, y_minus)/10 would not be positive
+    with pytest.raises(TangencyError):
+        recipe(x_plus=points[0], y_minus=points[1])
+
+
 class _NoSwapRecipe:
     x_plus = 1.0
     y_minus = 1.0

@@ -23,6 +23,7 @@ from homatlas.family import (
 from homatlas.mapcore import eval_map
 from homatlas.orbits import (
     _border_residual,
+    _locate_trace,
     find_fixed_point,
     find_two_periodic,
     locate_bifurcation,
@@ -292,32 +293,43 @@ def _cubic_family():
     return tune_to(base, alpha_target=-0.04)
 
 
-_BORDER_SEEDS = {"plus": (0.0, 0.0, 0.0), "minus": (-1.0, 1.0, 1.0)}
+_BORDERS = {"plus": (1, 0.0), "minus": (2, -2.0)}
+# 2-orbit trace targets of the cascade row's resonance flags
+_FLAG_TARGETS = (0.0, -0.5, -1.0)
+
+
+def _limit_seed(rounds, target):
+    """(X, Y, M) of the limit map's orbit at the target trace."""
+    if rounds == 1:
+        return (0.0, 0.0, 0.0)
+    m = (2.0 - target) / 4.0
+    return (-math.sqrt(m), math.sqrt(m), m)
 
 
 @pytest.mark.parametrize("k", [8, 12])
 @pytest.mark.parametrize("kind", ["plus", "minus"])
 def test_border_jacobian_matches_central_differences(kind, k):
     family = _cubic_family()
-    z = np.array(_BORDER_SEEDS[kind])
-    _, jac = _border_residual(family, k, kind, z)
+    rounds, target = _BORDERS[kind]
+    z = np.array(_limit_seed(rounds, target))
+    _, jac = _border_residual(family, k, rounds, target, z)
     fd = np.empty((3, 3))
     for j in range(3):
         h = 1e-6 * max(1.0, abs(z[j]))
         zp, zm = z.copy(), z.copy()
         zp[j] += h
         zm[j] -= h
-        fp = _border_residual(family, k, kind, zp)[0]
-        fm = _border_residual(family, k, kind, zm)[0]
+        fp = _border_residual(family, k, rounds, target, zp)[0]
+        fm = _border_residual(family, k, rounds, target, zm)[0]
         fd[:, j] = (fp - fm) / (2.0 * h)
     assert np.max(np.abs(jac - fd)) <= 1e-5 * np.max(np.abs(fd))
 
 
-def _mpmath_border(family, k, kind):
-    """The border's mu for the unrescaled return map T1 o T0^k at 50
-    digits: T0^k by k Moser steps, the trace by mp.diff, the bordered
-    system by mp.findroot from the limit-map seed."""
-    rounds, target = (1, 0) if kind == "plus" else (2, -2)
+def _mpmath_border(family, k, rounds, target):
+    """mu where the r-orbit of the unrescaled return map T1 o T0^k has
+    trace target, at 50 digits: T0^k by k Moser steps, the trace by
+    mp.diff, the bordered system by mp.findroot from the limit-map
+    seed."""
     moser = family.local.stage()
 
     def ret(x, y, mu):
@@ -334,7 +346,7 @@ def _mpmath_border(family, k, kind):
                  + mp.diff(lambda s: ret(x, s, mu)[1], y))
         return [fx - x, fy - y, trace - target]
 
-    seed = _BORDER_SEEDS[kind]
+    seed = _limit_seed(rounds, target)
     mu0 = mu_from_m(family, k, seed[2])
     x0, yk = from_rescaled(build_chain(family.with_mu(mu0), k), seed[:2])
     y0 = solve_y0(family.local, k, float(x0), float(yk))
@@ -348,7 +360,17 @@ def _mpmath_border(family, k, kind):
 def test_border_matches_mpmath_border(kind, k):
     family = _cubic_family()
     mu = locate_bifurcation(family, k, kind).mu
-    assert abs(mu - _mpmath_border(family, k, kind)) <= 1e-10 * 0.5 ** (2 * k)
+    oracle = _mpmath_border(family, k, *_BORDERS[kind])
+    assert abs(mu - oracle) <= 1e-10 * 0.5 ** (2 * k)
+
+
+@pytest.mark.parametrize("k", [8, 12])
+@pytest.mark.parametrize("target", _FLAG_TARGETS)
+def test_flag_trace_matches_mpmath(target, k):
+    family = _cubic_family()
+    m_star = _locate_trace(family, k, 2, target, (0.02, 0.98))
+    oracle = _mpmath_border(family, k, 2, target)
+    assert abs(mu_from_m(family, k, m_star) - oracle) <= 1e-10 * 0.5 ** (2 * k)
 
 
 def test_bracket_error_outside_border():
@@ -357,6 +379,9 @@ def test_bracket_error_outside_border():
         locate_bifurcation(family, 10, "plus", m_bracket=(2.0, 3.0))
     with pytest.raises(BracketError):
         locate_bifurcation(family, 10, "minus", m_bracket=(2.0, 3.0))
+    # the 1:3 flag sits at M = 3/4, outside this bracket
+    with pytest.raises(BracketError):
+        _locate_trace(family, 10, 2, -1.0, (0.02, 0.7))
 
 
 @settings(max_examples=25, deadline=None)

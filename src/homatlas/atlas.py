@@ -28,8 +28,9 @@ from .exceptions import (
     TargetUnreachableError,
 )
 from .family import FamilyHandle, tune_to
+from .mapcore import _locate_trace
 from .orbits import (
-    _locate_trace,
+    _map_at,
     find_two_periodic,
     locate_bifurcation,
     seed_from_limit,
@@ -153,9 +154,10 @@ def _cascade_row(family: FamilyHandle, k: int) -> CascadeRow:
         phis = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
         curve = tuple(zip(mus.tolist(), phis.tolist()))
         flags = []
+        map_at = _map_at(family, k)
         for target, tag in _TRACE_TARGETS:
             try:
-                m_star = _locate_trace(family, k, 2, target, _M_RANGE)
+                m_star = _locate_trace(map_at, 2, target, _M_RANGE)
             except BracketError:
                 continue
             flags.append(ResonanceFlag(tag, mu_from_m(family, k, m_star)))

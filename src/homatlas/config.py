@@ -87,8 +87,10 @@ _EXPERIMENT_SCHEMAS = {
 # map's 2-periodic orbit (whose twist henon reports) is elliptic
 _UNIT_INTERVAL_KEYS = {"henon": ("M", "scan_min", "scan_max")}
 
-# experiment keys that count grid points
-_COUNT_KEYS = ("scan_n", "grid_n", "n_alpha")
+# experiment keys that count grid points, with their upper bounds: henon
+# runs scan_n Birkhoff coefficients, rescale-verify maps grid_n**2 points
+# per k, and atlas2d runs n_alpha bordered locators per k
+_COUNT_KEYS = {"scan_n": 10_000, "grid_n": 500, "n_alpha": 1_000}
 
 _OUTPUT_SCHEMA = {
     "dir": ("str", "out"),
@@ -195,10 +197,11 @@ def load_config(subcommand, path=None, overrides=(), out_dir=None):
             raise ConfigError(
                 f"experiment.{key} = {experiment[key]!r} must lie in (0, 1)"
             )
-    for key in _COUNT_KEYS:
-        if key in experiment and experiment[key] < 1:
+    for key, most in _COUNT_KEYS.items():
+        if key in experiment and not 1 <= experiment[key] <= most:
             raise ConfigError(
-                f"experiment.{key} = {experiment[key]!r} must be at least 1"
+                f"experiment.{key} = {experiment[key]!r} must lie in "
+                f"[1, {most}]"
             )
     if "k_min" in experiment and experiment["k_min"] > experiment["k_max"]:
         raise ConfigError(

@@ -8,19 +8,23 @@ with Jacobian determinant -1 everywhere.  This module provides its fixed
 points, the 2-periodic orbit and its stability, the first Birkhoff (twist)
 coefficient of that orbit, a covering-relation horseshoe certificate for
 large M, and the table of bifurcation values on the M axis, each re-derived
-numerically instead of hard-coded.
+numerically instead of hard-coded: derivatives come from Taylor jets
+through ``step``, and the borders and resonances from the same bordered
+locator (``mapcore._locate_trace``) that serves the rescaled return map.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ExtractionError, ResonantParameterError
-from .mapcore import HShear, Jet, MapExpr, Swap
+from .family import _secant
+from .mapcore import HShear, Jet, MapExpr, Swap, _locate_trace, jacobian_of
 
 __all__ = [
     "StabilityClass",
@@ -33,7 +37,6 @@ __all__ = [
     "rotation_number_slope",
     "horseshoe_certificate",
     "bifurcation_values",
-    "brentq",
 ]
 
 
@@ -52,10 +55,6 @@ def step(M: float, p):
     x, y = p
     # same summation order as the stage composition, so the two agree bitwise
     return y, x + (M - y * y)
-
-
-def _jac(y):
-    return np.array([[0.0, 1.0], [1.0, -2.0 * y]])
 
 
 def fixed_points(M: float):
@@ -104,7 +103,7 @@ def two_periodic_orbit(M: float):
     s = math.sqrt(M)
     p1 = (-s, s)
     p2 = (s, -s)
-    d2 = _jac(p2[1]) @ _jac(p1[1])
+    d2 = jacobian_of(lambda p: step(M, step(M, p)), p1)
     trace = float(np.trace(d2))
     return p1, p2, trace, classify_from_trace(trace, det=1.0)
 
@@ -248,123 +247,23 @@ def horseshoe_certificate(M: float, margin: float = 1e-9) -> bool:
     return True
 
 
-def brentq(f, a, b, xtol=2e-12):
-    """Root of f in the sign-changing bracket [a, b] by Brent's method.
-
-    Brent, *Algorithms for Minimization Without Derivatives* (1973),
-    ch. 4, ported step for step from the widely used C routine
-    ``brentq.c`` with its relative tolerance 4 eps and 100 iterations, so
-    it returns the same floats.  Raises ValueError when f(a) and f(b)
-    share a sign or f gives NaN, and RuntimeError when the iterations
-    run out.
-    """
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(
-                f"The function value at x={x} is NaN; solver cannot continue."
-            )
-        return fx
-
-    rtol = 4.0 * np.finfo(float).eps
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError("Failed to converge after 100 iterations.")
-
-
-def _located_two_orbit_trace(M: float) -> float:
-    """Trace of the second-iterate derivative at the Newton-located 2-orbit."""
-    s = math.sqrt(M)
-    p = np.array([-s, s])
-    for _ in range(60):
-        q = np.array(step(M, p))
-        pp = np.array(step(M, q))
-        res = pp - p
-        d2 = _jac(q[1]) @ _jac(p[1])
-        try:
-            delta = np.linalg.solve(d2 - np.eye(2), -res)
-        except np.linalg.LinAlgError:
-            break
-        p = p + delta
-        if np.max(np.abs(delta)) < 1e-14:
-            break
-    q = np.array(step(M, p))
-    return float(np.trace(_jac(q[1]) @ _jac(p[1])))
-
-
 def bifurcation_values():
-    """The distinguished M values, each recovered by root-finding.
+    """The distinguished M values, each recovered by root finding.
 
-    Fixed-point birth via the multiplier of the continued fixed point
-    (parameterized by its coordinate so the root is two-sided); period
-    doubling and the strong resonances via the located 2-orbit trace;
-    the twistless value via the Birkhoff coefficient.
+    Fixed-point birth, period doubling and the strong resonances come
+    from the bordered locator ``mapcore._locate_trace`` run on ``step``:
+    the M at which the fixed point has tr DF = 0, or the 2-orbit has
+    tr D(F^2) = -2, 0 or -1.  The twistless value is the root of the
+    Birkhoff coefficient, by secant.
     """
 
-    def fp_trace(sv):
-        # fixed point of the M = s**2 map continued through s = 0
-        x = sv
-        for _ in range(40):
-            gp = -2.0 * x
-            if gp == 0.0:
-                break
-            delta = (sv * sv - x * x) / gp
-            x = x - delta
-            if abs(delta) < 1e-15:
-                break
-        return -2.0 * x
+    def map_at(m):
+        return functools.partial(step, m)
 
-    s_birth = brentq(fp_trace, -0.3, 0.3, xtol=1e-13)
-    out = {
-        "fixed-point-birth": s_birth * s_birth,
-        "period-doubling": brentq(
-            lambda m: _located_two_orbit_trace(m) + 2.0, 0.5, 1.5, xtol=1e-13
-        ),
-        "resonance-1:4": brentq(
-            lambda m: _located_two_orbit_trace(m), 0.25, 0.75, xtol=1e-13
-        ),
-        "resonance-1:3": brentq(
-            lambda m: _located_two_orbit_trace(m) + 1.0, 0.6, 0.9, xtol=1e-13
-        ),
-        "twistless": brentq(birkhoff_b1, 0.55, 0.70, xtol=1e-10),
+    return {
+        "fixed-point-birth": _locate_trace(map_at, 1, 0.0, (-0.3, 0.3)),
+        "period-doubling": _locate_trace(map_at, 2, -2.0, (0.5, 1.5)),
+        "resonance-1:4": _locate_trace(map_at, 2, 0.0, (0.25, 0.75)),
+        "resonance-1:3": _locate_trace(map_at, 2, -1.0, (0.6, 0.9)),
+        "twistless": _secant(birkhoff_b1, 0.55, 0.70, 0.0, 1e-13),
     }
-    return out

@@ -12,6 +12,12 @@ arrays for both coordinates and then evaluates the whole batch at once, and
 it accepts ``Jet`` coordinates: derivatives of any order come from running
 the stages on Taylor jets (forward-mode automatic differentiation, Griewank
 & Walther, *Evaluating Derivatives*, SIAM 2008).
+
+The damped Newton and the bordered locator live here too, below every
+map that runs on jets: ``_locate_trace`` finds the parameter M at which
+the r-orbit of a map family M -> F_M has a given trace of D(F^r), for
+the rescaled return map and for the limit map x' = y, y' = M + x - y**2
+alike.
 """
 
 from __future__ import annotations
@@ -23,7 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import EscapeError
+from .exceptions import (
+    BracketError,
+    CrossFormSolveError,
+    EscapeError,
+    NewtonDivergedError,
+)
 
 __all__ = [
     "ESCAPE_RADIUS",
@@ -318,6 +329,99 @@ def jacobian_of(fun, p):
 def jacobian(expr: MapExpr, p):
     """Exact Jacobian of the composition at a point, from degree-1 jets."""
     return jacobian_of(functools.partial(eval_map, expr), p)
+
+
+_EVAL_ERRORS = (EscapeError, CrossFormSolveError)
+_ROUNDOFF_FLOOR = 100.0  # stalled within this factor of tol: converged
+
+
+def _newton(fun_jac, z0, tol=1e-11, max_steps=50, window=None):
+    """Damped Newton on fun_jac(z) -> (f, jac, ...); returns the converged
+    point and fun_jac's output there, or raises.  A residual that no step
+    lowers but that is within _ROUNDOFF_FLOOR * tol sits at its roundoff
+    floor and counts as converged."""
+    z = np.asarray(z0, dtype=float)
+    try:
+        out = fun_jac(z)
+    except _EVAL_ERRORS as exc:
+        raise NewtonDivergedError("Newton diverged: seed escaped") from exc
+    for _ in range(max_steps):
+        f, jac = out[0], out[1]
+        norm = float(np.max(np.abs(f)))
+        if norm < tol:
+            return z, out
+        if abs(np.linalg.det(jac)) < 1e-14 * max(1.0, norm):
+            raise NewtonDivergedError(
+                "singular Jacobian near a parabolic point"
+            )
+        step = np.linalg.solve(jac, f)
+        alpha = 1.0
+        while alpha >= 1.0 / 64.0:
+            z_try = z - alpha * step
+            if window is not None and np.max(np.abs(z_try[:2])) > window:
+                alpha /= 2.0
+                continue
+            try:
+                out_try = fun_jac(z_try)
+            except _EVAL_ERRORS:
+                alpha /= 2.0
+                continue
+            if float(np.max(np.abs(out_try[0]))) < (1.0 - 0.25 * alpha) * norm:
+                z, out = z_try, out_try
+                break
+            alpha /= 2.0
+        else:
+            if norm < _ROUNDOFF_FLOOR * tol:
+                return z, out
+            raise NewtonDivergedError("Newton diverged: no descent step")
+    raise NewtonDivergedError("Newton diverged after 50 damped steps")
+
+
+def _border_residual(map_at, rounds: int, trace, z):
+    """F^r(x, y) - (x, y) and tr D(F^r) - trace at z = (x, y, M) for r =
+    rounds and F = map_at(M), and its exact 3x3 Jacobian, from one pass
+    on degree-2 jets in (x, y, M).  map_at(M) returns a planar map
+    p -> p that runs on jets."""
+    x, y, m = Jet.variables(float(z[0]), float(z[1]), float(z[2]), 2)
+    fun = map_at(m)
+    fx, fy = x, y
+    for _ in range(rounds):
+        fx, fy = fun((fx, fy))
+    rows = (fx - x, fy - y, fx.diff(0) + fy.diff(1) - trace)
+    f = np.array([r.c[0] for r in rows])
+    return f, np.array([r.c[1:4] for r in rows])
+
+
+def _limit_seed(rounds: int, trace):
+    """(x, y, M) of the limit map's orbit x' = y, y' = M + x - y**2 with
+    tr D(F^r) = trace: (0, 0, 0) for r = 1 (trace 0 only), or (-s, s, M)
+    with s = sqrt(M) at M = (2 - trace)/4 for r = 2, where the limit
+    2-orbit has tr D(F^2) = 2 - 4M."""
+    if rounds == 1:
+        return (0.0, 0.0, 0.0)
+    m = (2.0 - trace) / 4.0
+    return (-math.sqrt(m), math.sqrt(m), m)
+
+
+def _locate_trace(map_at, rounds: int, trace, m_bracket) -> float:
+    """M where the r-orbit (r = rounds) of map_at(M) has tr D(F^r) = trace.
+
+    Bordered Newton on _border_residual from _limit_seed.  Raises
+    NewtonDivergedError when the Newton fails and BracketError when M
+    lies outside m_bracket.
+    """
+    z, _ = _newton(
+        functools.partial(_border_residual, map_at, rounds, trace),
+        np.array(_limit_seed(rounds, trace)),
+        tol=1e-10,
+    )
+    m_star = float(z[2])
+    lo, hi = m_bracket
+    if not lo <= m_star <= hi:
+        raise BracketError(
+            f"bracket failed: border at M = {m_star!r} outside [{lo}, {hi}]"
+        )
+    return m_star
 
 
 def iterate(expr: MapExpr, p, n):

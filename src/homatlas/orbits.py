@@ -16,8 +16,10 @@ Bifurcation location works in the parameter M rather than mu, again for
 conditioning.  A fixed point has multipliers (+1, -1) exactly when its
 trace vanishes, because the product of its multipliers is -1; the
 2-orbit has a double multiplier -1 when the trace of the second-iterate
-derivative is -2.  One bordered locator solves (F^r(z) - z, tr D(F^r) -
-t) = 0 for both borders and for the 2-orbit's resonance traces.
+derivative is -2.  The bordered locator ``mapcore._locate_trace`` solves
+(F^r(z) - z, tr D(F^r) - t) = 0 for both borders and for the 2-orbit's
+resonance traces; this module hands it M -> F as ``_map_at``, and
+``henon.bifurcation_values`` hands it the limit map.
 """
 
 from __future__ import annotations
@@ -28,17 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    BracketError,
-    CollapsedOrbitError,
-    CrossFormSolveError,
-    EscapeError,
-    NewtonDivergedError,
-    NotEllipticError,
-)
+from .exceptions import CollapsedOrbitError, NotEllipticError
 from .family import FamilyHandle
 from .henon import StabilityClass, classify_from_trace
-from .mapcore import Jet
+from .mapcore import Jet, _locate_trace, _newton
 from .rescale import (
     build_chain,
     eval_rescaled,
@@ -60,10 +55,6 @@ __all__ = [
     "two_orbit_trace",
     "phase_of_elliptic",
 ]
-
-_EVAL_ERRORS = (EscapeError, CrossFormSolveError)
-_ROUNDOFF_FLOOR = 100.0  # stalled within this factor of tol: converged
-
 
 def _strip_from_cross(family, k, p):
     """Entry coordinates (x0, y0) from a chain point (x0, y after k
@@ -116,48 +107,6 @@ def seed_from_limit(rm: ReturnMap, m: float, orbit: str):
         _strip_from_cross(rm.family, rm.k, from_rescaled(chain, p))
         for p in pts
     )
-
-
-def _newton(fun_jac, z0, tol=1e-11, max_steps=50, window=None):
-    """Damped Newton on fun_jac(z) -> (f, jac, ...); returns the converged
-    point and fun_jac's output there, or raises.  A residual that no step
-    lowers but that is within _ROUNDOFF_FLOOR * tol sits at its roundoff
-    floor and counts as converged."""
-    z = np.asarray(z0, dtype=float)
-    try:
-        out = fun_jac(z)
-    except _EVAL_ERRORS as exc:
-        raise NewtonDivergedError("Newton diverged: seed escaped") from exc
-    for _ in range(max_steps):
-        f, jac = out[0], out[1]
-        norm = float(np.max(np.abs(f)))
-        if norm < tol:
-            return z, out
-        if abs(np.linalg.det(jac)) < 1e-14 * max(1.0, norm):
-            raise NewtonDivergedError(
-                "singular Jacobian near a parabolic point"
-            )
-        step = np.linalg.solve(jac, f)
-        alpha = 1.0
-        while alpha >= 1.0 / 64.0:
-            z_try = z - alpha * step
-            if window is not None and np.max(np.abs(z_try[:2])) > window:
-                alpha /= 2.0
-                continue
-            try:
-                out_try = fun_jac(z_try)
-            except _EVAL_ERRORS:
-                alpha /= 2.0
-                continue
-            if float(np.max(np.abs(out_try[0]))) < (1.0 - 0.25 * alpha) * norm:
-                z, out = z_try, out_try
-                break
-            alpha /= 2.0
-        else:
-            if norm < _ROUNDOFF_FLOOR * tol:
-                return z, out
-            raise NewtonDivergedError("Newton diverged: no descent step")
-    raise NewtonDivergedError("Newton diverged after 50 damped steps")
 
 
 def _solve_orbit(rr, z0, rounds, window=None):
@@ -244,47 +193,12 @@ def _rescaled_at(family: FamilyHandle, k: int, m):
     return rescaled_return_map(build_return_map(family.with_mu(mu), k))
 
 
-def _border_residual(family: FamilyHandle, k: int, rounds: int, trace, z):
-    """F^r(X, Y) - (X, Y) and tr D(F^r) - trace at z = (X, Y, M) for r =
-    rounds, and its exact 3x3 Jacobian, from one pass on degree-2 jets in
-    (X, Y, M)."""
-    x, y, m = Jet.variables(float(z[0]), float(z[1]), float(z[2]), 2)
-    rr = _rescaled_at(family, k, m)
-    fx, fy = x, y
-    for _ in range(rounds):
-        fx, fy = eval_rescaled(rr, (fx, fy))
-    rows = (fx - x, fy - y, fx.diff(0) + fy.diff(1) - trace)
-    f = np.array([r.c[0] for r in rows])
-    return f, np.array([r.c[1:4] for r in rows])
-
-
-def _locate_trace(family: FamilyHandle, k: int, rounds: int, trace,
-                  m_bracket) -> float:
-    """M where the r-orbit (r = rounds) has tr D(F^r) = trace.
-
-    Bordered Newton on _border_residual, seeded at the limit map's orbit:
-    (0, 0) at M = 0 for r = 1 (trace 0 only), or (-s, s) with s = sqrt(M)
-    at M = (2 - trace)/4 for r = 2, where the limit 2-orbit has
-    tr D(F^2) = 2 - 4M.  Raises NewtonDivergedError when the Newton fails
-    and BracketError when M lies outside m_bracket.
-    """
-    if rounds == 1:
-        seed = (0.0, 0.0, 0.0)
-    else:
-        m0 = (2.0 - trace) / 4.0
-        seed = (-math.sqrt(m0), math.sqrt(m0), m0)
-    z, _ = _newton(
-        functools.partial(_border_residual, family, k, rounds, trace),
-        np.array(seed),
-        tol=1e-10,
+def _map_at(family: FamilyHandle, k: int):
+    """M -> the rescaled return map at M, for the bordered locator; each
+    residual call builds the map once."""
+    return lambda m: functools.partial(
+        eval_rescaled, _rescaled_at(family, k, m)
     )
-    m_star = float(z[2])
-    lo, hi = m_bracket
-    if not lo <= m_star <= hi:
-        raise BracketError(
-            f"bracket failed: border at M = {m_star!r} outside [{lo}, {hi}]"
-        )
-    return m_star
 
 
 # kind -> (rounds, trace at the border, default M bracket)
@@ -307,7 +221,7 @@ def locate_bifurcation(family: FamilyHandle, k: int, kind: str,
     rounds, trace, default_bracket = _BORDERS[kind]
     if m_bracket is None:
         m_bracket = default_bracket
-    m_star = _locate_trace(family, k, rounds, trace, m_bracket)
+    m_star = _locate_trace(_map_at(family, k), rounds, trace, m_bracket)
     return BifurcationPoint(kind=kind, mu=mu_from_m(family, k, m_star), k=k)
 
 

@@ -123,6 +123,11 @@ def test_bad_override_forms():
         load_config("henon", overrides=("M=not-a-number",))
     with pytest.raises(ConfigError):
         load_config("henon", overrides=("scan_n=2.5",))
+    # sizes past their bounds would start sweeps of hours and gigabytes
+    for sub, key in (("henon", "scan_n"), ("rescale-verify", "grid_n"),
+                     ("atlas2d", "n_alpha")):
+        with pytest.raises(ConfigError):
+            load_config(sub, overrides=(f"{key}=100000000",))
 
 
 def test_floats_list_parsing():

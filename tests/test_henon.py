@@ -1,20 +1,17 @@
+import functools
 import math
 import os
-import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq as scipy_brentq
 
 import homatlas
-from homatlas import henon
 from homatlas.exceptions import ResonantParameterError
 from homatlas.henon import (
     bifurcation_values,
     birkhoff_b1,
-    brentq,
     classify_from_trace,
     fixed_points,
     horseshoe_certificate,
@@ -23,7 +20,13 @@ from homatlas.henon import (
     step,
     two_periodic_orbit,
 )
-from homatlas.mapcore import eval_map, jacobian
+from homatlas.mapcore import (
+    _border_residual,
+    _limit_seed,
+    _newton,
+    eval_map,
+    jacobian,
+)
 
 
 def test_step_matches_stage_composition():
@@ -133,13 +136,41 @@ def test_rotation_slope_oracle_agrees():
     assert abs(rotation_number_slope(0.625)) < 0.05
 
 
+# (rounds, trace, exact M) of each limit-map root of the bordered locator
+_LIMIT_ROOTS = {
+    "fixed-point-birth": (1, 0.0, 0.0),
+    "period-doubling": (2, -2.0, 1.0),
+    "resonance-1:4": (2, 0.0, 0.5),
+    "resonance-1:3": (2, -1.0, 0.75),
+}
+
+
 def test_bifurcation_values_table():
     table = bifurcation_values()
-    assert abs(table["fixed-point-birth"]) < 1e-9
-    assert abs(table["period-doubling"] - 1.0) < 1e-9
-    assert abs(table["resonance-1:4"] - 0.5) < 1e-9
-    assert abs(table["resonance-1:3"] - 0.75) < 1e-9
-    assert abs(table["twistless"] - 0.625) < 1e-6
+    for name, (_, _, exact) in _LIMIT_ROOTS.items():
+        assert abs(table[name] - exact) <= 1e-15
+    assert abs(table["twistless"] - 0.625) <= 1e-13
+
+
+def test_limit_locator_from_perturbed_seeds():
+    # the table is a root of the bordered residual, not its seed echoed
+    rng = np.random.default_rng(5)
+    for rounds, trace, exact in _LIMIT_ROOTS.values():
+        residual = functools.partial(
+            _border_residual, lambda m: functools.partial(step, m), rounds,
+            trace,
+        )
+        for _ in range(5):
+            seed = np.asarray(_limit_seed(rounds, trace))
+            seed = seed + rng.uniform(-1e-2, 1e-2, size=3)
+            z, _ = _newton(residual, seed, tol=1e-10)
+            assert abs(z[2] - exact) <= 1e-12
+
+
+def test_two_orbit_trace_is_two_minus_four_m():
+    for M in np.linspace(0.01, 3.0, 300):
+        trace = two_periodic_orbit(float(M))[2]
+        assert abs(trace - (2.0 - 4.0 * M)) <= 1e-14
 
 
 def test_horseshoe_certificate_cases():
@@ -153,51 +184,6 @@ def test_horseshoe_certificate_monotone_in_sampled_range():
     for M in np.arange(9.5, 14.0, 0.5):
         if horseshoe_certificate(float(M)):
             assert horseshoe_certificate(float(M) + 1.0)
-
-
-def test_brentq_port_equals_scipy_on_bifurcation_values(monkeypatch):
-    ours = bifurcation_values()
-    monkeypatch.setattr(henon, "brentq", scipy_brentq)
-    assert bifurcation_values() == ours
-
-
-_SMOOTH = (
-    lambda x: math.cos(x) - x,
-    lambda x: x**3 - 2.0 * x - 5.0,
-    lambda x: math.exp(x) - 3.0,
-    lambda x: math.tanh(4.0 * (x - 0.3)),
-    lambda x: (x - 0.1) ** 5,
-    lambda x: math.sin(10.0 * x) + 0.3,
-    lambda x: x * x - 2.0,
-    lambda x: math.atan(x - 0.77),
-)
-
-
-@pytest.mark.parametrize("index", range(len(_SMOOTH)))
-def test_brentq_port_equals_scipy_on_smooth_brackets(index):
-    f = _SMOOTH[index]
-    rng = np.random.default_rng(index)
-    for _ in range(60):
-        a = float(rng.uniform(-3.0, 0.0))
-        b = float(rng.uniform(0.5, 4.0))
-        xtol = float(10.0 ** rng.uniform(-15.0, -3.0))
-        try:
-            expected = scipy_brentq(f, a, b, xtol=xtol)
-        except (ValueError, RuntimeError) as exc:
-            # same-sign brackets, and flat roots out of iterations
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                brentq(f, a, b, xtol=xtol)
-            continue
-        assert brentq(f, a, b, xtol=xtol) == expected
-
-
-def test_brentq_endpoint_root_and_same_sign_bracket():
-    assert brentq(lambda x: x, 0.0, 1.0) == 0.0
-    assert brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
-    with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: math.nan, -1.0, 1.0)
 
 
 def test_import_leaves_scipy_unloaded():

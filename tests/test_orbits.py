@@ -20,10 +20,14 @@ from homatlas.family import (
     build_family,
     tune_to,
 )
-from homatlas.mapcore import eval_map
-from homatlas.orbits import (
+from homatlas.mapcore import (
     _border_residual,
+    _limit_seed,
     _locate_trace,
+    eval_map,
+)
+from homatlas.orbits import (
+    _map_at,
     find_fixed_point,
     find_two_periodic,
     locate_bifurcation,
@@ -298,29 +302,22 @@ _BORDERS = {"plus": (1, 0.0), "minus": (2, -2.0)}
 _FLAG_TARGETS = (0.0, -0.5, -1.0)
 
 
-def _limit_seed(rounds, target):
-    """(X, Y, M) of the limit map's orbit at the target trace."""
-    if rounds == 1:
-        return (0.0, 0.0, 0.0)
-    m = (2.0 - target) / 4.0
-    return (-math.sqrt(m), math.sqrt(m), m)
-
-
 @pytest.mark.parametrize("k", [8, 12])
 @pytest.mark.parametrize("kind", ["plus", "minus"])
 def test_border_jacobian_matches_central_differences(kind, k):
     family = _cubic_family()
     rounds, target = _BORDERS[kind]
     z = np.array(_limit_seed(rounds, target))
-    _, jac = _border_residual(family, k, rounds, target, z)
+    map_at = _map_at(family, k)
+    _, jac = _border_residual(map_at, rounds, target, z)
     fd = np.empty((3, 3))
     for j in range(3):
         h = 1e-6 * max(1.0, abs(z[j]))
         zp, zm = z.copy(), z.copy()
         zp[j] += h
         zm[j] -= h
-        fp = _border_residual(family, k, rounds, target, zp)[0]
-        fm = _border_residual(family, k, rounds, target, zm)[0]
+        fp = _border_residual(map_at, rounds, target, zp)[0]
+        fm = _border_residual(map_at, rounds, target, zm)[0]
         fd[:, j] = (fp - fm) / (2.0 * h)
     assert np.max(np.abs(jac - fd)) <= 1e-5 * np.max(np.abs(fd))
 
@@ -368,7 +365,7 @@ def test_border_matches_mpmath_border(kind, k):
 @pytest.mark.parametrize("target", _FLAG_TARGETS)
 def test_flag_trace_matches_mpmath(target, k):
     family = _cubic_family()
-    m_star = _locate_trace(family, k, 2, target, (0.02, 0.98))
+    m_star = _locate_trace(_map_at(family, k), 2, target, (0.02, 0.98))
     oracle = _mpmath_border(family, k, 2, target)
     assert abs(mu_from_m(family, k, m_star) - oracle) <= 1e-10 * 0.5 ** (2 * k)
 
@@ -381,7 +378,7 @@ def test_bracket_error_outside_border():
         locate_bifurcation(family, 10, "minus", m_bracket=(2.0, 3.0))
     # the 1:3 flag sits at M = 3/4, outside this bracket
     with pytest.raises(BracketError):
-        _locate_trace(family, 10, 2, -1.0, (0.02, 0.7))
+        _locate_trace(_map_at(family, 10), 2, -1.0, (0.02, 0.7))
 
 
 @settings(max_examples=25, deadline=None)

@@ -132,20 +132,19 @@ class HenonLikeRecipe:
             raise TangencyError("x_plus and y_minus must be positive")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+        p_prime = npoly.polyder(np.asarray(p))
+        # plain floats keep jet arithmetic off the slower numpy scalars
+        h = tuple(float(v) for v in npoly.polymul(np.asarray(q), p_prime))
+        # every stage but the last translation is independent of mu, so
+        # it is built once here rather than on every with_mu
+        object.__setattr__(
+            self,
+            "_fixed_stages",
+            (Translate(0.0, -self.y_minus), Swap(), HShear(h), Lift(p)),
+        )
 
     def stages(self, mu: float) -> MapExpr:
-        p_prime = npoly.polyder(np.asarray(self.p))
-        # plain floats keep jet arithmetic off the slower numpy scalars
-        h = tuple(float(v) for v in npoly.polymul(np.asarray(self.q), p_prime))
-        return MapExpr(
-            (
-                Translate(0.0, -self.y_minus),
-                Swap(),
-                HShear(h),
-                Lift(self.p),
-                Translate(self.x_plus, mu),
-            )
-        )
+        return MapExpr(self._fixed_stages + (Translate(self.x_plus, mu),))
 
 
 @dataclass(frozen=True)

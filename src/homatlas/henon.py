@@ -139,12 +139,19 @@ def birkhoff_b1(M: float) -> float:
     (z, conj z) of ``_elliptic_frame``; after removing the non-resonant
     quadratic terms the resonant cubic coefficient c1 gives the twist as
     Im(conj(lam)*c1).  Undefined at the strong resonances M = 1/2
-    (lam**4 = 1) and M = 3/4 (lam**3 = 1).
+    (lam**4 = 1) and M = 3/4 (lam**3 = 1), and for M so small (below
+    about 2.8e-17) that cos(phi) = 1 - 2M rounds to 1: there lam is the
+    1:1 resonance value 1 in binary64 and the normal form divides by
+    1 - lam = 0.
     """
     if not 0.0 < M < 1.0:
         raise ValueError("elliptic 2-periodic orbit requires 0 < M < 1")
     if abs(M - 0.5) < 1e-9 or abs(M - 0.75) < 1e-9:
         raise ResonantParameterError(f"strong resonance at M = {M}")
+    if 1.0 - 2.0 * M == 1.0:
+        raise ResonantParameterError(
+            f"1:1 resonance: the multiplier at M = {M} rounds to 1"
+        )
     s = math.sqrt(M)
     lam, v, ell = _elliptic_frame(M)
     v0, v1, l0, l1 = (complex(t) for t in (v[0], v[1], ell[0], ell[1]))

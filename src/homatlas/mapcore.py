@@ -7,11 +7,16 @@ a cotangent lift of a polynomial coordinate change).  Composing stages can
 therefore never drift away from area preservation: the determinant of the
 composite is (-1)**(number of swaps) up to floating-point roundoff.
 
-Points are plain ``(x, y)`` tuples of floats.  ``eval_map`` also accepts numpy
-arrays for both coordinates and then evaluates the whole batch at once, and
-it accepts ``Jet`` coordinates: derivatives of any order come from running
-the stages on Taylor jets (forward-mode automatic differentiation, Griewank
-& Walther, *Evaluating Derivatives*, SIAM 2008).
+Points are plain ``(x, y)`` tuples of Python floats.  ``eval_map`` also
+accepts numpy arrays for both coordinates and then evaluates the whole batch
+at once, and it accepts ``Jet`` coordinates: derivatives of any order come
+from running the stages on Taylor jets (forward-mode automatic
+differentiation, Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).
+Scalar and jet evaluations stay on Python floats and complex numbers; numpy
+serves the batches and the linear algebra.  The stage guards reduce only
+array conditions (``_any``, ``_all``) and take the truth of a scalar one
+directly, since a numpy reduction of a single bool costs far more than the
+comparison.
 
 The damped Newton and the bordered locator live here too, below every
 map that runs on jets: ``_locate_trace`` finds the parameter M at which
@@ -79,13 +84,49 @@ def _layout(n: int, size: int):
     return index, pairs
 
 
+@functools.cache
+def _kernels(n: int, size: int):
+    """Straight-line product and quotient of coefficient lists of degree-n
+    jets with ``size`` coefficients, generated from ``_layout``'s pairs.
+
+    Each product coefficient is 0.0 + a_i b_j + ... summed left to right in
+    pair order; each quotient coefficient q_k subtracts q_i b_j in pair
+    order from a_k, skipping the last pair (k, 0), and then divides by b_0.
+    """
+    pairs = _layout(n, size)[1]
+    a = [f"a{i}" for i in range(size)]
+    b = [f"b{i}" for i in range(size)]
+    q = [f"q{i}" for i in range(size)]
+    unpack = [f"{', '.join(a)}, = a", f"{', '.join(b)}, = b"]
+    products = [
+        " + ".join(["0.0"] + [f"{a[i]} * {b[j]}" for i, j in ps])
+        for ps in pairs
+    ]
+    quotients = [
+        f"{q[k]} = ("
+        + " - ".join([a[k]] + [f"{q[i]} * {b[j]}" for i, j in ps[:-1]])
+        + ") / b0"
+        for k, ps in enumerate(pairs)
+    ]
+    mul = unpack + [f"return [{', '.join(products)}]"]
+    div = unpack + quotients + [f"return [{', '.join(q)}]"]
+    source = "".join(
+        f"def {name}(a, b):\n" + "".join(f"    {line}\n" for line in body)
+        for name, body in (("mul", mul), ("div", div))
+    )
+    namespace = {}
+    exec(source, namespace)
+    return namespace["mul"], namespace["div"]
+
+
 class Jet:
     """Truncated multivariate Taylor polynomial of degree n.
 
-    ``c`` lists the real or complex coefficients of the monomials of total
-    degree <= n in graded order; for two variables that is 1, dx, dy,
-    dx**2, dx dy, dy**2, dx**3, ...  Arithmetic with numbers and with jets
-    of the same degree and size follows the truncated product rule; the
+    ``c`` lists the coefficients, Python floats or complex numbers, of the
+    monomials of total degree <= n in graded order; for two variables that
+    is 1, dx, dy, dx**2, dx dy, dy**2, dx**3, ...  Arithmetic with numbers
+    and with jets of the same degree and size follows the truncated product
+    rule, jet by jet through the straight-line kernels of ``_kernels``; the
     value part ``c[0]`` comes out exactly as the same arithmetic on plain
     numbers.
     """
@@ -137,30 +178,14 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.n, [a * other for a in self.c])
-        a, b = self.c, other.c
-        out = []
-        for pairs in _layout(self.n, len(a))[1]:
-            s = 0.0
-            for i, j in pairs:
-                s += a[i] * b[j]
-            out.append(s)
-        return Jet(self.n, out)
+        return Jet(self.n, _kernels(self.n, len(self.c))[0](self.c, other.c))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.n, [a / other for a in self.c])
-        # solve q * other = self in graded order; all pairs but the last
-        # pick an already computed coefficient of q
-        a, b = self.c, other.c
-        q = []
-        for k, pairs in enumerate(_layout(self.n, len(a))[1]):
-            s = a[k]
-            for i, j in pairs[:-1]:
-                s -= q[i] * b[j]
-            q.append(s / b[0])
-        return Jet(self.n, q)
+        return Jet(self.n, _kernels(self.n, len(self.c))[1](self.c, other.c))
 
     def __rtruediv__(self, other):
         return Jet(self.n, [other] + [0.0] * (len(self.c) - 1)) / self
@@ -169,6 +194,17 @@ class Jet:
 def _value(v):
     """The value part of a jet; numbers and arrays pass through."""
     return v.c[0] if isinstance(v, Jet) else v
+
+
+def _any(c) -> bool:
+    """Whether any lane of a guard condition holds: a reduction on arrays,
+    plain truth on a scalar condition."""
+    return c.any() if isinstance(c, np.ndarray) else bool(c)
+
+
+def _all(c) -> bool:
+    """Whether every lane of a guard condition holds; see ``_any``."""
+    return c.all() if isinstance(c, np.ndarray) else bool(c)
 
 
 def _polyval(coeffs, t):
@@ -253,7 +289,7 @@ class Moser:
     def apply(self, x, y):
         u = x * y
         b = self.bval(u)
-        if np.any(_value(b) <= 1.0e-9):
+        if _any(_value(b) <= 1.0e-9):
             raise EscapeError("saddle stage factor left its positive domain")
         return self.lam * x * b, y / (self.lam * b)
 
@@ -269,9 +305,13 @@ class Lift:
 
     p: tuple
 
+    def __post_init__(self):
+        # P' depends on p alone; computed once per stage, not per point
+        object.__setattr__(self, "dp", _polyder(self.p))
+
     def apply(self, x, y):
-        pp = _polyval(_polyder(self.p), x)
-        if np.any(abs(_value(pp)) < 1.0e-12):
+        pp = _polyval(self.dp, x)
+        if _any(abs(_value(pp)) < 1.0e-12):
             raise EscapeError("lift stage hit a critical point of P")
         return _polyval(self.p, x), y / pp
 
@@ -297,7 +337,7 @@ class MapExpr:
 
 def _check_escape(x, y, stage_idx):
     # a NaN size fails the comparison too, so non-finite points escape
-    if not np.all(abs(_value(x)) + abs(_value(y)) <= ESCAPE_RADIUS):
+    if not _all(abs(_value(x)) + abs(_value(y)) <= ESCAPE_RADIUS):
         raise EscapeError("orbit escaped", stage=stage_idx)
 
 

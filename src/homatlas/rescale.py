@@ -50,6 +50,11 @@ __all__ = [
 class RescaleChain:
     """Affine map from cross coordinates (x0, y_k) to rescaled (X, Y).
 
+    (X, Y) = matrix (x0, y_k) + offset, and inverse undoes matrix.  matrix
+    and inverse are 2x2 tuples of rows and offset a 2-tuple, all of Python
+    floats (offset[0] is a jet when mu is), so that ``to_rescaled`` and
+    ``from_rescaled`` run on plain scalars and jets, never numpy scalars.
+
     m1, m2, m3 are the intermediate parameter values produced by the
     successive normalization steps; m_effective is the constant that
     actually multiplies nothing, i.e. the additive parameter of the
@@ -59,9 +64,9 @@ class RescaleChain:
     """
 
     k: int
-    matrix: np.ndarray
-    offset: np.ndarray
-    inverse: np.ndarray
+    matrix: tuple
+    offset: tuple
+    inverse: tuple
     m1: float
     m2: float
     m3: float
@@ -79,6 +84,10 @@ class RescaledParam:
 def _r1_factor(family: FamilyHandle, k: int) -> float:
     lamk = family.lam ** k
     return 1.0 + family.beta1 * k * lamk * family.x_plus * family.y_minus
+
+
+def _tuples(mat: np.ndarray) -> tuple:
+    return tuple(tuple(row) for row in mat.tolist())
 
 
 def build_chain(family: FamilyHandle, k: int) -> RescaleChain:
@@ -114,9 +123,9 @@ def build_chain(family: FamilyHandle, k: int) -> RescaleChain:
     offset = mix @ (np.diag([su, sv]) @ (-shift1) - np.array([w, w])) - shift5
     return RescaleChain(
         k=k,
-        matrix=a_mat,
-        offset=offset,
-        inverse=np.linalg.inv(a_mat),
+        matrix=_tuples(a_mat),
+        offset=tuple(offset.tolist()),
+        inverse=_tuples(np.linalg.inv(a_mat)),
         m1=m1,
         m2=m2,
         m3=m3,
@@ -130,8 +139,8 @@ def to_rescaled(chain: RescaleChain, p):
     x, y = p
     a = chain.matrix
     return (
-        a[0, 0] * x + a[0, 1] * y + chain.offset[0],
-        a[1, 0] * x + a[1, 1] * y + chain.offset[1],
+        a[0][0] * x + a[0][1] * y + chain.offset[0],
+        a[1][0] * x + a[1][1] * y + chain.offset[1],
     )
 
 
@@ -139,7 +148,7 @@ def from_rescaled(chain: RescaleChain, p):
     x = p[0] - chain.offset[0]
     y = p[1] - chain.offset[1]
     a = chain.inverse
-    return (a[0, 0] * x + a[0, 1] * y, a[1, 0] * x + a[1, 1] * y)
+    return (a[0][0] * x + a[0][1] * y, a[1][0] * x + a[1][1] * y)
 
 
 def m_from_mu(family: FamilyHandle, k: int, mu: float) -> RescaledParam:

@@ -24,7 +24,8 @@ from .exceptions import (
     StripWindowError,
 )
 from .family import FamilyHandle, LocalMapParams
-from .mapcore import ESCAPE_RADIUS, Jet, _value, eval_map, jacobian_of
+from .mapcore import (ESCAPE_RADIUS, Jet, _any, _value, eval_map,
+                      jacobian_of)
 
 __all__ = [
     "ReturnMap",
@@ -76,12 +77,12 @@ def t0_pow_closed(local: LocalMapParams, p, k: int):
     """
     x, y = p
     b = local.stage().bval(x * y)
-    if np.any(_value(b) <= 1e-9):
+    if _any(_value(b) <= 1e-9):
         raise EscapeError("saddle factor left its positive domain")
     factor = _signed_pow(local.lam * b, k)
     xk = x * factor
     yk = y / factor
-    if np.any(abs(_value(xk)) + abs(_value(yk)) > ESCAPE_RADIUS):
+    if _any(abs(_value(xk)) + abs(_value(yk)) > ESCAPE_RADIUS):
         raise EscapeError("orbit escaped during the saddle passage")
     return xk, yk
 

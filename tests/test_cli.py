@@ -146,6 +146,18 @@ def test_henon_range_error_exit_1(tmp_path, capsys, override):
     assert not os.path.exists(os.path.join(out, "result.json"))
 
 
+def test_henon_tiny_m_is_a_resonance_error(tmp_path, capsys):
+    # cos(phi) = 1 - 2M rounds to 1: the 1:1 resonance in binary64
+    out = str(tmp_path / "run")
+    assert main(["henon", "--set", "M=1e-20", "--out", out]) == 2
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    err = json.loads(stderr)
+    assert err["error"]["type"] == "ResonantParameterError"
+    assert not os.path.exists(os.path.join(out, "result.json"))
+    assert main(["henon", "--set", "M=1e-12", "--out", out]) == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homatlas.exceptions import EscapeError
+from homatlas.family import HenonLikeRecipe, LocalMapParams
 from homatlas.mapcore import (
     Diagonal,
     HShear,
@@ -18,11 +19,15 @@ from homatlas.mapcore import (
     Swap,
     Translate,
     VShear,
+    _all,
+    _any,
+    _kernels,
+    _layout,
     eval_map,
     iterate,
     jacobian,
 )
-from homatlas.returnmap import _signed_pow
+from homatlas.returnmap import _signed_pow, t0_pow_closed
 
 
 def fd_jacobian(expr, p, h=1.0e-6):
@@ -339,3 +344,120 @@ def test_jacobian_escape_reports_stage():
     with pytest.raises(EscapeError) as exc:
         jacobian(expr, (1.0, 1.0))
     assert exc.value.stage == 1
+
+
+def _loop_product(a, b, pairs):
+    out = []
+    for ps in pairs:
+        s = 0.0
+        for i, j in ps:
+            s += a[i] * b[j]
+        out.append(s)
+    return out
+
+
+def _loop_quotient(a, b, pairs):
+    q = []
+    for k, ps in enumerate(pairs):
+        s = a[k]
+        for i, j in ps[:-1]:
+            s -= q[i] * b[j]
+        q.append(s / b[0])
+    return q
+
+
+def _random_coeffs(rng, size, complex_coeffs):
+    c = rng.normal(size=size)
+    if complex_coeffs:
+        c = c + 1j * rng.normal(size=size)
+    c[rng.integers(1, size)] = 0.0  # signed zeros must come out the same
+    c[rng.integers(1, size)] = -0.0
+    return [complex(v) if complex_coeffs else float(v) for v in c]
+
+
+# every (degree, size) the program runs on: degree-1 jets in 1, 2 variables,
+# degree 2 in 2 and 3 variables, degree 3 in 2 (real Taylor data and the
+# complex Birkhoff normal form)
+@pytest.mark.parametrize("n,size", [(1, 2), (1, 3), (2, 6), (2, 10), (3, 10)])
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+def test_generated_kernels_equal_the_reference_loops(n, size, complex_coeffs):
+    pairs = _layout(n, size)[1]
+    mul, div = _kernels(n, size)
+    rng = np.random.default_rng(100 * n + size + complex_coeffs)
+    for _ in range(50):
+        a = _random_coeffs(rng, size, complex_coeffs)
+        b = _random_coeffs(rng, size, complex_coeffs)
+        want_mul = _loop_product(a, b, pairs)
+        want_div = _loop_quotient(a, b, pairs)
+        # repr tells -0.0 from 0.0, which == does not
+        assert list(map(repr, mul(a, b))) == list(map(repr, want_mul))
+        assert list(map(repr, div(a, b))) == list(map(repr, want_div))
+        assert (Jet(n, a) * Jet(n, b)).c == want_mul
+        assert (Jet(n, a) / Jet(n, b)).c == want_div
+
+
+@pytest.mark.parametrize(
+    "cond",
+    [
+        True,
+        False,
+        np.True_,
+        np.False_,
+        np.array(True),
+        np.array(False),
+        np.array([True, True, True]),
+        np.array([False, False, False]),
+        np.array([True, False, True]),
+        np.array([False, True, False]),
+        np.abs(np.array([0.5, math.nan, 0.25])) <= 1.0,
+    ],
+)
+def test_guard_reductions_agree_with_numpy(cond):
+    assert _any(cond) == np.any(cond)
+    assert _all(cond) == np.all(cond)
+
+
+_FOLD = HenonLikeRecipe(p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 1.0)).stages(0.0)
+
+
+@pytest.mark.parametrize(
+    "p,stage",
+    [
+        ((math.nan, 1.0), 0),
+        ((1.0, math.nan), 0),
+        ((math.inf, 1.0), 0),
+        ((0.0, 1.0e4), 2),  # the product shear throws it past the radius
+        ((0.0, 1.0 - 1.0 / 0.6), 3),  # P'(eta) = 1 + 0.6 eta = 0
+    ],
+)
+def test_escape_stage_is_the_same_for_floats_arrays_and_jets(p, stage):
+    forms = [
+        p,
+        tuple(np.array(v) for v in p),
+        tuple(np.array([0.1, v, 0.2]) for v in p),  # one bad lane
+        Jet.variables(*p, 1),
+        Jet.variables(*p, 3),
+    ]
+    for point in forms:
+        with pytest.raises(EscapeError) as exc:
+            eval_map(_FOLD, point)
+        assert exc.value.stage == stage
+
+
+def test_saddle_power_guards_reduce_arrays_and_test_scalars():
+    local = LocalMapParams(0.5, (-2.0,))  # B(u) = 1 - 2u <= 0 for u >= 1/2
+    for point in [
+        (1.0, 1.0),
+        (np.array(1.0), np.array(1.0)),
+        (np.array([0.1, 1.0]), np.array([0.1, 1.0])),
+        Jet.variables(1.0, 1.0, 1),
+    ]:
+        with pytest.raises(EscapeError, match="saddle factor"):
+            t0_pow_closed(local, point, 3)
+    # an image beyond the escape radius
+    with pytest.raises(EscapeError, match="saddle passage"):
+        t0_pow_closed(LocalMapParams(0.5), (np.array([1.0, 1.0]),
+                                             np.array([1.0, 1.0e12])), 3)
+    lanes = np.array([0.1, 0.2])
+    xk, yk = t0_pow_closed(local, (lanes, lanes), 3)
+    assert xk.shape == yk.shape == (2,)

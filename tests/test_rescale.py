@@ -12,9 +12,12 @@ from homatlas.exceptions import PrecisionFloorError
 from homatlas.family import (
     HenonLikeRecipe,
     LocalMapParams,
+    ShearSandwichRecipe,
     build_family,
     tune_to,
 )
+from homatlas.mapcore import Jet
+from homatlas.orbits import _map_at
 from homatlas.rescale import (
     _theil_sen_slope,
     build_chain,
@@ -287,3 +290,26 @@ def test_theil_sen_slope_equals_scipy():
     ks = np.array([8.0, 9.0, 9.0, 10.0, 12.0])
     y = rng.normal(0.0, 1.0, 5)
     assert _theil_sen_slope(ks, y) == theilslopes(y, ks)[0]
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [HenonLikeRecipe(p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 1.0)),
+     ShearSandwichRecipe()],
+    ids=["fold", "sandwich"],
+)
+def test_scalar_and_jet_evaluations_stay_on_python_floats(recipe):
+    # numpy scalars in the chain would turn every coefficient downstream
+    # into an np.float64 and run the scalar solves in numpy arithmetic
+    fam = build_family(LocalMapParams(0.5, (0.3,)), recipe, mu=1e-4)
+    k = 10
+    chain = build_chain(fam, k)
+    for v in (*chain.matrix, chain.offset, *chain.inverse):
+        assert len(v) == 2
+        assert all(type(c) is float for c in v)
+    rr = rescaled_return_map(build_return_map(fam, k))
+    out = eval_rescaled(rr, Jet.variables(0.1, -0.2, 1))
+    assert all(type(c) is float for jet in out for c in jet.c)
+    x, y, m = Jet.variables(0.1, -0.2, 0.5, 2)
+    out = _map_at(fam, k)(m)((x, y))
+    assert all(type(c) is float for jet in out for c in jet.c)

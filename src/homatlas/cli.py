@@ -24,7 +24,8 @@ from . import __version__
 from .atlas import certify_global_resonance, run_cascade, run_strip_atlas
 from .config import SUBCOMMANDS, load_config
 from .exceptions import (ConfigError, HomatlasError, NonFiniteResultError,
-                         ResonantParameterError, TangencyError)
+                         PrecisionFloorError, ResonantParameterError,
+                         TangencyError)
 from .family import (
     HenonLikeRecipe,
     LocalMapParams,
@@ -34,7 +35,8 @@ from .family import (
 )
 from .henon import bifurcation_values, birkhoff_b1, horseshoe_certificate
 from .rescale import convergence_report
-from .returnmap import check_window, classify_horseshoe, validate_cross_form
+from .returnmap import (check_window, classify_horseshoe, k_max,
+                        validate_cross_form)
 from .svgplot import Series, line_chart, save_svg
 
 __all__ = ["main", "family_from_config"]
@@ -80,6 +82,20 @@ def family_from_config(fam: dict):
             handle, alpha_target=fam["alpha"], s0_target=fam["s0"]
         )
     return handle
+
+
+def _k_range(family, exp) -> range:
+    """The experiment's k span.  A k_max past the family's precision floor
+    (``returnmap.k_max``) is refused here, once, rather than once per row
+    or cell of the sweep; the k_min side stays with the per-k window
+    checks."""
+    floor = k_max(family)
+    if exp["k_max"] > floor:
+        raise PrecisionFloorError(
+            f"k_max={exp['k_max']} puts lam**2k below the binary64 noise "
+            f"floor (largest admissible k: {floor})"
+        )
+    return range(exp["k_min"], exp["k_max"] + 1)
 
 
 def _jsonify(obj):
@@ -204,7 +220,7 @@ def _run_family_check(cfg):
 def _run_cross_form(cfg):
     family = family_from_config(cfg.family)
     exp = cfg.experiment
-    ks = range(exp["k_min"], exp["k_max"] + 1)
+    ks = _k_range(family, exp)
     for k in ks:
         check_window(family, k)
     report = validate_cross_form(
@@ -236,7 +252,7 @@ def _run_classify(cfg):
     family = family_from_config(cfg.family)
     exp = cfg.experiment
     result = classify_horseshoe(
-        family, range(exp["k_min"], exp["k_max"] + 1)
+        family, _k_range(family, exp)
     )
     payload = _jsonify(result)
     warnings = []
@@ -268,7 +284,7 @@ def _run_classify(cfg):
 def _run_cascade(cfg):
     family = family_from_config(cfg.family)
     exp = cfg.experiment
-    result = run_cascade(family, range(exp["k_min"], exp["k_max"] + 1))
+    result = run_cascade(family, _k_range(family, exp))
     warnings = [
         f"k={row.k}: {row.error}" for row in result.rows if row.error
     ]
@@ -336,7 +352,7 @@ def _run_atlas2d(cfg):
     exp = cfg.experiment
     atlas = run_strip_atlas(
         family,
-        range(exp["k_min"], exp["k_max"] + 1),
+        _k_range(family, exp),
         eps=exp["eps"],
         n_alpha=exp["n_alpha"],
     )
@@ -390,7 +406,7 @@ def _run_resonance(cfg):
     family = family_from_config(cfg.family)
     exp = cfg.experiment
     cert = certify_global_resonance(
-        family, range(exp["k_min"], exp["k_max"] + 1)
+        family, _k_range(family, exp)
     )
     warnings = [f"exceptional value flag: {tag}" for tag in cert.flags]
     for rec in cert.records:
@@ -448,7 +464,7 @@ def _run_rescale_verify(cfg):
     exp = cfg.experiment
     report = convergence_report(
         family,
-        range(exp["k_min"], exp["k_max"] + 1),
+        _k_range(family, exp),
         m=exp["m"],
         grid_n=exp["grid_n"],
     )

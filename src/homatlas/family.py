@@ -64,9 +64,14 @@ class LocalMapParams:
     def __post_init__(self):
         if not 0.0 < abs(self.lam) < 1.0:
             raise ValueError("multiplier must satisfy 0 < |lam| < 1")
+        # the saddle stage depends on lam and beta alone; built once here
+        # rather than on every saddle passage
+        object.__setattr__(
+            self, "_stage", Moser(self.lam, tuple(self.moser_coeffs))
+        )
 
     def stage(self) -> Moser:
-        return Moser(self.lam, tuple(self.moser_coeffs))
+        return self._stage
 
     def map_expr(self) -> MapExpr:
         return MapExpr((self.stage(),))

@@ -118,7 +118,9 @@ def _elliptic_frame(M: float):
     """
     s = math.sqrt(M)
     cosphi = 1.0 - 2.0 * M
-    sinphi = math.sqrt(max(0.0, 1.0 - cosphi * cosphi))
+    # sin(phi)**2 = 1 - (1 - 2M)**2 = 4M(1 - M), free of the cancellation
+    # that 1 - cos(phi)**2 suffers as M -> 0
+    sinphi = 2.0 * math.sqrt(max(0.0, M * (1.0 - M)))
     lam = complex(cosphi, sinphi)
     v = np.array([2.0 * s, 1.0 - lam], dtype=complex)
     det_t = v[0].real * (-v[1].imag) - (-v[0].imag) * v[1].real

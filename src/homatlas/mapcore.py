@@ -211,9 +211,11 @@ def _polyval(coeffs, t):
     """Horner evaluation of sum(coeffs[i] * t**i) on floats, arrays or jets.
 
     The operation order is that of ``numpy.polynomial.polynomial.polyval``,
-    so array results match it bit for bit.
+    so array results match it bit for bit.  Only an array starts from the
+    broadcast coeffs[-1] + t*0; on a float or a jet Horner starts from the
+    number itself, so a constant polynomial stays a plain number.
     """
-    out = coeffs[-1] + t * 0
+    out = coeffs[-1] + t * 0 if isinstance(t, np.ndarray) else coeffs[-1]
     for c in coeffs[-2::-1]:
         out = c + out * t
     return out

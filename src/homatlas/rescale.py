@@ -8,6 +8,12 @@ the global map; the asymptotically small corrections that a general
 smooth family would carry are frozen at zero here, because the model
 families are exact and the measured residuals are the ground truth.
 
+Only the parameter offset of the chain depends on mu.  Everything else
+(lam**k, the 2x2 matrix and its inverse, the mu-free part of the offset)
+is a frame that depends on the Taylor data, lam, x_plus, y_minus and k
+alone; ``build_chain`` reads it from a cache, so the many chains that a
+bordered Newton builds along one family compute only their mu sums.
+
 The parameter conversion M <-> mu is the affine relation
 M = -d lam^{-2k} (mu + lam^k (c x^+ - y^-)(1 + k beta1 lam^k x^+ y^-)) - s0
 and its inverse; the bracketed sum cancels almost completely in the
@@ -17,8 +23,11 @@ guarded by a precision floor.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +64,11 @@ class RescaleChain:
     floats (offset[0] is a jet when mu is), so that ``to_rescaled`` and
     ``from_rescaled`` run on plain scalars and jets, never numpy scalars.
 
+    matrix, inverse, nu1 and nu2 come from the cached mu-independent
+    frame and are shared by every chain of the same family and k;
+    offset is the frame's mu-free offset minus (a lam^k/2 + nu1 m3,
+    a lam^k/2).
+
     m1, m2, m3 are the intermediate parameter values produced by the
     successive normalization steps; m_effective is the constant that
     actually multiplies nothing, i.e. the additive parameter of the
@@ -90,13 +104,68 @@ def _tuples(mat: np.ndarray) -> tuple:
     return tuple(tuple(row) for row in mat.tolist())
 
 
+class _ChainFrame(NamedTuple):
+    """The mu-independent part of a chain: lam**k, the shifted curvature
+    d_k, the mix coefficients, the 2x2 matrix with its inverse, and the
+    offset before the mu-dependent (a lam^k/2 + nu1 m3, a lam^k/2) is
+    subtracted.  Computed with the same numpy expressions as the whole
+    chain once was, so every field keeps its rounding."""
+
+    lamk: float
+    d_k: float
+    nu1: float
+    nu2: float
+    matrix: tuple
+    inverse: tuple
+    base: tuple
+
+
+_FRAME_FORMAT = "9d"
+
+
+# the hits come from the consecutive chains of one solve or sweep row; a
+# larger cache would only keep the frames of finished sweeps alive
+@functools.lru_cache(maxsize=64)
+def _chain_frame(packed: bytes, k: int) -> _ChainFrame:
+    """The frame of (a, b, d, e02, f11, f12, lam, x_plus, y_minus) packed
+    as binary64 bytes, so that the cache tells 0.0 from -0.0."""
+    a, b, d, e02, f11, f12, lam, xp, ym = struct.unpack(_FRAME_FORMAT, packed)
+    lamk = lam ** k
+    d_k = d + lamk * f12 * xp
+    nu1 = -(e02 / (b * d)) * lamk
+    # the second mix coefficient must be -nu1 - a*lam^k so that the linear
+    # x-term of the first component and the xy-term of the second cancel
+    # together under the jet identity 2ad - b f11 - 2 e02 c = 0
+    nu2 = -nu1 - a * lamk
+    su = -d_k / (b * lamk)
+    sv = -d_k / lamk
+    mix = np.array([[1.0, nu1], [-nu2, 1.0]])
+    a_mat = mix @ np.diag([su, sv])
+    shift1 = np.array([xp + a * lamk * xp, ym])
+    w = 0.5 * f11 * xp
+    base = mix @ (np.diag([su, sv]) @ (-shift1) - np.array([w, w]))
+    return _ChainFrame(
+        lamk=lamk,
+        d_k=d_k,
+        nu1=nu1,
+        nu2=nu2,
+        matrix=_tuples(a_mat),
+        inverse=_tuples(np.linalg.inv(a_mat)),
+        base=tuple(base.tolist()),
+    )
+
+
 def build_chain(family: FamilyHandle, k: int) -> RescaleChain:
     """The chain at the family's mu.  A jet mu (see ``mapcore.Jet``) gives
     m1, m2, m3, m_effective and offset[0] as jets carrying d/dmu."""
     t = family.taylor
-    lamk = family.lam ** k
     xp, ym = family.x_plus, family.y_minus
-    d_k = t.d + lamk * t.f12 * xp
+    frame = _chain_frame(
+        struct.pack(_FRAME_FORMAT, t.a, t.b, t.d, t.e02, t.f11, t.f12,
+                    family.lam, xp, ym),
+        k,
+    )
+    lamk = frame.lamk
     mu = _value(family.mu)
     m1 = math.fsum(
         [
@@ -105,33 +174,22 @@ def build_chain(family: FamilyHandle, k: int) -> RescaleChain:
             lamk * lamk * xp * (t.a * t.c + t.f20 * xp),
         ]
     ) + (family.mu - mu)
-    m2 = -d_k / lamk**2 * m1
+    m2 = -frame.d_k / lamk**2 * m1
     m3 = m2 + (t.f11 * xp) ** 2 / 4.0
-    nu1 = -(t.e02 / (t.b * t.d)) * lamk
-    # the second mix coefficient must be -nu1 - a*lam^k so that the linear
-    # x-term of the first component and the xy-term of the second cancel
-    # together under the jet identity 2ad - b f11 - 2 e02 c = 0
-    nu2 = -nu1 - t.a * lamk
-    m_eff = m3 * (1.0 + nu1) + 0.25 * t.a**2 * lamk**2
-    su = -d_k / (t.b * lamk)
-    sv = -d_k / lamk
-    mix = np.array([[1.0, nu1], [-nu2, 1.0]])
-    a_mat = mix @ np.diag([su, sv])
-    shift1 = np.array([xp + t.a * lamk * xp, ym])
-    w = 0.5 * t.f11 * xp
-    shift5 = np.array([0.5 * t.a * lamk + nu1 * m3, 0.5 * t.a * lamk])
-    offset = mix @ (np.diag([su, sv]) @ (-shift1) - np.array([w, w])) - shift5
+    m_eff = m3 * (1.0 + frame.nu1) + 0.25 * t.a**2 * lamk**2
+    half = 0.5 * t.a * lamk
+    base0, base1 = frame.base
     return RescaleChain(
         k=k,
-        matrix=_tuples(a_mat),
-        offset=tuple(offset.tolist()),
-        inverse=_tuples(np.linalg.inv(a_mat)),
+        matrix=frame.matrix,
+        offset=(base0 - (half + frame.nu1 * m3), base1 - half),
+        inverse=frame.inverse,
         m1=m1,
         m2=m2,
         m3=m3,
         m_effective=m_eff,
-        nu1=nu1,
-        nu2=nu2,
+        nu1=frame.nu1,
+        nu2=frame.nu2,
     )
 
 

@@ -3,6 +3,7 @@ exit codes, and determinism of the serialized outputs."""
 
 import json
 import os
+import time
 
 import pytest
 
@@ -156,6 +157,35 @@ def test_henon_tiny_m_is_a_resonance_error(tmp_path, capsys):
     assert err["error"]["type"] == "ResonantParameterError"
     assert not os.path.exists(os.path.join(out, "result.json"))
     assert main(["henon", "--set", "M=1e-12", "--out", out]) == 0
+
+
+@pytest.mark.parametrize(
+    "subcommand",
+    ["cross-form", "classify", "cascade", "atlas2d", "resonance",
+     "rescale-verify"],
+)
+def test_k_max_past_the_precision_floor_is_refused_up_front(
+        subcommand, tmp_path, capsys):
+    # lam = 0.5 admits k <= 16; a k_max of 1000 used to run every row or
+    # cell into its own PrecisionFloorError
+    out = str(tmp_path / "run")
+    t0 = time.perf_counter()
+    rc = main([subcommand, "--set", "k_max=1000", "--out", out])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    err = json.loads(stderr)
+    assert err["error"]["type"] == "PrecisionFloorError"
+    assert "largest admissible k: 16" in err["error"]["message"]
+    assert not os.path.exists(os.path.join(out, "result.json"))
+
+
+def test_k_max_at_the_precision_floor_still_runs(tmp_path):
+    out = str(tmp_path / "run")
+    argv = ["cascade", "--set", "k_min=16", "--set", "k_max=16"]
+    assert main(argv + ["--out", out]) == 0
+    assert [row["k"] for row in _envelope(out)["payload"]["rows"]] == [16]
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from homatlas.henon import (
     two_periodic_orbit,
 )
 from homatlas.mapcore import (
+    Jet,
     _border_residual,
     _limit_seed,
     _newton,
@@ -124,6 +126,71 @@ def test_birkhoff_b1_rejects_resonances():
         birkhoff_b1(0.75)
     with pytest.raises(ValueError):
         birkhoff_b1(1.2)
+
+
+def _mp_b1_sqrt_m(M, dps=50):
+    """birkhoff_b1(M) * sqrt(M) from the same degree-3 normal form, run on
+    jets with mpmath coefficients at dps digits."""
+    with mp.workdps(dps):
+        M = mp.mpf(M)
+        s = mp.sqrt(M)
+        lam = mp.mpc(1 - 2 * M, 2 * mp.sqrt(M * (1 - M)))
+        v0, v1 = mp.mpc(2 * s), 1 - lam
+        det_t = v0.real * (-v1.imag) + v0.imag * v1.real
+        if det_t < 0:
+            v0, v1, det_t = 1j * v0, 1j * v1, -det_t
+        v0, v1 = v0 / mp.sqrt(det_t), v1 / mp.sqrt(det_t)
+        dd = v0 * mp.conj(v1) - mp.conj(v0) * v1
+        l0, l1 = mp.conj(v1) / dd, -mp.conj(v0) / dd
+        z, zbar = Jet.variables(0.0, 0.0, 3)
+        p = (
+            -s + (v0 * z + mp.conj(v0) * zbar),
+            s + (v1 * z + mp.conj(v1) * zbar),
+        )
+        x2, y2 = step(M, step(M, p))
+        zn = l0 * (x2 + s) + l1 * (y2 - s)
+        a20, a11, a02, a21 = (
+            zn.coeff(*e) for e in ((2, 0), (1, 1), (0, 2), (2, 1))
+        )
+        lam2 = lam * lam
+        c1 = (
+            a21
+            + 2 * a20 * a11 / (1 - lam)
+            + abs(a11) ** 2 / (1 - mp.conj(lam))
+            + a11 * a20 / (lam2 - lam)
+            + 2 * abs(a02) ** 2 / (lam2 - mp.conj(lam))
+        )
+        return (mp.conj(lam) * c1).imag * s
+
+
+def test_mpmath_normal_form_is_the_closed_form():
+    # the 50-digit normal form agrees with (8M - 5) / ((1 - M)(3 - 4M)),
+    # which is -5/3 at M -> 0, -2 at 1/4 and 0 at the twistless 5/8
+    with mp.workdps(50):
+        for M in ("1e-14", "0.1", "0.25", "0.3", "0.6", "0.625", "0.9"):
+            M = mp.mpf(M)
+            closed = (8 * M - 5) / ((1 - M) * (3 - 4 * M))
+            assert abs(_mp_b1_sqrt_m(M) - closed) < mp.mpf("1e-40")
+
+
+def test_birkhoff_b1_against_mpmath_down_to_tiny_m():
+    # sin(phi) = 2 sqrt(M (1 - M)) leaves only the rounding of
+    # cos(phi) = 1 - 2M, a relative eps/sqrt(M) effect on the frame
+    eps = np.finfo(float).eps
+    ms = np.concatenate(
+        [
+            np.logspace(-14, -2, 25),
+            np.linspace(0.01, 0.99, 99),
+            np.logspace(np.log10(3e-17), np.log10(3e-16), 8),
+        ]
+    )
+    for M in ms.tolist():
+        if abs(M - 0.5) < 1e-9 or abs(M - 0.75) < 1e-9:
+            continue
+        got = birkhoff_b1(M) * math.sqrt(M)
+        want = _mp_b1_sqrt_m(M)
+        tol = 2.0 * eps / math.sqrt(M) + 1e-14 * max(1.0, abs(want))
+        assert abs(got - want) <= tol, M
 
 
 def test_rotation_slope_oracle_agrees():

@@ -322,6 +322,59 @@ def test_polyval_matches_numpy_bit_for_bit():
         assert _polyval(coeffs, float(t[0])) == want[0]
 
 
+def _parent_polyval(coeffs, t):
+    """_polyval as it was when every input started from coeffs[-1] + t*0."""
+    out = coeffs[-1] + t * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * t
+    return out
+
+
+def _zero_sign_free(c):
+    """Coefficients with -0.0 read as 0.0."""
+    return [repr(v + 0.0) for v in c]
+
+
+def test_constant_polynomial_stays_a_number():
+    from homatlas.mapcore import _polyval
+
+    for t in (0.3, -2.0):
+        out = _polyval((1.0,), t)
+        assert type(out) is float and out == 1.0
+    for jet in (Jet.variables(0.3, -0.2, 1)[0], Jet.variables(0.3, 2)[0]):
+        out = _polyval((1.0,), jet)
+        assert type(out) is float and out == 1.0
+    t = np.array([[0.1, 0.2, 0.3]])
+    out = _polyval((1.0,), t)
+    assert isinstance(out, np.ndarray) and out.shape == t.shape
+    assert np.array_equal(out, np.ones_like(t))
+    # the saddle factor without beta is the number 1.0, and the local map
+    # builds its saddle stage once
+    b = Moser(0.5).bval(Jet.variables(0.3, -0.2, 2)[0])
+    assert type(b) is float and b == 1.0
+    local = LocalMapParams(0.5, (0.25,))
+    assert local.stage() is local.stage()
+    assert local.stage() == Moser(0.5, (0.25,))
+
+
+def test_polyval_on_floats_and_jets_equals_the_parent_horner():
+    from homatlas.mapcore import _polyval
+
+    rng = np.random.default_rng(7)
+    polys = [(0.7, -1.3), (0.1, -0.3, 0.7), tuple(rng.normal(size=6))]
+    for coeffs in polys:
+        for t in rng.uniform(-3.0, 3.0, 20):
+            t = float(t)
+            assert repr(_polyval(coeffs, t)) == repr(_parent_polyval(coeffs, t))
+            for jet in (*Jet.variables(t, 0.4, 2), Jet.variables(t, 3)[0]):
+                got = _polyval(coeffs, jet)
+                want = _parent_polyval(coeffs, jet)
+                # the parent's start jet carried t_i * 0 in every
+                # coefficient, which can flip the sign of an exact zero
+                assert got.n == want.n
+                assert _zero_sign_free(got.c) == _zero_sign_free(want.c)
+
+
 def test_jet_value_part_matches_float_evaluation():
     expr = MapExpr(
         (

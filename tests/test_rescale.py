@@ -2,6 +2,7 @@
 convergence of rescaled return maps to the limit quadratic form."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,3 +314,103 @@ def test_scalar_and_jet_evaluations_stay_on_python_floats(recipe):
     x, y, m = Jet.variables(0.1, -0.2, 0.5, 2)
     out = _map_at(fam, k)(m)((x, y))
     assert all(type(c) is float for jet in out for c in jet.c)
+
+
+def _reference_chain(family, k):
+    """build_chain as it was before the mu-independent frame was cached:
+    every step in numpy on every call."""
+    t = family.taylor
+    lamk = family.lam ** k
+    xp, ym = family.x_plus, family.y_minus
+    d_k = t.d + lamk * t.f12 * xp
+    mu = family.mu.c[0] if isinstance(family.mu, Jet) else family.mu
+    r1 = 1.0 + family.beta1 * k * lamk * xp * ym
+    m1 = math.fsum(
+        [
+            mu,
+            lamk * (t.c * xp - ym) * r1,
+            lamk * lamk * xp * (t.a * t.c + t.f20 * xp),
+        ]
+    ) + (family.mu - mu)
+    m2 = -d_k / lamk**2 * m1
+    m3 = m2 + (t.f11 * xp) ** 2 / 4.0
+    nu1 = -(t.e02 / (t.b * t.d)) * lamk
+    nu2 = -nu1 - t.a * lamk
+    m_eff = m3 * (1.0 + nu1) + 0.25 * t.a**2 * lamk**2
+    su = -d_k / (t.b * lamk)
+    sv = -d_k / lamk
+    mix = np.array([[1.0, nu1], [-nu2, 1.0]])
+    a_mat = mix @ np.diag([su, sv])
+    shift1 = np.array([xp + t.a * lamk * xp, ym])
+    w = 0.5 * t.f11 * xp
+    shift5 = np.array([0.5 * t.a * lamk + nu1 * m3, 0.5 * t.a * lamk])
+    offset = mix @ (np.diag([su, sv]) @ (-shift1) - np.array([w, w])) - shift5
+    return {
+        "k": k,
+        "matrix": tuple(tuple(row) for row in a_mat.tolist()),
+        "offset": tuple(offset.tolist()),
+        "inverse": tuple(
+            tuple(row) for row in np.linalg.inv(a_mat).tolist()
+        ),
+        "m1": m1,
+        "m2": m2,
+        "m3": m3,
+        "m_effective": m_eff,
+        "nu1": nu1,
+        "nu2": nu2,
+    }
+
+
+def _bits(v):
+    """repr down to the coefficients, so that signed zeros and the types of
+    the numbers count."""
+    if isinstance(v, Jet):
+        return ("Jet", v.n, tuple(_bits(c) for c in v.c))
+    if isinstance(v, tuple):
+        return tuple(_bits(c) for c in v)
+    return (type(v).__name__, repr(v))
+
+
+# the four families of the chain-completeness study: e02 = f11 = 0 with
+# beta = (), then p2 != 0, beta1 != 0 and the shear-sandwich recipe
+_CHAIN_FAMILIES = {
+    "fold": (LocalMapParams(0.5), HenonLikeRecipe()),
+    "fold-p2": (
+        LocalMapParams(0.5),
+        HenonLikeRecipe(p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 1.0)),
+    ),
+    "beta": (LocalMapParams(0.5, (0.5,)), HenonLikeRecipe()),
+    "sandwich": (LocalMapParams(0.5), ShearSandwichRecipe()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAIN_FAMILIES))
+@pytest.mark.parametrize("jet_mu", [False, True], ids=["float-mu", "jet-mu"])
+def test_chain_matches_the_uncached_numpy_chain(name, jet_mu):
+    fam = build_family(*_CHAIN_FAMILIES[name])
+    for k in range(8, 15):
+        for m in (0.0, 0.3, 1.0, 1.7):
+            if jet_mu:
+                m = Jet.variables(0.1, -0.2, m, 2)[2]
+            fam_k = fam.with_mu(mu_from_m(fam, k, m))
+            # twice: once filling the frame cache, once reading it
+            for _ in range(2):
+                chain = build_chain(fam_k, k)
+                ref = _reference_chain(fam_k, k)
+                for field, value in ref.items():
+                    assert _bits(getattr(chain, field)) == _bits(value), field
+
+
+def test_chain_cache_keeps_signed_zeros_apart():
+    # e02 = +-0 gives nu1 = -+0; a cache keyed on float equality would
+    # hand the second family the first one's zero
+    fam = build_family(LocalMapParams(0.5), HenonLikeRecipe(), mu=1e-4)
+    t = fam.taylor
+    assert t.e02 == 0.0
+    for e02 in (0.0, -0.0, 0.0):
+        fam_z = replace(fam, taylor=replace(t, e02=e02, a=e02))
+        chain = build_chain(fam_z, 9)
+        ref = _reference_chain(fam_z, 9)
+        assert repr(chain.nu1) == repr(ref["nu1"]) == repr(-e02 * 1.0)
+        for field, value in ref.items():
+            assert _bits(getattr(chain, field)) == _bits(value), field

@@ -188,6 +188,45 @@ def test_saddle_power_jet_matches_sympy_series(lam, k):
         assert abs(got.coeff(i, j) - want) <= 1e-13 * abs(want), (i, j)
 
 
+def _parent_t0_pow(local, p, k):
+    """The beta = () saddle power as it ran when B(u) = 1 was the jet
+    1 + u*0 and the factor came from _signed_pow's jet series."""
+    x, y = p
+    factor = _signed_pow(local.lam * (1.0 + (x * y) * 0), k)
+    return x * factor, y / factor
+
+
+def _saddle_inputs(n):
+    """Degree-n jets in two and in three variables, some with exact
+    zero coefficients."""
+    out = []
+    for p in ((0.3, -0.2), (1.1, 0.7), (-0.9, 0.0)):
+        out.append(Jet.variables(*p, n))
+        x, y, m = Jet.variables(*p, 0.4, n)
+        out.append((x + m * 0.25, y * m))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("lam", [0.5, 0.47, -0.5, -0.53])
+def test_t0_pow_without_beta_equals_the_jet_series_route(lam, n):
+    local = LocalMapParams(lam)
+    for k in range(8, 15):
+        for p in _saddle_inputs(n):
+            got = t0_pow_closed(local, p, k)
+            want = _parent_t0_pow(local, p, k)
+            for g, w in zip(got, want):
+                if lam**k > 0.0:
+                    assert repr(g.c) == repr(w.c)
+                else:
+                    # x * lam**k turns a +0.0 coefficient of x into -0.0
+                    # where the parent's jet product summed 0.0 + (-0.0)
+                    assert g.c == w.c
+                    assert [repr(a) for a in g.c if a] == [
+                        repr(b) for b in w.c if b
+                    ]
+
+
 @pytest.mark.parametrize("lam,k", [(0.5, 9), (-0.5, 9), (0.5, 70), (-0.5, 71)])
 def test_solve_y0_jet_matches_sympy_implicit_series(lam, k):
     # y0(x0, yk) solves F = y0 - lam^k yk B(x0 y0)^k = 0; its Taylor

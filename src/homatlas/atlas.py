@@ -76,6 +76,8 @@ _TRACE_TARGETS = (
 # the M range of a cascade row's phase curve and resonance flags
 _M_RANGE = (0.02, 0.98)
 _N_PHI = 25
+# distance of s0 from an exceptional value that withholds a certificate
+_FLAG_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -256,20 +258,15 @@ def _atlas_cell(fam, k):
 
 
 def run_strip_atlas(family_template: FamilyHandle, k_range,
-                    alpha_range=None, eps: float = 0.05,
-                    n_alpha: int = 41) -> StripMap2D:
+                    eps: float = 0.05, n_alpha: int = 41) -> StripMap2D:
     """Trace the border curves over an alpha-grid of tuned families.
 
-    Each grid column retunes the family to the target alpha; each cell
-    locates both borders.  Cell failures are flagged and leave holes in
-    the polylines rather than aborting the sweep.
+    The grid is n_alpha points over [-eps, eps].  Each grid column retunes
+    the family to the target alpha; each cell locates both borders.  Cell
+    failures are flagged and leave holes in the polylines rather than
+    aborting the sweep.
     """
-    if alpha_range is None:
-        alpha_range = (-eps, eps)
-    alphas = tuple(
-        float(a) for a in np.linspace(alpha_range[0], alpha_range[1],
-                                      int(n_alpha))
-    )
+    alphas = tuple(float(a) for a in np.linspace(-eps, eps, int(n_alpha)))
     k_values = tuple(int(k) for k in k_range)
     failures = []
     tuned = []
@@ -324,8 +321,8 @@ _EXCEPTIONAL_S0 = (
 )
 
 
-def certify_global_resonance(family: FamilyHandle, k_range,
-                             flag_tol: float = 1e-4) -> ResonanceCertificate:
+def certify_global_resonance(family: FamilyHandle,
+                             k_range) -> ResonanceCertificate:
     """Check for an elliptic 2-orbit at mu = 0 for every k in range.
 
     Requires s0 in (-1, 0).  Proximity of s0 to an exceptional value is
@@ -338,7 +335,7 @@ def certify_global_resonance(family: FamilyHandle, k_range,
             f"s0 = {s0:.6g} not in resonance window (-1, 0)"
         )
     flags = tuple(
-        tag for value, tag in _EXCEPTIONAL_S0 if abs(s0 - value) <= flag_tol
+        tag for value, tag in _EXCEPTIONAL_S0 if abs(s0 - value) <= _FLAG_TOL
     )
     limit_cos = 1.0 + 2.0 * s0
     ks = tuple(int(k) for k in k_range)

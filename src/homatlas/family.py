@@ -308,12 +308,16 @@ def build_family(local: LocalMapParams, recipe,
     )
 
 
-def _secant(fun, x0: float, x1: float, target: float, tol: float, max_iter: int = 40):
+# |invariant - target| at which tune_to's secant stops
+_TUNE_TOL = 1e-8
+
+
+def _secant(fun, x0: float, x1: float, target: float, tol: float):
     f0 = fun(x0) - target
     if abs(f0) <= tol:
         return x0
     f1 = fun(x1) - target
-    for _ in range(max_iter):
+    for _ in range(40):
         if abs(f1) <= tol:
             return x1
         denom = f1 - f0
@@ -325,11 +329,24 @@ def _secant(fun, x0: float, x1: float, target: float, tol: float, max_iter: int 
     raise TargetUnreachableError("target unreachable: secant did not converge")
 
 
+def _tune_knob(local, recipe, mu, index, invariant, target, x0, x1):
+    """The recipe with P's coefficient p[index] moved by secant from the
+    seeds x0, x1 until the family's invariant ("alpha" or "s0") is target."""
+    p = list(recipe.p) + [0.0] * (index + 1 - len(recipe.p))
+
+    def invariant_of(value):
+        p[index] = value
+        fam = build_family(local, replace(recipe, p=tuple(p)), mu)
+        return getattr(fam, invariant)
+
+    p[index] = _secant(invariant_of, x0, x1, target, _TUNE_TOL)
+    return replace(recipe, p=tuple(p))
+
+
 def tune_to(
     handle: FamilyHandle,
     alpha_target: float | None = None,
     s0_target: float | None = None,
-    tol: float = 1e-8,
 ) -> FamilyHandle:
     """Retune the recipe knobs so the extracted invariants hit the targets.
 
@@ -353,17 +370,9 @@ def tune_to(
         c_needed = (1.0 + alpha_target) * recipe.y_minus / recipe.x_plus
         if abs(c_needed) < 1e-10:
             raise TargetUnreachableError("target unreachable: alpha = -1 needs c = 0")
-        p = list(recipe.p)
         b_seed = 1.0 / c_needed
-
-        def alpha_of(bval):
-            p[1] = bval
-            fam = build_family(local, replace(recipe, p=tuple(p)), mu)
-            return fam.alpha
-
-        b_star = _secant(alpha_of, b_seed, b_seed * (1.0 + 1e-3), alpha_target, tol)
-        p[1] = b_star
-        recipe = replace(recipe, p=tuple(p))
+        recipe = _tune_knob(local, recipe, mu, 1, "alpha", alpha_target,
+                            b_seed, b_seed * (1.0 + 1e-3))
 
     if s0_target is not None:
         if s0_target > 1e-12:
@@ -373,22 +382,12 @@ def tune_to(
         b = recipe.p[1]
         # s0 = -(f11*x_plus)^2/4 with f11 = -2 p2 / b^2; seed from inversion.
         p2_seed = b * b * math.sqrt(max(-s0_target, 0.0)) / recipe.x_plus
-        p = list(recipe.p)
-        if len(p) < 3:
-            p.append(0.0)
-
-        def s0_of(p2val):
-            p[2] = p2val
-            fam = build_family(local, replace(recipe, p=tuple(p)), mu)
-            return fam.s0
-
-        p2_star = _secant(s0_of, p2_seed, p2_seed + 1e-3, s0_target, tol)
-        p[2] = p2_star
-        recipe = replace(recipe, p=tuple(p))
+        recipe = _tune_knob(local, recipe, mu, 2, "s0", s0_target,
+                            p2_seed, p2_seed + 1e-3)
 
     out = build_family(local, recipe, mu)
-    if alpha_target is not None and abs(out.alpha - alpha_target) > 10 * tol:
+    if alpha_target is not None and abs(out.alpha - alpha_target) > 10 * _TUNE_TOL:
         raise TargetUnreachableError("target unreachable: alpha residual too large")
-    if s0_target is not None and abs(out.s0 - s0_target) > 10 * tol:
+    if s0_target is not None and abs(out.s0 - s0_target) > 10 * _TUNE_TOL:
         raise TargetUnreachableError("target unreachable: s0 residual too large")
     return out

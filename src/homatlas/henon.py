@@ -69,13 +69,14 @@ def fixed_points(M: float):
     return out
 
 
-def classify_from_trace(trace: float, det: float, tol: float = 1e-9) -> StabilityClass:
+def classify_from_trace(trace: float, det: float) -> StabilityClass:
     """Stability tag from the trace of the relevant return derivative.
 
     det = -1 covers single-round orbits (always real multipliers of
     product -1); det = +1 covers second-iterate derivatives where elliptic
     behavior is possible.
     """
+    tol = 1e-9  # a trace this close to a special value takes its tag
     if det < 0.0:
         if abs(trace) <= tol:
             return StabilityClass("parabolic-plus")
@@ -184,7 +185,7 @@ def birkhoff_b1(M: float) -> float:
     return float((np.conj(lam) * c1).imag)
 
 
-def rotation_number_slope(M: float, radii=(0.015, 0.025, 0.035, 0.045), n_steps: int = 20000):
+def rotation_number_slope(M: float):
     """Twist oracle: d(rotation number)/d(r^2) of the second-iterate map.
 
     Iterates points seeded at several radii in the z-frame of the elliptic
@@ -194,6 +195,7 @@ def rotation_number_slope(M: float, radii=(0.015, 0.025, 0.035, 0.045), n_steps:
     """
     if not 0.0 < M < 1.0:
         raise ValueError("requires 0 < M < 1")
+    radii, n_steps = (0.015, 0.025, 0.035, 0.045), 20000
     s = math.sqrt(M)
     lam, v, ell = _elliptic_frame(M)
     p1x, p1y = -s, s
@@ -215,7 +217,7 @@ def rotation_number_slope(M: float, radii=(0.015, 0.025, 0.035, 0.045), n_steps:
     return float(coeffs[1])
 
 
-def horseshoe_certificate(M: float, margin: float = 1e-9) -> bool:
+def horseshoe_certificate(M: float) -> bool:
     """Covering-relation certificate for a full 2-shift at large M.
 
     Two horizontal bands across the square Q = [-R, R]^2 at heights
@@ -226,6 +228,7 @@ def horseshoe_certificate(M: float, margin: float = 1e-9) -> bool:
     Returns False when the inequalities cannot be met (never claims
     absence of a horseshoe).
     """
+    margin = 1e-9  # strict margin of every inequality
     lo = 1.0 + math.sqrt(max(0.0, 1.0 + M))
     hi = M / 2.0
     if not hi > lo:

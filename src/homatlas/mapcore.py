@@ -2,10 +2,10 @@
 
 Every map in this package is a composition of primitive stages whose Jacobian
 determinant is exactly +1 or -1 by construction (shears, a coordinate swap,
-translations, a reciprocal diagonal stretch, a resonant-form saddle stage and
-a cotangent lift of a polynomial coordinate change).  Composing stages can
-therefore never drift away from area preservation: the determinant of the
-composite is (-1)**(number of swaps) up to floating-point roundoff.
+translations, a resonant-form saddle stage and a cotangent lift of a
+polynomial coordinate change).  Composing stages can therefore never drift
+away from area preservation: the determinant of the composite is
+(-1)**(number of swaps) up to floating-point roundoff.
 
 Points are plain ``(x, y)`` tuples of Python floats.  ``eval_map`` also
 accepts numpy arrays for both coordinates and then evaluates the whole batch
@@ -48,7 +48,6 @@ __all__ = [
     "HShear",
     "Swap",
     "Translate",
-    "Diagonal",
     "Moser",
     "Lift",
     "MapExpr",
@@ -265,16 +264,6 @@ class Translate:
 
 
 @dataclass(frozen=True)
-class Diagonal:
-    """(x, y) -> (lam*x, y/lam).  det = +1 for any lam != 0."""
-
-    lam: float
-
-    def apply(self, x, y):
-        return self.lam * x, y / self.lam
-
-
-@dataclass(frozen=True)
 class Moser:
     """Integrable saddle stage (x, y) -> (lam*x*B(xy), y/(lam*B(xy))).
 
@@ -375,9 +364,10 @@ def jacobian(expr: MapExpr, p):
 
 _EVAL_ERRORS = (EscapeError, CrossFormSolveError)
 _ROUNDOFF_FLOOR = 100.0  # stalled within this factor of tol: converged
+_MAX_STEPS = 50
 
 
-def _newton(fun_jac, z0, tol=1e-11, max_steps=50, window=None):
+def _newton(fun_jac, z0, tol=1e-11, window=None):
     """Damped Newton on fun_jac(z) -> (f, jac, ...); returns the converged
     point and fun_jac's output there, or raises.  A residual that no step
     lowers but that is within _ROUNDOFF_FLOOR * tol sits at its roundoff
@@ -387,7 +377,7 @@ def _newton(fun_jac, z0, tol=1e-11, max_steps=50, window=None):
         out = fun_jac(z)
     except _EVAL_ERRORS as exc:
         raise NewtonDivergedError("Newton diverged: seed escaped") from exc
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         f, jac = out[0], out[1]
         norm = float(np.max(np.abs(f)))
         if norm < tol:
@@ -416,7 +406,9 @@ def _newton(fun_jac, z0, tol=1e-11, max_steps=50, window=None):
             if norm < _ROUNDOFF_FLOOR * tol:
                 return z, out
             raise NewtonDivergedError("Newton diverged: no descent step")
-    raise NewtonDivergedError("Newton diverged after 50 damped steps")
+    raise NewtonDivergedError(
+        f"Newton diverged after {_MAX_STEPS} damped steps"
+    )
 
 
 def _border_residual(map_at, rounds: int, trace, z):

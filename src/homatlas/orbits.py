@@ -201,12 +201,12 @@ def _map_at(family: FamilyHandle, k: int):
     )
 
 
-# kind -> (rounds, trace at the border, default M bracket)
+# kind -> (rounds, trace at the border, M bracket)
 _BORDERS = {"plus": (1, 0.0, (-0.5, 0.5)), "minus": (2, -2.0, (0.5, 1.5))}
 
 
-def locate_bifurcation(family: FamilyHandle, k: int, kind: str,
-                       m_bracket=None) -> BifurcationPoint:
+def locate_bifurcation(family: FamilyHandle, k: int,
+                       kind: str) -> BifurcationPoint:
     """Parameter value where the return map changes stability type.
 
     kind "plus" targets the fixed-point border with multipliers
@@ -214,13 +214,11 @@ def locate_bifurcation(family: FamilyHandle, k: int, kind: str,
     multiplier -1, where tr D(F^2) = -2.  Both go through _locate_trace,
     which also finds the resonance flags of a cascade row.  Raises
     NewtonDivergedError when the Newton fails and BracketError when the
-    border it finds lies outside m_bracket.
+    border it finds lies outside the kind's M bracket in _BORDERS.
     """
     if kind not in _BORDERS:
         raise ValueError(f"unknown bifurcation kind {kind!r}")
-    rounds, trace, default_bracket = _BORDERS[kind]
-    if m_bracket is None:
-        m_bracket = default_bracket
+    rounds, trace, m_bracket = _BORDERS[kind]
     m_star = _locate_trace(_map_at(family, k), rounds, trace, m_bracket)
     return BifurcationPoint(kind=kind, mu=mu_from_m(family, k, m_star), k=k)
 

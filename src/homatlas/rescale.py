@@ -95,9 +95,13 @@ class RescaledParam:
     correction_cubic: float
 
 
-def _r1_factor(family: FamilyHandle, k: int) -> float:
+def _first_order_base(family: FamilyHandle, k: int) -> float:
+    """lam^k (c x^+ - y^-)(1 + k beta1 lam^k x^+ y^-), the first-order
+    mu offset of the M formula."""
+    t = family.taylor
     lamk = family.lam ** k
-    return 1.0 + family.beta1 * k * lamk * family.x_plus * family.y_minus
+    r1 = 1.0 + family.beta1 * k * lamk * family.x_plus * family.y_minus
+    return lamk * (t.c * family.x_plus - family.y_minus) * r1
 
 
 def _tuples(mat: np.ndarray) -> tuple:
@@ -170,7 +174,7 @@ def build_chain(family: FamilyHandle, k: int) -> RescaleChain:
     m1 = math.fsum(
         [
             mu,
-            lamk * (t.c * xp - ym) * _r1_factor(family, k),
+            _first_order_base(family, k),
             lamk * lamk * xp * (t.a * t.c + t.f20 * xp),
         ]
     ) + (family.mu - mu)
@@ -212,7 +216,7 @@ def from_rescaled(chain: RescaleChain, p):
 def m_from_mu(family: FamilyHandle, k: int, mu: float) -> RescaledParam:
     t = family.taylor
     lamk = family.lam ** k
-    base = lamk * (t.c * family.x_plus - family.y_minus) * _r1_factor(family, k)
+    base = _first_order_base(family, k)
     total = math.fsum([mu, base])
     eps = np.finfo(float).eps
     if base != 0.0 and abs(total) < 1e3 * eps * abs(base):
@@ -226,8 +230,7 @@ def m_from_mu(family: FamilyHandle, k: int, mu: float) -> RescaledParam:
 def mu_from_m(family: FamilyHandle, k: int, m: float) -> float:
     t = family.taylor
     lamk = family.lam ** k
-    base = lamk * (t.c * family.x_plus - family.y_minus) * _r1_factor(family, k)
-    return -base - (m + family.s0) * lamk**2 / t.d
+    return -_first_order_base(family, k) - (m + family.s0) * lamk**2 / t.d
 
 
 @dataclass(frozen=True)
@@ -268,9 +271,10 @@ def rescaled_jacobian(rr: RescaledReturnMap, p):
     return jacobian_of(lambda z: eval_rescaled(rr, z), p)
 
 
-def fit_cubic_coefficient(rr: RescaledReturnMap, n: int = 13) -> float:
-    """Least-squares Y^3 coefficient of the second rescaled component."""
-    ys = np.linspace(-2.0, 2.0, n)
+def fit_cubic_coefficient(rr: RescaledReturnMap) -> float:
+    """Least-squares Y^3 coefficient of the second rescaled component, fitted
+    on 13 points of Y in [-2, 2]."""
+    ys = np.linspace(-2.0, 2.0, 13)
     xs = np.zeros_like(ys)
     _, yb = eval_rescaled(rr, (xs, ys))
     coef = np.polynomial.polynomial.polyfit(ys, yb, 4)

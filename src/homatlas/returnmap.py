@@ -24,7 +24,7 @@ from .exceptions import (
     StripWindowError,
 )
 from .family import FamilyHandle, LocalMapParams
-from .mapcore import (ESCAPE_RADIUS, Jet, _any, _value, eval_map,
+from .mapcore import (ESCAPE_RADIUS, Jet, _all, _any, _value, eval_map,
                       jacobian_of)
 
 __all__ = [
@@ -35,13 +35,12 @@ __all__ = [
     "t0_pow_jacobian",
     "solve_y0",
     "build_return_map",
-    "eval_return",
-    "return_jacobian",
     "window_halfwidth",
     "k_min",
     "k_max",
     "check_window",
     "strips",
+    "in_sigma0",
     "validate_cross_form",
     "CrossFormReport",
     "classify_horseshoe",
@@ -63,7 +62,10 @@ def _signed_pow(base, k: int):
             total = total + term
         return _signed_pow(b0, k) * total
     if k <= 64:
-        return base ** k
+        try:
+            return base ** k
+        except OverflowError:  # Python's float power; numpy's gives +-inf
+            return np.float64(base) ** k
     sign = np.where(np.signbit(base) & bool(k % 2), -1.0, 1.0)
     return sign * np.exp(k * np.log(np.abs(base)))
 
@@ -92,26 +94,28 @@ def t0_pow_jacobian(local: LocalMapParams, p, k: int):
     return jacobian_of(lambda z: t0_pow_closed(local, z, k), p)
 
 
-def solve_y0(local: LocalMapParams, k: int, x0, yk, tol: float = 1e-15,
-             max_iter: int = 60):
+def solve_y0(local: LocalMapParams, k: int, x0, yk):
     """Solve y0 from the cross pair (x0, y_k): y0 = lam**k y_k B(x0 y0)**k.
 
-    Fixed-point iteration from the B = 1 value; the contraction factor is
-    O(k lam**k), so a handful of sweeps reaches full precision.  On jets
-    the value converges the same way; then n Newton steps with the
-    derivative frozen at the value each gain one order of the degree-n jet.
+    Without Moser terms B = 1 and y0 = lam**k y_k, for floats, arrays and
+    jets alike.  Otherwise one fixed-point loop serves floats and arrays:
+    it starts from the B = 1 value and stops when every lane has moved by
+    at most 1e-15 relative; the contraction factor is O(k lam**k), so a
+    handful of sweeps reaches full precision.  On jets the value converges
+    in that loop; then n Newton steps with the derivative frozen at the
+    value each gain one order of the degree-n jet.
     """
     lamk = float(local.lam) ** k
+    if not local.moser_coeffs:
+        return lamk * yk
     stage = local.stage()
     if isinstance(x0, Jet) or isinstance(yk, Jet):
-        if not local.moser_coeffs:
-            return lamk * yk
 
         def phi(x, y, y0):
             return lamk * y * _signed_pow(stage.bval(x * y0), k)
 
         v0, vk = _value(x0), _value(yk)
-        y0 = solve_y0(local, k, v0, vk, tol, max_iter)
+        y0 = solve_y0(local, k, v0, vk)
         slope = phi(v0, vk, Jet.variables(y0, 1)[0]).c[1]
         y = phi(x0, yk, y0)
         for _ in range(y.n):
@@ -119,17 +123,14 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk, tol: float = 1e-15,
             y = y + (phi(x0, yk, y) - y) / (1.0 - slope)
         y.c[0] = y0
         return y
-    y0 = lamk * np.asarray(yk, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if not local.moser_coeffs:
-        return y0 if y0.shape else float(y0)
-    for _ in range(max_iter):
+    y0 = lamk * yk
+    for _ in range(60):
         b = stage.bval(x0 * y0)
-        if np.any(np.asarray(b) <= 1e-9):
+        if _any(b <= 1e-9):
             raise CrossFormSolveError("saddle factor left its positive domain")
         y_new = lamk * yk * _signed_pow(b, k)
-        if np.all(np.abs(y_new - y0) <= tol * np.maximum(1.0, np.abs(y_new))):
-            return y_new if np.asarray(y_new).shape else float(y_new)
+        if _all(abs(y_new - y0) <= 1e-15 * np.maximum(1.0, abs(y_new))):
+            return y_new
         y0 = y_new
     raise CrossFormSolveError("cross-form solve failed to converge")
 
@@ -174,15 +175,6 @@ def build_return_map(family: FamilyHandle, k: int) -> ReturnMap:
     return ReturnMap(family, k)
 
 
-def eval_return(rm: ReturnMap, p):
-    q = t0_pow_closed(rm.family.local, p, rm.k)
-    return eval_map(rm.family.global_expr(), q)
-
-
-def return_jacobian(rm: ReturnMap, p):
-    return jacobian_of(lambda z: eval_return(rm, z), p)
-
-
 @dataclass(frozen=True)
 class Strip:
     which: str
@@ -192,7 +184,7 @@ class Strip:
     center_distance: float
 
 
-def strips(family: FamilyHandle, k: int, n_boundary: int = 64):
+def strips(family: FamilyHandle, k: int):
     """The pair (sigma0, sigma1) with sampled boundaries and axis distances.
 
     sigma0 boundary curves are preimages of the Pi-minus window edges
@@ -204,6 +196,7 @@ def strips(family: FamilyHandle, k: int, n_boundary: int = 64):
     local = family.local
     delta = window_halfwidth(family)
     xp, ym = family.x_plus, family.y_minus
+    n_boundary = 64
     xs = np.linspace(xp - delta, xp + delta, n_boundary)
     y_lo = solve_y0(local, k, xs, np.full_like(xs, ym - delta))
     y_hi = solve_y0(local, k, xs, np.full_like(xs, ym + delta))
@@ -243,7 +236,7 @@ def in_sigma0(family: FamilyHandle, k: int, x, y):
     ok_here = np.abs(x - family.x_plus) <= delta
     b = np.asarray(family.local.stage().bval(x * y), dtype=float)
     valid = b > 1e-9
-    factor = (family.lam * np.where(valid, b, 1.0)) ** k
+    factor = _signed_pow(family.lam * np.where(valid, b, 1.0), k)
     xk = x * factor
     yk = y / factor
     ok_there = valid & (np.abs(xk) <= delta) & (np.abs(yk - family.y_minus) <= delta)
@@ -261,8 +254,7 @@ class CrossFormReport:
 
 
 def validate_cross_form(local: LocalMapParams, k_values, x_plus: float = 1.0,
-                        y_minus: float = 1.0, n_samples: int = 100,
-                        seed: int = 0) -> CrossFormReport:
+                        y_minus: float = 1.0) -> CrossFormReport:
     """Measure the first-order cross-form residual of the saddle power.
 
     For sampled cross pairs (x0, y_k) the identities
@@ -272,7 +264,8 @@ def validate_cross_form(local: LocalMapParams, k_values, x_plus: float = 1.0,
     the measured correction against lam**k x0 y_k recovers beta1 * k, and
     a through-origin fit across k recovers beta1 itself.
     """
-    rng = np.random.default_rng(seed)
+    n_samples = 100
+    rng = np.random.default_rng(0)
     delta = min(x_plus, y_minus) / 10.0
     beta1 = local.moser_coeffs[0] if local.moser_coeffs else 0.0
     sups, slopes = [], []
@@ -325,7 +318,7 @@ def _count_runs(inside: np.ndarray) -> int:
     return starts
 
 
-def _component_count(family: FamilyHandle, k: int, n_cap: int = 2**15):
+def _component_count(family: FamilyHandle, k: int):
     """Crossing count of the folded image of the tangency fiber through
     sigma0, sampled at doubling resolution until the run count is stable
     three times in a row; None when it never stabilizes.
@@ -348,6 +341,7 @@ def _component_count(family: FamilyHandle, k: int, n_cap: int = 2**15):
     history = []
     n = 64
     floor = 12.0 * abs(family.lam) ** (-k / 2.0)
+    n_cap = 2**15
     while n < floor and n < n_cap // 4:
         n *= 2
     while n <= n_cap:

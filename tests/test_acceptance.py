@@ -28,7 +28,7 @@ from homatlas.henon import (
     horseshoe_certificate,
     rotation_number_slope,
 )
-from homatlas.mapcore import iterate, jacobian
+from homatlas.mapcore import eval_map, iterate, jacobian, jacobian_of
 from homatlas.rescale import (
     convergence_report,
     fit_cubic_coefficient,
@@ -38,7 +38,6 @@ from homatlas.rescale import (
 from homatlas.returnmap import (
     build_return_map,
     classify_horseshoe,
-    return_jacobian,
     solve_y0,
     t0_pow_closed,
     validate_cross_form,
@@ -122,7 +121,13 @@ def test_acceptance_2_conservativity(capsys):
             yks = family.y_minus + rng.uniform(-0.05, 0.05, 5)
             for x0, yk in zip(xs, yks):
                 y0 = solve_y0(family.local, k, x0, yk)
-                dk = np.linalg.det(return_jacobian(rm, (x0, y0)))
+                dk = np.linalg.det(jacobian_of(
+                    lambda z: eval_map(
+                        family.global_expr(),
+                        t0_pow_closed(family.local, z, rm.k),
+                    ),
+                    (x0, y0),
+                ))
                 worst_detk = max(worst_detk, abs(dk + 1.0))
         for k in (4, 9, 16):
             lamk = abs(family.lam) ** k

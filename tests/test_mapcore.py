@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from homatlas.exceptions import EscapeError
 from homatlas.family import HenonLikeRecipe, LocalMapParams
 from homatlas.mapcore import (
-    Diagonal,
     HShear,
     Jet,
     Lift,
@@ -49,7 +48,7 @@ def test_stage_evals_by_hand():
     assert HShear((0.5, 1.0)).apply(2.0, -1.0) == (2.0, 1.5)
     assert Swap().apply(3.0, 4.0) == (4.0, 3.0)
     assert Translate(1.0, -2.0).apply(0.0, 0.0) == (1.0, -2.0)
-    x, y = Diagonal(0.5).apply(2.0, 2.0)
+    x, y = Moser(0.5).apply(2.0, 2.0)
     assert x == 1.0 and y == 4.0
     # lift of P(x) = x + x**2: image x is P(0.5) = 0.75, fibre divides by P'(0.5) = 2
     x, y = Lift((0.0, 1.0, 1.0)).apply(0.5, 3.0)
@@ -68,12 +67,12 @@ def test_moser_preserves_product_exactly():
 
 
 def test_moser_reduces_to_diagonal_when_beta_empty():
-    m = Moser(-0.6)
-    d = Diagonal(-0.6)
-    for p in [(0.3, 0.9), (-1.2, 0.1)]:
-        assert m.apply(*p) == d.apply(*p)
+    lam = -0.6
+    m = Moser(lam)
+    for x, y in [(0.3, 0.9), (-1.2, 0.1)]:
+        assert m.apply(x, y) == (lam * x, y / lam)
         assert np.allclose(
-            jacobian(MapExpr((m,)), p), jacobian(MapExpr((d,)), p),
+            jacobian(MapExpr((m,)), (x, y)), np.diag([lam, 1.0 / lam]),
             rtol=0, atol=0,
         )
 
@@ -85,7 +84,7 @@ def test_moser_reduces_to_diagonal_when_beta_empty():
         (HShear((0.0, 2.0, 0.0, 1.0)), (-0.5, 0.3)),
         (Swap(), (1.1, -2.2)),
         (Translate(0.7, -0.3), (5.0, 5.0)),
-        (Diagonal(-0.45), (0.2, 0.9)),
+        (Moser(-0.45), (0.2, 0.9)),
         (Moser(0.5, beta=(1.0,)), (0.6, 0.4)),
         (Moser(-0.7, beta=(0.2, 0.5)), (-0.3, 0.8)),
         (Lift((0.0, 1.0, 0.2, -0.1)), (0.4, 0.7)),
@@ -103,7 +102,7 @@ def test_stage_jacobians_match_finite_differences(stage, p):
     [
         (VShear((0.1, -0.3, 0.7)), (0.4, -0.8)),
         (HShear((0.0, 2.0, 0.0, 1.0)), (-0.5, 0.3)),
-        (Diagonal(-0.45), (0.2, 0.9)),
+        (Moser(-0.45), (0.2, 0.9)),
         (Moser(0.5, beta=(1.0,)), (0.6, 0.4)),
         (Moser(-0.7, beta=(0.2, 0.5)), (-0.3, 0.8)),
         (Lift((0.0, 1.0, 0.2, -0.1)), (0.4, 0.7)),
@@ -163,7 +162,7 @@ def test_escape_raises_with_stage_index():
 
 def test_iterate_escape_reports_iterate_number():
     # doubling map in x escapes after ~27 iterates from x=1
-    expr = MapExpr((Diagonal(2.0),))
+    expr = MapExpr((Moser(2.0),))
     with pytest.raises(EscapeError, match="iterate"):
         iterate(expr, (1.0, 1.0), 60)
 
@@ -208,6 +207,20 @@ def test_signed_pow_signs_and_magnitude():
     assert _signed_pow(-0.5, 900) > 0.0
     assert _signed_pow(-0.5, 901) < 0.0
     assert _signed_pow(0.5, 900) == pytest.approx(0.5**900, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_power_is_inf_on_floats_as_on_arrays():
+    # Python's float ** raises OverflowError where numpy returns +-inf
+    for base, k in [(1e10, 40), (-1e10, 41), (-1e10, 40)]:
+        got = _signed_pow(base, k)
+        assert got == _signed_pow(np.array([base]), k)[0]
+        assert math.isinf(got)
+    # so a runaway saddle passage is an EscapeError on floats too
+    local = LocalMapParams(0.5, (1.0, 1.0))
+    for p in [(1e7, 1e7), (np.array([1e7]), np.array([1e7]))]:
+        with pytest.raises(EscapeError):
+            t0_pow_closed(local, p, 14)
 
 
 coef = st.floats(min_value=-0.9, max_value=0.9, allow_nan=False)

@@ -37,7 +37,6 @@ from homatlas.orbits import (
 from homatlas.rescale import build_chain, from_rescaled, mu_from_m, to_rescaled
 from homatlas.returnmap import (
     build_return_map,
-    eval_return,
     in_sigma0,
     solve_y0,
     t0_pow_closed,
@@ -160,7 +159,10 @@ def test_two_orbit_elliptic_at_quarter():
     assert abs(abs(m1) - 1.0) < 1e-9
     assert abs(m1 - np.conj(m2)) < 1e-9
     # the two points form one orbit under the return map
-    image = eval_return(rm, rec.points[0])
+    fam = rm.family
+    image = eval_map(
+        fam.global_expr(), t0_pow_closed(fam.local, rec.points[0], rm.k)
+    )
     assert abs(image[0] - rec.points[1][0]) < 1e-9
     assert abs(image[1] - rec.points[1][1]) < 1e-9
 
@@ -372,10 +374,9 @@ def test_flag_trace_matches_mpmath(target, k):
 
 def test_bracket_error_outside_border():
     family = _exact_family()
-    with pytest.raises(BracketError):
-        locate_bifurcation(family, 10, "plus", m_bracket=(2.0, 3.0))
-    with pytest.raises(BracketError):
-        locate_bifurcation(family, 10, "minus", m_bracket=(2.0, 3.0))
+    for rounds, target in _BORDERS.values():
+        with pytest.raises(BracketError):
+            _locate_trace(_map_at(family, 10), rounds, target, (2.0, 3.0))
     # the 1:3 flag sits at M = 3/4, outside this bracket
     with pytest.raises(BracketError):
         _locate_trace(_map_at(family, 10), 2, -1.0, (0.02, 0.7))

@@ -19,16 +19,14 @@ from homatlas.family import (
     build_family,
     tune_to,
 )
-from homatlas.mapcore import Jet, iterate
+from homatlas.mapcore import Jet, eval_map, iterate, jacobian_of
 from homatlas.returnmap import (
     _signed_pow,
     build_return_map,
     classify_horseshoe,
-    eval_return,
     in_sigma0,
     k_max,
     k_min,
-    return_jacobian,
     solve_y0,
     strips,
     t0_pow_closed,
@@ -36,6 +34,17 @@ from homatlas.returnmap import (
     validate_cross_form,
     window_halfwidth,
 )
+
+
+def _return_fun(rm):
+    """T1 o T0^k of a return map, composed from the saddle power and the
+    global stages."""
+
+    def fun(p):
+        q = t0_pow_closed(rm.family.local, p, rm.k)
+        return eval_map(rm.family.global_expr(), q)
+
+    return fun
 
 
 def _strip_points(rng, n, lam, k, x_plus=1.0, y_minus=1.0):
@@ -127,7 +136,7 @@ def test_return_map_determinant(lam):
         rm = build_return_map(fam, k)
         x, y = _strip_points(rng, 17, lam, k)
         for xi, yi in zip(x, y):
-            d = np.linalg.det(return_jacobian(rm, (xi, yi)))
+            d = np.linalg.det(jacobian_of(_return_fun(rm), (xi, yi)))
             assert abs(d + 1.0) < 1e-10
 
 
@@ -136,9 +145,9 @@ def test_return_map_k_additivity():
     fam = build_family(local, HenonLikeRecipe())
     rm = build_return_map(fam, 9)
     p = (1.02, 0.5**9 * 0.97)
-    direct = eval_return(rm, p)
+    direct = _return_fun(rm)(p)
     q = t0_pow_closed(local, p, 1)
-    via_step = eval_return(build_return_map(fam, 8), q)
+    via_step = _return_fun(build_return_map(fam, 8))(q)
     assert abs(direct[0] - via_step[0]) < 1e-13
     assert abs(direct[1] - via_step[1]) < 1e-13
 
@@ -160,6 +169,77 @@ def test_solve_y0_scalar_and_failure():
     bad = LocalMapParams(0.5, (-400.0,))
     with pytest.raises(CrossFormSolveError):
         solve_y0(bad, 4, 1.1, 1.1)
+
+
+def test_solve_y0_without_beta_is_the_linear_passage():
+    lam, k = -0.47, 9
+    local = LocalMapParams(lam)
+    lamk = lam**k
+    got = solve_y0(local, k, 1.03, 0.98)
+    assert type(got) is float and got == lamk * 0.98
+    ys = np.linspace(0.9, 1.1, 7)
+    got = solve_y0(local, k, np.full(7, 1.03), ys)
+    assert isinstance(got, np.ndarray) and np.array_equal(got, lamk * ys)
+    jx, jy = Jet.variables(1.03, 0.98, 2)
+    got = solve_y0(local, k, jx, jy)
+    assert isinstance(got, Jet)
+    assert [repr(c) for c in got.c] == [repr(c) for c in (lamk * jy).c]
+
+
+def _float_y0(local, k, x0, yk):
+    """The saddle-passage fixed point on Python floats alone, with the
+    solver's start, power and stop rule."""
+    lamk = local.lam**k
+    y0 = lamk * yk
+    for _ in range(60):
+        b = local.stage().bval(x0 * y0)
+        y_new = lamk * yk * _signed_pow(b, k)
+        if abs(y_new - y0) <= 1e-15 * max(1.0, abs(y_new)):
+            return y_new
+        y0 = y_new
+    raise AssertionError("reference loop did not converge")
+
+
+def test_solve_y0_on_floats_is_the_python_float_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(600):
+        lam = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 0.6))
+        local = LocalMapParams(lam, (float(rng.uniform(-0.5, 0.5)),))
+        k = int(rng.integers(4, 100))
+        x0, yk = (float(v) for v in rng.uniform(0.8, 1.2, 2))
+        got = solve_y0(local, k, x0, yk)
+        want = _float_y0(local, k, x0, yk)
+        assert isinstance(got, float)
+        if k <= 64:
+            # the log-domain branch returns a numpy scalar
+            assert type(got) is float
+        assert float(got).hex() == float(want).hex(), (lam, k, x0, yk)
+
+
+@pytest.mark.parametrize("lam,k", [(0.5, 8), (0.9, 70)])
+def test_in_sigma0_is_the_window_test_on_the_saddle_power(lam, k):
+    # k = 70 runs the log-domain branch of _signed_pow
+    fam = build_family(LocalMapParams(lam, (0.8,)), HenonLikeRecipe())
+    delta = window_halfwidth(fam)
+    rng = np.random.default_rng(k)
+    n = 400
+    x = rng.uniform(1.0 - 2.0 * delta, 1.0 + 2.0 * delta, n)
+    y = solve_y0(fam.local, k, x, rng.uniform(1.0 - 2.0 * delta,
+                                              1.0 + 2.0 * delta, n))
+    # lanes where the saddle factor 1 + 0.8 x y leaves its domain
+    x = np.concatenate([x, [1.0, 0.95, 1.02]])
+    y = np.concatenate([y, [-2.0, -1.5, -1.3]])
+    got = in_sigma0(fam, k, x, y)
+    valid = fam.local.stage().bval(x * y) > 1e-9
+    assert 50 < np.count_nonzero(got) < n - 50
+    assert not got[~valid].any()
+    xk, yk = t0_pow_closed(fam.local, (x[valid], y[valid]), k)
+    want = (
+        (np.abs(x[valid] - 1.0) <= delta)
+        & (np.abs(xk) <= delta)
+        & (np.abs(yk - 1.0) <= delta)
+    )
+    assert np.array_equal(got[valid], want)
 
 
 _MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -313,7 +393,7 @@ def test_classifier_enforces_validity_window():
 
 def test_strip_boundary_brackets_membership():
     fam = build_family(LocalMapParams(0.5, (0.8,)), HenonLikeRecipe())
-    s0, s1 = strips(fam, 8, n_boundary=40)
+    s0, s1 = strips(fam, 8)
     assert s0.boundary.shape[1] == 2
     assert s1.boundary.shape[0] == s0.boundary.shape[0]
     # points built from targets just inside / outside the Pi-minus window

@@ -2,9 +2,11 @@
 (mu, alpha), and the global-resonance certificate.
 
 Everything here composes the bordered locator and the 2-orbit solver
-over grids, one cell after another in grid order.  Individual solver
-failures are recorded as flagged partial results instead of aborting a
-whole sweep.
+over grids, one cell after another in grid order.  Each sweep unit (a
+cascade row, an atlas cell, a certificate k) builds its
+``rescale.RescaleFrame`` once and hands it to every solve of the unit.
+Individual solver failures are recorded as flagged partial results
+instead of aborting a whole sweep.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .orbits import (
     seed_from_limit,
     two_orbit_trace,
 )
-from .rescale import mu_from_m
+from .rescale import build_frame, mu_from_m
 from .returnmap import build_return_map
 
 __all__ = [
@@ -146,17 +148,16 @@ class ResonanceCertificate:
 
 def _cascade_row(family: FamilyHandle, k: int) -> CascadeRow:
     try:
-        plus = locate_bifurcation(family, k, "plus")
-        minus = locate_bifurcation(family, k, "minus")
+        frame = build_frame(family, k)
+        plus = locate_bifurcation(frame, "plus")
+        minus = locate_bifurcation(frame, "minus")
         m_grid = np.linspace(*_M_RANGE, _N_PHI)
-        traces = np.array(
-            [two_orbit_trace(family, k, float(m)) for m in m_grid]
-        )
+        traces = np.array([two_orbit_trace(frame, float(m)) for m in m_grid])
         mus = np.array([mu_from_m(family, k, float(m)) for m in m_grid])
         phis = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
         curve = tuple(zip(mus.tolist(), phis.tolist()))
         flags = []
-        map_at = _map_at(family, k)
+        map_at = _map_at(frame)
         for target, tag in _TRACE_TARGETS:
             try:
                 m_star = _locate_trace(map_at, 2, target, _M_RANGE)
@@ -247,10 +248,15 @@ def _atlas_cell(fam, k):
     None and named in the note."""
     if fam is None:
         return (None, None, "family tuning failed")
+    try:
+        frame = build_frame(fam, k)
+    except _SOLVER_ERRORS as exc:
+        name = type(exc).__name__
+        return (None, None, f"plus: {name}; minus: {name}")
     mus, notes = [], []
     for kind in ("plus", "minus"):
         try:
-            mus.append(locate_bifurcation(fam, k, kind).mu)
+            mus.append(locate_bifurcation(frame, kind).mu)
         except _SOLVER_ERRORS as exc:
             mus.append(None)
             notes.append(f"{kind}: {type(exc).__name__}")
@@ -371,8 +377,9 @@ def certify_global_resonance(family: FamilyHandle,
                            f"{type(exc).__name__}: {exc}")
             )
         try:
-            plus = locate_bifurcation(family, k, "plus")
-            minus = locate_bifurcation(family, k, "minus")
+            frame = build_frame(family, k)
+            plus = locate_bifurcation(frame, "plus")
+            minus = locate_bifurcation(frame, "minus")
             intervals.append((k,) + tuple(sorted((plus.mu, minus.mu))))
         except _SOLVER_ERRORS:
             intervals.append((k, None, None))

@@ -19,7 +19,10 @@ trace vanishes, because the product of its multipliers is -1; the
 derivative is -2.  The bordered locator ``mapcore._locate_trace`` solves
 (F^r(z) - z, tr D(F^r) - t) = 0 for both borders and for the 2-orbit's
 resonance traces; this module hands it M -> F as ``_map_at``, and
-``henon.bifurcation_values`` hands it the limit map.
+``henon.bifurcation_values`` hands it the limit map.  The border and
+2-orbit-trace solvers take a ``rescale.RescaleFrame``, the mu-independent
+part of the map built once per (family, k) by the caller, and derive
+the map at each M from it.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CollapsedOrbitError, NotEllipticError
-from .family import FamilyHandle
 from .henon import StabilityClass, classify_from_trace
 from .mapcore import Jet, _locate_trace, _newton
 from .rescale import (
+    RescaleFrame,
     build_chain,
     eval_rescaled,
     from_rescaled,
@@ -43,7 +46,7 @@ from .rescale import (
     rescaled_window,
     to_rescaled,
 )
-from .returnmap import ReturnMap, build_return_map, solve_y0, t0_pow_closed
+from .returnmap import ReturnMap, solve_y0, t0_pow_closed
 
 __all__ = [
     "OrbitRecord",
@@ -188,26 +191,17 @@ def find_two_periodic(rm: ReturnMap, seed) -> OrbitRecord:
     )
 
 
-def _rescaled_at(family: FamilyHandle, k: int, m):
-    mu = mu_from_m(family, k, m)
-    return rescaled_return_map(build_return_map(family.with_mu(mu), k))
-
-
-def _map_at(family: FamilyHandle, k: int):
-    """M -> the rescaled return map at M, for the bordered locator; each
-    residual call builds the map once."""
-    return lambda m: functools.partial(
-        eval_rescaled, _rescaled_at(family, k, m)
-    )
+def _map_at(frame: RescaleFrame):
+    """M -> the rescaled return map at M, for the bordered locator."""
+    return lambda m: functools.partial(eval_rescaled, frame.at_m(m))
 
 
 # kind -> (rounds, trace at the border, M bracket)
 _BORDERS = {"plus": (1, 0.0, (-0.5, 0.5)), "minus": (2, -2.0, (0.5, 1.5))}
 
 
-def locate_bifurcation(family: FamilyHandle, k: int,
-                       kind: str) -> BifurcationPoint:
-    """Parameter value where the return map changes stability type.
+def locate_bifurcation(frame: RescaleFrame, kind: str) -> BifurcationPoint:
+    """Parameter value where the frame's return map changes stability type.
 
     kind "plus" targets the fixed-point border with multipliers
     (+1, -1), where tr DF = 0; kind "minus" targets the 2-orbit's double
@@ -219,14 +213,17 @@ def locate_bifurcation(family: FamilyHandle, k: int,
     if kind not in _BORDERS:
         raise ValueError(f"unknown bifurcation kind {kind!r}")
     rounds, trace, m_bracket = _BORDERS[kind]
-    m_star = _locate_trace(_map_at(family, k), rounds, trace, m_bracket)
-    return BifurcationPoint(kind=kind, mu=mu_from_m(family, k, m_star), k=k)
+    m_star = _locate_trace(_map_at(frame), rounds, trace, m_bracket)
+    return BifurcationPoint(
+        kind=kind, mu=mu_from_m(frame.family, frame.k, m_star), k=frame.k
+    )
 
 
-def two_orbit_trace(family: FamilyHandle, k: int, m: float) -> float:
+def two_orbit_trace(frame: RescaleFrame, m: float) -> float:
     """Trace of the second-iterate derivative along the continued
-    2-orbit branch, with the parameter given as rescaled M."""
-    rr = _rescaled_at(family, k, m)
+    2-orbit branch of the frame's return map, with the parameter given as
+    rescaled M."""
+    rr = frame.at_m(m)
     root = math.sqrt(max(m, 1e-9))
     _, _, jac2 = _solve_orbit(rr, (-root, root), 2)
     return float(np.trace(jac2))

@@ -9,10 +9,12 @@ smooth family would carry are frozen at zero here, because the model
 families are exact and the measured residuals are the ground truth.
 
 Only the parameter offset of the chain depends on mu.  Everything else
-(lam**k, the 2x2 matrix and its inverse, the mu-free part of the offset)
-is a frame that depends on the Taylor data, lam, x_plus, y_minus and k
-alone; ``build_chain`` reads it from a cache, so the many chains that a
-bordered Newton builds along one family compute only their mu sums.
+(the validity-window check, lam**k, the 2x2 matrix and its inverse, the
+mu-free part of the offset) is a ``RescaleFrame`` that depends on the
+Taylor data, lam, x_plus, y_minus and k alone.  ``build_frame`` makes it
+once per sweep unit (a cascade row, an atlas cell, a certificate k), and
+``RescaleFrame.at_m`` gives the rescaled return map at each parameter
+value from it, computing only the mu sums.
 
 The parameter conversion M <-> mu is the affine relation
 M = -d lam^{-2k} (mu + lam^k (c x^+ - y^-)(1 + k beta1 lam^k x^+ y^-)) - s0
@@ -23,24 +25,22 @@ guarded by a precision floor.
 
 from __future__ import annotations
 
-import functools
 import math
-import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import PrecisionFloorError
 from .family import FamilyHandle
 from .mapcore import _value, eval_map, jacobian_of
-from .returnmap import ReturnMap, build_return_map, solve_y0, t0_pow_closed
+from .returnmap import ReturnMap, check_window, solve_y0, t0_pow_closed
 
 __all__ = [
     "RescaleChain",
-    "RescaledParam",
+    "RescaleFrame",
     "RescaledReturnMap",
     "ConvergenceReport",
+    "build_frame",
     "build_chain",
     "to_rescaled",
     "from_rescaled",
@@ -64,35 +64,19 @@ class RescaleChain:
     floats (offset[0] is a jet when mu is), so that ``to_rescaled`` and
     ``from_rescaled`` run on plain scalars and jets, never numpy scalars.
 
-    matrix, inverse, nu1 and nu2 come from the cached mu-independent
-    frame and are shared by every chain of the same family and k;
-    offset is the frame's mu-free offset minus (a lam^k/2 + nu1 m3,
-    a lam^k/2).
-
-    m1, m2, m3 are the intermediate parameter values produced by the
-    successive normalization steps; m_effective is the constant that
-    actually multiplies nothing, i.e. the additive parameter of the
-    normal form reached by this exact chain.  The contract-level M of
-    m_from_mu differs from m_effective by O(k lam^k) terms that the
-    frozen-zero convention does not remove.
+    matrix and inverse are the frame's and shared by every chain of the
+    same family and k; offset is the frame's mu-free offset minus
+    (a lam^k/2 + nu1 m3, a lam^k/2), where m3 is the parameter after the
+    scaling step.  m_effective is the additive parameter of the normal
+    form reached by this exact chain.  The contract-level M of m_from_mu
+    differs from it by O(k lam^k) terms that the frozen-zero convention
+    does not remove.
     """
 
-    k: int
     matrix: tuple
     offset: tuple
     inverse: tuple
-    m1: float
-    m2: float
-    m3: float
     m_effective: float
-    nu1: float
-    nu2: float
-
-
-@dataclass(frozen=True)
-class RescaledParam:
-    m: float
-    correction_cubic: float
 
 
 def _first_order_base(family: FamilyHandle, k: int) -> float:
@@ -108,35 +92,62 @@ def _tuples(mat: np.ndarray) -> tuple:
     return tuple(tuple(row) for row in mat.tolist())
 
 
-class _ChainFrame(NamedTuple):
-    """The mu-independent part of a chain: lam**k, the shifted curvature
-    d_k, the mix coefficients, the 2x2 matrix with its inverse, and the
-    offset before the mu-dependent (a lam^k/2 + nu1 m3, a lam^k/2) is
-    subtracted.  Computed with the same numpy expressions as the whole
-    chain once was, so every field keeps its rounding."""
+@dataclass(frozen=True)
+class RescaleFrame:
+    """The mu-independent part of the k-th rescaled return map of a family:
+    lam**k, the shifted curvature d_k, the mix coefficient nu1, the 2x2
+    matrix with its inverse, the offset before the mu-dependent
+    (a lam^k/2 + nu1 m3, a lam^k/2) is subtracted, and the two mu-free
+    summands of the first parameter m1.  Made by ``build_frame``."""
 
+    family: FamilyHandle
+    k: int
     lamk: float
     d_k: float
     nu1: float
-    nu2: float
     matrix: tuple
     inverse: tuple
     base: tuple
+    m1_terms: tuple
+
+    def chain(self, mu) -> RescaleChain:
+        """The chain at parameter mu.  A jet mu (see ``mapcore.Jet``) gives
+        m_effective and offset[0] as jets carrying d/dmu."""
+        t = self.family.taylor
+        lamk = self.lamk
+        mu0 = _value(mu)
+        m1 = math.fsum([mu0, *self.m1_terms]) + (mu - mu0)
+        m2 = -self.d_k / lamk**2 * m1
+        m3 = m2 + (t.f11 * self.family.x_plus) ** 2 / 4.0
+        m_eff = m3 * (1.0 + self.nu1) + 0.25 * t.a**2 * lamk**2
+        half = 0.5 * t.a * lamk
+        base0, base1 = self.base
+        return RescaleChain(
+            matrix=self.matrix,
+            offset=(base0 - (half + self.nu1 * m3), base1 - half),
+            inverse=self.inverse,
+            m_effective=m_eff,
+        )
+
+    def at_m(self, m) -> RescaledReturnMap:
+        """The rescaled return map at rescaled parameter M, a float or a
+        jet."""
+        mu = mu_from_m(self.family, self.k, m)
+        return RescaledReturnMap(
+            ReturnMap(self.family.with_mu(mu), self.k), self.chain(mu)
+        )
 
 
-_FRAME_FORMAT = "9d"
-
-
-# the hits come from the consecutive chains of one solve or sweep row; a
-# larger cache would only keep the frames of finished sweeps alive
-@functools.lru_cache(maxsize=64)
-def _chain_frame(packed: bytes, k: int) -> _ChainFrame:
-    """The frame of (a, b, d, e02, f11, f12, lam, x_plus, y_minus) packed
-    as binary64 bytes, so that the cache tells 0.0 from -0.0."""
-    a, b, d, e02, f11, f12, lam, xp, ym = struct.unpack(_FRAME_FORMAT, packed)
+def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
+    """The frame of the family's k-th rescaled return map; raises unless k
+    lies in the validity window (see ``returnmap.check_window``)."""
+    check_window(family, k)
+    t = family.taylor
+    lam, xp, ym = family.lam, family.x_plus, family.y_minus
+    a, b = t.a, t.b
     lamk = lam ** k
-    d_k = d + lamk * f12 * xp
-    nu1 = -(e02 / (b * d)) * lamk
+    d_k = t.d + lamk * t.f12 * xp
+    nu1 = -(t.e02 / (b * t.d)) * lamk
     # the second mix coefficient must be -nu1 - a*lam^k so that the linear
     # x-term of the first component and the xy-term of the second cancel
     # together under the jet identity 2ad - b f11 - 2 e02 c = 0
@@ -146,55 +157,27 @@ def _chain_frame(packed: bytes, k: int) -> _ChainFrame:
     mix = np.array([[1.0, nu1], [-nu2, 1.0]])
     a_mat = mix @ np.diag([su, sv])
     shift1 = np.array([xp + a * lamk * xp, ym])
-    w = 0.5 * f11 * xp
+    w = 0.5 * t.f11 * xp
     base = mix @ (np.diag([su, sv]) @ (-shift1) - np.array([w, w]))
-    return _ChainFrame(
+    return RescaleFrame(
+        family=family,
+        k=k,
         lamk=lamk,
         d_k=d_k,
         nu1=nu1,
-        nu2=nu2,
         matrix=_tuples(a_mat),
         inverse=_tuples(np.linalg.inv(a_mat)),
         base=tuple(base.tolist()),
+        m1_terms=(
+            _first_order_base(family, k),
+            lamk * lamk * xp * (a * t.c + t.f20 * xp),
+        ),
     )
 
 
 def build_chain(family: FamilyHandle, k: int) -> RescaleChain:
-    """The chain at the family's mu.  A jet mu (see ``mapcore.Jet``) gives
-    m1, m2, m3, m_effective and offset[0] as jets carrying d/dmu."""
-    t = family.taylor
-    xp, ym = family.x_plus, family.y_minus
-    frame = _chain_frame(
-        struct.pack(_FRAME_FORMAT, t.a, t.b, t.d, t.e02, t.f11, t.f12,
-                    family.lam, xp, ym),
-        k,
-    )
-    lamk = frame.lamk
-    mu = _value(family.mu)
-    m1 = math.fsum(
-        [
-            mu,
-            _first_order_base(family, k),
-            lamk * lamk * xp * (t.a * t.c + t.f20 * xp),
-        ]
-    ) + (family.mu - mu)
-    m2 = -frame.d_k / lamk**2 * m1
-    m3 = m2 + (t.f11 * xp) ** 2 / 4.0
-    m_eff = m3 * (1.0 + frame.nu1) + 0.25 * t.a**2 * lamk**2
-    half = 0.5 * t.a * lamk
-    base0, base1 = frame.base
-    return RescaleChain(
-        k=k,
-        matrix=frame.matrix,
-        offset=(base0 - (half + frame.nu1 * m3), base1 - half),
-        inverse=frame.inverse,
-        m1=m1,
-        m2=m2,
-        m3=m3,
-        m_effective=m_eff,
-        nu1=frame.nu1,
-        nu2=frame.nu2,
-    )
+    """The chain at the family's mu."""
+    return build_frame(family, k).chain(family.mu)
 
 
 def to_rescaled(chain: RescaleChain, p):
@@ -213,7 +196,7 @@ def from_rescaled(chain: RescaleChain, p):
     return (a[0][0] * x + a[0][1] * y, a[1][0] * x + a[1][1] * y)
 
 
-def m_from_mu(family: FamilyHandle, k: int, mu: float) -> RescaledParam:
+def m_from_mu(family: FamilyHandle, k: int, mu: float) -> float:
     t = family.taylor
     lamk = family.lam ** k
     base = _first_order_base(family, k)
@@ -223,8 +206,7 @@ def m_from_mu(family: FamilyHandle, k: int, mu: float) -> RescaledParam:
         raise PrecisionFloorError(
             "mu sits too close to the cancellation point of the M formula"
         )
-    m = -t.d / lamk**2 * total - family.s0
-    return RescaledParam(m=m, correction_cubic=t.f03 / t.d**2 * lamk)
+    return -t.d / lamk**2 * total - family.s0
 
 
 def mu_from_m(family: FamilyHandle, k: int, m: float) -> float:
@@ -316,9 +298,7 @@ def convergence_report(family: FamilyHandle, k_values, m: float,
     t = family.taylor
     sups = []
     for k in k_values:
-        mu = mu_from_m(family, k, m)
-        fam_k = family.with_mu(mu)
-        rr = rescaled_return_map(build_return_map(fam_k, k))
+        rr = build_frame(family, k).at_m(m)
         xb, yb = eval_rescaled(rr, (gx, gy))
         lamk = family.lam ** k
         c3 = t.f03 / t.d**2 * lamk

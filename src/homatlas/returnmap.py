@@ -48,10 +48,12 @@ __all__ = [
 
 
 def _signed_pow(base, k: int):
-    """base**k, stable for large k via the log domain; base must be nonzero.
+    """base**k on floats, arrays and jets; base must be nonzero.
 
-    On a jet the value comes from the float path, the higher coefficients
-    from the series base0**k * sum C(k, j) r**j, r = (base - base0)/base0.
+    Floats and arrays take the plain power; where Python's float power
+    overflows, numpy's gives +-inf.  On a jet the value comes from the
+    float path, the higher coefficients from the series
+    base0**k * sum C(k, j) r**j, r = (base - base0)/base0.
     """
     if isinstance(base, Jet):
         b0 = base.c[0]
@@ -61,21 +63,18 @@ def _signed_pow(base, k: int):
             term = term * r * ((k - j + 1) / j)
             total = total + term
         return _signed_pow(b0, k) * total
-    if k <= 64:
-        try:
-            return base ** k
-        except OverflowError:  # Python's float power; numpy's gives +-inf
-            return np.float64(base) ** k
-    sign = np.where(np.signbit(base) & bool(k % 2), -1.0, 1.0)
-    return sign * np.exp(k * np.log(np.abs(base)))
+    try:
+        return base ** k
+    except OverflowError:
+        return np.float64(base) ** k
 
 
 def t0_pow_closed(local: LocalMapParams, p, k: int):
     """k-th power of the saddle map using the invariant u = x*y.
 
     x_k = lam**k * x * B(u)**k and y_k = x*y/x_k; one scaling factor is
-    computed (log-domain for large k) and applied to both coordinates.
-    Runs on floats, arrays and jets; the guards test value parts.
+    computed and applied to both coordinates.  Runs on floats, arrays and
+    jets; the guards test value parts.
     """
     x, y = p
     b = local.stage().bval(x * y)
@@ -101,9 +100,10 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk):
     jets alike.  Otherwise one fixed-point loop serves floats and arrays:
     it starts from the B = 1 value and stops when every lane has moved by
     at most 1e-15 relative; the contraction factor is O(k lam**k), so a
-    handful of sweeps reaches full precision.  On jets the value converges
-    in that loop; then n Newton steps with the derivative frozen at the
-    value each gain one order of the degree-n jet.
+    handful of sweeps reaches full precision.  An iterate that runs away
+    to +-inf or nan raises CrossFormSolveError.  On jets the value
+    converges in that loop; then n Newton steps with the derivative frozen
+    at the value each gain one order of the degree-n jet.
     """
     lamk = float(local.lam) ** k
     if not local.moser_coeffs:
@@ -130,6 +130,9 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk):
             raise CrossFormSolveError("saddle factor left its positive domain")
         y_new = lamk * yk * _signed_pow(b, k)
         if _all(abs(y_new - y0) <= 1e-15 * np.maximum(1.0, abs(y_new))):
+            # inf passes the stop rule; a nan lane never does
+            if not _all(abs(y_new) < math.inf):
+                raise CrossFormSolveError("cross-form solve ran away")
             return y_new
         y0 = y_new
     raise CrossFormSolveError("cross-form solve failed to converge")

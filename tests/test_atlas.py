@@ -1,11 +1,14 @@
 """Cascade, strip-atlas, and resonance-certificate orchestration."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from homatlas import returnmap
 from homatlas.atlas import (
+    _cascade_row,
     boundary_slope,
     certify_global_resonance,
     pairwise_intersections,
@@ -19,6 +22,8 @@ from homatlas.family import (
     build_family,
     tune_to,
 )
+from homatlas.orbits import locate_bifurcation
+from homatlas.rescale import build_frame
 
 
 def _exact_family(lam=0.5):
@@ -123,7 +128,8 @@ def test_strip_atlas_flags_cell_failures():
     atlas = run_strip_atlas(template, (3, 8), n_alpha=5)
     (bad,) = [b for b in atlas.bands if b.k == 3]
     assert all(m is None for m in bad.mu_plus)
-    assert any(f[0] == 3 for f in atlas.failures)
+    notes = [f[3] for f in atlas.failures if f[0] == 3]
+    assert notes == ["plus: StripWindowError; minus: StripWindowError"] * 5
     assert dict(atlas.axis_crossings)[3] is False
     assert dict(atlas.axis_crossings)[8] is True
     assert atlas.intersections == ((3, 8, False),)
@@ -177,3 +183,41 @@ def test_certificate_incomplete_on_solver_failure():
     assert cert.nesting == "incomplete"
     assert cert.records[0].failure is not None
     assert cert.records[1].failure is None
+
+
+def _count_window_checks(monkeypatch):
+    """Patch a counter onto check_window under every name that a homatlas
+    module holds it by; returns the list that gets one entry per call."""
+    calls = []
+    original = returnmap.check_window
+
+    def counted(family, k):
+        calls.append(k)
+        original(family, k)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "homatlas":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_each_sweep_unit_checks_its_window_once(monkeypatch):
+    # the mu-independent part of the rescaled map, window check included,
+    # is built once per unit, not once per residual of its solves
+    family = tune_to(_s0_family(-0.4), alpha_target=-0.02)
+    calls = _count_window_checks(monkeypatch)
+    for kind in ("plus", "minus"):
+        calls.clear()
+        locate_bifurcation(build_frame(family, 9), kind)
+        assert calls == [9]
+    calls.clear()
+    row = _cascade_row(family, 9)
+    assert row.error is None and len(row.phi_curve) == 25
+    assert len(row.flags) == 3
+    assert calls == [9]
+    calls.clear()
+    atlas = run_strip_atlas(family, (8, 9), n_alpha=2)
+    assert atlas.failures == ()
+    assert calls == [8, 8, 9, 9]

@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,10 @@ def _no_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+# beta = 1e300 overflows the saddle power B(u)**k, which numpy warns
+# about on its way to the inf that the solvers turn into an error; over
+# all 2249 cases that is the only RuntimeWarning
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @settings(max_examples=200, deadline=None)
 @given(
     case=st.sampled_from(SUBCOMMANDS).flatmap(

@@ -34,7 +34,13 @@ from homatlas.orbits import (
     phase_of_elliptic,
     seed_from_limit,
 )
-from homatlas.rescale import build_chain, from_rescaled, mu_from_m, to_rescaled
+from homatlas.rescale import (
+    build_chain,
+    build_frame,
+    from_rescaled,
+    mu_from_m,
+    to_rescaled,
+)
 from homatlas.returnmap import (
     build_return_map,
     in_sigma0,
@@ -119,7 +125,7 @@ def test_fixed_points_at_quarter_are_saddles():
 
 def test_fixed_point_multipliers_at_plus_border():
     family = _exact_family()
-    bp = locate_bifurcation(family, 10, "plus")
+    bp = locate_bifurcation(build_frame(family, 10), "plus")
     rm = build_return_map(family.with_mu(bp.mu), 10)
     (seed,) = seed_from_limit(rm, 0.0, "fp+")
     rec = find_fixed_point(rm, seed)
@@ -202,14 +208,15 @@ def test_two_orbit_collapse_and_absence():
 def test_locate_bifurcation_exact_values():
     family = _exact_family()
     lam2k = 0.5 ** 20
-    plus = locate_bifurcation(family, 10, "plus")
+    frame = build_frame(family, 10)
+    plus = locate_bifurcation(frame, "plus")
     assert plus.kind == "plus"
     assert plus.k == 10
     assert abs(plus.mu) <= 1e-8 * lam2k
-    minus = locate_bifurcation(family, 10, "minus")
+    minus = locate_bifurcation(frame, "minus")
     assert abs(minus.mu + lam2k) <= 1e-8 * lam2k
     with pytest.raises(ValueError):
-        locate_bifurcation(family, 10, "flip")
+        locate_bifurcation(frame, "flip")
 
 
 def test_locate_bifurcation_quadratic_jet_predictions():
@@ -217,9 +224,10 @@ def test_locate_bifurcation_quadratic_jet_predictions():
     for k in (8, 10, 12):
         lam2k = 0.5 ** (2 * k)
         envelope = 5.0 * k * 0.5**k
-        plus = locate_bifurcation(family, k, "plus")
+        frame = build_frame(family, k)
+        plus = locate_bifurcation(frame, "plus")
         assert abs(plus.mu / lam2k - 0.4) <= envelope
-        minus = locate_bifurcation(family, k, "minus")
+        minus = locate_bifurcation(frame, "minus")
         assert abs(minus.mu / lam2k + 0.6) <= envelope
 
 
@@ -227,8 +235,9 @@ def test_interval_width_ratio_approaches_lambda_squared():
     family = _s04_family()
     widths = {}
     for k in (11, 12, 13):
-        plus = locate_bifurcation(family, k, "plus")
-        minus = locate_bifurcation(family, k, "minus")
+        frame = build_frame(family, k)
+        plus = locate_bifurcation(frame, "plus")
+        minus = locate_bifurcation(frame, "minus")
         widths[k] = abs(plus.mu - minus.mu)
     for k in (11, 12):
         ratio = widths[k + 1] / widths[k]
@@ -279,8 +288,9 @@ def test_intervals_disjoint_for_nonzero_alpha():
     family = tune_to(base, alpha_target=-0.1)
     spans = []
     for k in (10, 11, 12):
-        plus = locate_bifurcation(family, k, "plus")
-        minus = locate_bifurcation(family, k, "minus")
+        frame = build_frame(family, k)
+        plus = locate_bifurcation(frame, "plus")
+        minus = locate_bifurcation(frame, "minus")
         lo, hi = sorted((plus.mu, minus.mu))
         spans.append((lo, hi))
     for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
@@ -310,7 +320,7 @@ def test_border_jacobian_matches_central_differences(kind, k):
     family = _cubic_family()
     rounds, target = _BORDERS[kind]
     z = np.array(_limit_seed(rounds, target))
-    map_at = _map_at(family, k)
+    map_at = _map_at(build_frame(family, k))
     _, jac = _border_residual(map_at, rounds, target, z)
     fd = np.empty((3, 3))
     for j in range(3):
@@ -358,7 +368,7 @@ def _mpmath_border(family, k, rounds, target):
 @pytest.mark.parametrize("kind", ["plus", "minus"])
 def test_border_matches_mpmath_border(kind, k):
     family = _cubic_family()
-    mu = locate_bifurcation(family, k, kind).mu
+    mu = locate_bifurcation(build_frame(family, k), kind).mu
     oracle = _mpmath_border(family, k, *_BORDERS[kind])
     assert abs(mu - oracle) <= 1e-10 * 0.5 ** (2 * k)
 
@@ -367,19 +377,20 @@ def test_border_matches_mpmath_border(kind, k):
 @pytest.mark.parametrize("target", _FLAG_TARGETS)
 def test_flag_trace_matches_mpmath(target, k):
     family = _cubic_family()
-    m_star = _locate_trace(_map_at(family, k), 2, target, (0.02, 0.98))
+    map_at = _map_at(build_frame(family, k))
+    m_star = _locate_trace(map_at, 2, target, (0.02, 0.98))
     oracle = _mpmath_border(family, k, 2, target)
     assert abs(mu_from_m(family, k, m_star) - oracle) <= 1e-10 * 0.5 ** (2 * k)
 
 
 def test_bracket_error_outside_border():
-    family = _exact_family()
+    map_at = _map_at(build_frame(_exact_family(), 10))
     for rounds, target in _BORDERS.values():
         with pytest.raises(BracketError):
-            _locate_trace(_map_at(family, 10), rounds, target, (2.0, 3.0))
+            _locate_trace(map_at, rounds, target, (2.0, 3.0))
     # the 1:3 flag sits at M = 3/4, outside this bracket
     with pytest.raises(BracketError):
-        _locate_trace(_map_at(family, 10), 2, -1.0, (0.02, 0.7))
+        _locate_trace(map_at, 2, -1.0, (0.02, 0.7))
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,7 +2,7 @@
 convergence of rescaled return maps to the limit quadratic form."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from homatlas.orbits import _map_at
 from homatlas.rescale import (
     _theil_sen_slope,
     build_chain,
+    build_frame,
     convergence_report,
     eval_rescaled,
     fit_cubic_coefficient,
@@ -62,44 +63,11 @@ def test_chain_round_trip():
             assert abs(back[1] - big[1]) < 1e-9
 
 
-def test_chain_intermediate_parameters():
-    fam = build_family(
-        LocalMapParams(0.5),
-        HenonLikeRecipe(p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 0.5)),
-    ).with_mu(1e-4)
-    t = fam.taylor
-    k = 9
-    chain = build_chain(fam, k)
-    lamk = 0.5**k
-    d_k = t.d + lamk * t.f12 * fam.x_plus
-    assert chain.m2 == pytest.approx(-d_k / lamk**2 * chain.m1, rel=1e-12)
-    assert chain.m3 == pytest.approx(
-        chain.m2 + (t.f11 * fam.x_plus) ** 2 / 4.0, rel=1e-12
-    )
-    assert chain.nu1 == pytest.approx(-(t.e02 / (t.b * t.d)) * lamk, rel=1e-9)
-    assert chain.nu2 == pytest.approx(-chain.nu1 - t.a * lamk, rel=1e-9)
-    assert chain.m_effective == pytest.approx(
-        chain.m3 * (1.0 + chain.nu1) + 0.25 * t.a**2 * lamk**2, rel=1e-12
-    )
-
-
-def test_chain_trivial_mix_for_plain_family():
-    fam = _exact_family()
-    chain = build_chain(fam, 10)
-    assert chain.nu1 == 0.0
-    assert chain.nu2 == 0.0
-    assert chain.m_effective == chain.m3 == chain.m2
-
-
 def test_m_from_mu_alpha_zero_exact():
     fam = _exact_family()
     assert fam.alpha == pytest.approx(0.0, abs=1e-12)
     for k in (6, 10, 14):
-        par = m_from_mu(fam, k, 0.0)
-        assert par.m == pytest.approx(-fam.s0, abs=1e-9)
-        assert par.correction_cubic == pytest.approx(
-            fam.taylor.f03 / fam.taylor.d**2 * 0.5**k, rel=1e-9
-        )
+        assert m_from_mu(fam, k, 0.0) == pytest.approx(-fam.s0, abs=1e-9)
 
 
 def test_mu_from_m_global_resonance_value():
@@ -119,7 +87,7 @@ def test_round_trip_mu_direction():
     for k in (8, 12, 16):
         lamk = 0.5**k
         for mu in (0.3 * lamk, -0.2 * lamk, 1.7 * lamk**2):
-            back = mu_from_m(fam, k, m_from_mu(fam, k, mu).m)
+            back = mu_from_m(fam, k, m_from_mu(fam, k, mu))
             assert abs(back - mu) <= 1e-12 * max(abs(mu), lamk)
 
 
@@ -128,7 +96,7 @@ def test_round_trip_m_direction():
     # m = -s0 is excluded: that point maps onto the cancellation floor
     for k in (8, 12):
         for m in (-0.5, 0.8, 2.5):
-            back = m_from_mu(fam, k, mu_from_m(fam, k, m)).m
+            back = m_from_mu(fam, k, mu_from_m(fam, k, m))
             # information loss is bounded by the lam**-2k amplification
             # of the rounding in mu
             tol = 64.0 * np.finfo(float).eps * 0.5 ** (-2 * k) * 0.5**k
@@ -164,7 +132,7 @@ def test_dm_dmu_matches_leading_coefficient():
         lamk = 0.5**k
         mu0 = mu_from_m(fam, k, 0.4)
         h = 1e-3 * lamk**2
-        dm = (m_from_mu(fam, k, mu0 + h).m - m_from_mu(fam, k, mu0 - h).m) / (
+        dm = (m_from_mu(fam, k, mu0 + h) - m_from_mu(fam, k, mu0 - h)) / (
             2.0 * h
         )
         assert dm == pytest.approx(-fam.taylor.d / lamk**2, rel=1e-6)
@@ -312,13 +280,13 @@ def test_scalar_and_jet_evaluations_stay_on_python_floats(recipe):
     out = eval_rescaled(rr, Jet.variables(0.1, -0.2, 1))
     assert all(type(c) is float for jet in out for c in jet.c)
     x, y, m = Jet.variables(0.1, -0.2, 0.5, 2)
-    out = _map_at(fam, k)(m)((x, y))
+    out = _map_at(build_frame(fam, k))(m)((x, y))
     assert all(type(c) is float for jet in out for c in jet.c)
 
 
 def _reference_chain(family, k):
-    """build_chain as it was before the mu-independent frame was cached:
-    every step in numpy on every call."""
+    """The chain with every step in numpy on every call, as it was before
+    its mu-independent frame was split off."""
     t = family.taylor
     lamk = family.lam ** k
     xp, ym = family.x_plus, family.y_minus
@@ -346,18 +314,12 @@ def _reference_chain(family, k):
     shift5 = np.array([0.5 * t.a * lamk + nu1 * m3, 0.5 * t.a * lamk])
     offset = mix @ (np.diag([su, sv]) @ (-shift1) - np.array([w, w])) - shift5
     return {
-        "k": k,
         "matrix": tuple(tuple(row) for row in a_mat.tolist()),
         "offset": tuple(offset.tolist()),
         "inverse": tuple(
             tuple(row) for row in np.linalg.inv(a_mat).tolist()
         ),
-        "m1": m1,
-        "m2": m2,
-        "m3": m3,
         "m_effective": m_eff,
-        "nu1": nu1,
-        "nu2": nu2,
     }
 
 
@@ -392,25 +354,12 @@ def test_chain_matches_the_uncached_numpy_chain(name, jet_mu):
         for m in (0.0, 0.3, 1.0, 1.7):
             if jet_mu:
                 m = Jet.variables(0.1, -0.2, m, 2)[2]
-            fam_k = fam.with_mu(mu_from_m(fam, k, m))
-            # twice: once filling the frame cache, once reading it
-            for _ in range(2):
-                chain = build_chain(fam_k, k)
-                ref = _reference_chain(fam_k, k)
+            mu = mu_from_m(fam, k, m)
+            ref = _reference_chain(fam.with_mu(mu), k)
+            # the chain of one call, and the one a sweep derives from
+            # its frame at each parameter value
+            for chain in (build_chain(fam.with_mu(mu), k),
+                          build_frame(fam, k).at_m(m).chain):
+                assert set(ref) == {f.name for f in fields(chain)}
                 for field, value in ref.items():
                     assert _bits(getattr(chain, field)) == _bits(value), field
-
-
-def test_chain_cache_keeps_signed_zeros_apart():
-    # e02 = +-0 gives nu1 = -+0; a cache keyed on float equality would
-    # hand the second family the first one's zero
-    fam = build_family(LocalMapParams(0.5), HenonLikeRecipe(), mu=1e-4)
-    t = fam.taylor
-    assert t.e02 == 0.0
-    for e02 in (0.0, -0.0, 0.0):
-        fam_z = replace(fam, taylor=replace(t, e02=e02, a=e02))
-        chain = build_chain(fam_z, 9)
-        ref = _reference_chain(fam_z, 9)
-        assert repr(chain.nu1) == repr(ref["nu1"]) == repr(-e02 * 1.0)
-        for field, value in ref.items():
-            assert _bits(getattr(chain, field)) == _bits(value), field

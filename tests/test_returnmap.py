@@ -1,6 +1,9 @@
 """Tests for the first-return machinery: closed saddle powers, strips,
 cross-form residuals, and the horseshoe classifier."""
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
@@ -171,6 +174,16 @@ def test_solve_y0_scalar_and_failure():
         solve_y0(bad, 4, 1.1, 1.1)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_solve_y0_runaway_is_an_error():
+    # the fixed-point iterate grows until B(x0 y0)**k overflows; inf
+    # passed the stop rule as a converged height
+    local = LocalMapParams(0.7, (0.6,))
+    for x0, yk in [(1.1, 1.1), (np.array([1.1]), np.array([1.1]))]:
+        with pytest.raises(CrossFormSolveError):
+            solve_y0(local, 4, x0, yk)
+
+
 def test_solve_y0_without_beta_is_the_linear_passage():
     lam, k = -0.47, 9
     local = LocalMapParams(lam)
@@ -209,16 +222,30 @@ def test_solve_y0_on_floats_is_the_python_float_loop():
         x0, yk = (float(v) for v in rng.uniform(0.8, 1.2, 2))
         got = solve_y0(local, k, x0, yk)
         want = _float_y0(local, k, x0, yk)
-        assert isinstance(got, float)
-        if k <= 64:
-            # the log-domain branch returns a numpy scalar
-            assert type(got) is float
-        assert float(got).hex() == float(want).hex(), (lam, k, x0, yk)
+        assert type(got) is float
+        assert got.hex() == want.hex(), (lam, k, x0, yk)
+
+
+def test_signed_pow_is_within_an_ulp_of_the_exact_power():
+    # against 200-bit mpmath powers, for bases of modulus 0.8 to 0.999 and
+    # k up to 400, well past the k <= 109 that lam = 0.9 admits
+    rng = np.random.default_rng(29)
+    with mp.workprec(200):
+        for k in rng.integers(1, 401, 40).tolist():
+            bases = rng.choice([-1.0, 1.0], 25) * rng.uniform(0.8, 0.999, 25)
+            lanes = _signed_pow(bases, k)
+            for b, lane in zip(bases.tolist(), lanes.tolist()):
+                exact = mp.mpf(b) ** k
+                ulp = math.ulp(float(exact))
+                got = _signed_pow(b, k)
+                assert type(got) is float
+                assert abs(mp.mpf(got) - exact) <= ulp, (b, k)
+                assert abs(mp.mpf(lane) - exact) <= ulp, (b, k)
 
 
 @pytest.mark.parametrize("lam,k", [(0.5, 8), (0.9, 70)])
 def test_in_sigma0_is_the_window_test_on_the_saddle_power(lam, k):
-    # k = 70 runs the log-domain branch of _signed_pow
+    # k = 70 is a large k inside the window of lam = 0.9 (k <= 109)
     fam = build_family(LocalMapParams(lam, (0.8,)), HenonLikeRecipe())
     delta = window_halfwidth(fam)
     rng = np.random.default_rng(k)
@@ -251,7 +278,7 @@ def _b_sym(u, beta):
 
 @pytest.mark.parametrize("lam,k", [(0.5, 9), (-0.5, 9), (0.5, 70), (-0.5, 71)])
 def test_saddle_power_jet_matches_sympy_series(lam, k):
-    # k > 64 takes the log-domain branch of _signed_pow
+    # k = 70 and 71 run the binomial series at a large even and odd k
     beta = (0.375, -0.25)
     local = LocalMapParams(lam, beta)
     p = (1.0625, 0.015625)

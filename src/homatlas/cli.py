@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -593,7 +594,11 @@ def _report_error(subcommand, exc, out_dir=None):
             pass
 
 
+@functools.cache
 def _build_parser():
+    # built on the first call to main, not on import, and then shared: a
+    # parse leaves the parser unchanged, and the append action copies the
+    # --set default list before it appends
     parser = argparse.ArgumentParser(
         prog="homatlas",
         description=(

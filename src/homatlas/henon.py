@@ -266,9 +266,14 @@ def bifurcation_values():
     from the bordered locator ``mapcore._locate_trace`` run on ``step``:
     the M at which the fixed point has tr DF = 0, or the 2-orbit has
     tr D(F^2) = -2, 0 or -1.  The twistless value is the root of the
-    Birkhoff coefficient, by secant.
+    Birkhoff coefficient, by secant.  The table is computed once per
+    process; each call returns a fresh dict of it.
     """
+    return dict(_bifurcation_table())
 
+
+@functools.cache
+def _bifurcation_table():
     def map_at(m):
         return functools.partial(step, m)
 

@@ -268,13 +268,17 @@ class Moser:
     """Integrable saddle stage (x, y) -> (lam*x*B(xy), y/(lam*B(xy))).
 
     B(u) = 1 + beta[0]*u + beta[1]*u**2 + ... ; the product x*y is preserved
-    exactly and the Jacobian determinant is identically +1.
+    exactly and the Jacobian determinant is identically +1.  Without Moser
+    terms B is the number 1.0 on floats, arrays and jets alike, so a saddle
+    power (lam*B)**k is one float power shared by every lane of an array.
     """
 
     lam: float
     beta: tuple = ()
 
     def bval(self, u):
+        if not self.beta:
+            return 1.0
         return _polyval((1.0,) + tuple(self.beta), u)
 
     def apply(self, x, y):

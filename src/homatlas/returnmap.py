@@ -50,10 +50,13 @@ __all__ = [
 def _signed_pow(base, k: int):
     """base**k on floats, arrays and jets; base must be nonzero.
 
-    Floats and arrays take the plain power; where Python's float power
-    overflows, numpy's gives +-inf.  On a jet the value comes from the
-    float path, the higher coefficients from the series
-    base0**k * sum C(k, j) r**j, r = (base - base0)/base0.
+    Floats take Python's power; arrays, numpy scalars and floats whose
+    Python power overflows take numpy's, which overflows to +-inf without
+    a warning: the callers' guards turn that inf into an error.  Arrays
+    go lane by lane, so a caller whose lanes share one base hands over
+    that float instead.  On a jet the value comes from the float path,
+    the higher coefficients from the series base0**k * sum C(k, j) r**j,
+    r = (base - base0)/base0.
     """
     if isinstance(base, Jet):
         b0 = base.c[0]
@@ -63,10 +66,13 @@ def _signed_pow(base, k: int):
             term = term * r * ((k - j + 1) / j)
             total = total + term
         return _signed_pow(b0, k) * total
-    try:
+    if type(base) is float:
+        try:
+            return base ** k
+        except OverflowError:
+            base = np.float64(base)
+    with np.errstate(over="ignore"):
         return base ** k
-    except OverflowError:
-        return np.float64(base) ** k
 
 
 def t0_pow_closed(local: LocalMapParams, p, k: int):
@@ -74,7 +80,9 @@ def t0_pow_closed(local: LocalMapParams, p, k: int):
 
     x_k = lam**k * x * B(u)**k and y_k = x*y/x_k; one scaling factor is
     computed and applied to both coordinates.  Runs on floats, arrays and
-    jets; the guards test value parts.
+    jets; the guards test value parts.  Without Moser terms B is the number
+    1.0 (``Moser.bval``), so the factor is the float lam**k for every lane
+    of an array, bit for bit the value that floats and jets get.
     """
     x, y = p
     b = local.stage().bval(x * y)
@@ -231,15 +239,19 @@ def in_sigma0(family: FamilyHandle, k: int, x, y):
     """Exact membership: (x, y) in Pi-plus and T0^k(x, y) in Pi-minus.
 
     Points where the saddle factor leaves its domain are simply outside,
-    never an error, since arbitrary image points get tested here.
+    never an error, since arbitrary image points get tested here.  As in
+    ``t0_pow_closed``, a saddle without Moser terms scales every point by
+    the one float lam**k.
     """
     delta = window_halfwidth(family)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ok_here = np.abs(x - family.x_plus) <= delta
-    b = np.asarray(family.local.stage().bval(x * y), dtype=float)
+    b = family.local.stage().bval(x * y)
     valid = b > 1e-9
-    factor = _signed_pow(family.lam * np.where(valid, b, 1.0), k)
+    if isinstance(b, np.ndarray):
+        b = np.where(valid, b, 1.0)
+    factor = _signed_pow(family.lam * b, k)
     xk = x * factor
     yk = y / factor
     ok_there = valid & (np.abs(xk) <= delta) & (np.abs(yk - family.y_minus) <= delta)

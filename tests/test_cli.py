@@ -289,6 +289,45 @@ def test_classify_outside_validity_window_fails(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "result.json"))
 
 
+@pytest.mark.parametrize(
+    "argv,rc",
+    [
+        (["classify", "--set", "beta=1e300"], 2),
+        (["cascade", "--set", "beta=1e300", "--set", "k_max=9"], 0),
+    ],
+)
+def test_overflowing_saddle_power_is_not_a_warning(tmp_path, capsys, argv,
+                                                   rc):
+    # B(u)**k overflows to inf, which the solvers turn into errors; numpy
+    # would warn on the way there, and RuntimeWarnings are errors here
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out]) == rc
+    err = capsys.readouterr().err.splitlines()
+    if rc:
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["type"] == "CrossFormSolveError"
+    else:
+        assert err == []
+
+
+def test_main_calls_leave_no_state_behind(tmp_path, capsys):
+    def lam_of(argv):
+        out = str(tmp_path / "run")
+        assert main(argv + ["--out", out]) == 0
+        return _envelope(out)["config"]["family"]["lam"]
+
+    assert lam_of(["family-check", "--set", "lam=0.6"]) == 0.6
+    assert lam_of(["family-check"]) == 0.5
+    for bad in (["family-check", "--bogus"], ["family-check", "--set"]):
+        with pytest.raises(SystemExit):
+            main(bad)
+    assert lam_of(["family-check", "--set", "lam=0.55"]) == 0.55
+    assert lam_of(["family-check"]) == 0.5
+    # one parser served every call, and its --set default is still empty
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser().parse_args(["family-check"]).set == []
+
+
 def test_unknown_format_exit_1(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(["henon", "--set", "formats=pdf", "--out", out]) == 1

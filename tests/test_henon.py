@@ -219,6 +219,14 @@ def test_bifurcation_values_table():
     assert abs(table["twistless"] - 0.625) <= 1e-13
 
 
+def test_bifurcation_values_returns_a_fresh_table():
+    first = bifurcation_values()
+    want = dict(first)
+    first["twistless"] = 0.0
+    first["extra"] = 1.0
+    assert bifurcation_values() == want
+
+
 def test_limit_locator_from_perturbed_seeds():
     # the table is a root of the bordered residual, not its seed echoed
     rng = np.random.default_rng(5)

@@ -208,7 +208,6 @@ def test_signed_pow_signs_and_magnitude():
     assert _signed_pow(0.5, 900) == pytest.approx(0.5**900, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_power_is_inf_on_floats_as_on_arrays():
     # Python's float ** raises OverflowError where numpy returns +-inf
     for base, k in [(1e10, 40), (-1e10, 41), (-1e10, 40)]:

@@ -1,6 +1,7 @@
 """Tests for the first-return machinery: closed saddle powers, strips,
 cross-form residuals, and the horseshoe classifier."""
 
+import collections
 import math
 
 import mpmath as mp
@@ -10,6 +11,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homatlas import cli, returnmap
 from homatlas.exceptions import (
     CrossFormSolveError,
     EscapeError,
@@ -22,7 +24,7 @@ from homatlas.family import (
     build_family,
     tune_to,
 )
-from homatlas.mapcore import Jet, eval_map, iterate, jacobian_of
+from homatlas.mapcore import Jet, Moser, eval_map, iterate, jacobian_of
 from homatlas.returnmap import (
     _signed_pow,
     build_return_map,
@@ -174,7 +176,6 @@ def test_solve_y0_scalar_and_failure():
         solve_y0(bad, 4, 1.1, 1.1)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_solve_y0_runaway_is_an_error():
     # the fixed-point iterate grows until B(x0 y0)**k overflows; inf
     # passed the stop rule as a converged height
@@ -241,6 +242,101 @@ def test_signed_pow_is_within_an_ulp_of_the_exact_power():
                 assert type(got) is float
                 assert abs(mp.mpf(got) - exact) <= ulp, (b, k)
                 assert abs(mp.mpf(lane) - exact) <= ulp, (b, k)
+
+
+def _split_powers(n):
+    """Up to n pairs (lam, k) at which numpy's array power and Python's
+    float power differ in the last bit, by a scan over 6-decimal lam of
+    modulus 0.45 to 0.55 and k = 4..20 (about 3% of such pairs with numpy
+    2.4 on an x86-64 Xeon; none where numpy's power is libm's), then two
+    pairs whose powers agree."""
+    rng = np.random.default_rng(41)
+    lams = np.round(rng.uniform(0.45, 0.55, 2000), 6)
+    lams = lams * rng.choice([-1.0, 1.0], 2000)
+    split = [
+        (lam, k)
+        for k in range(4, 21)
+        for lam, lane in zip(lams.tolist(), (lams**k).tolist())
+        if lane != lam**k
+    ]
+    return split[:: max(1, len(split) // n)][:n] + [(0.5, 8), (-0.47, 9)]
+
+
+def test_moser_free_lanes_are_the_float_path_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for lam, k in _split_powers(12):
+        local = LocalMapParams(lam)
+        x0 = rng.uniform(0.9, 1.1, 16)
+        yk = rng.uniform(0.9, 1.1, 16)
+        y0 = solve_y0(local, k, x0, yk)
+        xk, yk_back = t0_pow_closed(local, (x0, y0), k)
+        for i in range(16):
+            fy0 = solve_y0(local, k, float(x0[i]), float(yk[i]))
+            fxk, fyk = t0_pow_closed(local, (float(x0[i]), fy0), k)
+            got = [float(v[i]).hex() for v in (y0, xk, yk_back)]
+            assert got == [fy0.hex(), fxk.hex(), fyk.hex()], (lam, k, i)
+    # a non-finite lane escapes as the float does, instead of passing nan
+    local = LocalMapParams(0.5)
+    for x, y in [(math.inf, 1.0), (np.array([1.0, math.inf]), np.ones(2))]:
+        with pytest.raises(EscapeError):
+            t0_pow_closed(local, (x, y), 8)
+
+
+def test_in_sigma0_without_moser_terms_tests_the_float_power():
+    # lanes a few ulps around the sigma1 window edges y_k = 0.9 and 1.1,
+    # where lam**k and numpy's lane power can disagree on membership
+    for lam, k in _split_powers(8):
+        fam = build_family(LocalMapParams(lam), HenonLikeRecipe())
+        delta = window_halfwidth(fam)
+        power = lam**k
+        ys = []
+        for edge in (fam.y_minus - delta, fam.y_minus + delta):
+            y = edge * power
+            for _ in range(30):
+                y = math.nextafter(y, -math.inf)
+            for _ in range(60):
+                ys.append(y)
+                y = math.nextafter(y, math.inf)
+        x = np.full(len(ys), fam.x_plus)
+        got = in_sigma0(fam, k, x, np.array(ys))
+        want = [
+            abs(fam.x_plus * power) <= delta
+            and abs(y / power - fam.y_minus) <= delta
+            for y in ys
+        ]
+        assert got.tolist() == want, (lam, k)
+        assert 0 < sum(want) < len(ys)
+        for i in (0, 29, 30, 31, 89, 90, 91, 119):
+            assert bool(in_sigma0(fam, k, fam.x_plus, ys[i])) == want[i]
+
+
+def test_moser_free_classify_takes_no_per_lane_power(monkeypatch, tmp_path):
+    """Array saddle powers run only with Moser terms, one per evaluation
+    of B on an array: each solve sweep and each closed saddle power."""
+    calls = collections.Counter()
+    signed_pow, bval = returnmap._signed_pow, Moser.bval
+
+    def counting_pow(base, k):
+        calls["pow", isinstance(base, np.ndarray)] += 1
+        return signed_pow(base, k)
+
+    def counting_bval(self, u):
+        calls["bval", isinstance(u, np.ndarray)] += 1
+        return bval(self, u)
+
+    monkeypatch.setattr(returnmap, "_signed_pow", counting_pow)
+    monkeypatch.setattr(Moser, "bval", counting_bval)
+    out = str(tmp_path / "out")
+    assert cli.main(["classify", "--out", out]) == 0
+    assert calls["pow", False] > 0
+    assert calls["pow", True] == 0
+    calls.clear()
+    argv = ["cross-form", "--set", "beta=0.5", "--set", "k_min=8",
+            "--set", "k_max=11", "--out", out]
+    assert cli.main(argv) == 0
+    # four k values: at least one sweep and one closed power each
+    assert calls["pow", True] == calls["bval", True] > 8
+    assert calls["pow", False] == 0
 
 
 @pytest.mark.parametrize("lam,k", [(0.5, 8), (0.9, 70)])

@@ -12,7 +12,6 @@ from .exceptions import (
     NewtonDivergedError,
     CollapsedOrbitError,
     BracketError,
-    NotEllipticError,
     ResonantParameterError,
     ResonanceWindowError,
     PrecisionFloorError,
@@ -78,7 +77,6 @@ from .rescale import (
     from_rescaled,
     m_from_mu,
     mu_from_m,
-    rescaled_return_map,
     rescaled_window,
     eval_rescaled,
     rescaled_jacobian,
@@ -88,12 +86,9 @@ from .rescale import (
 from .orbits import (
     OrbitRecord,
     BifurcationPoint,
-    seed_from_limit,
-    find_fixed_point,
     find_two_periodic,
     locate_bifurcation,
     two_orbit_trace,
-    phase_of_elliptic,
 )
 from .atlas import (
     ResonanceFlag,

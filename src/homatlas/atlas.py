@@ -35,11 +35,9 @@ from .orbits import (
     _map_at,
     find_two_periodic,
     locate_bifurcation,
-    seed_from_limit,
     two_orbit_trace,
 )
-from .rescale import build_frame, mu_from_m
-from .returnmap import build_return_map
+from .rescale import RescaleFrame, build_frame, m_from_mu, mu_from_m
 
 __all__ = [
     "ResonanceFlag",
@@ -343,48 +341,25 @@ def certify_global_resonance(family: FamilyHandle,
     flags = tuple(
         tag for value, tag in _EXCEPTIONAL_S0 if abs(s0 - value) <= _FLAG_TOL
     )
-    limit_cos = 1.0 + 2.0 * s0
     ks = tuple(int(k) for k in k_range)
     records = []
     intervals = []
-    all_elliptic = True
     for k in ks:
         try:
-            rm = build_return_map(family.with_mu(0.0), k)
-            seed = seed_from_limit(rm, -s0, "two")[0]
-            rec = find_two_periodic(rm, seed)
-            if rec.stability.phase is None:
-                all_elliptic = False
-                records.append(
-                    CertRecord(k, None, None, None, None,
-                               f"orbit not elliptic: {rec.stability.tag}")
-                )
-            else:
-                cos_phi = math.cos(rec.stability.phase)
-                records.append(
-                    CertRecord(
-                        k=k,
-                        cos_phi=cos_phi,
-                        phase=rec.stability.phase,
-                        margin=2.0 - abs(2.0 * cos_phi),
-                        limit_error=abs(cos_phi - limit_cos),
-                    )
-                )
-        except _SOLVER_ERRORS as exc:
-            all_elliptic = False
-            records.append(
-                CertRecord(k, None, None, None, None,
-                           f"{type(exc).__name__}: {exc}")
-            )
-        try:
             frame = build_frame(family, k)
+        except _SOLVER_ERRORS as exc:
+            records.append(_failed_record(k, exc))
+            intervals.append((k, None, None))
+            continue
+        records.append(_cert_record(frame))
+        try:
             plus = locate_bifurcation(frame, "plus")
             minus = locate_bifurcation(frame, "minus")
             intervals.append((k,) + tuple(sorted((plus.mu, minus.mu))))
         except _SOLVER_ERRORS:
             intervals.append((k, None, None))
     nesting = _nesting_verdict(intervals)
-    if not all_elliptic:
+    if any(rec.failure is not None for rec in records):
         verdict = "incomplete"
     elif flags:
         verdict = "withheld"
@@ -398,6 +373,35 @@ def certify_global_resonance(family: FamilyHandle,
         nesting=nesting,
         flags=flags,
         verdict=verdict,
+    )
+
+
+def _failed_record(k: int, exc: Exception) -> CertRecord:
+    return CertRecord(k, None, None, None, None,
+                      f"{type(exc).__name__}: {exc}")
+
+
+def _cert_record(frame: RescaleFrame) -> CertRecord:
+    """The frame's elliptic 2-orbit at mu = 0, solved from the limit
+    2-orbit (-sqrt(-s0), sqrt(-s0)), against the limit cos(phi) = 1 + 2 s0."""
+    k, s0 = frame.k, frame.family.s0
+    root = math.sqrt(-s0)
+    try:
+        m0 = m_from_mu(frame.family, k, 0.0)
+        rec = find_two_periodic(frame, m0, (-root, root))
+    except _SOLVER_ERRORS as exc:
+        return _failed_record(k, exc)
+    phase = rec.stability.phase
+    if phase is None:
+        return CertRecord(k, None, None, None, None,
+                          f"orbit not elliptic: {rec.stability.tag}")
+    cos_phi = math.cos(phase)
+    return CertRecord(
+        k=k,
+        cos_phi=cos_phi,
+        phase=phase,
+        margin=2.0 - abs(2.0 * cos_phi),
+        limit_error=abs(cos_phi - (1.0 + 2.0 * s0)),
     )
 
 

@@ -53,10 +53,6 @@ class BracketError(HomatlasError):
     """A bifurcation bracket contained no sign change / orbit transition."""
 
 
-class NotEllipticError(HomatlasError):
-    """A rotation angle was requested for a non-elliptic orbit."""
-
-
 class ResonantParameterError(HomatlasError):
     """Normal-form reduction is blocked by a strong resonance."""
 

@@ -141,7 +141,7 @@ class HenonLikeRecipe:
         # plain floats keep jet arithmetic off the slower numpy scalars
         h = tuple(float(v) for v in npoly.polymul(np.asarray(q), p_prime))
         # every stage but the last translation is independent of mu, so
-        # it is built once here rather than on every with_mu
+        # it is built once here rather than at every parameter value
         object.__setattr__(
             self,
             "_fixed_stages",

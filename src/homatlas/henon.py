@@ -110,7 +110,8 @@ def two_periodic_orbit(M: float):
 
 
 def _elliptic_frame(M: float):
-    """Complex eigenvalue, scaled eigenvector and dual row at the 2-orbit.
+    """Complex eigenvalue, 1 minus it, scaled eigenvector and dual row at
+    the 2-orbit.
 
     The eigenvector for the multiplier with positive imaginary part is
     scaled so the real frame [Re v, -Im v] has determinant 1; that fixes
@@ -118,12 +119,13 @@ def _elliptic_frame(M: float):
     in M away from the strong resonances.
     """
     s = math.sqrt(M)
-    cosphi = 1.0 - 2.0 * M
     # sin(phi)**2 = 1 - (1 - 2M)**2 = 4M(1 - M), free of the cancellation
-    # that 1 - cos(phi)**2 suffers as M -> 0
+    # that 1 - cos(phi)**2 suffers as M -> 0; 1 - lam = 2M - i sin(phi)
+    # in closed form keeps the 2M that 1 - cos(phi) would round away
     sinphi = 2.0 * math.sqrt(max(0.0, M * (1.0 - M)))
-    lam = complex(cosphi, sinphi)
-    v = np.array([2.0 * s, 1.0 - lam], dtype=complex)
+    lam = complex(1.0 - 2.0 * M, sinphi)
+    one_minus_lam = complex(2.0 * M, -sinphi)
+    v = np.array([2.0 * s, one_minus_lam], dtype=complex)
     det_t = v[0].real * (-v[1].imag) - (-v[0].imag) * v[1].real
     if det_t < 0.0:
         v = 1j * v
@@ -131,7 +133,7 @@ def _elliptic_frame(M: float):
     v = v / math.sqrt(det_t)
     dd = v[0] * np.conj(v[1]) - np.conj(v[0]) * v[1]
     ell = np.array([np.conj(v[1]), -np.conj(v[0])]) / dd
-    return lam, v, ell
+    return lam, one_minus_lam, v, ell
 
 
 def birkhoff_b1(M: float) -> float:
@@ -141,11 +143,11 @@ def birkhoff_b1(M: float) -> float:
     ``step`` runs twice on degree-3 jets in the frame coordinates
     (z, conj z) of ``_elliptic_frame``; after removing the non-resonant
     quadratic terms the resonant cubic coefficient c1 gives the twist as
-    Im(conj(lam)*c1).  Undefined at the strong resonances M = 1/2
-    (lam**4 = 1) and M = 3/4 (lam**3 = 1), and for M so small (below
-    about 2.8e-17) that cos(phi) = 1 - 2M rounds to 1: there lam is the
-    1:1 resonance value 1 in binary64 and the normal form divides by
-    1 - lam = 0.
+    Im(conj(lam)*c1).  The 1 - lam and lam**2 - lam divisors use 1 - lam
+    in closed form (see ``_elliptic_frame``), so no digits cancel as
+    M -> 0.  Undefined at the strong resonances M = 1/2 (lam**4 = 1) and
+    M = 3/4 (lam**3 = 1); refused for M so small (below about 2.8e-17)
+    that cos(phi) = 1 - 2M rounds to 1, the 1:1 resonance value.
     """
     if not 0.0 < M < 1.0:
         raise ValueError("elliptic 2-periodic orbit requires 0 < M < 1")
@@ -156,7 +158,7 @@ def birkhoff_b1(M: float) -> float:
             f"1:1 resonance: the multiplier at M = {M} rounds to 1"
         )
     s = math.sqrt(M)
-    lam, v, ell = _elliptic_frame(M)
+    lam, one_minus_lam, v, ell = _elliptic_frame(M)
     v0, v1, l0, l1 = (complex(t) for t in (v[0], v[1], ell[0], ell[1]))
     z, zbar = Jet.variables(0.0, 0.0, 3)
     p = (
@@ -177,9 +179,9 @@ def birkhoff_b1(M: float) -> float:
     lam2 = lam * lam
     c1 = (
         a21
-        + 2.0 * a20 * a11 / (1.0 - lam)
+        + 2.0 * a20 * a11 / one_minus_lam
         + abs(a11) ** 2 / (1.0 - np.conj(lam))
-        + a11 * a20 / (lam2 - lam)
+        - a11 * a20 / (lam * one_minus_lam)
         + 2.0 * abs(a02) ** 2 / (lam2 - np.conj(lam))
     )
     return float((np.conj(lam) * c1).imag)
@@ -197,7 +199,7 @@ def rotation_number_slope(M: float):
         raise ValueError("requires 0 < M < 1")
     radii, n_steps = (0.015, 0.025, 0.035, 0.045), 20000
     s = math.sqrt(M)
-    lam, v, ell = _elliptic_frame(M)
+    _, _, v, ell = _elliptic_frame(M)
     p1x, p1y = -s, s
     rates = []
     for r in radii:

@@ -276,14 +276,14 @@ class Moser:
     lam: float
     beta: tuple = ()
 
-    def bval(self, u):
+    def bval(self, x, y):
+        """B(x*y); the product is formed only when there are Moser terms."""
         if not self.beta:
             return 1.0
-        return _polyval((1.0,) + tuple(self.beta), u)
+        return _polyval((1.0,) + tuple(self.beta), x * y)
 
     def apply(self, x, y):
-        u = x * y
-        b = self.bval(u)
+        b = self.bval(x, y)
         if _any(_value(b) <= 1.0e-9):
             raise EscapeError("saddle stage factor left its positive domain")
         return self.lam * x * b, y / (self.lam * b)

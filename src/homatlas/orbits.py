@@ -1,9 +1,8 @@
 """Newton solvers for periodic orbits of the first-return map.
 
 All Newton iterations run in the rescaled (X, Y) coordinates where the
-map is O(1) and the Jacobians are well conditioned; located points are
-mapped back through the affine chain for reporting, while residuals are
-quoted in the rescaled coordinates themselves.  Seeds come from the
+map is O(1) and the Jacobians are well conditioned, and located points
+and residuals are reported in those coordinates.  Seeds come from the
 closed-form orbits of the limit map x' = y, y' = M + x - y^2: fixed
 points at X = Y = +-sqrt(M), the 2-periodic orbit swapping (-s, s) and
 (s, -s) with s = sqrt(M).
@@ -19,10 +18,9 @@ trace vanishes, because the product of its multipliers is -1; the
 derivative is -2.  The bordered locator ``mapcore._locate_trace`` solves
 (F^r(z) - z, tr D(F^r) - t) = 0 for both borders and for the 2-orbit's
 resonance traces; this module hands it M -> F as ``_map_at``, and
-``henon.bifurcation_values`` hands it the limit map.  The border and
-2-orbit-trace solvers take a ``rescale.RescaleFrame``, the mu-independent
-part of the map built once per (family, k) by the caller, and derive
-the map at each M from it.
+``henon.bifurcation_values`` hands it the limit map.  Every solver takes
+a ``rescale.RescaleFrame``, the mu-independent part of the map built once
+per (family, k) by the caller, and derives the map at each M from it.
 """
 
 from __future__ import annotations
@@ -33,42 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CollapsedOrbitError, NotEllipticError
+from .exceptions import CollapsedOrbitError
 from .henon import StabilityClass, classify_from_trace
 from .mapcore import Jet, _locate_trace, _newton
-from .rescale import (
-    RescaleFrame,
-    build_chain,
-    eval_rescaled,
-    from_rescaled,
-    mu_from_m,
-    rescaled_return_map,
-    rescaled_window,
-    to_rescaled,
-)
-from .returnmap import ReturnMap, solve_y0, t0_pow_closed
+from .rescale import RescaleFrame, eval_rescaled, mu_from_m, rescaled_window
 
 __all__ = [
     "OrbitRecord",
     "BifurcationPoint",
-    "seed_from_limit",
-    "find_fixed_point",
     "find_two_periodic",
     "locate_bifurcation",
     "two_orbit_trace",
-    "phase_of_elliptic",
 ]
-
-def _strip_from_cross(family, k, p):
-    """Entry coordinates (x0, y0) from a chain point (x0, y after k
-    local steps)."""
-    y0 = solve_y0(family.local, k, p[0], p[1])
-    return (float(p[0]), float(y0))
-
-
-def _cross_from_strip(family, k, p):
-    _, yk = t0_pow_closed(family.local, p, k)
-    return (float(p[0]), float(yk))
 
 
 @dataclass(frozen=True)
@@ -88,30 +62,6 @@ class BifurcationPoint:
     k: int
 
 
-def seed_from_limit(rm: ReturnMap, m: float, orbit: str):
-    """Strip-coordinate seeds from the limit-map closed forms.
-
-    orbit is "fp+" or "fp-" for the fixed points at (+-sqrt(M), same),
-    or "two" for the pair (-sqrt(M), sqrt(M)), (sqrt(M), -sqrt(M)).
-    """
-    if m < 0:
-        raise ValueError("limit orbits require m >= 0")
-    root = math.sqrt(m)
-    chain = build_chain(rm.family, rm.k)
-    if orbit == "fp+":
-        pts = [(root, root)]
-    elif orbit == "fp-":
-        pts = [(-root, -root)]
-    elif orbit == "two":
-        pts = [(-root, root), (root, -root)]
-    else:
-        raise ValueError(f"unknown orbit label {orbit!r}")
-    return tuple(
-        _strip_from_cross(rm.family, rm.k, from_rescaled(chain, p))
-        for p in pts
-    )
-
-
 def _solve_orbit(rr, z0, rounds, window=None):
     """Newton for F^rounds(z) = z from a rescaled seed; returns z, the
     residual and D(F^rounds) there.  Each step reads the residual and
@@ -129,65 +79,34 @@ def _solve_orbit(rr, z0, rounds, window=None):
     return z, f, jac
 
 
-def _orbit_record(rm, chain, rescaled_pts, jac, residual):
-    """Assemble the record from converged rescaled points.
+def find_two_periodic(frame: RescaleFrame, m: float, seed) -> OrbitRecord:
+    """2-periodic orbit of the frame's return map at rescaled parameter M,
+    from a rescaled seed; rejects collapse onto a fixed point.
 
-    Multipliers are the eigenvalues of the accumulated derivative over
-    one (or two) returns; at a converged orbit its determinant agrees
-    with -1 (single round) or +1 (double round) to solver accuracy, so
-    the multiplier product inherits the same sign.
+    Points and residual are in rescaled coordinates.  The multipliers are
+    the eigenvalues of D(F^2); at a converged orbit its determinant agrees
+    with +1 to solver accuracy.
     """
-    family = rm.family
-    pts = tuple(
-        _strip_from_cross(family, rm.k, from_rescaled(chain, q))
-        for q in rescaled_pts
-    )
-    period = (rm.k + family.globalmap.n0) * len(pts)
-    eigs = np.linalg.eigvals(jac)
+    rr = frame.at_m(m)
+    win = 1.5 * rescaled_window(rr) + 2.0
+    z, f, jac2 = _solve_orbit(rr, seed, 2, window=win)
+    mid = np.array(eval_rescaled(rr, z))
+    if float(np.max(np.abs(mid - z))) < 1e-6:
+        raise CollapsedOrbitError("collapsed to fixed point")
+    eigs = np.linalg.eigvals(jac2)
     if float(np.max(np.abs(eigs.imag))) < 1e-9 * float(np.max(np.abs(eigs))):
         mults = tuple(sorted(eigs.real, key=abs, reverse=True))
     else:
         mults = tuple(eigs)
-    stability = classify_from_trace(
-        float(np.trace(jac)), float(np.linalg.det(jac))
-    )
     return OrbitRecord(
-        points=pts,
-        period_label=period,
+        points=(tuple(z.tolist()), tuple(mid.tolist())),
+        period_label=2 * (frame.k + frame.family.globalmap.n0),
         multipliers=mults,
-        stability=stability,
-        residual=residual,
-        mu_at=family.mu,
-    )
-
-
-def find_fixed_point(rm: ReturnMap, seed) -> OrbitRecord:
-    """Fixed point of the return map from a strip-coordinate seed.
-
-    The multipliers are real with product -1, so the orbit is a saddle
-    (or parabolic exactly at a bifurcation border), never elliptic.
-    """
-    rr = rescaled_return_map(rm)
-    win = 1.5 * rescaled_window(rr) + 2.0
-    cross = _cross_from_strip(rm.family, rm.k, seed)
-    z, f, jac = _solve_orbit(rr, to_rescaled(rr.chain, cross), 1, window=win)
-    return _orbit_record(
-        rm, rr.chain, [z], jac, float(np.max(np.abs(f)))
-    )
-
-
-def find_two_periodic(rm: ReturnMap, seed) -> OrbitRecord:
-    """2-periodic orbit of the return map; rejects collapse onto a
-    fixed point."""
-    rr = rescaled_return_map(rm)
-    win = 1.5 * rescaled_window(rr) + 2.0
-    cross = _cross_from_strip(rm.family, rm.k, seed)
-    z, f, jac2 = _solve_orbit(rr, to_rescaled(rr.chain, cross), 2, window=win)
-    mid = np.array(eval_rescaled(rr, z))
-    if float(np.max(np.abs(mid - z))) < 1e-6:
-        raise CollapsedOrbitError("collapsed to fixed point")
-    return _orbit_record(
-        rm, rr.chain, [z, mid], jac2, float(np.max(np.abs(f)))
+        stability=classify_from_trace(
+            float(np.trace(jac2)), float(np.linalg.det(jac2))
+        ),
+        residual=float(np.max(np.abs(f))),
+        mu_at=rr.mu,
     )
 
 
@@ -227,12 +146,3 @@ def two_orbit_trace(frame: RescaleFrame, m: float) -> float:
     root = math.sqrt(max(m, 1e-9))
     _, _, jac2 = _solve_orbit(rr, (-root, root), 2)
     return float(np.trace(jac2))
-
-
-def phase_of_elliptic(record: OrbitRecord) -> float:
-    """Rotation phase arccos(trace/2) of an elliptic record."""
-    if record.stability.phase is None:
-        raise NotEllipticError(
-            f"orbit is {record.stability.tag}, not elliptic"
-        )
-    return record.stability.phase

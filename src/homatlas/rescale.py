@@ -13,8 +13,9 @@ Only the parameter offset of the chain depends on mu.  Everything else
 mu-free part of the offset) is a ``RescaleFrame`` that depends on the
 Taylor data, lam, x_plus, y_minus and k alone.  ``build_frame`` makes it
 once per sweep unit (a cascade row, an atlas cell, a certificate k), and
-``RescaleFrame.at_m`` gives the rescaled return map at each parameter
-value from it, computing only the mu sums.
+``RescaleFrame.at_m`` is the one way to the rescaled return map at a
+parameter value: it computes only the mu sums and the global stages at
+that mu.
 
 The parameter conversion M <-> mu is the affine relation
 M = -d lam^{-2k} (mu + lam^k (c x^+ - y^-)(1 + k beta1 lam^k x^+ y^-)) - s0
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import PrecisionFloorError
-from .family import FamilyHandle
-from .mapcore import _value, eval_map, jacobian_of
-from .returnmap import ReturnMap, check_window, solve_y0, t0_pow_closed
+from .family import FamilyHandle, LocalMapParams
+from .mapcore import MapExpr, _value, eval_map, jacobian_of
+from .returnmap import check_window, solve_y0, t0_pow_closed
 
 __all__ = [
     "RescaleChain",
@@ -46,7 +47,6 @@ __all__ = [
     "from_rescaled",
     "m_from_mu",
     "mu_from_m",
-    "rescaled_return_map",
     "eval_rescaled",
     "rescaled_jacobian",
     "rescaled_window",
@@ -67,16 +67,12 @@ class RescaleChain:
     matrix and inverse are the frame's and shared by every chain of the
     same family and k; offset is the frame's mu-free offset minus
     (a lam^k/2 + nu1 m3, a lam^k/2), where m3 is the parameter after the
-    scaling step.  m_effective is the additive parameter of the normal
-    form reached by this exact chain.  The contract-level M of m_from_mu
-    differs from it by O(k lam^k) terms that the frozen-zero convention
-    does not remove.
+    scaling step.
     """
 
     matrix: tuple
     offset: tuple
     inverse: tuple
-    m_effective: float
 
 
 def _first_order_base(family: FamilyHandle, k: int) -> float:
@@ -110,31 +106,42 @@ class RescaleFrame:
     base: tuple
     m1_terms: tuple
 
-    def chain(self, mu) -> RescaleChain:
-        """The chain at parameter mu.  A jet mu (see ``mapcore.Jet``) gives
-        m_effective and offset[0] as jets carrying d/dmu."""
-        t = self.family.taylor
-        lamk = self.lamk
+    def _m3(self, mu):
+        """The parameter after the scaling step of the chain at mu."""
         mu0 = _value(mu)
         m1 = math.fsum([mu0, *self.m1_terms]) + (mu - mu0)
-        m2 = -self.d_k / lamk**2 * m1
-        m3 = m2 + (t.f11 * self.family.x_plus) ** 2 / 4.0
-        m_eff = m3 * (1.0 + self.nu1) + 0.25 * t.a**2 * lamk**2
-        half = 0.5 * t.a * lamk
+        m2 = -self.d_k / self.lamk**2 * m1
+        return m2 + (self.family.taylor.f11 * self.family.x_plus) ** 2 / 4.0
+
+    def chain(self, mu) -> RescaleChain:
+        """The chain at parameter mu.  A jet mu (see ``mapcore.Jet``) gives
+        offset[0] as a jet carrying d/dmu."""
+        m3 = self._m3(mu)
+        half = 0.5 * self.family.taylor.a * self.lamk
         base0, base1 = self.base
         return RescaleChain(
             matrix=self.matrix,
             offset=(base0 - (half + self.nu1 * m3), base1 - half),
             inverse=self.inverse,
-            m_effective=m_eff,
         )
+
+    def m_effective(self, mu):
+        """The additive parameter of the normal form that the chain at mu
+        reaches.  The contract-level M of ``m_from_mu`` differs from it by
+        O(k lam^k) terms that the frozen-zero convention does not remove."""
+        a = self.family.taylor.a
+        return self._m3(mu) * (1.0 + self.nu1) + 0.25 * a**2 * self.lamk**2
 
     def at_m(self, m) -> RescaledReturnMap:
         """The rescaled return map at rescaled parameter M, a float or a
         jet."""
         mu = mu_from_m(self.family, self.k, m)
         return RescaledReturnMap(
-            ReturnMap(self.family.with_mu(mu), self.k), self.chain(mu)
+            local=self.family.local,
+            k=self.k,
+            mu=mu,
+            chain=self.chain(mu),
+            stages=self.family.recipe.stages(mu),
         )
 
 
@@ -176,7 +183,8 @@ def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
 
 
 def build_chain(family: FamilyHandle, k: int) -> RescaleChain:
-    """The chain at the family's mu."""
+    """The chain at the family's mu; kept only for ``spans.LAYERS``
+    (ROADMAP item 1)."""
     return build_frame(family, k).chain(family.mu)
 
 
@@ -217,17 +225,20 @@ def mu_from_m(family: FamilyHandle, k: int, m: float) -> float:
 
 @dataclass(frozen=True)
 class RescaledReturnMap:
-    rm: ReturnMap
+    """The k-th rescaled return map at parameter mu (a jet when M is): the
+    local saddle, the chain and the global stages at mu.  Made by
+    ``RescaleFrame.at_m``."""
+
+    local: LocalMapParams
+    k: int
+    mu: float
     chain: RescaleChain
-
-
-def rescaled_return_map(rm: ReturnMap) -> RescaledReturnMap:
-    return RescaledReturnMap(rm=rm, chain=build_chain(rm.family, rm.k))
+    stages: MapExpr
 
 
 def rescaled_window(rr: RescaledReturnMap) -> float:
     """Half-width of the rescaled domain, growing like |lam|**(-k/4)."""
-    return abs(rr.rm.family.lam) ** (-rr.rm.k / 4.0)
+    return abs(rr.local.lam) ** (-rr.k / 4.0)
 
 
 def eval_rescaled(rr: RescaledReturnMap, p):
@@ -237,19 +248,18 @@ def eval_rescaled(rr: RescaledReturnMap, p):
     height y0; the outgoing one is explicit because the image point runs
     through the saddle forward.
     """
-    family = rr.rm.family
-    local = family.local
-    k = rr.rm.k
+    local, k = rr.local, rr.k
     x0, yk = from_rescaled(rr.chain, p)
     y0 = solve_y0(local, k, x0, yk)
     xk, _ = t0_pow_closed(local, (x0, y0), k)
-    xb0, yb0 = eval_map(family.global_expr(), (xk, yk))
+    xb0, yb0 = eval_map(rr.stages, (xk, yk))
     _, ybk = t0_pow_closed(local, (xb0, yb0), k)
     return to_rescaled(rr.chain, (xb0, ybk))
 
 
 def rescaled_jacobian(rr: RescaledReturnMap, p):
-    """Exact derivative of the rescaled map at a point, from degree-1 jets."""
+    """Exact derivative of the rescaled map at a point, from degree-1 jets;
+    kept only for ``spans.LAYERS`` (ROADMAP item 1)."""
     return jacobian_of(lambda z: eval_rescaled(rr, z), p)
 
 
@@ -298,12 +308,13 @@ def convergence_report(family: FamilyHandle, k_values, m: float,
     t = family.taylor
     sups = []
     for k in k_values:
-        rr = build_frame(family, k).at_m(m)
+        frame = build_frame(family, k)
+        rr = frame.at_m(m)
         xb, yb = eval_rescaled(rr, (gx, gy))
         lamk = family.lam ** k
         c3 = t.f03 / t.d**2 * lamk
         xb_lim = gy
-        yb_lim = rr.chain.m_effective + gx - gy**2 + c3 * gy**3
+        yb_lim = frame.m_effective(rr.mu) + gx - gy**2 + c3 * gy**3
         res = np.maximum(np.abs(xb - xb_lim), np.abs(yb - yb_lim))
         sups.append(float(np.max(res)))
     ks = np.asarray(list(k_values), dtype=float)

@@ -1,13 +1,15 @@
-"""First-return maps T1 o T0^k and the strip geometry they act on.
+"""Saddle passages T0^k, their validity window, and the strip geometry
+that the first-return maps T1 o T0^k act on.
 
 The local saddle map preserves u = x*y, which gives a closed form for its
 k-th power, and on Taylor jets for its derivatives, with no accumulation
-of roundoff over k.  The return map composes the closed-form power with
-the global map.  Strips are the windows where returning orbits live:
-sigma0 near the incoming homoclinic point (x_plus, 0), sigma1 =
-T0^k(sigma0) near the outgoing one (0, y_minus).  The horseshoe classifier
-counts crossings of the folded image of the tangency fiber through
-sigma0, sampled adaptively until the count stabilizes.
+of roundoff over k.  The return map itself composes the closed-form power
+with the global map in ``rescale.eval_rescaled``.  Strips are the windows
+where returning orbits live: sigma0 near the incoming homoclinic point
+(x_plus, 0), sigma1 = T0^k(sigma0) near the outgoing one (0, y_minus).
+The horseshoe classifier counts crossings of the folded image of the
+tangency fiber through sigma0, sampled adaptively until the count
+stabilizes.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def t0_pow_closed(local: LocalMapParams, p, k: int):
     of an array, bit for bit the value that floats and jets get.
     """
     x, y = p
-    b = local.stage().bval(x * y)
+    b = local.stage().bval(x, y)
     if _any(_value(b) <= 1e-9):
         raise EscapeError("saddle factor left its positive domain")
     factor = _signed_pow(local.lam * b, k)
@@ -97,7 +99,8 @@ def t0_pow_closed(local: LocalMapParams, p, k: int):
 
 
 def t0_pow_jacobian(local: LocalMapParams, p, k: int):
-    """Exact derivative of the k-th saddle power, from degree-1 jets."""
+    """Exact derivative of the k-th saddle power, from degree-1 jets; kept
+    only for ``spans.LAYERS`` (ROADMAP item 1)."""
     return jacobian_of(lambda z: t0_pow_closed(local, z, k), p)
 
 
@@ -120,7 +123,7 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk):
     if isinstance(x0, Jet) or isinstance(yk, Jet):
 
         def phi(x, y, y0):
-            return lamk * y * _signed_pow(stage.bval(x * y0), k)
+            return lamk * y * _signed_pow(stage.bval(x, y0), k)
 
         v0, vk = _value(x0), _value(yk)
         y0 = solve_y0(local, k, v0, vk)
@@ -133,7 +136,7 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk):
         return y
     y0 = lamk * yk
     for _ in range(60):
-        b = stage.bval(x0 * y0)
+        b = stage.bval(x0, y0)
         if _any(b <= 1e-9):
             raise CrossFormSolveError("saddle factor left its positive domain")
         y_new = lamk * yk * _signed_pow(b, k)
@@ -166,6 +169,9 @@ def k_max(family: FamilyHandle) -> int:
 
 @dataclass(frozen=True)
 class ReturnMap:
+    """A family and a passage count k; kept only for ``spans.LAYERS``
+    (ROADMAP item 1)."""
+
     family: FamilyHandle
     k: int
 
@@ -182,6 +188,8 @@ def check_window(family: FamilyHandle, k: int) -> None:
 
 
 def build_return_map(family: FamilyHandle, k: int) -> ReturnMap:
+    """``ReturnMap(family, k)`` after ``check_window``; kept only for
+    ``spans.LAYERS`` (ROADMAP item 1)."""
     check_window(family, k)
     return ReturnMap(family, k)
 
@@ -247,7 +255,7 @@ def in_sigma0(family: FamilyHandle, k: int, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ok_here = np.abs(x - family.x_plus) <= delta
-    b = family.local.stage().bval(x * y)
+    b = family.local.stage().bval(x, y)
     valid = b > 1e-9
     if isinstance(b, np.ndarray):
         b = np.where(valid, b, 1.0)

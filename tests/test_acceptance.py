@@ -30,13 +30,12 @@ from homatlas.henon import (
 )
 from homatlas.mapcore import eval_map, iterate, jacobian, jacobian_of
 from homatlas.rescale import (
+    build_frame,
     convergence_report,
     fit_cubic_coefficient,
     mu_from_m,
-    rescaled_return_map,
 )
 from homatlas.returnmap import (
-    build_return_map,
     classify_horseshoe,
     solve_y0,
     t0_pow_closed,
@@ -116,7 +115,6 @@ def test_acceptance_2_conservativity(capsys):
             d1 = np.linalg.det(jacobian(family.global_expr(), p))
             worst_det1 = max(worst_det1, abs(d1 + 1.0))
         for k in (8, 12, 16):
-            rm = build_return_map(family, k)
             xs = family.x_plus + rng.uniform(-0.05, 0.05, 5)
             yks = family.y_minus + rng.uniform(-0.05, 0.05, 5)
             for x0, yk in zip(xs, yks):
@@ -124,7 +122,7 @@ def test_acceptance_2_conservativity(capsys):
                 dk = np.linalg.det(jacobian_of(
                     lambda z: eval_map(
                         family.global_expr(),
-                        t0_pow_closed(family.local, z, rm.k),
+                        t0_pow_closed(family.local, z, k),
                     ),
                     (x0, y0),
                 ))
@@ -283,9 +281,7 @@ def test_acceptance_5_rescaling(capsys):
     )
     fit_err = 0.0
     for k in (8, 11, 14):
-        mu = mu_from_m(fam3, k, 0.5)
-        rr = rescaled_return_map(build_return_map(fam3.with_mu(mu), k))
-        fit = fit_cubic_coefficient(rr)
+        fit = fit_cubic_coefficient(build_frame(fam3, k).at_m(0.5))
         target = fam3.taylor.f03 / fam3.taylor.d**2 * 0.5**k
         fit_err = max(fit_err, abs(fit / target - 1.0))
     elapsed = time.perf_counter() - t0

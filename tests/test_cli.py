@@ -147,6 +147,16 @@ def test_henon_range_error_exit_1(tmp_path, capsys, override):
     assert not os.path.exists(os.path.join(out, "result.json"))
 
 
+def test_henon_horseshoe_false_means_not_certified(tmp_path, capsys):
+    # the certificate never claims absence, so any finite m_horseshoe is a
+    # result; below its threshold the answer is "not certified"
+    out = str(tmp_path / "run")
+    assert main(["henon", "--set", "m_horseshoe=-5", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    horseshoe = _envelope(out)["payload"]["horseshoe"]
+    assert horseshoe == {"m": -5.0, "certified": False}
+
+
 def test_henon_tiny_m_is_a_resonance_error(tmp_path, capsys):
     # cos(phi) = 1 - 2M rounds to 1: the 1:1 resonance in binary64
     out = str(tmp_path / "run")

@@ -8,19 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homatlas.atlas import certify_global_resonance
 from homatlas.exceptions import (
     BracketError,
     CollapsedOrbitError,
     NewtonDivergedError,
-    NotEllipticError,
 )
 from homatlas.family import (
     HenonLikeRecipe,
     LocalMapParams,
+    ShearSandwichRecipe,
     build_family,
     tune_to,
 )
+from homatlas.henon import classify_from_trace
 from homatlas.mapcore import (
+    Jet,
     _border_residual,
     _limit_seed,
     _locate_trace,
@@ -28,25 +31,19 @@ from homatlas.mapcore import (
 )
 from homatlas.orbits import (
     _map_at,
-    find_fixed_point,
+    _solve_orbit,
     find_two_periodic,
     locate_bifurcation,
-    phase_of_elliptic,
-    seed_from_limit,
 )
 from homatlas.rescale import (
-    build_chain,
     build_frame,
+    eval_rescaled,
     from_rescaled,
+    m_from_mu,
     mu_from_m,
-    to_rescaled,
+    rescaled_window,
 )
-from homatlas.returnmap import (
-    build_return_map,
-    in_sigma0,
-    solve_y0,
-    t0_pow_closed,
-)
+from homatlas.returnmap import in_sigma0, solve_y0
 
 
 def _exact_family(lam=0.5):
@@ -62,122 +59,90 @@ def _s04_family(lam=0.5):
     return build_family(LocalMapParams(lam), recipe)
 
 
-def _rm_at(family, k, m):
-    mu = mu_from_m(family, k, m)
-    return build_return_map(family.with_mu(mu), k)
-
-
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def _seed_to_rescaled(family, k, chain, seed):
-    # seeds live in strip entry coordinates; the chain works on the pair
-    # (x at entry, y after the k local steps)
-    _, yk = t0_pow_closed(family.local, seed, k)
-    return to_rescaled(chain, (seed[0], float(yk)))
+def _fixed_point(rr, seed):
+    """Fixed point of the rescaled return map rr from a rescaled seed, in
+    the window the 2-orbit solver uses: the point, the residual, the
+    multipliers by decreasing modulus and the stability class."""
+    window = 1.5 * rescaled_window(rr) + 2.0
+    z, f, jac = _solve_orbit(rr, seed, 1, window=window)
+    mults = sorted(np.linalg.eigvals(jac).real, key=abs, reverse=True)
+    stab = classify_from_trace(float(np.trace(jac)), float(np.linalg.det(jac)))
+    return z, float(np.max(np.abs(f))), mults, stab
 
 
-def test_seed_from_limit_round_trip():
-    family = _exact_family()
-    rm = _rm_at(family, 10, 0.25)
-    chain = build_chain(rm.family, 10)
-    seeds = seed_from_limit(rm, 0.25, "two")
-    assert len(seeds) == 2
-    back = _seed_to_rescaled(family, 10, chain, seeds[0])
-    assert abs(back[0] + 0.5) < 1e-10
-    assert abs(back[1] - 0.5) < 1e-10
-    for seed in seeds:
-        x, y = seed
-        assert bool(in_sigma0(family, 10, np.array([x]), np.array([y]))[0])
-    (fp,) = seed_from_limit(rm, 0.25, "fp-")
-    back = _seed_to_rescaled(family, 10, chain, fp)
-    assert abs(back[0] + 0.5) < 1e-10
-    with pytest.raises(ValueError):
-        seed_from_limit(rm, 0.25, "three")
-    with pytest.raises(ValueError):
-        seed_from_limit(rm, -0.1, "fp+")
+def _strip_point(rr, z):
+    """The entry point (x0, y0) in sigma0 of a rescaled point."""
+    x0, yk = from_rescaled(rr.chain, z)
+    return x0, float(solve_y0(rr.local, rr.k, x0, yk))
 
 
 def test_fixed_points_at_quarter_are_saddles():
     family = _exact_family()
-    rm = _rm_at(family, 10, 0.25)
-    records = {}
-    for orbit in ("fp+", "fp-"):
-        (seed,) = seed_from_limit(rm, 0.25, orbit)
-        rec = find_fixed_point(rm, seed)
-        records[orbit] = rec
-        assert rec.stability.tag == "saddle"
-        assert rec.period_label == 11
-        assert rec.residual < 1e-10
-        assert len(rec.points) == 1
-        x, y = rec.points[0]
+    rr = build_frame(family, 10).at_m(0.25)
+    points, mults = {}, {}
+    for sign in (1.0, -1.0):
+        z, residual, mults[sign], stab = _fixed_point(rr, (0.5 * sign,) * 2)
+        points[sign] = tuple(z)
+        assert stab.tag == "saddle"
+        assert residual < 1e-10
+        x, y = _strip_point(rr, z)
         assert bool(in_sigma0(family, 10, np.array([x]), np.array([y]))[0])
-        prod = rec.multipliers[0] * rec.multipliers[1]
-        assert abs(prod + 1.0) < 1e-9
+        assert abs(mults[sign][0] * mults[sign][1] + 1.0) < 1e-9
     # the limit fixed point at (0.5, 0.5) has trace -1, so the
     # multipliers are the golden pair (-phi, 1/phi)
-    big = records["fp+"].multipliers[0]
-    assert abs(big + GOLDEN) < 1e-9
-    big = records["fp-"].multipliers[0]
-    assert abs(big - GOLDEN) < 1e-9
-    assert records["fp+"].points[0] != records["fp-"].points[0]
+    assert abs(mults[1.0][0] + GOLDEN) < 1e-9
+    assert abs(mults[-1.0][0] - GOLDEN) < 1e-9
+    assert points[1.0] != points[-1.0]
 
 
 def test_fixed_point_multipliers_at_plus_border():
     family = _exact_family()
-    bp = locate_bifurcation(build_frame(family, 10), "plus")
-    rm = build_return_map(family.with_mu(bp.mu), 10)
-    (seed,) = seed_from_limit(rm, 0.0, "fp+")
-    rec = find_fixed_point(rm, seed)
-    lo, hi = sorted(rec.multipliers)
+    frame = build_frame(family, 10)
+    bp = locate_bifurcation(frame, "plus")
+    rr = frame.at_m(m_from_mu(family, 10, bp.mu))
+    _, _, mults, _ = _fixed_point(rr, (0.0, 0.0))
+    lo, hi = sorted(mults)
     assert abs(lo + 1.0) < 1e-6
     assert abs(hi - 1.0) < 1e-6
 
 
 def test_newton_diverges_without_fixed_points():
-    family = _exact_family()
-    rm = _rm_at(family, 10, -0.5)
-    chain = build_chain(rm.family, 10)
+    rr = build_frame(_exact_family(), 10).at_m(-0.5)
     failures = 0
     for gx in (-1.0, 0.0, 1.0):
         for gy in (-1.0, 0.0, 1.0):
-            cx, cy = from_rescaled(chain, (gx, gy))
-            seed = (cx, float(solve_y0(family.local, 10, cx, cy)))
             with pytest.raises(NewtonDivergedError):
-                find_fixed_point(rm, seed)
+                _fixed_point(rr, (gx, gy))
             failures += 1
     assert failures == 9
 
 
 def test_two_orbit_elliptic_at_quarter():
     family = _exact_family()
-    rm = _rm_at(family, 10, 0.25)
-    seed = seed_from_limit(rm, 0.25, "two")[0]
-    rec = find_two_periodic(rm, seed)
+    frame = build_frame(family, 10)
+    rec = find_two_periodic(frame, 0.25, (-0.5, 0.5))
     assert rec.stability.tag == "elliptic-generic"
     assert rec.period_label == 22
     assert rec.residual < 1e-10
     assert len(rec.points) == 2
     # limit trace 2 - 4M = 1, so the phase is pi/3
-    assert abs(phase_of_elliptic(rec) - math.pi / 3.0) < 1e-9
+    assert abs(rec.stability.phase - math.pi / 3.0) < 1e-9
     m1, m2 = rec.multipliers
     assert abs(m1 * m2 - 1.0) < 1e-9
     assert abs(abs(m1) - 1.0) < 1e-9
     assert abs(m1 - np.conj(m2)) < 1e-9
     # the two points form one orbit under the return map
-    fam = rm.family
-    image = eval_map(
-        fam.global_expr(), t0_pow_closed(fam.local, rec.points[0], rm.k)
-    )
+    image = eval_rescaled(frame.at_m(0.25), rec.points[0])
     assert abs(image[0] - rec.points[1][0]) < 1e-9
     assert abs(image[1] - rec.points[1][1]) < 1e-9
 
 
 def test_two_orbit_trace_envelope_with_quadratic_jet():
-    family = _s04_family()
     k = 10
-    rm = _rm_at(family, k, 0.25)
-    rec = find_two_periodic(rm, seed_from_limit(rm, 0.25, "two")[0])
+    rec = find_two_periodic(build_frame(_s04_family(), k), 0.25, (-0.5, 0.5))
     assert rec.stability.tag == "elliptic-generic"
     trace = 2.0 * math.cos(rec.stability.phase)
     # limit trace is 1; the finite-k correction stays inside a few k lam^k
@@ -185,24 +150,17 @@ def test_two_orbit_trace_envelope_with_quadratic_jet():
 
 
 def test_two_orbit_parabolic_at_one():
-    family = _exact_family()
-    rm = _rm_at(family, 10, 1.0)
-    rec = find_two_periodic(rm, seed_from_limit(rm, 1.0, "two")[0])
+    rec = find_two_periodic(build_frame(_exact_family(), 10), 1.0, (-1.0, 1.0))
     assert rec.stability.tag == "parabolic-minus"
-    with pytest.raises(NotEllipticError):
-        phase_of_elliptic(rec)
+    assert rec.stability.phase is None
 
 
 def test_two_orbit_collapse_and_absence():
-    family = _exact_family()
-    rm = _rm_at(family, 10, 0.25)
-    fp_seed = seed_from_limit(rm, 0.25, "fp+")[0]
+    frame = build_frame(_exact_family(), 10)
     with pytest.raises(CollapsedOrbitError):
-        find_two_periodic(rm, fp_seed)
-    rm_below = _rm_at(family, 10, -0.5)
-    seed = seed_from_limit(rm, 0.25, "two")[0]
+        find_two_periodic(frame, 0.25, (0.5, 0.5))
     with pytest.raises(NewtonDivergedError):
-        find_two_periodic(rm_below, seed)
+        find_two_periodic(frame, -0.5, (-0.5, 0.5))
 
 
 def test_locate_bifurcation_exact_values():
@@ -245,27 +203,26 @@ def test_interval_width_ratio_approaches_lambda_squared():
 
 
 def test_phase_resonance_flags():
-    family = _exact_family()
+    frame = build_frame(_exact_family(), 10)
     cases = {
         0.5: ("resonance-1:4", math.pi / 2.0),
         0.75: ("resonance-1:3", 2.0 * math.pi / 3.0),
         0.625: ("twistless", math.acos(-0.25)),
     }
     for m, (tag, phase) in cases.items():
-        rm = _rm_at(family, 10, m)
-        rec = find_two_periodic(rm, seed_from_limit(rm, m, "two")[0])
+        root = math.sqrt(m)
+        rec = find_two_periodic(frame, m, (-root, root))
         assert rec.stability.tag == tag
-        assert abs(phase_of_elliptic(rec) - phase) < 1e-9
+        assert abs(rec.stability.phase - phase) < 1e-9
 
 
 def test_trace_monotone_across_interval():
-    family = _s04_family()
-    k = 10
+    frame = build_frame(_s04_family(), 10)
     traces = []
     mus = []
-    for m in np.linspace(0.03, 0.97, 20):
-        rm = _rm_at(family, k, float(m))
-        rec = find_two_periodic(rm, seed_from_limit(rm, float(m), "two")[0])
+    for m in np.linspace(0.03, 0.97, 20).tolist():
+        root = math.sqrt(m)
+        rec = find_two_periodic(frame, m, (-root, root))
         traces.append(2.0 * math.cos(rec.stability.phase))
         mus.append(rec.mu_at)
     order = np.argsort(mus)
@@ -274,12 +231,12 @@ def test_trace_monotone_across_interval():
 
 
 def test_saddle_pair_and_elliptic_inside_interval():
-    family = _s04_family()
-    rm = _rm_at(family, 10, 0.5)
-    for orbit in ("fp+", "fp-"):
-        rec = find_fixed_point(rm, seed_from_limit(rm, 0.5, orbit)[0])
-        assert rec.stability.tag == "saddle"
-    two = find_two_periodic(rm, seed_from_limit(rm, 0.5, "two")[0])
+    frame = build_frame(_s04_family(), 10)
+    root = math.sqrt(0.5)
+    for sign in (1.0, -1.0):
+        _, _, _, stab = _fixed_point(frame.at_m(0.5), (sign * root,) * 2)
+        assert stab.tag == "saddle"
+    two = find_two_periodic(frame, 0.5, (-root, root))
     assert two.stability.phase is not None
 
 
@@ -357,7 +314,7 @@ def _mpmath_border(family, k, rounds, target):
 
     seed = _limit_seed(rounds, target)
     mu0 = mu_from_m(family, k, seed[2])
-    x0, yk = from_rescaled(build_chain(family.with_mu(mu0), k), seed[:2])
+    x0, yk = from_rescaled(build_frame(family, k).chain(mu0), seed[:2])
     y0 = solve_y0(family.local, k, float(x0), float(yk))
     with mp.workdps(50):
         seed = (mp.mpf(float(x0)), mp.mpf(y0), mp.mpf(mu0))
@@ -383,6 +340,71 @@ def test_flag_trace_matches_mpmath(target, k):
     assert abs(mu_from_m(family, k, m_star) - oracle) <= 1e-10 * 0.5 ** (2 * k)
 
 
+def _mpmath_two_orbit_cos(family, k):
+    """cos(phi) of the 2-orbit of the unrescaled return map T1 o T0^k at
+    mu = 0, at 50 digits: T0^k by k Moser steps, the orbit by mp.findroot
+    from the limit seed (-sqrt(-s0), sqrt(-s0)), and half the trace of
+    D(F^2) by mp.diff."""
+    moser = family.local.stage()
+    expr = family.recipe.stages(0.0)
+
+    def ret2(x, y):
+        for _ in range(2):
+            for _ in range(k):
+                x, y = moser.apply(x, y)
+            x, y = eval_map(expr, (x, y))
+        return x, y
+
+    def system(x, y):
+        fx, fy = ret2(x, y)
+        return [fx - x, fy - y]
+
+    root = math.sqrt(-family.s0)
+    x0, yk = from_rescaled(build_frame(family, k).chain(0.0), (-root, root))
+    y0 = solve_y0(family.local, k, x0, yk)
+    with mp.workdps(50):
+        x, y = mp.findroot(system, (mp.mpf(x0), mp.mpf(y0)))
+        trace = (mp.diff(lambda s: ret2(s, y)[0], x)
+                 + mp.diff(lambda s: ret2(x, s)[1], y))
+        return float(trace / 2)
+
+
+def _newton_stop_bound(rr, z):
+    """How far cos(phi) = tr D(F^2)/2 can sit from its value at the exact
+    orbit when Newton stops at |F^2(z) - z| < 1e-11 without a last step:
+    the point is off by at most |(D(F^2) - I)^-1| 1e-11 in the max norm,
+    and the trace moves by its gradient times that.  D(F^2) and the
+    gradient come from one pass on degree-2 jets at z."""
+    fx, fy = Jet.variables(float(z[0]), float(z[1]), 2)
+    for _ in range(2):
+        fx, fy = eval_rescaled(rr, (fx, fy))
+    jac = np.array([[fx.coeff(1, 0), fx.coeff(0, 1)],
+                    [fy.coeff(1, 0), fy.coeff(0, 1)]])
+    grad = (2.0 * fx.coeff(2, 0) + fy.coeff(1, 1),
+            fx.coeff(1, 1) + 2.0 * fy.coeff(0, 2))
+    dz = np.linalg.norm(np.linalg.inv(jac - np.eye(2)), np.inf) * 1e-11
+    return 0.5 * (abs(grad[0]) + abs(grad[1])) * dz
+
+
+@pytest.mark.parametrize("k", [8, 12])
+@pytest.mark.parametrize(
+    "family",
+    [_s04_family(),
+     # a != 0 and f20 != 0 with s0 = -0.4 and alpha = 0
+     build_family(LocalMapParams(0.5), ShearSandwichRecipe(d=-0.8))],
+    ids=["fold-s04", "sandwich"],
+)
+def test_certificate_two_orbit_matches_mpmath(family, k):
+    (rec,) = certify_global_resonance(family, (k,)).records
+    frame = build_frame(family, k)
+    m0 = m_from_mu(family, k, 0.0)
+    root = math.sqrt(-family.s0)
+    orbit = find_two_periodic(frame, m0, (-root, root))
+    assert math.cos(orbit.stability.phase) == rec.cos_phi
+    bound = _newton_stop_bound(frame.at_m(m0), orbit.points[0])
+    assert abs(rec.cos_phi - _mpmath_two_orbit_cos(family, k)) <= bound
+
+
 def test_bracket_error_outside_border():
     map_at = _map_at(build_frame(_exact_family(), 10))
     for rounds, target in _BORDERS.values():
@@ -396,9 +418,8 @@ def test_bracket_error_outside_border():
 @settings(max_examples=25, deadline=None)
 @given(m=st.floats(min_value=0.05, max_value=0.95))
 def test_two_orbit_multiplier_product_property(m):
-    family = _exact_family()
-    rm = _rm_at(family, 10, m)
-    rec = find_two_periodic(rm, seed_from_limit(rm, m, "two")[0])
+    root = math.sqrt(m)
+    rec = find_two_periodic(build_frame(_exact_family(), 10), m, (-root, root))
     m1, m2 = rec.multipliers
     assert abs(m1 * m2 - 1.0) < 1e-9
     assert rec.residual < 1e-10

@@ -30,11 +30,9 @@ from homatlas.rescale import (
     m_from_mu,
     mu_from_m,
     rescaled_jacobian,
-    rescaled_return_map,
     rescaled_window,
     to_rescaled,
 )
-from homatlas.returnmap import build_return_map
 
 
 def _exact_family(lam=0.5):
@@ -53,7 +51,7 @@ def _rich_family(lam=0.5):
 def test_chain_round_trip():
     fam = _rich_family()
     for k in (8, 11, 14):
-        chain = build_chain(fam, k)
+        chain = build_frame(fam, k).chain(fam.mu)
         rng = np.random.default_rng(k)
         pts = rng.uniform(-2.0, 2.0, (10, 2))
         for big in pts:
@@ -145,12 +143,12 @@ def test_rescaled_map_reduces_to_quadratic_limit(lam):
     gx, gy = np.meshgrid(lin, lin)
     gx, gy = gx.ravel(), gy.ravel()
     for k in (8, 11, 14):
-        mu = mu_from_m(fam, k, 0.3)
-        rr = rescaled_return_map(build_return_map(fam.with_mu(mu), k))
+        frame = build_frame(fam, k)
+        rr = frame.at_m(0.3)
         xb, yb = eval_rescaled(rr, (gx, gy))
         res = np.maximum(
             np.abs(xb - gy),
-            np.abs(yb - (rr.chain.m_effective + gx - gy**2)),
+            np.abs(yb - (frame.m_effective(rr.mu) + gx - gy**2)),
         )
         assert float(np.max(res)) < 1e-10
 
@@ -158,17 +156,14 @@ def test_rescaled_map_reduces_to_quadratic_limit(lam):
 def test_rescaled_determinant_is_minus_one():
     fam = _rich_family()
     for k in (8, 11, 14):
-        mu = mu_from_m(fam, k, 0.2)
-        rr = rescaled_return_map(build_return_map(fam.with_mu(mu), k))
+        rr = build_frame(fam, k).at_m(0.2)
         for p in [(0.0, 0.0), (1.2, -0.7), (-1.5, 1.1)]:
             det = np.linalg.det(rescaled_jacobian(rr, p))
             assert abs(det + 1.0) < 1e-9
 
 
 def test_rescaled_jacobian_against_finite_differences():
-    fam = _rich_family()
-    mu = mu_from_m(fam, 10, 0.2)
-    rr = rescaled_return_map(build_return_map(fam.with_mu(mu), 10))
+    rr = build_frame(_rich_family(), 10).at_m(0.2)
     p = (0.4, -0.9)
     jac = rescaled_jacobian(rr, p)
     h = 1e-6
@@ -182,10 +177,9 @@ def test_rescaled_jacobian_against_finite_differences():
 
 
 def test_rescaled_fixed_point_near_limit_prediction():
-    fam = _exact_family()
-    mu = mu_from_m(fam, 10, 0.3)
-    rr = rescaled_return_map(build_return_map(fam.with_mu(mu), 10))
-    root = math.sqrt(rr.chain.m_effective)
+    frame = build_frame(_exact_family(), 10)
+    rr = frame.at_m(0.3)
+    root = math.sqrt(frame.m_effective(rr.mu))
     p = np.array([root + 0.05, root - 0.05])
     for _ in range(40):
         fx, fy = eval_rescaled(rr, p)
@@ -204,9 +198,7 @@ def test_cubic_coefficient_fit():
     )
     t = fam.taylor
     for k in range(8, 15):
-        mu = mu_from_m(fam, k, 0.3)
-        rr = rescaled_return_map(build_return_map(fam.with_mu(mu), k))
-        c3 = fit_cubic_coefficient(rr)
+        c3 = fit_cubic_coefficient(build_frame(fam, k).at_m(0.3))
         target = t.f03 / t.d**2 * 0.5**k
         assert abs(c3 - target) <= 0.1 * abs(target)
 
@@ -227,8 +219,7 @@ def test_convergence_report_exact_family_is_noise():
 
 
 def test_rescaled_window_growth():
-    fam = _exact_family()
-    rr = rescaled_return_map(build_return_map(fam.with_mu(0.0), 8))
+    rr = build_frame(_exact_family(), 8).at_m(0.0)
     assert rescaled_window(rr) == pytest.approx(0.5 ** (-2.0))
 
 
@@ -240,7 +231,7 @@ def test_rescaled_window_growth():
 )
 def test_chain_inversion_property(x, y, k):
     fam = _rich_family()
-    chain = build_chain(fam.with_mu(1e-5), k)
+    chain = build_frame(fam, k).chain(1e-5)
     small = from_rescaled(chain, (x, y))
     back = to_rescaled(chain, small)
     assert abs(back[0] - x) < 1e-8
@@ -272,11 +263,12 @@ def test_scalar_and_jet_evaluations_stay_on_python_floats(recipe):
     # into an np.float64 and run the scalar solves in numpy arithmetic
     fam = build_family(LocalMapParams(0.5, (0.3,)), recipe, mu=1e-4)
     k = 10
-    chain = build_chain(fam, k)
+    frame = build_frame(fam, k)
+    chain = frame.chain(fam.mu)
     for v in (*chain.matrix, chain.offset, *chain.inverse):
         assert len(v) == 2
         assert all(type(c) is float for c in v)
-    rr = rescaled_return_map(build_return_map(fam, k))
+    rr = frame.at_m(m_from_mu(fam, k, fam.mu))
     out = eval_rescaled(rr, Jet.variables(0.1, -0.2, 1))
     assert all(type(c) is float for jet in out for c in jet.c)
     x, y, m = Jet.variables(0.1, -0.2, 0.5, 2)
@@ -356,10 +348,11 @@ def test_chain_matches_the_uncached_numpy_chain(name, jet_mu):
                 m = Jet.variables(0.1, -0.2, m, 2)[2]
             mu = mu_from_m(fam, k, m)
             ref = _reference_chain(fam.with_mu(mu), k)
+            frame = build_frame(fam, k)
+            assert _bits(frame.m_effective(mu)) == _bits(ref.pop("m_effective"))
             # the chain of one call, and the one a sweep derives from
             # its frame at each parameter value
-            for chain in (build_chain(fam.with_mu(mu), k),
-                          build_frame(fam, k).at_m(m).chain):
+            for chain in (build_chain(fam.with_mu(mu), k), frame.at_m(m).chain):
                 assert set(ref) == {f.name for f in fields(chain)}
                 for field, value in ref.items():
                     assert _bits(getattr(chain, field)) == _bits(value), field

@@ -32,7 +32,6 @@ from .mapcore import (
 )
 from .family import (
     LocalMapParams,
-    GlobalMapSpec,
     TaylorData,
     HenonLikeRecipe,
     ShearSandwichRecipe,
@@ -67,7 +66,6 @@ from .returnmap import (
     classify_horseshoe,
 )
 from .rescale import (
-    RescaleChain,
     RescaleFrame,
     RescaledReturnMap,
     ConvergenceReport,
@@ -85,7 +83,6 @@ from .rescale import (
 )
 from .orbits import (
     OrbitRecord,
-    BifurcationPoint,
     find_two_periodic,
     locate_bifurcation,
     two_orbit_trace,

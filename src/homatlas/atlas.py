@@ -147,8 +147,8 @@ class ResonanceCertificate:
 def _cascade_row(family: FamilyHandle, k: int) -> CascadeRow:
     try:
         frame = build_frame(family, k)
-        plus = locate_bifurcation(frame, "plus")
-        minus = locate_bifurcation(frame, "minus")
+        mu_plus = locate_bifurcation(frame, "plus")
+        mu_minus = locate_bifurcation(frame, "minus")
         m_grid = np.linspace(*_M_RANGE, _N_PHI)
         traces = np.array([two_orbit_trace(frame, float(m)) for m in m_grid])
         mus = np.array([mu_from_m(family, k, float(m)) for m in m_grid])
@@ -164,9 +164,9 @@ def _cascade_row(family: FamilyHandle, k: int) -> CascadeRow:
             flags.append(ResonanceFlag(tag, mu_from_m(family, k, m_star)))
         return CascadeRow(
             k=k,
-            mu_plus=plus.mu,
-            mu_minus=minus.mu,
-            interval=tuple(sorted((plus.mu, minus.mu))),
+            mu_plus=mu_plus,
+            mu_minus=mu_minus,
+            interval=tuple(sorted((mu_plus, mu_minus))),
             phi_curve=curve,
             flags=tuple(flags),
             monotone=bool(np.all(np.diff(traces) < 0.0)),
@@ -254,7 +254,7 @@ def _atlas_cell(fam, k):
     mus, notes = [], []
     for kind in ("plus", "minus"):
         try:
-            mus.append(locate_bifurcation(frame, kind).mu)
+            mus.append(locate_bifurcation(frame, kind))
         except _SOLVER_ERRORS as exc:
             mus.append(None)
             notes.append(f"{kind}: {type(exc).__name__}")
@@ -353,9 +353,9 @@ def certify_global_resonance(family: FamilyHandle,
             continue
         records.append(_cert_record(frame))
         try:
-            plus = locate_bifurcation(frame, "plus")
-            minus = locate_bifurcation(frame, "minus")
-            intervals.append((k,) + tuple(sorted((plus.mu, minus.mu))))
+            mu_plus = locate_bifurcation(frame, "plus")
+            mu_minus = locate_bifurcation(frame, "minus")
+            intervals.append((k,) + tuple(sorted((mu_plus, mu_minus))))
         except _SOLVER_ERRORS:
             intervals.append((k, None, None))
     nesting = _nesting_verdict(intervals)

@@ -41,7 +41,6 @@ from .mapcore import (HShear, Jet, Lift, MapExpr, Moser, Swap, Translate,
 
 __all__ = [
     "LocalMapParams",
-    "GlobalMapSpec",
     "TaylorData",
     "FamilyHandle",
     "HenonLikeRecipe",
@@ -75,17 +74,6 @@ class LocalMapParams:
 
     def map_expr(self) -> MapExpr:
         return MapExpr((self.stage(),))
-
-
-@dataclass(frozen=True)
-class GlobalMapSpec:
-    """The determinant -1 global map plus the marked homoclinic data."""
-
-    x_plus: float
-    y_minus: float
-    mu: float
-    stages: MapExpr
-    n0: int = 1
 
 
 @dataclass(frozen=True)
@@ -195,9 +183,13 @@ class ShearSandwichRecipe:
 
 @dataclass(frozen=True)
 class FamilyHandle:
+    """A local saddle and a global recipe at splitting parameter mu, with
+    the recipe's global stages at mu and their Taylor data."""
+
     local: LocalMapParams
     recipe: object
-    globalmap: GlobalMapSpec
+    mu: float
+    global_stages: MapExpr
     taylor: TaylorData
     alpha: float
     s0: float
@@ -208,40 +200,34 @@ class FamilyHandle:
 
     @property
     def x_plus(self) -> float:
-        return self.globalmap.x_plus
+        return self.recipe.x_plus
 
     @property
     def y_minus(self) -> float:
-        return self.globalmap.y_minus
-
-    @property
-    def mu(self) -> float:
-        return self.globalmap.mu
+        return self.recipe.y_minus
 
     @property
     def beta1(self) -> float:
         mc = self.local.moser_coeffs
         return mc[0] if mc else 0.0
 
-    def global_expr(self) -> MapExpr:
-        return self.globalmap.stages
-
     def with_mu(self, mu: float) -> "FamilyHandle":
         """Same family at a different splitting value; Taylor data is reused
         because mu enters the global map only through the final translation."""
-        spec = replace(self.globalmap, mu=mu, stages=self.recipe.stages(mu))
-        return replace(self, globalmap=spec)
+        return replace(self, mu=mu, global_stages=self.recipe.stages(mu))
 
 
-def extract_taylor(globalmap: GlobalMapSpec) -> TaylorData:
-    """Expansion coefficients of the global map at (0, y_minus).
+def extract_taylor(stages: MapExpr, x_plus: float, y_minus: float,
+                   mu: float) -> TaylorData:
+    """Expansion coefficients at (0, y_minus) of the global stages, which
+    must carry that point to (x_plus, mu).
 
     The global stages run once on degree-3 jets seeded at (0, y_minus), so
     every coefficient is exact up to roundoff.
     """
-    f, g = eval_map(globalmap.stages, Jet.variables(0.0, globalmap.y_minus, 3))
+    f, g = eval_map(stages, Jet.variables(0.0, y_minus, 3))
     f0, g0 = f.c[0], g.c[0]
-    if abs(f0 - globalmap.x_plus) > 1e-8 or abs(g0 - globalmap.mu) > 1e-8:
+    if abs(f0 - x_plus) > 1e-8 or abs(g0 - mu) > 1e-8:
         raise TangencyError(
             "global map does not carry (0, y_minus) to (x_plus, mu)"
         )
@@ -285,14 +271,7 @@ def build_family(local: LocalMapParams, recipe,
     stages = recipe.stages(mu)
     if stages.n_swaps % 2 == 0:
         raise OrientationError("orientable global map: even number of swaps")
-    spec = GlobalMapSpec(
-        x_plus=recipe.x_plus,
-        y_minus=recipe.y_minus,
-        mu=mu,
-        stages=stages,
-        n0=recipe.n0,
-    )
-    t = extract_taylor(spec)
+    t = extract_taylor(stages, recipe.x_plus, recipe.y_minus, mu)
     if abs(t.b * t.c - 1.0) > 1e-10:
         raise ExtractionError(f"bc = {t.b * t.c!r}, expected 1")
     ident = 2.0 * t.a * t.d - t.b * t.f11 - 2.0 * t.e02 * t.c
@@ -301,7 +280,8 @@ def build_family(local: LocalMapParams, recipe,
             f"determinant identity violated: 2ad - b*f11 - 2*e02*c = {ident:.3e}"
         )
     handle = FamilyHandle(
-        local=local, recipe=recipe, globalmap=spec, taylor=t, alpha=0.0, s0=0.0
+        local=local, recipe=recipe, mu=mu, global_stages=stages, taylor=t,
+        alpha=0.0, s0=0.0,
     )
     return replace(
         handle, alpha=alpha_invariant(handle), s0=s0_invariant(handle)

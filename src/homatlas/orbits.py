@@ -38,7 +38,6 @@ from .rescale import RescaleFrame, eval_rescaled, mu_from_m, rescaled_window
 
 __all__ = [
     "OrbitRecord",
-    "BifurcationPoint",
     "find_two_periodic",
     "locate_bifurcation",
     "two_orbit_trace",
@@ -53,13 +52,6 @@ class OrbitRecord:
     stability: StabilityClass
     residual: float
     mu_at: float
-
-
-@dataclass(frozen=True)
-class BifurcationPoint:
-    kind: str
-    mu: float
-    k: int
 
 
 def _solve_orbit(rr, z0, rounds, window=None):
@@ -100,7 +92,7 @@ def find_two_periodic(frame: RescaleFrame, m: float, seed) -> OrbitRecord:
         mults = tuple(eigs)
     return OrbitRecord(
         points=(tuple(z.tolist()), tuple(mid.tolist())),
-        period_label=2 * (frame.k + frame.family.globalmap.n0),
+        period_label=2 * (frame.k + frame.family.recipe.n0),
         multipliers=mults,
         stability=classify_from_trace(
             float(np.trace(jac2)), float(np.linalg.det(jac2))
@@ -119,8 +111,8 @@ def _map_at(frame: RescaleFrame):
 _BORDERS = {"plus": (1, 0.0, (-0.5, 0.5)), "minus": (2, -2.0, (0.5, 1.5))}
 
 
-def locate_bifurcation(frame: RescaleFrame, kind: str) -> BifurcationPoint:
-    """Parameter value where the frame's return map changes stability type.
+def locate_bifurcation(frame: RescaleFrame, kind: str) -> float:
+    """Parameter mu where the frame's return map changes stability type.
 
     kind "plus" targets the fixed-point border with multipliers
     (+1, -1), where tr DF = 0; kind "minus" targets the 2-orbit's double
@@ -133,9 +125,7 @@ def locate_bifurcation(frame: RescaleFrame, kind: str) -> BifurcationPoint:
         raise ValueError(f"unknown bifurcation kind {kind!r}")
     rounds, trace, m_bracket = _BORDERS[kind]
     m_star = _locate_trace(_map_at(frame), rounds, trace, m_bracket)
-    return BifurcationPoint(
-        kind=kind, mu=mu_from_m(frame.family, frame.k, m_star), k=frame.k
-    )
+    return mu_from_m(frame.family, frame.k, m_star)
 
 
 def two_orbit_trace(frame: RescaleFrame, m: float) -> float:

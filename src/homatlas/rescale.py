@@ -13,9 +13,9 @@ Only the parameter offset of the chain depends on mu.  Everything else
 mu-free part of the offset) is a ``RescaleFrame`` that depends on the
 Taylor data, lam, x_plus, y_minus and k alone.  ``build_frame`` makes it
 once per sweep unit (a cascade row, an atlas cell, a certificate k), and
-``RescaleFrame.at_m`` is the one way to the rescaled return map at a
-parameter value: it computes only the mu sums and the global stages at
-that mu.
+``RescaleFrame.at_mu`` (or ``at_m``, from the rescaled parameter) is the
+one way to the rescaled return map at a parameter value: it computes only
+the offset at that mu and the global stages there.
 
 The parameter conversion M <-> mu is the affine relation
 M = -d lam^{-2k} (mu + lam^k (c x^+ - y^-)(1 + k beta1 lam^k x^+ y^-)) - s0
@@ -32,12 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import PrecisionFloorError
-from .family import FamilyHandle, LocalMapParams
+from .family import FamilyHandle
 from .mapcore import MapExpr, _value, eval_map, jacobian_of
 from .returnmap import check_window, solve_y0, t0_pow_closed
 
 __all__ = [
-    "RescaleChain",
     "RescaleFrame",
     "RescaledReturnMap",
     "ConvergenceReport",
@@ -53,26 +52,6 @@ __all__ = [
     "fit_cubic_coefficient",
     "convergence_report",
 ]
-
-
-@dataclass(frozen=True)
-class RescaleChain:
-    """Affine map from cross coordinates (x0, y_k) to rescaled (X, Y).
-
-    (X, Y) = matrix (x0, y_k) + offset, and inverse undoes matrix.  matrix
-    and inverse are 2x2 tuples of rows and offset a 2-tuple, all of Python
-    floats (offset[0] is a jet when mu is), so that ``to_rescaled`` and
-    ``from_rescaled`` run on plain scalars and jets, never numpy scalars.
-
-    matrix and inverse are the frame's and shared by every chain of the
-    same family and k; offset is the frame's mu-free offset minus
-    (a lam^k/2 + nu1 m3, a lam^k/2), where m3 is the parameter after the
-    scaling step.
-    """
-
-    matrix: tuple
-    offset: tuple
-    inverse: tuple
 
 
 def _first_order_base(family: FamilyHandle, k: int) -> float:
@@ -94,7 +73,14 @@ class RescaleFrame:
     lam**k, the shifted curvature d_k, the mix coefficient nu1, the 2x2
     matrix with its inverse, the offset before the mu-dependent
     (a lam^k/2 + nu1 m3, a lam^k/2) is subtracted, and the two mu-free
-    summands of the first parameter m1.  Made by ``build_frame``."""
+    summands of the first parameter m1.  Made by ``build_frame``.
+
+    The chain at mu maps cross coordinates (x0, y_k) to rescaled
+    (X, Y) = matrix (x0, y_k) + offset(mu), and inverse undoes matrix.
+    matrix and inverse are 2x2 tuples of rows and the offset a 2-tuple,
+    all of Python floats (offset[0] is a jet when mu is), so that
+    ``to_rescaled`` and ``from_rescaled`` run on plain scalars and jets,
+    never numpy scalars."""
 
     family: FamilyHandle
     k: int
@@ -113,17 +99,13 @@ class RescaleFrame:
         m2 = -self.d_k / self.lamk**2 * m1
         return m2 + (self.family.taylor.f11 * self.family.x_plus) ** 2 / 4.0
 
-    def chain(self, mu) -> RescaleChain:
-        """The chain at parameter mu.  A jet mu (see ``mapcore.Jet``) gives
-        offset[0] as a jet carrying d/dmu."""
+    def offset(self, mu) -> tuple:
+        """The offset of the chain at parameter mu.  A jet mu (see
+        ``mapcore.Jet``) gives offset[0] as a jet carrying d/dmu."""
         m3 = self._m3(mu)
         half = 0.5 * self.family.taylor.a * self.lamk
         base0, base1 = self.base
-        return RescaleChain(
-            matrix=self.matrix,
-            offset=(base0 - (half + self.nu1 * m3), base1 - half),
-            inverse=self.inverse,
-        )
+        return (base0 - (half + self.nu1 * m3), base1 - half)
 
     def m_effective(self, mu):
         """The additive parameter of the normal form that the chain at mu
@@ -132,17 +114,19 @@ class RescaleFrame:
         a = self.family.taylor.a
         return self._m3(mu) * (1.0 + self.nu1) + 0.25 * a**2 * self.lamk**2
 
+    def at_mu(self, mu) -> RescaledReturnMap:
+        """The rescaled return map at parameter mu, a float or a jet."""
+        return RescaledReturnMap(
+            frame=self,
+            mu=mu,
+            offset=self.offset(mu),
+            stages=self.family.recipe.stages(mu),
+        )
+
     def at_m(self, m) -> RescaledReturnMap:
         """The rescaled return map at rescaled parameter M, a float or a
         jet."""
-        mu = mu_from_m(self.family, self.k, m)
-        return RescaledReturnMap(
-            local=self.family.local,
-            k=self.k,
-            mu=mu,
-            chain=self.chain(mu),
-            stages=self.family.recipe.stages(mu),
-        )
+        return self.at_mu(mu_from_m(self.family, self.k, m))
 
 
 def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
@@ -182,25 +166,27 @@ def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
     )
 
 
-def build_chain(family: FamilyHandle, k: int) -> RescaleChain:
-    """The chain at the family's mu; kept only for ``spans.LAYERS``
-    (ROADMAP item 1)."""
-    return build_frame(family, k).chain(family.mu)
+def build_chain(family: FamilyHandle, k: int) -> RescaledReturnMap:
+    """The rescaled return map at the family's mu; kept only for
+    ``spans.LAYERS`` (ROADMAP item 1)."""
+    return build_frame(family, k).at_mu(family.mu)
 
 
-def to_rescaled(chain: RescaleChain, p):
+def to_rescaled(rr: RescaledReturnMap, p):
+    """Cross coordinates (x0, y_k) to rescaled (X, Y) by the map's chain."""
     x, y = p
-    a = chain.matrix
+    a = rr.frame.matrix
     return (
-        a[0][0] * x + a[0][1] * y + chain.offset[0],
-        a[1][0] * x + a[1][1] * y + chain.offset[1],
+        a[0][0] * x + a[0][1] * y + rr.offset[0],
+        a[1][0] * x + a[1][1] * y + rr.offset[1],
     )
 
 
-def from_rescaled(chain: RescaleChain, p):
-    x = p[0] - chain.offset[0]
-    y = p[1] - chain.offset[1]
-    a = chain.inverse
+def from_rescaled(rr: RescaledReturnMap, p):
+    """Rescaled (X, Y) back to cross coordinates (x0, y_k)."""
+    x = p[0] - rr.offset[0]
+    y = p[1] - rr.offset[1]
+    a = rr.frame.inverse
     return (a[0][0] * x + a[0][1] * y, a[1][0] * x + a[1][1] * y)
 
 
@@ -225,20 +211,19 @@ def mu_from_m(family: FamilyHandle, k: int, m: float) -> float:
 
 @dataclass(frozen=True)
 class RescaledReturnMap:
-    """The k-th rescaled return map at parameter mu (a jet when M is): the
-    local saddle, the chain and the global stages at mu.  Made by
-    ``RescaleFrame.at_m``."""
+    """The frame's rescaled return map at parameter mu (a jet when M is):
+    the chain's offset and the global stages at mu.  Made by
+    ``RescaleFrame.at_mu``."""
 
-    local: LocalMapParams
-    k: int
+    frame: RescaleFrame
     mu: float
-    chain: RescaleChain
+    offset: tuple
     stages: MapExpr
 
 
 def rescaled_window(rr: RescaledReturnMap) -> float:
     """Half-width of the rescaled domain, growing like |lam|**(-k/4)."""
-    return abs(rr.local.lam) ** (-rr.k / 4.0)
+    return abs(rr.frame.family.lam) ** (-rr.frame.k / 4.0)
 
 
 def eval_rescaled(rr: RescaledReturnMap, p):
@@ -248,13 +233,13 @@ def eval_rescaled(rr: RescaledReturnMap, p):
     height y0; the outgoing one is explicit because the image point runs
     through the saddle forward.
     """
-    local, k = rr.local, rr.k
-    x0, yk = from_rescaled(rr.chain, p)
+    local, k = rr.frame.family.local, rr.frame.k
+    x0, yk = from_rescaled(rr, p)
     y0 = solve_y0(local, k, x0, yk)
     xk, _ = t0_pow_closed(local, (x0, y0), k)
     xb0, yb0 = eval_map(rr.stages, (xk, yk))
     _, ybk = t0_pow_closed(local, (xb0, yb0), k)
-    return to_rescaled(rr.chain, (xb0, ybk))
+    return to_rescaled(rr, (xb0, ybk))
 
 
 def rescaled_jacobian(rr: RescaledReturnMap, p):
@@ -311,8 +296,7 @@ def convergence_report(family: FamilyHandle, k_values, m: float,
         frame = build_frame(family, k)
         rr = frame.at_m(m)
         xb, yb = eval_rescaled(rr, (gx, gy))
-        lamk = family.lam ** k
-        c3 = t.f03 / t.d**2 * lamk
+        c3 = t.f03 / t.d**2 * frame.lamk
         xb_lim = gy
         yb_lim = frame.m_effective(rr.mu) + gx - gy**2 + c3 * gy**3
         res = np.maximum(np.abs(xb - xb_lim), np.abs(yb - yb_lim))

@@ -360,7 +360,7 @@ def _component_count(family: FamilyHandle, k: int):
     local = family.local
     delta = window_halfwidth(family)
     xp, ym = family.x_plus, family.y_minus
-    expr = family.global_expr()
+    expr = family.global_stages
     history = []
     n = 64
     floor = 12.0 * abs(family.lam) ** (-k / 2.0)
@@ -394,12 +394,7 @@ def classify_horseshoe(family: FamilyHandle, k_values) -> HorseshoeClass:
     for k in k_values:
         check_window(family, k)
     t = family.taylor
-    evidence = {}
-    measured = {}
-    for k in k_values:
-        cnt = _component_count(family, k)
-        evidence[k] = cnt
-        measured[k] = cnt
+    evidence = {k: _component_count(family, k) for k in k_values}
     lam_sign = 1.0 if family.lam > 0 else -1.0
 
     def predicted_count(k):
@@ -408,10 +403,10 @@ def classify_horseshoe(family: FamilyHandle, k_values) -> HorseshoeClass:
 
     predicted_pattern = {k: predicted_count(k) for k in k_values}
     predicted_tag = _tag_from_pattern(predicted_pattern, t.c, family.alpha)
-    if any(v is None for v in measured.values()):
+    if any(v is None for v in evidence.values()):
         tag = "inconclusive"
     else:
-        tag = _tag_from_pattern(measured, t.c, family.alpha)
+        tag = _tag_from_pattern(evidence, t.c, family.alpha)
     return HorseshoeClass(
         tag=tag,
         evidence=evidence,

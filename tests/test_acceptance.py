@@ -112,7 +112,7 @@ def test_acceptance_2_conservativity(capsys):
     for family in families:
         for _ in range(20):
             p = (rng.uniform(-0.1, 0.1), family.y_minus + rng.uniform(-0.1, 0.1))
-            d1 = np.linalg.det(jacobian(family.global_expr(), p))
+            d1 = np.linalg.det(jacobian(family.global_stages, p))
             worst_det1 = max(worst_det1, abs(d1 + 1.0))
         for k in (8, 12, 16):
             xs = family.x_plus + rng.uniform(-0.05, 0.05, 5)
@@ -121,7 +121,7 @@ def test_acceptance_2_conservativity(capsys):
                 y0 = solve_y0(family.local, k, x0, yk)
                 dk = np.linalg.det(jacobian_of(
                     lambda z: eval_map(
-                        family.global_expr(),
+                        family.global_stages,
                         t0_pow_closed(family.local, z, k),
                     ),
                     (x0, y0),

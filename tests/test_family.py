@@ -13,7 +13,6 @@ from homatlas.exceptions import (
 )
 from homatlas.family import (
     FamilyHandle,
-    GlobalMapSpec,
     HenonLikeRecipe,
     LocalMapParams,
     ShearSandwichRecipe,
@@ -74,7 +73,7 @@ def symbolic_jet(stages, y_minus):
 
 
 def assert_matches_symbolic(fam, tol=1e-8):
-    jet = symbolic_jet(fam.globalmap.stages, fam.y_minus)
+    jet = symbolic_jet(fam.global_stages, fam.y_minus)
     t = fam.taylor
     pairs = [
         (t.a, ("F", 1, 0)), (t.b, ("F", 0, 1)),
@@ -182,7 +181,7 @@ def test_global_map_determinant_minus_one_on_window():
             rng.uniform(-delta, delta),
             fam.y_minus + rng.uniform(-delta, delta),
         )
-        det = np.linalg.det(jacobian(fam.globalmap.stages, p))
+        det = np.linalg.det(jacobian(fam.global_stages, p))
         assert abs(det + 1.0) <= 1e-10
 
 
@@ -192,7 +191,7 @@ def test_unstable_manifold_image_is_parabola():
         LOCAL, HenonLikeRecipe(p=(0, 0.8, 0.2), q=(0, 0, 1.4, -0.3)), mu=0.02
     )
     ts = np.linspace(-0.04, 0.04, 20)
-    xs, ys = eval_map(fam.globalmap.stages, (np.zeros_like(ts), fam.y_minus + ts))
+    xs, ys = eval_map(fam.global_stages, (np.zeros_like(ts), fam.y_minus + ts))
     s = xs - fam.x_plus
     a_mat = np.vander(s, 7, increasing=True)[:, 2:]
     coef, *_ = np.linalg.lstsq(a_mat, ys - fam.mu, rcond=None)
@@ -204,17 +203,19 @@ def test_mu_only_moves_constant_term():
     fam = build_family(LOCAL, HenonLikeRecipe(p=(0, 1, 0.3), q=(0, 0, 1)))
     bumped = fam.with_mu(0.015)
     assert bumped.mu == 0.015
-    t2 = extract_taylor(bumped.globalmap)
+    t2 = extract_taylor(
+        bumped.global_stages, bumped.x_plus, bumped.y_minus, bumped.mu
+    )
     for name in ("a", "b", "c", "d", "e02", "f11", "f03"):
         assert abs(getattr(t2, name) - getattr(fam.taylor, name)) < 1e-8
-    img = eval_map(bumped.globalmap.stages, (0.0, bumped.y_minus))
+    img = eval_map(bumped.global_stages, (0.0, bumped.y_minus))
     assert abs(img[0] - fam.x_plus) < 1e-12
     assert abs(img[1] - 0.015) < 1e-12
 
 
 def _dummy_handle(taylor, x_plus=1.0, y_minus=1.0):
-    spec = GlobalMapSpec(x_plus, y_minus, 0.0, MapExpr(()), 1)
-    return FamilyHandle(LOCAL, None, spec, taylor, 0.0, 0.0)
+    recipe = HenonLikeRecipe(x_plus=x_plus, y_minus=y_minus)
+    return FamilyHandle(LOCAL, recipe, 0.0, MapExpr(()), taylor, 0.0, 0.0)
 
 
 def _td(**kw):
@@ -326,9 +327,46 @@ def test_even_swap_count_rejected():
         build_family(LOCAL, _NoSwapRecipe())
 
 
+class _MisplacedRecipe:
+    x_plus = 1.0
+    y_minus = 1.0
+    n0 = 1
+
+    def stages(self, mu):
+        # a fold that lands at (2, mu) instead of the marked (x_plus, mu)
+        return MapExpr(
+            (
+                Translate(0.0, -1.0),
+                Swap(),
+                HShear((0.0, 0.0, 1.0)),
+                Translate(2.0, mu),
+            )
+        )
+
+
+class _FlatRecipe:
+    x_plus = 1.0
+    y_minus = 1.0
+    n0 = 1
+
+    def stages(self, mu):
+        # ybar = x + mu: no eta^2 term, so the contact is not quadratic
+        return MapExpr((Translate(0.0, -1.0), Swap(), Translate(1.0, mu)))
+
+
 def test_transversal_crossing_rejected():
     with pytest.raises(TangencyError):
         build_family(LOCAL, _BrokenTangencyRecipe())
+
+
+def test_misplaced_homoclinic_image_rejected():
+    with pytest.raises(TangencyError, match="does not carry"):
+        build_family(LOCAL, _MisplacedRecipe())
+
+
+def test_flat_contact_rejected():
+    with pytest.raises(TangencyError, match="d = 0"):
+        build_family(LOCAL, _FlatRecipe())
 
 
 @settings(max_examples=25, deadline=None)

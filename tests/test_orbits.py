@@ -75,8 +75,8 @@ def _fixed_point(rr, seed):
 
 def _strip_point(rr, z):
     """The entry point (x0, y0) in sigma0 of a rescaled point."""
-    x0, yk = from_rescaled(rr.chain, z)
-    return x0, float(solve_y0(rr.local, rr.k, x0, yk))
+    x0, yk = from_rescaled(rr, z)
+    return x0, float(solve_y0(rr.frame.family.local, rr.frame.k, x0, yk))
 
 
 def test_fixed_points_at_quarter_are_saddles():
@@ -101,8 +101,8 @@ def test_fixed_points_at_quarter_are_saddles():
 def test_fixed_point_multipliers_at_plus_border():
     family = _exact_family()
     frame = build_frame(family, 10)
-    bp = locate_bifurcation(frame, "plus")
-    rr = frame.at_m(m_from_mu(family, 10, bp.mu))
+    mu_plus = locate_bifurcation(frame, "plus")
+    rr = frame.at_m(m_from_mu(family, 10, mu_plus))
     _, _, mults, _ = _fixed_point(rr, (0.0, 0.0))
     lo, hi = sorted(mults)
     assert abs(lo + 1.0) < 1e-6
@@ -167,12 +167,10 @@ def test_locate_bifurcation_exact_values():
     family = _exact_family()
     lam2k = 0.5 ** 20
     frame = build_frame(family, 10)
-    plus = locate_bifurcation(frame, "plus")
-    assert plus.kind == "plus"
-    assert plus.k == 10
-    assert abs(plus.mu) <= 1e-8 * lam2k
-    minus = locate_bifurcation(frame, "minus")
-    assert abs(minus.mu + lam2k) <= 1e-8 * lam2k
+    mu_plus = locate_bifurcation(frame, "plus")
+    assert abs(mu_plus) <= 1e-8 * lam2k
+    mu_minus = locate_bifurcation(frame, "minus")
+    assert abs(mu_minus + lam2k) <= 1e-8 * lam2k
     with pytest.raises(ValueError):
         locate_bifurcation(frame, "flip")
 
@@ -183,10 +181,10 @@ def test_locate_bifurcation_quadratic_jet_predictions():
         lam2k = 0.5 ** (2 * k)
         envelope = 5.0 * k * 0.5**k
         frame = build_frame(family, k)
-        plus = locate_bifurcation(frame, "plus")
-        assert abs(plus.mu / lam2k - 0.4) <= envelope
-        minus = locate_bifurcation(frame, "minus")
-        assert abs(minus.mu / lam2k + 0.6) <= envelope
+        mu_plus = locate_bifurcation(frame, "plus")
+        assert abs(mu_plus / lam2k - 0.4) <= envelope
+        mu_minus = locate_bifurcation(frame, "minus")
+        assert abs(mu_minus / lam2k + 0.6) <= envelope
 
 
 def test_interval_width_ratio_approaches_lambda_squared():
@@ -194,9 +192,9 @@ def test_interval_width_ratio_approaches_lambda_squared():
     widths = {}
     for k in (11, 12, 13):
         frame = build_frame(family, k)
-        plus = locate_bifurcation(frame, "plus")
-        minus = locate_bifurcation(frame, "minus")
-        widths[k] = abs(plus.mu - minus.mu)
+        mu_plus = locate_bifurcation(frame, "plus")
+        mu_minus = locate_bifurcation(frame, "minus")
+        widths[k] = abs(mu_plus - mu_minus)
     for k in (11, 12):
         ratio = widths[k + 1] / widths[k]
         assert abs(ratio / 0.25 - 1.0) < 0.05
@@ -246,9 +244,9 @@ def test_intervals_disjoint_for_nonzero_alpha():
     spans = []
     for k in (10, 11, 12):
         frame = build_frame(family, k)
-        plus = locate_bifurcation(frame, "plus")
-        minus = locate_bifurcation(frame, "minus")
-        lo, hi = sorted((plus.mu, minus.mu))
+        mu_plus = locate_bifurcation(frame, "plus")
+        mu_minus = locate_bifurcation(frame, "minus")
+        lo, hi = sorted((mu_plus, mu_minus))
         spans.append((lo, hi))
     for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
         assert hi2 < lo1 or hi1 < lo2
@@ -314,7 +312,7 @@ def _mpmath_border(family, k, rounds, target):
 
     seed = _limit_seed(rounds, target)
     mu0 = mu_from_m(family, k, seed[2])
-    x0, yk = from_rescaled(build_frame(family, k).chain(mu0), seed[:2])
+    x0, yk = from_rescaled(build_frame(family, k).at_mu(mu0), seed[:2])
     y0 = solve_y0(family.local, k, float(x0), float(yk))
     with mp.workdps(50):
         seed = (mp.mpf(float(x0)), mp.mpf(y0), mp.mpf(mu0))
@@ -325,7 +323,7 @@ def _mpmath_border(family, k, rounds, target):
 @pytest.mark.parametrize("kind", ["plus", "minus"])
 def test_border_matches_mpmath_border(kind, k):
     family = _cubic_family()
-    mu = locate_bifurcation(build_frame(family, k), kind).mu
+    mu = locate_bifurcation(build_frame(family, k), kind)
     oracle = _mpmath_border(family, k, *_BORDERS[kind])
     assert abs(mu - oracle) <= 1e-10 * 0.5 ** (2 * k)
 
@@ -360,7 +358,7 @@ def _mpmath_two_orbit_cos(family, k):
         return [fx - x, fy - y]
 
     root = math.sqrt(-family.s0)
-    x0, yk = from_rescaled(build_frame(family, k).chain(0.0), (-root, root))
+    x0, yk = from_rescaled(build_frame(family, k).at_mu(0.0), (-root, root))
     y0 = solve_y0(family.local, k, x0, yk)
     with mp.workdps(50):
         x, y = mp.findroot(system, (mp.mpf(x0), mp.mpf(y0)))

@@ -47,7 +47,7 @@ def _return_fun(rm):
 
     def fun(p):
         q = t0_pow_closed(rm.family.local, p, rm.k)
-        return eval_map(rm.family.global_expr(), q)
+        return eval_map(rm.family.global_stages, q)
 
     return fun
 

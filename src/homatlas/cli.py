@@ -27,17 +27,10 @@ from .config import SUBCOMMANDS, load_config
 from .exceptions import (ConfigError, HomatlasError, NonFiniteResultError,
                          PrecisionFloorError, ResonantParameterError,
                          TangencyError)
-from .family import (
-    HenonLikeRecipe,
-    LocalMapParams,
-    ShearSandwichRecipe,
-    build_family,
-    tune_to,
-)
+from .family import RECIPES, LocalMapParams, build_family, tune_to
 from .henon import bifurcation_values, birkhoff_b1, horseshoe_certificate
 from .rescale import convergence_report
-from .returnmap import (check_window, classify_horseshoe, k_max,
-                        validate_cross_form)
+from .returnmap import classify_horseshoe, k_max, validate_cross_form
 from .svgplot import Series, line_chart, save_svg
 
 __all__ = ["main", "family_from_config"]
@@ -50,29 +43,10 @@ def family_from_config(fam: dict):
     try:
         local = LocalMapParams(fam["lam"], tuple(fam["beta"]))
         name = fam["recipe"]
-        if name == "fold":
-            recipe = HenonLikeRecipe(
-                p=tuple(fam["p"]),
-                q=tuple(fam["q"]),
-                x_plus=fam["x_plus"],
-                y_minus=fam["y_minus"],
-                n0=fam["n0"],
-            )
-        elif name == "sandwich":
-            recipe = ShearSandwichRecipe(
-                p1=fam["p1"],
-                p2=fam["p2"],
-                q1=fam["q1"],
-                d=fam["d"],
-                m3=fam["m3"],
-                w1=fam["w1"],
-                w2=fam["w2"],
-                x_plus=fam["x_plus"],
-                y_minus=fam["y_minus"],
-                n0=fam["n0"],
-            )
-        else:
+        if name not in RECIPES:
             raise ConfigError(f"unknown recipe {name!r}")
+        cls = RECIPES[name]
+        recipe = cls(**{f.name: fam[f.name] for f in dataclasses.fields(cls)})
     except (TypeError, ValueError, TangencyError) as exc:
         # recipe constructors reject a non-quadratic tangency up front
         raise ConfigError(f"bad family parameters: {exc}") from exc
@@ -133,6 +107,9 @@ def _cell(value):
 
 
 # ---------------------------------------------------------------- handlers
+# Each returns (result, csv rows, svg charts by file name, warnings); the
+# result stays a dataclass or dict until _write_outputs converts the whole
+# envelope to JSON types.
 
 
 def _run_henon(cfg):
@@ -184,7 +161,7 @@ def _run_family_check(cfg):
         "lam": family.lam,
         "beta1": family.beta1,
         "mu": family.mu,
-        "taylor": _jsonify(t),
+        "taylor": t,
         "alpha": family.alpha,
         "s0": family.s0,
         "bc_minus_one": bc_minus_one,
@@ -221,13 +198,7 @@ def _run_family_check(cfg):
 def _run_cross_form(cfg):
     family = family_from_config(cfg.family)
     exp = cfg.experiment
-    ks = _k_range(family, exp)
-    for k in ks:
-        check_window(family, k)
-    report = validate_cross_form(
-        family.local, ks, x_plus=family.x_plus, y_minus=family.y_minus
-    )
-    payload = _jsonify(report)
+    report = validate_cross_form(family, _k_range(family, exp))
     rows = [["k", "sup_normalized", "slope_per_k"]]
     for k, sup, slope in zip(
         report.k_values, report.sup_normalized, report.slope_per_k
@@ -246,7 +217,7 @@ def _run_cross_form(cfg):
         xlabel="k",
         ylabel="normalized residual",
     )
-    return payload, rows, {f"{cfg.subcommand}.svg": chart}, []
+    return report, rows, {f"{cfg.subcommand}.svg": chart}, []
 
 
 def _run_classify(cfg):
@@ -255,7 +226,6 @@ def _run_classify(cfg):
     result = classify_horseshoe(
         family, _k_range(family, exp)
     )
-    payload = _jsonify(result)
     warnings = []
     if not result.agrees:
         warnings.append(
@@ -279,7 +249,7 @@ def _run_classify(cfg):
         xlabel="k",
         ylabel="count",
     )
-    return payload, rows, {f"{cfg.subcommand}.svg": chart}, warnings
+    return result, rows, {f"{cfg.subcommand}.svg": chart}, warnings
 
 
 def _run_cascade(cfg):
@@ -289,7 +259,6 @@ def _run_cascade(cfg):
     warnings = [
         f"k={row.k}: {row.error}" for row in result.rows if row.error
     ]
-    payload = _jsonify(result)
     rows = [["k", "mu_plus", "mu_minus", "monotone", "flags", "error"]]
     for row in result.rows:
         flag_text = ";".join(
@@ -345,7 +314,7 @@ def _run_cascade(cfg):
         f"{cfg.subcommand}.svg": interval_chart,
         "cascade_phases.svg": phase_chart,
     }
-    return payload, rows, svgs, warnings
+    return result, rows, svgs, warnings
 
 
 def _run_atlas2d(cfg):
@@ -361,7 +330,6 @@ def _run_atlas2d(cfg):
         f"k={k} alpha={alpha:.6g} {stage}: {note}"
         for k, alpha, stage, note in atlas.failures
     ]
-    payload = _jsonify(atlas)
     rows = [["k", "alpha", "mu_plus", "mu_minus"]]
     for band in atlas.bands:
         for alpha, mp, mm in zip(
@@ -400,7 +368,7 @@ def _run_atlas2d(cfg):
         xlabel="alpha",
         ylabel="mu / lam^2k",
     )
-    return payload, rows, {f"{cfg.subcommand}.svg": chart}, warnings
+    return atlas, rows, {f"{cfg.subcommand}.svg": chart}, warnings
 
 
 def _run_resonance(cfg):
@@ -413,7 +381,6 @@ def _run_resonance(cfg):
     for rec in cert.records:
         if rec.failure:
             warnings.append(f"k={rec.k}: {rec.failure}")
-    payload = _jsonify(cert)
     spans = {k: (lo, hi) for k, lo, hi in cert.intervals}
     rows = [
         [
@@ -457,7 +424,7 @@ def _run_resonance(cfg):
         xlabel="k",
         ylabel="cos(phi)",
     )
-    return payload, rows, {f"{cfg.subcommand}.svg": chart}, warnings
+    return cert, rows, {f"{cfg.subcommand}.svg": chart}, warnings
 
 
 def _run_rescale_verify(cfg):
@@ -477,7 +444,6 @@ def _run_rescale_verify(cfg):
             f"log-residual slope {report.log_slope:.4f} outside "
             f"band {report.slope_band}"
         )
-    payload = _jsonify(report)
     rows = [["k", "sup_residual", "normalized"]]
     for k, sup, norm in zip(
         report.k_values, report.sup_residual, report.normalized
@@ -503,7 +469,7 @@ def _run_rescale_verify(cfg):
         ylabel="residual",
         logy=True,
     )
-    return payload, rows, {f"{cfg.subcommand}.svg": chart}, warnings
+    return report, rows, {f"{cfg.subcommand}.svg": chart}, warnings
 
 
 _HANDLERS = {
@@ -534,43 +500,46 @@ def _formats(cfg) -> tuple:
 
 
 def _write_outputs(cfg, payload, rows, svgs, warnings, elapsed):
-    """Serialize the result envelope, then write the chosen formats; a
+    """Serialize the result envelope, then write the chosen formats.  A
     non-finite number raises NonFiniteResultError before any file is
-    written."""
+    written; an OSError from making the output directory or writing into
+    it raises ConfigError."""
     out_dir = cfg.output["dir"]
     formats = _formats(cfg)
-    envelope = {
+    envelope = _jsonify({
         "schema_version": 1,
         "tool": "homatlas",
         "version": __version__,
         "subcommand": cfg.subcommand,
         "config": {
-            "family": _jsonify(cfg.family),
-            "experiment": _jsonify(cfg.experiment),
-            "output": _jsonify(cfg.output),
+            "family": cfg.family,
+            "experiment": cfg.experiment,
+            "output": cfg.output,
         },
         "wall_clock_s": elapsed,
-        "warnings": list(warnings),
-        "payload": _jsonify(payload),
-    }
+        "warnings": warnings,
+        "payload": payload,
+    })
     try:
         text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteResultError(f"result not serializable: {exc}") from exc
-    os.makedirs(out_dir, exist_ok=True)
-    if "json" in formats:
-        text += "\n"
-        path = os.path.join(out_dir, "result.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    if "csv" in formats:
-        path = os.path.join(out_dir, f"{cfg.subcommand}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(rows)
-    if "svg" in formats:
-        for name, text in svgs.items():
-            save_svg(os.path.join(out_dir, name), text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        if "json" in formats:
+            path = os.path.join(out_dir, "result.json")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text + "\n")
+        if "csv" in formats:
+            path = os.path.join(out_dir, f"{cfg.subcommand}.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerows(rows)
+        if "svg" in formats:
+            for name, chart in svgs.items():
+                save_svg(os.path.join(out_dir, name), chart)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output to {out_dir!r}: {exc}") from exc
 
 
 def _error_obj(subcommand, exc):
@@ -651,6 +620,9 @@ def main(argv=None) -> int:
     elapsed = time.monotonic() - start
     try:
         _write_outputs(cfg, payload, rows, svgs, warnings, elapsed)
+    except ConfigError as exc:
+        _report_error(cfg.subcommand, exc)
+        return 1
     except NonFiniteResultError as exc:
         _report_error(cfg.subcommand, exc, out_dir=cfg.output["dir"])
         return 2

@@ -12,36 +12,34 @@ output schema.
 from __future__ import annotations
 
 import math
-import os
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .exceptions import ConfigError
+from .family import RECIPES
 
 __all__ = ["RunConfig", "SUBCOMMANDS", "load_config"]
 
+# schema kind of a recipe field's annotation
+_FIELD_KINDS = {"tuple": "floats", "float": "float", "int": "int"}
+
 # value kinds: str, int, float, optfloat (None unless set), floats
-# (comma- or space-separated list)
+# (comma- or space-separated list).  Each recipe field is a key too, with
+# the field's kind and default; x_plus, y_minus and n0, fields of both
+# recipes with the same defaults, take one key each.
 _FAMILY_SCHEMA = {
     "recipe": ("str", "fold"),
     "lam": ("float", 0.5),
     "beta": ("floats", ()),
-    "p": ("floats", (0.0, 1.0)),
-    "q": ("floats", (0.0, 0.0, 1.0)),
-    "x_plus": ("float", 1.0),
-    "y_minus": ("float", 1.0),
-    "n0": ("int", 1),
     "mu": ("float", 0.0),
     "h0": ("float", 0.05),  # deprecated, ignored
     "alpha": ("optfloat", None),
     "s0": ("optfloat", None),
-    "p1": ("float", 0.3),
-    "p2": ("float", 0.1),
-    "q1": ("float", 0.5),
-    "d": ("float", 1.0),
-    "m3": ("float", 0.0),
-    "w1": ("float", 0.2),
-    "w2": ("float", 0.0),
+    **{
+        f.name: (_FIELD_KINDS[f.type], f.default)
+        for recipe in RECIPES.values()
+        for f in fields(recipe)
+    },
 }
 
 _EXPERIMENT_SCHEMAS = {
@@ -164,13 +162,18 @@ def load_config(subcommand, path=None, overrides=(), out_dir=None):
     experiment_schema = _EXPERIMENT_SCHEMAS[subcommand]
     raw = {"family": {}, "experiment": {}, "output": {}}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
         parser = ConfigParser()
         # keep option names case-sensitive so keys like M survive
         parser.optionxform = str
         try:
-            parser.read(path, encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(
+                f"unreadable config file {path!r}: {exc}"
+            ) from exc
         except ConfigParserError as exc:
             raise ConfigError(f"malformed config file: {exc}") from exc
         for section in parser.sections():

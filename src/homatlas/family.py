@@ -45,6 +45,7 @@ __all__ = [
     "FamilyHandle",
     "HenonLikeRecipe",
     "ShearSandwichRecipe",
+    "RECIPES",
     "build_family",
     "extract_taylor",
     "alpha_invariant",
@@ -179,6 +180,11 @@ class ShearSandwichRecipe:
                 Translate(self.x_plus, mu),
             )
         )
+
+
+# the recipe behind each value of the config key [family] recipe; a
+# recipe's dataclass fields are its config keys (see config._FAMILY_SCHEMA)
+RECIPES = {"fold": HenonLikeRecipe, "sandwich": ShearSandwichRecipe}
 
 
 @dataclass(frozen=True)

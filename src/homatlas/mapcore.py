@@ -326,9 +326,6 @@ class MapExpr:
         """Structural determinant: (-1)**(number of swap stages)."""
         return -1.0 if self.n_swaps % 2 else 1.0
 
-    def then(self, other):
-        return MapExpr(self.stages + other.stages)
-
 
 def _check_escape(x, y, stage_idx):
     # a NaN size fails the comparison too, so non-finite points escape

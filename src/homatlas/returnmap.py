@@ -276,8 +276,7 @@ class CrossFormReport:
     beta1_fitted: float
 
 
-def validate_cross_form(local: LocalMapParams, k_values, x_plus: float = 1.0,
-                        y_minus: float = 1.0) -> CrossFormReport:
+def validate_cross_form(family: FamilyHandle, k_values) -> CrossFormReport:
     """Measure the first-order cross-form residual of the saddle power.
 
     For sampled cross pairs (x0, y_k) the identities
@@ -285,23 +284,29 @@ def validate_cross_form(local: LocalMapParams, k_values, x_plus: float = 1.0,
     y0 = lam**k y_k (1 + beta1 k lam**k x0 y_k) + O(lam**2k) are checked;
     the sup residual is reported divided by lam**2k.  Per-k regression of
     the measured correction against lam**k x0 y_k recovers beta1 * k, and
-    a through-origin fit across k recovers beta1 itself.
+    a through-origin fit across k recovers beta1 itself.  The pairs are
+    drawn from the family's strip window, and every k must lie in the
+    validity window (see ``check_window``).
     """
+    for k in k_values:
+        check_window(family, k)
+    local = family.local
     n_samples = 100
     rng = np.random.default_rng(0)
-    delta = min(x_plus, y_minus) / 10.0
-    beta1 = local.moser_coeffs[0] if local.moser_coeffs else 0.0
+    delta = window_halfwidth(family)
+    xp, ym = family.x_plus, family.y_minus
+    beta1 = family.beta1
     sups, slopes = [], []
     for k in k_values:
-        x0 = rng.uniform(x_plus - delta, x_plus + delta, n_samples)
-        yk = rng.uniform(y_minus - delta, y_minus + delta, n_samples)
+        x0 = rng.uniform(xp - delta, xp + delta, n_samples)
+        yk = rng.uniform(ym - delta, ym + delta, n_samples)
         y0 = solve_y0(local, k, x0, yk)
         xk, yk_check = t0_pow_closed(local, (x0, y0), k)
         if not np.max(np.abs(yk_check - yk)) < 1e-12:
             raise CrossFormSolveError(
                 f"solved y0 does not reproduce y_k at k={k}"
             )
-        lamk = float(local.lam) ** k
+        lamk = float(family.lam) ** k
         r1 = 1.0 + beta1 * k * lamk * x0 * yk
         res = np.maximum(
             np.abs(xk - lamk * x0 * r1), np.abs(y0 - lamk * yk * r1)
@@ -316,7 +321,7 @@ def validate_cross_form(local: LocalMapParams, k_values, x_plus: float = 1.0,
     sl = np.asarray(slopes)
     beta1_fitted = float(np.dot(ks, sl) / np.dot(ks, ks))
     return CrossFormReport(
-        lam=local.lam,
+        lam=family.lam,
         beta1=beta1,
         k_values=tuple(int(k) for k in k_values),
         sup_normalized=tuple(sups),

@@ -168,7 +168,8 @@ def test_acceptance_3_cross_form(capsys):
     for lam in (0.5, -0.5):
         for beta1 in (0.0, 1.0):
             local = LocalMapParams(lam, (beta1,) if beta1 else ())
-            report = validate_cross_form(local, range(6, 17))
+            family = build_family(local, HenonLikeRecipe())
+            report = validate_cross_form(family, range(6, 17))
             worst_sup = max(worst_sup, max(report.sup_normalized))
             if report.sup_normalized[-1] > max(
                 report.sup_normalized[0], 1e-9

@@ -11,6 +11,7 @@ from homatlas import cli
 from homatlas.cli import family_from_config, main
 from homatlas.config import load_config
 from homatlas.exceptions import ConfigError
+from homatlas.family import HenonLikeRecipe, ShearSandwichRecipe
 
 
 def _envelope(out_dir):
@@ -145,6 +146,38 @@ def test_henon_range_error_exit_1(tmp_path, capsys, override):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ConfigError"
     assert not os.path.exists(os.path.join(out, "result.json"))
+
+
+def _config_error(capsys):
+    """The single JSON error object main printed for a ConfigError."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    obj = json.loads(err)
+    assert obj["error"]["type"] == "ConfigError"
+    return obj["error"]["message"]
+
+
+@pytest.mark.parametrize("content", [None, b"[family]\nlam = 0.4 \xff\n"],
+                         ids=["directory", "not-utf8"])
+def test_unreadable_config_file_exit_1(tmp_path, capsys, content):
+    path = tmp_path / "run.ini"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    out = str(tmp_path / "run")
+    assert main(["henon", "--config", str(path), "--out", out]) == 1
+    assert "unreadable config file" in _config_error(capsys)
+    assert not os.path.exists(out)
+
+
+def test_out_path_that_is_a_file_exit_1(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep\n", encoding="utf-8")
+    assert main(["family-check", "--out", str(out)]) == 1
+    assert "cannot write output" in _config_error(capsys)
+    assert out.read_text(encoding="utf-8") == "keep\n"
+    assert os.listdir(tmp_path) == ["taken"]
 
 
 def test_henon_horseshoe_false_means_not_certified(tmp_path, capsys):
@@ -372,6 +405,10 @@ def test_family_from_config_recipes():
     fam = family_from_config(load_config("family-check").family)
     assert fam.lam == 0.5
     assert abs(fam.taylor.b - 1.0) < 1e-9
+    # the config defaults are the recipe defaults
+    assert fam.recipe == HenonLikeRecipe()
+    cfg = load_config("family-check", overrides=("recipe=sandwich",))
+    assert family_from_config(cfg.family).recipe == ShearSandwichRecipe()
 
     cfg = load_config(
         "family-check", overrides=("recipe=sandwich", "p1=0.2")

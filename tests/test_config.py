@@ -1,9 +1,12 @@
 """Tests for config assembly: schema defaults, INI ingestion, overrides."""
 
+from dataclasses import fields
+
 import pytest
 
-from homatlas.config import SUBCOMMANDS, load_config
+from homatlas.config import _FAMILY_SCHEMA, SUBCOMMANDS, load_config
 from homatlas.exceptions import ConfigError
+from homatlas.family import RECIPES
 
 
 def test_defaults_per_subcommand():
@@ -32,6 +35,18 @@ def test_every_subcommand_loads_clean():
         cfg = load_config(name)
         assert cfg.subcommand == name
         assert cfg.family["x_plus"] == 1.0
+
+
+def test_family_schema_holds_each_recipe_field():
+    kinds = {"tuple": "floats", "float": "float", "int": "int"}
+    recipe_keys = set()
+    for recipe in RECIPES.values():
+        for f in fields(recipe):
+            assert _FAMILY_SCHEMA[f.name] == (kinds[f.type], f.default)
+            recipe_keys.add(f.name)
+    assert set(_FAMILY_SCHEMA) - recipe_keys == {
+        "recipe", "lam", "beta", "mu", "h0", "alpha", "s0"
+    }
 
 
 def test_unknown_subcommand():

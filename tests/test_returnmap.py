@@ -544,18 +544,31 @@ def test_cross_form_inconsistent_solve_raises(monkeypatch):
 
     monkeypatch.setattr(returnmap, "solve_y0", off_by_one_percent)
     with pytest.raises(CrossFormSolveError):
-        validate_cross_form(LocalMapParams(0.5, (1.0,)), range(6, 8))
+        validate_cross_form(
+            build_family(LocalMapParams(0.5, (1.0,)), HenonLikeRecipe()),
+            range(6, 8),
+        )
+
+
+def test_cross_form_checks_the_validity_window():
+    fam = build_family(LocalMapParams(0.5, (1.0,)), HenonLikeRecipe())
+    with pytest.raises(StripWindowError):
+        validate_cross_form(fam, range(k_min(fam) - 1, 8))
+    with pytest.raises(PrecisionFloorError):
+        validate_cross_form(fam, range(8, k_max(fam) + 2))
 
 
 def test_cross_form_residual_zero_without_moser_terms():
-    rep = validate_cross_form(LocalMapParams(0.5), range(6, 17))
+    fam = build_family(LocalMapParams(0.5), HenonLikeRecipe())
+    rep = validate_cross_form(fam, range(6, 17))
     assert all(s == 0.0 for s in rep.sup_normalized)
     assert rep.beta1_fitted == 0.0
 
 
 @pytest.mark.parametrize("lam", [0.5, -0.5])
 def test_cross_form_residual_bounded_and_beta1_recovered(lam):
-    rep = validate_cross_form(LocalMapParams(lam, (1.0,)), range(6, 17))
+    fam = build_family(LocalMapParams(lam, (1.0,)), HenonLikeRecipe())
+    rep = validate_cross_form(fam, range(6, 17))
     # normalized residual is O(k^2 lam^k); peak sits at small k and decays
     assert max(rep.sup_normalized) < 2.0
     assert rep.sup_normalized[-1] < 0.01

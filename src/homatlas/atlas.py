@@ -30,13 +30,8 @@ from .exceptions import (
     TargetUnreachableError,
 )
 from .family import FamilyHandle, tune_to
-from .mapcore import _locate_trace
-from .orbits import (
-    _map_at,
-    find_two_periodic,
-    locate_bifurcation,
-    two_orbit_trace,
-)
+from .henon import ELLIPTIC_EVENTS, TRACE_EVENTS
+from .orbits import find_two_periodic, locate_bifurcation, two_orbit_trace
 from .rescale import RescaleFrame, build_frame, m_from_mu, mu_from_m
 
 __all__ = [
@@ -65,16 +60,8 @@ _SOLVER_ERRORS = (
     TangencyError,
 )
 
-# trace targets of the second-iterate derivative where the rotation
-# number passes a low-order resonance: cos(phi) = trace/2 hits 0 at the
-# 1:4 resonance, -1/4 at the twistless value, -1/2 at the 1:3 resonance
-_TRACE_TARGETS = (
-    (0.0, "resonance-1:4"),
-    (-0.5, "twistless"),
-    (-1.0, "resonance-1:3"),
-)
-# the M range of a cascade row's phase curve and resonance flags
-_M_RANGE = (0.02, 0.98)
+# the M range of a cascade row's phase curve: its resonance flags' bracket
+_M_RANGE = TRACE_EVENTS[ELLIPTIC_EVENTS[0]][2]
 _N_PHI = 25
 # distance of s0 from an exceptional value that withholds a certificate
 _FLAG_TOL = 1e-4
@@ -89,12 +76,12 @@ class ResonanceFlag:
 @dataclass(frozen=True)
 class CascadeRow:
     k: int
-    mu_plus: float | None
-    mu_minus: float | None
-    interval: tuple | None
-    phi_curve: tuple
-    flags: tuple
-    monotone: bool
+    mu_plus: float | None = None
+    mu_minus: float | None = None
+    interval: tuple | None = None
+    phi_curve: tuple = ()
+    flags: tuple = ()
+    monotone: bool = False
     error: str | None = None
 
 
@@ -126,10 +113,10 @@ class StripMap2D:
 @dataclass(frozen=True)
 class CertRecord:
     k: int
-    cos_phi: float | None
-    phase: float | None
-    margin: float | None
-    limit_error: float | None
+    cos_phi: float | None = None
+    phase: float | None = None
+    margin: float | None = None
+    limit_error: float | None = None
     failure: str | None = None
 
 
@@ -155,13 +142,12 @@ def _cascade_row(family: FamilyHandle, k: int) -> CascadeRow:
         phis = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
         curve = tuple(zip(mus.tolist(), phis.tolist()))
         flags = []
-        map_at = _map_at(frame)
-        for target, tag in _TRACE_TARGETS:
+        for tag in ELLIPTIC_EVENTS:
             try:
-                m_star = _locate_trace(map_at, 2, target, _M_RANGE)
+                mu = locate_bifurcation(frame, tag)
             except BracketError:
                 continue
-            flags.append(ResonanceFlag(tag, mu_from_m(family, k, m_star)))
+            flags.append(ResonanceFlag(tag, mu))
         return CascadeRow(
             k=k,
             mu_plus=mu_plus,
@@ -172,16 +158,7 @@ def _cascade_row(family: FamilyHandle, k: int) -> CascadeRow:
             monotone=bool(np.all(np.diff(traces) < 0.0)),
         )
     except _SOLVER_ERRORS as exc:
-        return CascadeRow(
-            k=k,
-            mu_plus=None,
-            mu_minus=None,
-            interval=None,
-            phi_curve=(),
-            flags=(),
-            monotone=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return CascadeRow(k, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_cascade(family: FamilyHandle, k_range):
@@ -313,15 +290,11 @@ def run_strip_atlas(family_template: FamilyHandle, k_range,
     )
 
 
-# cos(phi) at the limit is 1 + 2*s0, so the strong resonances sit at
-# s0 = -1/2 (1:4) and -3/4 (1:3) and the twist coefficient vanishes at
-# s0 = -5/8.  The guard value -1/sqrt(2) is kept alongside -3/4 so
-# families near either candidate are never silently certified.
-_EXCEPTIONAL_S0 = (
-    (-0.5, "limit-resonance-1:4"),
-    (-0.625, "limit-twistless"),
-    (-0.75, "limit-resonance-1:3"),
-    (-math.sqrt(0.5), "limit-exceptional-candidate"),
+# the limit 2-orbit at mu = 0 has tr D(F^2) = 2 + 4*s0, so each elliptic
+# event sits at s0 = (trace - 2)/4: -1/2, -5/8 and -3/4
+_EXCEPTIONAL_S0 = tuple(
+    ((TRACE_EVENTS[name][1] - 2.0) / 4.0, "limit-" + name)
+    for name in ELLIPTIC_EVENTS
 )
 
 
@@ -377,8 +350,7 @@ def certify_global_resonance(family: FamilyHandle,
 
 
 def _failed_record(k: int, exc: Exception) -> CertRecord:
-    return CertRecord(k, None, None, None, None,
-                      f"{type(exc).__name__}: {exc}")
+    return CertRecord(k, failure=f"{type(exc).__name__}: {exc}")
 
 
 def _cert_record(frame: RescaleFrame) -> CertRecord:
@@ -393,8 +365,8 @@ def _cert_record(frame: RescaleFrame) -> CertRecord:
         return _failed_record(k, exc)
     phase = rec.stability.phase
     if phase is None:
-        return CertRecord(k, None, None, None, None,
-                          f"orbit not elliptic: {rec.stability.tag}")
+        tag = rec.stability.tag
+        return CertRecord(k, failure=f"orbit not elliptic: {tag}")
     cos_phi = math.cos(phase)
     return CertRecord(
         k=k,

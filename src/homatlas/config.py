@@ -26,7 +26,9 @@ _FIELD_KINDS = {"tuple": "floats", "float": "float", "int": "int"}
 # value kinds: str, int, float, optfloat (None unless set), floats
 # (comma- or space-separated list).  Each recipe field is a key too, with
 # the field's kind and default; x_plus, y_minus and n0, fields of both
-# recipes with the same defaults, take one key each.
+# recipes with the same defaults, take one key each; a key that only the
+# recipe not chosen has is refused.
+_RECIPE_KEYS = {f.name for recipe in RECIPES.values() for f in fields(recipe)}
 _FAMILY_SCHEMA = {
     "recipe": ("str", "fold"),
     "lam": ("float", 0.5),
@@ -211,9 +213,16 @@ def load_config(subcommand, path=None, overrides=(), out_dir=None):
             f"experiment.k_min = {experiment['k_min']!r} exceeds "
             f"experiment.k_max = {experiment['k_max']!r}"
         )
+    family = _validated("family", _FAMILY_SCHEMA, raw["family"])
+    name = family["recipe"]
+    if name in RECIPES:
+        own = {f.name for f in fields(RECIPES[name])}
+        for key in raw["family"]:
+            if key in _RECIPE_KEYS and key not in own:
+                raise ConfigError(f"family.{key} is not a {name!r} recipe key")
     return RunConfig(
         subcommand=subcommand,
-        family=_validated("family", _FAMILY_SCHEMA, raw["family"]),
+        family=family,
         experiment=experiment,
         output=_validated("output", _OUTPUT_SCHEMA, raw["output"]),
     )

@@ -37,7 +37,7 @@ from .exceptions import (
     TargetUnreachableError,
 )
 from .mapcore import (HShear, Jet, Lift, MapExpr, Moser, Swap, Translate,
-                      VShear, eval_map)
+                      VShear, _secant, eval_map)
 
 __all__ = [
     "LocalMapParams",
@@ -296,23 +296,6 @@ def build_family(local: LocalMapParams, recipe,
 
 # |invariant - target| at which tune_to's secant stops
 _TUNE_TOL = 1e-8
-
-
-def _secant(fun, x0: float, x1: float, target: float, tol: float):
-    f0 = fun(x0) - target
-    if abs(f0) <= tol:
-        return x0
-    f1 = fun(x1) - target
-    for _ in range(40):
-        if abs(f1) <= tol:
-            return x1
-        denom = f1 - f0
-        if denom == 0.0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / denom
-        x0, f0, x1 = x1, f1, x2
-        f1 = fun(x1) - target
-    raise TargetUnreachableError("target unreachable: secant did not converge")
 
 
 def _tune_knob(local, recipe, mu, index, invariant, target, x0, x1):

@@ -23,10 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ExtractionError, ResonantParameterError
-from .family import _secant
-from .mapcore import HShear, Jet, MapExpr, Swap, _locate_trace, jacobian_of
+from .mapcore import (HShear, Jet, MapExpr, Swap, _locate_trace, _secant,
+                      jacobian_of)
 
 __all__ = [
+    "TRACE_EVENTS",
+    "ELLIPTIC_EVENTS",
     "StabilityClass",
     "map_expr",
     "step",
@@ -38,6 +40,20 @@ __all__ = [
     "horseshoe_certificate",
     "bifurcation_values",
 ]
+
+
+# The distinguished trace events, name -> (rounds r, trace of D(F^r), M
+# bracket): the two borders of the elliptic interval, then the events the
+# elliptic 2-orbit passes inside it (ELLIPTIC_EVENTS).
+TRACE_EVENTS = {
+    "fixed-point-birth": (1, 0.0, (-0.5, 0.5)),
+    "period-doubling": (2, -2.0, (0.5, 1.5)),
+    "resonance-1:4": (2, 0.0, (0.02, 0.98)),
+    "twistless": (2, -0.5, (0.02, 0.98)),
+    "resonance-1:3": (2, -1.0, (0.02, 0.98)),
+}
+ELLIPTIC_EVENTS = tuple(n for n, (r, t, _) in TRACE_EVENTS.items()
+                        if r == 2 and abs(t) < 2.0)
 
 
 @dataclass(frozen=True)
@@ -88,12 +104,9 @@ def classify_from_trace(trace: float, det: float) -> StabilityClass:
     if trace <= -2.0 + tol:
         return StabilityClass("parabolic-minus")
     phase = math.acos(max(-1.0, min(1.0, trace / 2.0)))
-    if abs(trace) <= tol:
-        return StabilityClass("resonance-1:4", phase)
-    if abs(trace + 1.0) <= tol:
-        return StabilityClass("resonance-1:3", phase)
-    if abs(trace + 0.5) <= tol:
-        return StabilityClass("twistless", phase)
+    for name in ELLIPTIC_EVENTS:
+        if abs(trace - TRACE_EVENTS[name][1]) <= tol:
+            return StabilityClass(name, phase)
     return StabilityClass("elliptic-generic", phase)
 
 
@@ -264,12 +277,11 @@ def horseshoe_certificate(M: float) -> bool:
 def bifurcation_values():
     """The distinguished M values, each recovered by root finding.
 
-    Fixed-point birth, period doubling and the strong resonances come
-    from the bordered locator ``mapcore._locate_trace`` run on ``step``:
-    the M at which the fixed point has tr DF = 0, or the 2-orbit has
-    tr D(F^2) = -2, 0 or -1.  The twistless value is the root of the
-    Birkhoff coefficient, by secant.  The table is computed once per
-    process; each call returns a fresh dict of it.
+    Each ``TRACE_EVENTS`` row but twistless comes from the bordered
+    locator ``mapcore._locate_trace`` run on ``step``.  The twistless
+    value is the root of the Birkhoff coefficient, by secant, so that it
+    checks the table's trace -1/2 by an independent route.  The table is
+    computed once per process; each call returns a fresh dict of it.
     """
     return dict(_bifurcation_table())
 
@@ -279,10 +291,10 @@ def _bifurcation_table():
     def map_at(m):
         return functools.partial(step, m)
 
-    return {
-        "fixed-point-birth": _locate_trace(map_at, 1, 0.0, (-0.3, 0.3)),
-        "period-doubling": _locate_trace(map_at, 2, -2.0, (0.5, 1.5)),
-        "resonance-1:4": _locate_trace(map_at, 2, 0.0, (0.25, 0.75)),
-        "resonance-1:3": _locate_trace(map_at, 2, -1.0, (0.6, 0.9)),
-        "twistless": _secant(birkhoff_b1, 0.55, 0.70, 0.0, 1e-13),
+    table = {
+        name: _locate_trace(map_at, rounds, trace, m_bracket)
+        for name, (rounds, trace, m_bracket) in TRACE_EVENTS.items()
+        if name != "twistless"
     }
+    table["twistless"] = _secant(birkhoff_b1, 0.55, 0.70, 0.0, 1e-13)
+    return table

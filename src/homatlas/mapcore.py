@@ -18,11 +18,11 @@ array conditions (``_any``, ``_all``) and take the truth of a scalar one
 directly, since a numpy reduction of a single bool costs far more than the
 comparison.
 
-The damped Newton and the bordered locator live here too, below every
-map that runs on jets: ``_locate_trace`` finds the parameter M at which
-the r-orbit of a map family M -> F_M has a given trace of D(F^r), for
-the rescaled return map and for the limit map x' = y, y' = M + x - y**2
-alike.
+The damped Newton, a secant and the bordered locator live here too,
+below every map that runs on jets: ``_locate_trace`` finds the parameter
+M at which the r-orbit of a map family M -> F_M has a given trace of
+D(F^r), for the rescaled return map and for the limit map x' = y,
+y' = M + x - y**2 alike.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .exceptions import (
     CrossFormSolveError,
     EscapeError,
     NewtonDivergedError,
+    TargetUnreachableError,
 )
 
 __all__ = [
@@ -59,6 +60,8 @@ __all__ = [
 
 # Orbits whose coordinates exceed this are treated as escaped.
 ESCAPE_RADIUS = 1.0e8
+# A saddle factor B(x*y) at or below this has left its positive domain.
+_SADDLE_FLOOR = 1e-9
 
 
 @functools.cache
@@ -284,7 +287,7 @@ class Moser:
 
     def apply(self, x, y):
         b = self.bval(x, y)
-        if _any(_value(b) <= 1.0e-9):
+        if _any(_value(b) <= _SADDLE_FLOOR):
             raise EscapeError("saddle stage factor left its positive domain")
         return self.lam * x * b, y / (self.lam * b)
 
@@ -410,6 +413,24 @@ def _newton(fun_jac, z0, tol=1e-11, window=None):
     raise NewtonDivergedError(
         f"Newton diverged after {_MAX_STEPS} damped steps"
     )
+
+
+def _secant(fun, x0: float, x1: float, target: float, tol: float):
+    """x with |fun(x) - target| <= tol, by secant from x0 and x1."""
+    f0 = fun(x0) - target
+    if abs(f0) <= tol:
+        return x0
+    f1 = fun(x1) - target
+    for _ in range(40):
+        if abs(f1) <= tol:
+            return x1
+        denom = f1 - f0
+        if denom == 0.0:
+            break
+        x2 = x1 - f1 * (x1 - x0) / denom
+        x0, f0, x1 = x1, f1, x2
+        f1 = fun(x1) - target
+    raise TargetUnreachableError("target unreachable: secant did not converge")
 
 
 def _border_residual(map_at, rounds: int, trace, z):

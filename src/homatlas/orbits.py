@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CollapsedOrbitError
-from .henon import StabilityClass, classify_from_trace
+from .henon import (ELLIPTIC_EVENTS, TRACE_EVENTS, StabilityClass,
+                    classify_from_trace)
 from .mapcore import Jet, _locate_trace, _newton
 from .rescale import RescaleFrame, eval_rescaled, mu_from_m, rescaled_window
 
@@ -107,23 +108,24 @@ def _map_at(frame: RescaleFrame):
     return lambda m: functools.partial(eval_rescaled, frame.at_m(m))
 
 
-# kind -> (rounds, trace at the border, M bracket)
-_BORDERS = {"plus": (1, 0.0, (-0.5, 0.5)), "minus": (2, -2.0, (0.5, 1.5))}
+# kind -> its row of henon.TRACE_EVENTS
+_KINDS = {"plus": "fixed-point-birth", "minus": "period-doubling",
+          **{name: name for name in ELLIPTIC_EVENTS}}
 
 
 def locate_bifurcation(frame: RescaleFrame, kind: str) -> float:
-    """Parameter mu where the frame's return map changes stability type.
+    """Parameter mu where the frame's return map meets a trace event.
 
     kind "plus" targets the fixed-point border with multipliers
     (+1, -1), where tr DF = 0; kind "minus" targets the 2-orbit's double
-    multiplier -1, where tr D(F^2) = -2.  Both go through _locate_trace,
-    which also finds the resonance flags of a cascade row.  Raises
-    NewtonDivergedError when the Newton fails and BracketError when the
-    border it finds lies outside the kind's M bracket in _BORDERS.
+    multiplier -1, where tr D(F^2) = -2; a name of
+    ``henon.ELLIPTIC_EVENTS`` targets that resonance trace of the 2-orbit.
+    Raises NewtonDivergedError when the Newton fails and BracketError
+    when the M it finds lies outside the event's bracket.
     """
-    if kind not in _BORDERS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown bifurcation kind {kind!r}")
-    rounds, trace, m_bracket = _BORDERS[kind]
+    rounds, trace, m_bracket = TRACE_EVENTS[_KINDS[kind]]
     m_star = _locate_trace(_map_at(frame), rounds, trace, m_bracket)
     return mu_from_m(frame.family, frame.k, m_star)
 

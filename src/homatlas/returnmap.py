@@ -26,8 +26,8 @@ from .exceptions import (
     StripWindowError,
 )
 from .family import FamilyHandle, LocalMapParams
-from .mapcore import (ESCAPE_RADIUS, Jet, _all, _any, _value, eval_map,
-                      jacobian_of)
+from .mapcore import (ESCAPE_RADIUS, Jet, _SADDLE_FLOOR, _all, _any, _value,
+                      eval_map, jacobian_of)
 
 __all__ = [
     "ReturnMap",
@@ -88,7 +88,7 @@ def t0_pow_closed(local: LocalMapParams, p, k: int):
     """
     x, y = p
     b = local.stage().bval(x, y)
-    if _any(_value(b) <= 1e-9):
+    if _any(_value(b) <= _SADDLE_FLOOR):
         raise EscapeError("saddle factor left its positive domain")
     factor = _signed_pow(local.lam * b, k)
     xk = x * factor
@@ -137,7 +137,7 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk):
     y0 = lamk * yk
     for _ in range(60):
         b = stage.bval(x0, y0)
-        if _any(b <= 1e-9):
+        if _any(b <= _SADDLE_FLOOR):
             raise CrossFormSolveError("saddle factor left its positive domain")
         y_new = lamk * yk * _signed_pow(b, k)
         if _all(abs(y_new - y0) <= 1e-15 * np.maximum(1.0, abs(y_new))):
@@ -256,7 +256,7 @@ def in_sigma0(family: FamilyHandle, k: int, x, y):
     y = np.asarray(y, dtype=float)
     ok_here = np.abs(x - family.x_plus) <= delta
     b = family.local.stage().bval(x, y)
-    valid = b > 1e-9
+    valid = b > _SADDLE_FLOOR
     if isinstance(b, np.ndarray):
         b = np.where(valid, b, 1.0)
     factor = _signed_pow(family.lam * b, k)

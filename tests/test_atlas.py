@@ -159,7 +159,6 @@ def test_certificate_flags_exceptional_values():
         -0.5: "limit-resonance-1:4",
         -0.625: "limit-twistless",
         -0.75: "limit-resonance-1:3",
-        -math.sqrt(0.5): "limit-exceptional-candidate",
     }
     for s0, tag in expected.items():
         cert = certify_global_resonance(_s0_family(s0), (8, 10))
@@ -167,6 +166,17 @@ def test_certificate_flags_exceptional_values():
         assert cert.flags == (tag,)
         for rec in cert.records:
             assert rec.failure is None
+
+
+def test_certificate_at_minus_one_over_sqrt2_is_not_withheld():
+    # cos(phi) = 1 - sqrt(2) is no resonance of order 4 or less, and the
+    # twist b1 is nonzero there (its root sits at s0 = -5/8)
+    cert = certify_global_resonance(_s0_family(-math.sqrt(0.5)), (8, 10))
+    assert cert.flags == ()
+    assert cert.nesting == "nested"
+    assert cert.verdict == "certified"
+    for rec in cert.records:
+        assert abs(rec.cos_phi - (1.0 - math.sqrt(2.0))) < 1e-3
 
 
 def test_certificate_window_error():

@@ -157,6 +157,13 @@ def _config_error(capsys):
     return obj["error"]["message"]
 
 
+def test_key_of_the_recipe_not_chosen_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["family-check", "--set", "p1=0.9", "--out", out]) == 1
+    assert "p1" in _config_error(capsys)
+    assert not os.path.exists(os.path.join(out, "result.json"))
+
+
 @pytest.mark.parametrize("content", [None, b"[family]\nlam = 0.4 \xff\n"],
                          ids=["directory", "not-utf8"])
 def test_unreadable_config_file_exit_1(tmp_path, capsys, content):

@@ -145,6 +145,22 @@ def test_bad_override_forms():
             load_config(sub, overrides=(f"{key}=100000000",))
 
 
+def test_key_of_the_recipe_not_chosen_is_refused(tmp_path):
+    with pytest.raises(ConfigError, match="p1"):
+        load_config("family-check", overrides=("p1=0.9",))
+    with pytest.raises(ConfigError, match="q"):
+        load_config("family-check", overrides=("recipe=sandwich", "q=0,0,1"))
+    path = tmp_path / "run.ini"
+    path.write_text("[family]\nrecipe = fold\nw1 = 0.1\n")
+    with pytest.raises(ConfigError, match="w1"):
+        load_config("family-check", path=str(path))
+    # keys of both recipes stay valid under either
+    for recipe in RECIPES:
+        cfg = load_config("family-check", overrides=(
+            f"recipe={recipe}", "x_plus=1.5", "y_minus=0.5", "n0=2"))
+        assert cfg.family["x_plus"] == 1.5
+
+
 def test_floats_list_parsing():
     cfg = load_config("henon", overrides=("q=0,0,1,0.5",))
     assert cfg.family["q"] == (0.0, 0.0, 1.0, 0.5)

@@ -21,7 +21,7 @@ from homatlas.family import (
     build_family,
     tune_to,
 )
-from homatlas.henon import classify_from_trace
+from homatlas.henon import ELLIPTIC_EVENTS, TRACE_EVENTS, classify_from_trace
 from homatlas.mapcore import (
     Jet,
     _border_residual,
@@ -171,8 +171,13 @@ def test_locate_bifurcation_exact_values():
     assert abs(mu_plus) <= 1e-8 * lam2k
     mu_minus = locate_bifurcation(frame, "minus")
     assert abs(mu_minus + lam2k) <= 1e-8 * lam2k
-    with pytest.raises(ValueError):
-        locate_bifurcation(frame, "flip")
+    for kind in ("flip", "fixed-point-birth", "period-doubling"):
+        with pytest.raises(ValueError):
+            locate_bifurcation(frame, kind)
+    # the resonance kinds sit at M = 1/2, 5/8, 3/4, i.e. mu = -M lam^(2k)
+    for name, m in zip(ELLIPTIC_EVENTS, (0.5, 0.625, 0.75)):
+        mu = locate_bifurcation(frame, name)
+        assert abs(mu / lam2k + m) < 1e-9
 
 
 def test_locate_bifurcation_quadratic_jet_predictions():
@@ -264,9 +269,11 @@ def _cubic_family():
     return tune_to(base, alpha_target=-0.04)
 
 
-_BORDERS = {"plus": (1, 0.0), "minus": (2, -2.0)}
+# kind -> (rounds, trace) of its border
+_BORDERS = {"plus": TRACE_EVENTS["fixed-point-birth"][:2],
+            "minus": TRACE_EVENTS["period-doubling"][:2]}
 # 2-orbit trace targets of the cascade row's resonance flags
-_FLAG_TARGETS = (0.0, -0.5, -1.0)
+_FLAG_TARGETS = tuple(TRACE_EVENTS[name][1] for name in ELLIPTIC_EVENTS)
 
 
 @pytest.mark.parametrize("k", [8, 12])

@@ -1,6 +1,7 @@
 """The package's public names: every ``__all__`` entry of every
-``homatlas`` module resolves, and the package root re-exports only names
-that their modules declare public."""
+``homatlas`` module resolves, the package root re-exports only names
+that their modules declare public, and no module imports a sibling's
+private name, except from ``mapcore``, the shared core below them all."""
 
 import ast
 import importlib
@@ -47,5 +48,19 @@ def test_root_imports_only_public_names():
         f"{module}.{name}"
         for module, name in imports
         if name not in _public(importlib.import_module(f"homatlas.{module}"))
+    ]
+    assert not stray
+
+
+def test_private_names_are_imported_only_from_mapcore():
+    root = pathlib.Path(homatlas.__file__).parent
+    stray = [
+        f"{path.stem} <- {node.module}.{alias.name}"
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and node.module != "mapcore"
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert not stray

@@ -32,7 +32,7 @@ from .exceptions import (
 from .family import FamilyHandle, tune_to
 from .henon import ELLIPTIC_EVENTS, TRACE_EVENTS
 from .orbits import find_two_periodic, locate_bifurcation, two_orbit_trace
-from .rescale import RescaleFrame, build_frame, m_from_mu, mu_from_m
+from .rescale import RescaleFrame, build_frame, m_from_mu
 
 __all__ = [
     "ResonanceFlag",
@@ -137,8 +137,8 @@ def _cascade_row(family: FamilyHandle, k: int) -> CascadeRow:
         mu_plus = locate_bifurcation(frame, "plus")
         mu_minus = locate_bifurcation(frame, "minus")
         m_grid = np.linspace(*_M_RANGE, _N_PHI)
-        traces = np.array([two_orbit_trace(frame, float(m)) for m in m_grid])
-        mus = np.array([mu_from_m(family, k, float(m)) for m in m_grid])
+        traces = two_orbit_trace(frame, m_grid)
+        mus = frame.mu_from_m(m_grid)
         phis = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
         curve = tuple(zip(mus.tolist(), phis.tolist()))
         flags = []

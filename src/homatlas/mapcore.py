@@ -371,48 +371,179 @@ _ROUNDOFF_FLOOR = 100.0  # stalled within this factor of tol: converged
 _MAX_STEPS = 50
 
 
-def _newton(fun_jac, z0, tol=1e-11, window=None):
-    """Damped Newton on fun_jac(z) -> (f, jac, ...); returns the converged
-    point and fun_jac's output there, or raises.  A residual that no step
-    lowers but that is within _ROUNDOFF_FLOOR * tol sits at its roundoff
-    floor and counts as converged."""
-    z = np.asarray(z0, dtype=float)
+def _diverged(message, cause=None):
+    err = NewtonDivergedError(message)
+    err.__cause__ = cause
+    return err
+
+
+def _eval_lanes(fun_jac, z, lanes):
+    """fun_jac(z, lanes) on the rows z of the listed lanes, as one batch.
+    When the batch raises an evaluation error, each lane runs alone, so
+    that the error belongs to the lane that raised it.  Returns the
+    positions in ``lanes`` that evaluated, their outputs stacked in that
+    order (None when none did), and {lane: error} for the others."""
     try:
-        out = fun_jac(z)
+        return range(len(lanes)), fun_jac(z, lanes), {}
     except _EVAL_ERRORS as exc:
-        raise NewtonDivergedError("Newton diverged: seed escaped") from exc
+        if len(lanes) == 1:
+            return [], None, {lanes[0]: exc}
+    ok, outs, errors = [], [], {}
+    for i, lane in enumerate(lanes):
+        try:
+            outs.append(fun_jac(z[i:i + 1], [lane]))
+            ok.append(i)
+        except _EVAL_ERRORS as exc:
+            errors[lane] = exc
+    out = [np.concatenate(parts) for parts in zip(*outs)] if outs else None
+    return ok, out, errors
+
+
+def _lane_norms(f):
+    """Max-norm of each lane's residual row, as Python floats."""
+    return np.abs(f).max(axis=1).tolist()
+
+
+def _narrow(stay, lanes, z, out, norms):
+    """The working set of ``_lane_newton`` cut to the rows ``stay``."""
+    if len(stay) == len(lanes):
+        return lanes, z, out, norms
+    return ([lanes[i] for i in stay], z[stay], [v[stay] for v in out],
+            [norms[i] for i in stay])
+
+
+def _newton(fun_jac, z0, tol=1e-11, window=None):
+    """Damped Newton on fun_jac, lane by lane; returns the converged
+    point(s) and fun_jac's outputs (f, jac, ...) there, or raises.
+
+    z0 of shape (n,) is one lane, and fun_jac(z) takes and returns it
+    alone.  z0 of shape (L, n) is L lanes: fun_jac(z, lanes) gets the rows
+    of the listed lanes and returns its outputs with a leading lane axis.
+    Each lane has its own damping, convergence test, roundoff floor and
+    step cap, kept on Python floats; only the evaluation and the LAPACK
+    det and solve run on the batch.  A trial that raises is rerun lane by
+    lane (``_eval_lanes``), so only the lane that raised halves its step.
+    When lanes fail, the error of the lowest one is raised, as a loop over
+    the lanes in order would raise it; the lanes above it stop early.  A
+    residual that no step lowers but that is within _ROUNDOFF_FLOOR * tol
+    sits at its roundoff floor and counts as converged.
+    """
+    z = np.array(z0, dtype=float)
+    if z.ndim == 1:
+        def one_lane(rows, lanes):
+            return [v[np.newaxis] for v in fun_jac(rows[0])]
+
+        ((point, out),) = _lane_newton(one_lane, z[np.newaxis], tol, window)
+        return point, tuple(out)
+    solved = _lane_newton(fun_jac, z, tol, window)
+    return (np.array([point for point, _ in solved]),
+            tuple(np.array(v) for v in zip(*(out for _, out in solved))))
+
+
+def _lane_newton(fun_jac, z, tol, window):
+    """The lanes of ``_newton``: per lane, its point and the rows of
+    fun_jac's outputs there."""
+    n_lanes = len(z)
+    ok, out, failed = _eval_lanes(fun_jac, z, list(range(n_lanes)))
+    errors = {lane: _diverged("Newton diverged: seed escaped", exc)
+              for lane, exc in failed.items()}
+    # the working set: lanes, their points z, fun_jac's outputs out and the
+    # residual norms there, row for row; done holds the converged lanes
+    lanes, z = list(ok), z[list(ok)] if failed else z
+    norms = _lane_norms(out[0]) if ok else []
+    done, finished = {}, set()
     for _ in range(_MAX_STEPS):
-        f, jac = out[0], out[1]
-        norm = float(np.max(np.abs(f)))
-        if norm < tol:
-            return z, out
-        if abs(np.linalg.det(jac)) < 1e-14 * max(1.0, norm):
-            raise NewtonDivergedError(
-                "singular Jacobian near a parabolic point"
-            )
-        step = np.linalg.solve(jac, f)
-        alpha = 1.0
-        while alpha >= 1.0 / 64.0:
-            z_try = z - alpha * step
-            if window is not None and np.max(np.abs(z_try[:2])) > window:
-                alpha /= 2.0
-                continue
-            try:
-                out_try = fun_jac(z_try)
-            except _EVAL_ERRORS:
-                alpha /= 2.0
-                continue
-            if float(np.max(np.abs(out_try[0]))) < (1.0 - 0.25 * alpha) * norm:
-                z, out = z_try, out_try
+        if errors or finished or any(norm < tol for norm in norms):
+            cut = min(errors, default=n_lanes)
+            stay = []
+            for i, lane in enumerate(lanes):
+                if norms[i] < tol or i in finished:
+                    done[lane] = (z[i], [v[i] for v in out])
+                elif lane < cut:
+                    stay.append(i)
+            if not stay:
                 break
+            lanes, z, out, norms = _narrow(stay, lanes, z, out, norms)
+            finished = set()
+        dets = np.linalg.det(out[1]).tolist()
+        singular = [lane for lane, det, norm in zip(lanes, dets, norms)
+                    if abs(det) < 1e-14 * max(1.0, norm)]
+        if singular:
+            for lane in singular:
+                errors[lane] = _diverged(
+                    "singular Jacobian near a parabolic point"
+                )
+            cut = min(errors)
+            stay = [i for i, lane in enumerate(lanes) if lane < cut]
+            if not stay:
+                break
+            lanes, z, out, norms = _narrow(stay, lanes, z, out, norms)
+        step = np.linalg.solve(out[1], out[0][..., np.newaxis])[..., 0]
+        # each round halves the step of every lane still pending, so the
+        # damping factor is one float per round
+        alpha = 1.0
+        pending = list(range(len(lanes)))
+        z_new, out_new = z, out
+        while pending:
+            if len(pending) == len(lanes):
+                z_try = z - alpha * step
+            else:
+                z_try = z[pending] - alpha * step[pending]
+            rows = pending
+            if window is not None:
+                far = (np.abs(z_try[:, :2]).max(axis=1) > window).tolist()
+                if any(far):
+                    near = [r for r, f in enumerate(far) if not f]
+                    rows, z_try = [pending[r] for r in near], z_try[near]
+            moved = []
+            if rows:
+                ok, out_try, _ = _eval_lanes(
+                    fun_jac, z_try, [lanes[i] for i in rows]
+                )
+                limit = 1.0 - 0.25 * alpha
+                for j, (r, norm) in enumerate(
+                    zip(ok, _lane_norms(out_try[0]) if ok else ())
+                ):
+                    if norm < limit * norms[rows[r]]:
+                        moved.append((rows[r], r, j))
+                        norms[rows[r]] = norm
+            if len(moved) == len(lanes):
+                z_new, out_new = z_try, out_try
+                break
+            if moved:
+                if z_new is z:
+                    z_new, out_new = z.copy(), [v.copy() for v in out]
+                for i, r, j in moved:
+                    z_new[i] = z_try[r]
+                    for v, w in zip(out_new, out_try):
+                        v[i] = w[j]
+                moved_rows = {i for i, _, _ in moved}
+                pending = [i for i in pending if i not in moved_rows]
             alpha /= 2.0
-        else:
-            if norm < _ROUNDOFF_FLOOR * tol:
-                return z, out
-            raise NewtonDivergedError("Newton diverged: no descent step")
-    raise NewtonDivergedError(
-        f"Newton diverged after {_MAX_STEPS} damped steps"
-    )
+            if alpha < 1.0 / 64.0:
+                for i in pending:
+                    if norms[i] < _ROUNDOFF_FLOOR * tol:
+                        finished.add(i)
+                    else:
+                        errors[lanes[i]] = _diverged(
+                            "Newton diverged: no descent step"
+                        )
+                break
+            if errors:
+                cut = min(errors)
+                pending = [i for i in pending if lanes[i] < cut]
+        z, out = z_new, out_new
+    else:
+        for i, lane in enumerate(lanes):
+            if i in finished:
+                done[lane] = (z[i], [v[i] for v in out])
+            else:
+                errors[lane] = _diverged(
+                    f"Newton diverged after {_MAX_STEPS} damped steps"
+                )
+    if errors:
+        raise errors[min(errors)]
+    return [done[lane] for lane in range(n_lanes)]
 
 
 def _secant(fun, x0: float, x1: float, target: float, tol: float):

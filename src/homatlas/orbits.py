@@ -11,6 +11,13 @@ Every solve runs r = 1 or 2 rounds of the rescaled return map F on Taylor
 jets: of degree 1 in (X, Y) for an orbit, of degree 2 in (X, Y, M) for a
 border, where they give the exact bordered Jacobian.
 
+The phase curve of a cascade row (``two_orbit_trace`` on an array of M)
+solves the 2-orbits at all its M values as lanes of one Newton: the
+jets' coefficients are arrays over the lanes, so each pass of F serves
+every M, and ``mapcore._newton`` keeps each lane's damping, convergence
+and failure its own.  Each lane's trace is bit for bit that of a
+one-lane solve at its M on Python floats.
+
 Bifurcation location works in the parameter M rather than mu, again for
 conditioning.  A fixed point has multipliers (+1, -1) exactly when its
 trace vanishes, because the product of its multipliers is -1; the
@@ -35,7 +42,7 @@ from .exceptions import CollapsedOrbitError
 from .henon import (ELLIPTIC_EVENTS, TRACE_EVENTS, StabilityClass,
                     classify_from_trace)
 from .mapcore import Jet, _locate_trace, _newton
-from .rescale import RescaleFrame, eval_rescaled, mu_from_m, rescaled_window
+from .rescale import RescaleFrame, eval_rescaled, rescaled_window
 
 __all__ = [
     "OrbitRecord",
@@ -55,20 +62,33 @@ class OrbitRecord:
     mu_at: float
 
 
+def _orbit_residual(rr, rounds, z):
+    """F^rounds(z) - z, its Jacobian D(F^rounds) - I and D(F^rounds) at z,
+    from one pass on degree-1 jets.  z of shape (2,) is one point on
+    Python floats; z of shape (L, 2) is L lanes, each at its own lane of
+    rr, whose jets carry array coefficients."""
+    if z.ndim == 1:
+        x, y = float(z[0]), float(z[1])
+    else:
+        x, y = z[:, 0], z[:, 1]
+    fx, fy = x, y = Jet.variables(x, y, 1)
+    for _ in range(rounds):
+        fx, fy = eval_rescaled(rr, (fx, fy))
+    f = np.empty(z.shape)
+    jac = np.empty(z.shape + (2,))
+    for i, (out, var) in enumerate(((fx, x), (fy, y))):
+        f[..., i] = out.c[0] - var.c[0]
+        jac[..., i, 0], jac[..., i, 1] = out.c[1], out.c[2]
+    return f, jac - np.eye(2), jac
+
+
 def _solve_orbit(rr, z0, rounds, window=None):
     """Newton for F^rounds(z) = z from a rescaled seed; returns z, the
     residual and D(F^rounds) there.  Each step reads the residual and
     D(F^rounds) from one pass on degree-1 jets."""
-
-    def fun_jac(z):
-        fx, fy = Jet.variables(float(z[0]), float(z[1]), 1)
-        for _ in range(rounds):
-            fx, fy = eval_rescaled(rr, (fx, fy))
-        f = np.array([fx.c[0] - z[0], fy.c[0] - z[1]])
-        jac = np.array([fx.c[1:], fy.c[1:]])
-        return f, jac - np.eye(2), jac
-
-    z, (f, _, jac) = _newton(fun_jac, z0, window=window)
+    z, (f, _, jac) = _newton(
+        functools.partial(_orbit_residual, rr, rounds), z0, window=window
+    )
     return z, f, jac
 
 
@@ -127,14 +147,29 @@ def locate_bifurcation(frame: RescaleFrame, kind: str) -> float:
         raise ValueError(f"unknown bifurcation kind {kind!r}")
     rounds, trace, m_bracket = TRACE_EVENTS[_KINDS[kind]]
     m_star = _locate_trace(_map_at(frame), rounds, trace, m_bracket)
-    return mu_from_m(frame.family, frame.k, m_star)
+    return frame.mu_from_m(m_star)
 
 
-def two_orbit_trace(frame: RescaleFrame, m: float) -> float:
+def two_orbit_trace(frame: RescaleFrame, m):
     """Trace of the second-iterate derivative along the continued
     2-orbit branch of the frame's return map, with the parameter given as
-    rescaled M."""
-    rr = frame.at_m(m)
-    root = math.sqrt(max(m, 1e-9))
-    _, _, jac2 = _solve_orbit(rr, (-root, root), 2)
-    return float(np.trace(jac2))
+    rescaled M, from the limit seed (-sqrt(M), sqrt(M)).
+
+    A float M is one Newton solve on Python floats.  An array of M values
+    is solved as lanes of one lane-wise Newton (``mapcore._newton``): each
+    pass of ``eval_rescaled`` runs on jets whose coefficients are arrays
+    over the lanes, and each lane's trace is bit for bit its one-lane
+    value.  Returns a float or an array of traces.
+    """
+    if np.ndim(m) == 0:
+        root = math.sqrt(max(m, 1e-9))
+        _, _, jac2 = _solve_orbit(frame.at_m(m), (-root, root), 2)
+        return float(np.trace(jac2))
+    m = np.asarray(m, dtype=float)
+    roots = [math.sqrt(max(v, 1e-9)) for v in m.tolist()]
+
+    def residual(z, lanes):
+        return _orbit_residual(frame.at_m(m[lanes]), 2, z)
+
+    _, (_, _, jac2) = _newton(residual, [(-r, r) for r in roots])
+    return np.trace(jac2, axis1=1, axis2=2)

@@ -78,9 +78,9 @@ class RescaleFrame:
     The chain at mu maps cross coordinates (x0, y_k) to rescaled
     (X, Y) = matrix (x0, y_k) + offset(mu), and inverse undoes matrix.
     matrix and inverse are 2x2 tuples of rows and the offset a 2-tuple,
-    all of Python floats (offset[0] is a jet when mu is), so that
-    ``to_rescaled`` and ``from_rescaled`` run on plain scalars and jets,
-    never numpy scalars."""
+    all of Python floats (offset[0] is a jet or an array when mu is), so
+    that ``to_rescaled`` and ``from_rescaled`` run on plain scalars, jets
+    and array lanes, never numpy scalars."""
 
     family: FamilyHandle
     k: int
@@ -93,9 +93,13 @@ class RescaleFrame:
     m1_terms: tuple
 
     def _m3(self, mu):
-        """The parameter after the scaling step of the chain at mu."""
-        mu0 = _value(mu)
-        m1 = math.fsum([mu0, *self.m1_terms]) + (mu - mu0)
+        """The parameter after the scaling step of the chain at mu; an
+        array mu takes its compensated sum lane by lane."""
+        if isinstance(mu, np.ndarray):
+            m1 = np.array([math.fsum([v, *self.m1_terms]) for v in mu.tolist()])
+        else:
+            mu0 = _value(mu)
+            m1 = math.fsum([mu0, *self.m1_terms]) + (mu - mu0)
         m2 = -self.d_k / self.lamk**2 * m1
         return m2 + (self.family.taylor.f11 * self.family.x_plus) ** 2 / 4.0
 
@@ -114,8 +118,16 @@ class RescaleFrame:
         a = self.family.taylor.a
         return self._m3(mu) * (1.0 + self.nu1) + 0.25 * a**2 * self.lamk**2
 
+    def mu_from_m(self, m):
+        """The parameter mu at rescaled parameter M, as ``mu_from_m`` but
+        from the frame's own lam**k and first-order base; elementwise on
+        arrays."""
+        return (-self.m1_terms[0]
+                - (m + self.family.s0) * self.lamk**2 / self.family.taylor.d)
+
     def at_mu(self, mu) -> RescaledReturnMap:
-        """The rescaled return map at parameter mu, a float or a jet."""
+        """The rescaled return map at parameter mu: a float, a jet, or an
+        array of lanes."""
         return RescaledReturnMap(
             frame=self,
             mu=mu,
@@ -124,9 +136,9 @@ class RescaleFrame:
         )
 
     def at_m(self, m) -> RescaledReturnMap:
-        """The rescaled return map at rescaled parameter M, a float or a
-        jet."""
-        return self.at_mu(mu_from_m(self.family, self.k, m))
+        """The rescaled return map at rescaled parameter M: a float, a
+        jet, or an array of lanes."""
+        return self.at_mu(self.mu_from_m(m))
 
 
 def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:

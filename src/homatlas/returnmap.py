@@ -58,7 +58,9 @@ def _signed_pow(base, k: int):
     go lane by lane, so a caller whose lanes share one base hands over
     that float instead.  On a jet the value comes from the float path,
     the higher coefficients from the series base0**k * sum C(k, j) r**j,
-    r = (base - base0)/base0.
+    r = (base - base0)/base0.  A jet whose value part is an array follows
+    the float path lane by lane, so each lane gets the bits its one-lane
+    jet would; plain arrays keep numpy's power.
     """
     if isinstance(base, Jet):
         b0 = base.c[0]
@@ -67,6 +69,8 @@ def _signed_pow(base, k: int):
         for j in range(1, base.n + 1):
             term = term * r * ((k - j + 1) / j)
             total = total + term
+        if isinstance(b0, np.ndarray):
+            return np.array([_signed_pow(v, k) for v in b0.tolist()]) * total
         return _signed_pow(b0, k) * total
     if type(base) is float:
         try:
@@ -113,7 +117,9 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk):
     at most 1e-15 relative; the contraction factor is O(k lam**k), so a
     handful of sweeps reaches full precision.  An iterate that runs away
     to +-inf or nan raises CrossFormSolveError.  On jets the value
-    converges in that loop; then n Newton steps with the derivative frozen
+    converges in that loop, on floats; a jet whose value part is an array
+    runs it lane by lane, so each lane stops on its own and gets the bits
+    of its one-lane jet.  Then n Newton steps with the derivative frozen
     at the value each gain one order of the degree-n jet.
     """
     lamk = float(local.lam) ** k
@@ -126,7 +132,11 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk):
             return lamk * y * _signed_pow(stage.bval(x, y0), k)
 
         v0, vk = _value(x0), _value(yk)
-        y0 = solve_y0(local, k, v0, vk)
+        if isinstance(v0, np.ndarray) or isinstance(vk, np.ndarray):
+            lanes = zip(*(v.tolist() for v in np.broadcast_arrays(v0, vk)))
+            y0 = np.array([solve_y0(local, k, a, b) for a, b in lanes])
+        else:
+            y0 = solve_y0(local, k, v0, vk)
         slope = phi(v0, vk, Jet.variables(y0, 1)[0]).c[1]
         y = phi(x0, yk, y0)
         for _ in range(y.n):

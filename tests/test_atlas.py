@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from homatlas import returnmap
+from homatlas import orbits, returnmap
 from homatlas.atlas import (
     _cascade_row,
     boundary_slope,
@@ -231,3 +231,25 @@ def test_each_sweep_unit_checks_its_window_once(monkeypatch):
     atlas = run_strip_atlas(family, (8, 9), n_alpha=2)
     assert atlas.failures == ()
     assert calls == [8, 8, 9, 9]
+
+
+def test_cascade_row_map_passes(monkeypatch):
+    # the phase curve's 25 grid points share every map pass of one
+    # lane-wise Newton: 33 rescaled-map passes per row where one solve
+    # per grid point made 177
+    base = build_family(
+        LocalMapParams(0.5),
+        HenonLikeRecipe(p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 1.0)),
+    )
+    family = tune_to(base, alpha_target=-0.1)
+    calls = []
+    real = orbits.eval_rescaled
+
+    def counted(rr, p):
+        calls.append(None)
+        return real(rr, p)
+
+    monkeypatch.setattr(orbits, "eval_rescaled", counted)
+    row = _cascade_row(family, 10)
+    assert row.error is None and len(row.phi_curve) == 25
+    assert len(calls) <= 33

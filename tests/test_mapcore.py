@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homatlas.exceptions import EscapeError
+from homatlas.exceptions import EscapeError, NewtonDivergedError
 from homatlas.family import HenonLikeRecipe, LocalMapParams
 from homatlas.mapcore import (
     HShear,
@@ -22,6 +22,7 @@ from homatlas.mapcore import (
     _any,
     _kernels,
     _layout,
+    _newton,
     eval_map,
     iterate,
     jacobian,
@@ -525,3 +526,69 @@ def test_saddle_power_guards_reduce_arrays_and_test_scalars():
     lanes = np.array([0.1, 0.2])
     xk, yk = t0_pow_closed(local, (lanes, lanes), 3)
     assert xk.shape == yk.shape == (2,)
+
+
+# one-variable toy lanes for the lane-wise Newton, (f, f') of z by lane:
+# 0 converges in one full step; 1 has half the true slope, so its full
+# step lands at 4, beyond the escape bound 3, and its half step at the
+# root 2; 2 stalls at 5e-10, under the roundoff floor 100 * 1e-11;
+# 3 stalls at 1 (no descent step); 4 has a zero slope (singular)
+_TOY_LANES = (
+    lambda z: (z - 1.0, 1.0),
+    lambda z: (z - 2.0, 0.5),
+    lambda z: (5e-10, 1.0),
+    lambda z: (1.0, 1.0),
+    lambda z: (1.0, 0.0),
+)
+
+
+def _toy(order, seen):
+    """fun_jac of ``_newton`` over the toy lanes in ``order``; records
+    every point each toy lane is evaluated at."""
+
+    def fun_jac(z, lanes):
+        points = [float(row[0]) for row in z]
+        for lane, point in zip(lanes, points):
+            seen.setdefault(order[lane], []).append(point)
+        if any(order[lane] == 1 and point > 3.0
+               for lane, point in zip(lanes, points)):
+            raise EscapeError("toy lane escaped")
+        fj = [_TOY_LANES[order[lane]](p) for lane, p in zip(lanes, points)]
+        return (np.array([[f] for f, _ in fj]),
+                np.array([[[d]] for _, d in fj]))
+
+    return fun_jac
+
+
+def test_newton_lanes_keep_their_own_damping_and_floor():
+    seen = {}
+    z, (f, jac) = _newton(_toy((0, 1, 2), seen), np.zeros((3, 1)))
+    assert z[:, 0].tolist() == [1.0, 2.0, 0.0]
+    assert f[:, 0].tolist() == [0.0, 0.0, 5e-10]
+    # the escape reruns the batch lane by lane: lane 0 keeps its full step
+    # and only lane 1 halves its step to reach its root
+    assert set(seen[0]) == {0.0, 1.0}
+    assert seen[1] == [0.0, 4.0, 4.0, 2.0]
+    # lane 2 tried every damping factor down to 1/64, then stopped at its
+    # roundoff floor
+    trials = list(dict.fromkeys(seen[2][1:]))
+    assert trials == [-5e-10 / 2**i for i in range(7)]
+    # each lane agrees with its own one-lane solve
+    for lane, want in enumerate((1.0, 2.0, 0.0)):
+        def one(z, lane=lane):
+            f, d = _TOY_LANES[lane](float(z[0]))
+            if lane == 1 and z[0] > 3.0:
+                raise EscapeError("toy lane escaped")
+            return np.array([f]), np.array([[d]])
+
+        assert _newton(one, np.zeros(1))[0].tolist() == [want]
+
+
+def test_newton_lanes_raise_the_lowest_failure():
+    # lane 4 fails first, on its singular slope before any trial; lane 3
+    # fails later, after seven damped trials; the loop over the lanes in
+    # order meets lane 3 first, so its error is the one raised
+    with pytest.raises(NewtonDivergedError, match="no descent step"):
+        _newton(_toy((0, 1, 2, 3, 4), {}), np.zeros((5, 1)))
+    with pytest.raises(NewtonDivergedError, match="singular Jacobian"):
+        _newton(_toy((0, 4, 3), {}), np.zeros((3, 1)))

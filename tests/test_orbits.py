@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homatlas.atlas import certify_global_resonance
+from homatlas.atlas import _M_RANGE, _N_PHI, certify_global_resonance
 from homatlas.exceptions import (
     BracketError,
     CollapsedOrbitError,
@@ -34,6 +34,7 @@ from homatlas.orbits import (
     _solve_orbit,
     find_two_periodic,
     locate_bifurcation,
+    two_orbit_trace,
 )
 from homatlas.rescale import (
     build_frame,
@@ -231,6 +232,54 @@ def test_trace_monotone_across_interval():
     order = np.argsort(mus)
     ordered = np.array(traces)[order]
     assert np.all(np.diff(ordered) > 0.0)
+
+
+# the phase curve's family set: both recipes, each with one Moser term,
+# over six |lam| of both signs; each family gives the rows k = 8..14
+_LANE_FAMILIES = {
+    "fold": lambda local: tune_to(
+        build_family(local, HenonLikeRecipe(p=(0.0, 1.0, 0.3),
+                                            q=(0.0, 0.0, 1.0, 1.0))),
+        alpha_target=-0.1,
+    ),
+    "sandwich": lambda local: build_family(local, ShearSandwichRecipe()),
+}
+_LANE_LAMS = tuple(sign * lam for lam in (0.45, 0.47, 0.49, 0.51, 0.53, 0.55)
+                   for sign in (1.0, -1.0))
+
+
+def _one_lane_trace(frame, m):
+    """tr D(F^2) of the 2-orbit at M from a one-lane solve on floats."""
+    root = math.sqrt(max(m, 1e-9))
+    _, _, jac = _solve_orbit(frame.at_m(m), (-root, root), 2)
+    return float(np.trace(jac))
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("recipe", sorted(_LANE_FAMILIES))
+def test_lane_traces_match_one_lane_solves(recipe, beta):
+    """Every lane of the phase curve's one Newton is bit for bit the
+    one-lane solve at its M, over 84 cascade rows per case.  Row k checks
+    the four grid points from 4 (k - 8) on, so the seven rows of a family
+    cover all 25; a row whose lanes fail raises the error of the lowest
+    failing grid point, as the loop over the grid does."""
+    grid = np.linspace(*_M_RANGE, _N_PHI).tolist()
+    for lam in _LANE_LAMS:
+        family = _LANE_FAMILIES[recipe](LocalMapParams(lam, (beta,)))
+        for k in range(8, 15):
+            frame = build_frame(family, k)
+            try:
+                lanes = two_orbit_trace(frame, np.array(grid)).tolist()
+            except NewtonDivergedError as exc:
+                with pytest.raises(NewtonDivergedError) as loop:
+                    for m in grid:
+                        _one_lane_trace(frame, m)
+                assert str(loop.value) == str(exc)
+                continue
+            for i in range(4 * (k - 8), 4 * (k - 7)):
+                i %= len(grid)
+                want = _one_lane_trace(frame, grid[i])
+                assert lanes[i].hex() == want.hex(), (lam, k, i)
 
 
 def test_saddle_pair_and_elliptic_inside_interval():

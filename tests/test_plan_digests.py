@@ -1,4 +1,5 @@
-"""Smoke test of ``tools/plan_digests.py`` on one ``geometry`` pass."""
+"""Smoke tests of ``tools/plan_digests.py`` on one ``geometry`` pass and
+on its fixed extra cascade inputs."""
 
 import importlib.util
 import sys
@@ -16,25 +17,37 @@ def _tool():
     return tool
 
 
-def test_one_geometry_pass_digests_the_same_twice(monkeypatch, capsys):
-    tool = _tool()
+def _digest_twice(monkeypatch, capsys, tool, plans):
+    """The tool's output lines over ``plans``; a second run in the same
+    process, which reuses the per-process caches, must print the same."""
+    monkeypatch.setattr(tool, "_plans", plans)
+    # main puts src and perfbench in front of sys.path; undo that after
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.chdir(ROOT)
+    runs = []
+    for _ in range(2):
+        assert tool.main(["src"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[1] == runs[0]
+    return runs[0].splitlines()
 
+
+def test_one_geometry_pass_digests_the_same_twice(monkeypatch, capsys):
     def one_pass():
         import workloads
 
         workload = workloads.WORKLOADS["geometry"]
         yield 301, "geometry", workloads.plan(workload, 301, 1)
 
-    monkeypatch.setattr(tool, "_plans", one_pass)
-    # main puts src and perfbench in front of sys.path; undo that after
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.chdir(ROOT)
-    runs = []
-    # the second run in the same process reuses the per-process caches
-    for _ in range(2):
-        assert tool.main(["src"]) == 0
-        runs.append(capsys.readouterr().out)
-    lines = runs[0].splitlines()
+    lines = _digest_twice(monkeypatch, capsys, _tool(), one_pass)
     assert len(lines) == 10
     assert all(line.split()[4] == "0" for line in lines)
-    assert runs[1] == runs[0]
+
+
+def test_extra_cascade_inputs_digest_the_same_twice(monkeypatch, capsys):
+    tool = _tool()
+    lines = _digest_twice(monkeypatch, capsys, tool,
+                          lambda: iter([tool._extra_plan()]))
+    assert [line.split()[:5] for line in lines] == [
+        ["-", "extra", str(i), "cascade", "0"] for i in range(len(tool.EXTRA))
+    ]

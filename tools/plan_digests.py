@@ -8,9 +8,10 @@ SRC_DIR is the directory holding the ``homatlas`` package to test, e.g.
 ``src`` of this checkout or of a second checkout of another commit.  The
 script runs every invocation of the ``cascade`` (8 passes), ``atlas`` (4)
 and ``geometry`` (128) plans that ``perfbench/run.py --seconds 30`` draws
-for seeds 301 and 302, 2616 invocations in all, through
-``homatlas.cli.main`` in this process, and prints one line per
-invocation::
+for seeds 301 and 302, 2616 invocations in all, and then the five fixed
+``EXTRA`` cascade inputs that those plans do not reach, through
+``homatlas.cli.main`` in this process.  It prints one line per
+invocation, with seed ``-`` and workload ``extra`` for the fixed ones::
 
     seed workload index subcommand exit output-digest stderr-digest
 
@@ -36,9 +37,30 @@ SEEDS = (301, 302)
 SECONDS = 30.0
 
 
+# cascade inputs outside the benchmark plans: Moser terms, the sandwich
+# recipe, negative lam, and a k range whose rows fail the strip window
+EXTRA = tuple(
+    ("cascade", *[arg for kv in sets.split() for arg in ("--set", kv)])
+    for sets in (
+        "beta=0.5",
+        "beta=0.3 lam=-0.5",
+        "recipe=sandwich",
+        "recipe=sandwich lam=-0.47 beta=1.0",
+        "k_min=0 k_max=1",
+    )
+)
+
+
+def _extra_plan():
+    """("-", "extra", invocations) for the fixed ``EXTRA`` inputs."""
+    import workloads
+
+    return "-", "extra", [workloads.Invocation(argv, 1) for argv in EXTRA]
+
+
 def _plans():
     """(seed, workload name, invocations) as ``perfbench/run.py`` plans
-    them for a ``--seconds 30`` run."""
+    them for a ``--seconds 30`` run, then the fixed extra inputs."""
     import workloads
 
     for seed in SEEDS:
@@ -47,6 +69,7 @@ def _plans():
             # run.py rounds the plan down to a power of two
             n_passes = 1 << (n_passes.bit_length() - 1)
             yield seed, name, workloads.plan(workload, seed, n_passes)
+    yield _extra_plan()
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,7 @@ Every solve runs r = 1 or 2 rounds of the rescaled return map F on Taylor
 jets: of degree 1 in (X, Y) for an orbit, of degree 2 in (X, Y, M) for a
 border, where they give the exact bordered Jacobian.
 
-The phase curve of a cascade row (``two_orbit_trace`` on an array of M)
+The phase curve of a cascade row (``two_orbit_trace`` on the array of M)
 solves the 2-orbits at all its M values as lanes of one Newton: the
 jets' coefficients are arrays over the lanes, so each pass of F serves
 every M, and ``mapcore._newton`` keeps each lane's damping, convergence
@@ -151,20 +151,16 @@ def locate_bifurcation(frame: RescaleFrame, kind: str) -> float:
 
 
 def two_orbit_trace(frame: RescaleFrame, m):
-    """Trace of the second-iterate derivative along the continued
-    2-orbit branch of the frame's return map, with the parameter given as
-    rescaled M, from the limit seed (-sqrt(M), sqrt(M)).
+    """Traces of the second-iterate derivative along the continued
+    2-orbit branch of the frame's return map, at an array of rescaled M
+    values, each from the limit seed (-sqrt(M), sqrt(M)).
 
-    A float M is one Newton solve on Python floats.  An array of M values
-    is solved as lanes of one lane-wise Newton (``mapcore._newton``): each
-    pass of ``eval_rescaled`` runs on jets whose coefficients are arrays
-    over the lanes, and each lane's trace is bit for bit its one-lane
-    value.  Returns a float or an array of traces.
+    The M values are solved as lanes of one lane-wise Newton
+    (``mapcore._newton``): each pass of ``eval_rescaled`` runs on jets
+    whose coefficients are arrays over the lanes, and each lane's trace
+    is bit for bit that of a one-lane solve at its M.  Returns an array
+    of traces.
     """
-    if np.ndim(m) == 0:
-        root = math.sqrt(max(m, 1e-9))
-        _, _, jac2 = _solve_orbit(frame.at_m(m), (-root, root), 2)
-        return float(np.trace(jac2))
     m = np.asarray(m, dtype=float)
     roots = [math.sqrt(max(v, 1e-9)) for v in m.tolist()]
 

@@ -122,8 +122,7 @@ class RescaleFrame:
         """The parameter mu at rescaled parameter M, as ``mu_from_m`` but
         from the frame's own lam**k and first-order base; elementwise on
         arrays."""
-        return (-self.m1_terms[0]
-                - (m + self.family.s0) * self.lamk**2 / self.family.taylor.d)
+        return _mu_from_m(self.family, self.lamk, self.m1_terms[0], m)
 
     def at_mu(self, mu) -> RescaledReturnMap:
         """The rescaled return map at parameter mu: a float, a jet, or an
@@ -215,10 +214,14 @@ def m_from_mu(family: FamilyHandle, k: int, mu: float) -> float:
     return -t.d / lamk**2 * total - family.s0
 
 
+def _mu_from_m(family: FamilyHandle, lamk, base, m):
+    """mu at rescaled parameter M, given lam**k and the first-order base;
+    elementwise on arrays."""
+    return -base - (m + family.s0) * lamk**2 / family.taylor.d
+
+
 def mu_from_m(family: FamilyHandle, k: int, m: float) -> float:
-    t = family.taylor
-    lamk = family.lam ** k
-    return -_first_order_base(family, k) - (m + family.s0) * lamk**2 / t.d
+    return _mu_from_m(family, family.lam ** k, _first_order_base(family, k), m)
 
 
 @dataclass(frozen=True)

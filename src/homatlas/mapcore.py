@@ -404,14 +404,6 @@ def _lane_norms(f):
     return np.abs(f).max(axis=1).tolist()
 
 
-def _narrow(stay, lanes, z, out, norms):
-    """The working set of ``_lane_newton`` cut to the rows ``stay``."""
-    if len(stay) == len(lanes):
-        return lanes, z, out, norms
-    return ([lanes[i] for i in stay], z[stay], [v[stay] for v in out],
-            [norms[i] for i in stay])
-
-
 def _newton(fun_jac, z0, tol=1e-11, window=None):
     """Damped Newton on fun_jac, lane by lane; returns the converged
     point(s) and fun_jac's outputs (f, jac, ...) there, or raises.
@@ -419,65 +411,75 @@ def _newton(fun_jac, z0, tol=1e-11, window=None):
     z0 of shape (n,) is one lane, and fun_jac(z) takes and returns it
     alone.  z0 of shape (L, n) is L lanes: fun_jac(z, lanes) gets the rows
     of the listed lanes and returns its outputs with a leading lane axis.
-    Each lane has its own damping, convergence test, roundoff floor and
-    step cap, kept on Python floats; only the evaluation and the LAPACK
-    det and solve run on the batch.  A trial that raises is rerun lane by
-    lane (``_eval_lanes``), so only the lane that raised halves its step.
-    When lanes fail, the error of the lowest one is raised, as a loop over
-    the lanes in order would raise it; the lanes above it stop early.  A
-    residual that no step lowers but that is within _ROUNDOFF_FLOOR * tol
-    sits at its roundoff floor and counts as converged.
+    Each lane is solved to its own outcome (``_lane_newton``); when lanes
+    fail, the error of the lowest one is raised, as a loop over the lanes
+    in order would raise it.
     """
     z = np.array(z0, dtype=float)
     if z.ndim == 1:
         def one_lane(rows, lanes):
             return [v[np.newaxis] for v in fun_jac(rows[0])]
 
-        ((point, out),) = _lane_newton(one_lane, z[np.newaxis], tol, window)
+        solved = _lane_newton(one_lane, z[np.newaxis], tol, window)
+    else:
+        solved = _lane_newton(fun_jac, z, tol, window)
+    for outcome in solved:
+        if isinstance(outcome, NewtonDivergedError):
+            raise outcome
+    if z.ndim == 1:
+        ((point, out),) = solved
         return point, tuple(out)
-    solved = _lane_newton(fun_jac, z, tol, window)
     return (np.array([point for point, _ in solved]),
             tuple(np.array(v) for v in zip(*(out for _, out in solved))))
 
 
 def _lane_newton(fun_jac, z, tol, window):
-    """The lanes of ``_newton``: per lane, its point and the rows of
-    fun_jac's outputs there."""
-    n_lanes = len(z)
-    ok, out, failed = _eval_lanes(fun_jac, z, list(range(n_lanes)))
-    errors = {lane: _diverged("Newton diverged: seed escaped", exc)
-              for lane, exc in failed.items()}
+    """The lanes of ``_newton``, each run to its own end: per lane, either
+    its point and the rows of fun_jac's outputs there, or the
+    NewtonDivergedError it failed with.
+
+    Each lane has its own damping, convergence test, roundoff floor and
+    step cap, kept on Python floats; only the evaluation and the LAPACK
+    det and solve run on the batch.  A trial that raises is rerun lane by
+    lane (``_eval_lanes``), so only the lane that raised halves its step,
+    and a lane's failure leaves the other lanes' steps as they would be
+    alone.  A residual that no step lowers but that is within
+    _ROUNDOFF_FLOOR * tol sits at its roundoff floor and counts as
+    converged.
+    """
+    outcomes = [None] * len(z)
+    ok, out, failed = _eval_lanes(fun_jac, z, list(range(len(z))))
+    for lane, exc in failed.items():
+        outcomes[lane] = _diverged("Newton diverged: seed escaped", exc)
     # the working set: lanes, their points z, fun_jac's outputs out and the
-    # residual norms there, row for row; done holds the converged lanes
-    lanes, z = list(ok), z[list(ok)] if failed else z
+    # residual norms there, row for row
+    lanes = list(ok)
+    if failed:
+        z = z[lanes]
     norms = _lane_norms(out[0]) if ok else []
-    done, finished = {}, set()
     for _ in range(_MAX_STEPS):
-        if errors or finished or any(norm < tol for norm in norms):
-            cut = min(errors, default=n_lanes)
-            stay = []
-            for i, lane in enumerate(lanes):
-                if norms[i] < tol or i in finished:
-                    done[lane] = (z[i], [v[i] for v in out])
-                elif lane < cut:
-                    stay.append(i)
-            if not stay:
-                break
-            lanes, z, out, norms = _narrow(stay, lanes, z, out, norms)
-            finished = set()
-        dets = np.linalg.det(out[1]).tolist()
-        singular = [lane for lane, det, norm in zip(lanes, dets, norms)
-                    if abs(det) < 1e-14 * max(1.0, norm)]
-        if singular:
-            for lane in singular:
-                errors[lane] = _diverged(
+        # retire the lanes that converged, that have a singular Jacobian or
+        # whose outcome the last damping loop settled
+        stay, dets = [], None
+        for i, lane in enumerate(lanes):
+            if outcomes[lane] is not None:
+                continue
+            if norms[i] < tol:
+                outcomes[lane] = (z[i], [v[i] for v in out])
+                continue
+            if dets is None:
+                dets = np.linalg.det(out[1]).tolist()
+            if abs(dets[i]) < 1e-14 * max(1.0, norms[i]):
+                outcomes[lane] = _diverged(
                     "singular Jacobian near a parabolic point"
                 )
-            cut = min(errors)
-            stay = [i for i, lane in enumerate(lanes) if lane < cut]
-            if not stay:
-                break
-            lanes, z, out, norms = _narrow(stay, lanes, z, out, norms)
+            else:
+                stay.append(i)
+        if not stay:
+            break
+        if len(stay) < len(lanes):
+            lanes, z = [lanes[i] for i in stay], z[stay]
+            out, norms = [v[stay] for v in out], [norms[i] for i in stay]
         step = np.linalg.solve(out[1], out[0][..., np.newaxis])[..., 0]
         # each round halves the step of every lane still pending, so the
         # damping factor is one float per round
@@ -491,7 +493,8 @@ def _lane_newton(fun_jac, z, tol, window):
                 z_try = z[pending] - alpha * step[pending]
             rows = pending
             if window is not None:
-                far = (np.abs(z_try[:, :2]).max(axis=1) > window).tolist()
+                far = [abs(x) > window or abs(y) > window
+                       for x, y in z_try[:, :2].tolist()]
                 if any(far):
                     near = [r for r, f in enumerate(far) if not f]
                     rows, z_try = [pending[r] for r in near], z_try[near]
@@ -522,28 +525,16 @@ def _lane_newton(fun_jac, z, tol, window):
             alpha /= 2.0
             if alpha < 1.0 / 64.0:
                 for i in pending:
-                    if norms[i] < _ROUNDOFF_FLOOR * tol:
-                        finished.add(i)
-                    else:
-                        errors[lanes[i]] = _diverged(
-                            "Newton diverged: no descent step"
-                        )
+                    outcomes[lanes[i]] = (
+                        (z[i], [v[i] for v in out])
+                        if norms[i] < _ROUNDOFF_FLOOR * tol
+                        else _diverged("Newton diverged: no descent step")
+                    )
                 break
-            if errors:
-                cut = min(errors)
-                pending = [i for i in pending if lanes[i] < cut]
         z, out = z_new, out_new
-    else:
-        for i, lane in enumerate(lanes):
-            if i in finished:
-                done[lane] = (z[i], [v[i] for v in out])
-            else:
-                errors[lane] = _diverged(
-                    f"Newton diverged after {_MAX_STEPS} damped steps"
-                )
-    if errors:
-        raise errors[min(errors)]
-    return [done[lane] for lane in range(n_lanes)]
+    # a lane still without an outcome ran out of steps
+    return [_diverged(f"Newton diverged after {_MAX_STEPS} damped steps")
+            if outcome is None else outcome for outcome in outcomes]
 
 
 def _secant(fun, x0: float, x1: float, target: float, tol: float):

@@ -14,9 +14,12 @@ border, where they give the exact bordered Jacobian.
 The phase curve of a cascade row (``two_orbit_trace`` on the array of M)
 solves the 2-orbits at all its M values as lanes of one Newton: the
 jets' coefficients are arrays over the lanes, so each pass of F serves
-every M, and ``mapcore._newton`` keeps each lane's damping, convergence
-and failure its own.  Each lane's trace is bit for bit that of a
-one-lane solve at its M on Python floats.
+every M, and ``mapcore._lane_newton`` runs each lane, with its own
+damping and convergence test, to its own outcome: a point or an error.
+Each lane that converges is bit for bit the one-lane solve at its M on
+Python floats, whether or not other lanes fail; when any lane fails,
+the row raises the error of the lowest failing M, as a loop over the
+grid would.
 
 Bifurcation location works in the parameter M rather than mu, again for
 conditioning.  A fixed point has multipliers (+1, -1) exactly when its
@@ -159,7 +162,7 @@ def two_orbit_trace(frame: RescaleFrame, m):
     (``mapcore._newton``): each pass of ``eval_rescaled`` runs on jets
     whose coefficients are arrays over the lanes, and each lane's trace
     is bit for bit that of a one-lane solve at its M.  Returns an array
-    of traces.
+    of traces, or raises the NewtonDivergedError of the lowest failing M.
     """
     m = np.asarray(m, dtype=float)
     roots = [math.sqrt(max(v, 1e-9)) for v in m.tolist()]

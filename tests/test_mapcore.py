@@ -21,6 +21,7 @@ from homatlas.mapcore import (
     _all,
     _any,
     _kernels,
+    _lane_newton,
     _layout,
     _newton,
     eval_map,
@@ -592,3 +593,38 @@ def test_newton_lanes_raise_the_lowest_failure():
         _newton(_toy((0, 1, 2, 3, 4), {}), np.zeros((5, 1)))
     with pytest.raises(NewtonDivergedError, match="singular Jacobian"):
         _newton(_toy((0, 4, 3), {}), np.zeros((3, 1)))
+
+
+def test_newton_lanes_each_run_to_their_own_outcome():
+    # the failing toy lanes 3 and 4 run as lanes 0 and 2, below and between
+    # the converging ones; seen is keyed by toy lane
+    order = (3, 0, 4, 1, 2)
+    seen = {}
+    outcomes = _lane_newton(_toy(order, seen), np.zeros((5, 1)), 1e-11,
+                            None)
+    for outcome, toy, message in zip(outcomes, order, (
+        "no descent step", None, "singular Jacobian", None, None
+    )):
+        if message is not None:
+            assert isinstance(outcome, NewtonDivergedError)
+            assert message in str(outcome)
+            continue
+        # every converging lane, above the lowest failure too, is bit for
+        # bit its own one-lane solve
+        one = _toy((toy,), {})
+        point, out = _newton(
+            lambda z: [v[0] for v in one(z[np.newaxis], [0])], np.zeros(1)
+        )
+        assert outcome[0].tolist() == point.tolist()
+        assert [v.tolist() for v in outcome[1]] == [v.tolist() for v in out]
+    # the lanes above the lowest failure ran to their roots
+    assert seen[0][-1] == 1.0
+    assert seen[1][-1] == 2.0
+    assert list(dict.fromkeys(seen[2][1:])) == [-5e-10 / 2**i
+                                                for i in range(7)]
+    # the failing lanes ran only as far as their own failure: seven damped
+    # trials for lane 3 (the escape of lane 1 reruns its first one alone)
+    # and none for the singular lane 4
+    assert list(dict.fromkeys(seen[3])) == [0.0] + [-1.0 / 2**i
+                                                   for i in range(7)]
+    assert seen[4] == [0.0]

@@ -25,12 +25,14 @@ from homatlas.henon import ELLIPTIC_EVENTS, TRACE_EVENTS, classify_from_trace
 from homatlas.mapcore import (
     Jet,
     _border_residual,
+    _lane_newton,
     _limit_seed,
     _locate_trace,
     eval_map,
 )
 from homatlas.orbits import (
     _map_at,
+    _orbit_residual,
     _solve_orbit,
     find_two_periodic,
     locate_bifurcation,
@@ -280,6 +282,34 @@ def test_lane_traces_match_one_lane_solves(recipe, beta):
                 i %= len(grid)
                 want = _one_lane_trace(frame, grid[i])
                 assert lanes[i].hex() == want.hex(), (lam, k, i)
+
+
+def test_failing_lane_leaves_the_other_lanes_their_one_lane_solves():
+    """A phase-curve row whose grid point 0 fails (sandwich, beta = 1.0,
+    lam = 0.51, k = 8): that lane carries the error of its one-lane solve,
+    and the other 24 lanes run to the points of theirs."""
+    frame = build_frame(
+        _LANE_FAMILIES["sandwich"](LocalMapParams(0.51, (1.0,))), 8
+    )
+    grid = np.linspace(*_M_RANGE, _N_PHI)
+    roots = [math.sqrt(max(m, 1e-9)) for m in grid.tolist()]
+    outcomes = _lane_newton(
+        lambda z, lanes: _orbit_residual(frame.at_m(grid[lanes]), 2, z),
+        np.array([(-r, r) for r in roots]), 1e-11, None,
+    )
+    with pytest.raises(NewtonDivergedError, match="no descent step") as one:
+        _one_lane_trace(frame, float(grid[0]))
+    assert isinstance(outcomes[0], NewtonDivergedError)
+    assert str(outcomes[0]) == str(one.value)
+    for i, (m, root) in enumerate(zip(grid.tolist()[1:], roots[1:]), 1):
+        z, f, jac = _solve_orbit(frame.at_m(m), (-root, root), 2)
+        point, (f_lane, _, jac_lane) = outcomes[i]
+        for lane, want in ((point, z), (f_lane, f), (jac_lane, jac)):
+            assert ([v.hex() for v in lane.ravel().tolist()]
+                    == [v.hex() for v in want.ravel().tolist()]), i
+    # the phase curve still drops the row with that error
+    with pytest.raises(NewtonDivergedError, match="no descent step"):
+        two_orbit_trace(frame, grid)
 
 
 def test_saddle_pair_and_elliptic_inside_interval():

@@ -53,14 +53,12 @@ from .henon import (
 )
 from .returnmap import (
     ReturnMap,
-    Strip,
     CrossFormReport,
     HorseshoeClass,
     t0_pow_closed,
     t0_pow_jacobian,
     solve_y0,
     build_return_map,
-    strips,
     in_sigma0,
     validate_cross_form,
     classify_horseshoe,

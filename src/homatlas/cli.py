@@ -36,6 +36,8 @@ from .svgplot import Series, line_chart, save_svg
 __all__ = ["main", "family_from_config"]
 
 _FORMATS = ("json", "csv", "svg")
+# chart label sign and attribute suffix of the two borders, in series order
+_BORDER_SIGNS = (("+", "plus"), ("-", "minus"))
 
 
 def family_from_config(fam: dict):
@@ -279,17 +281,15 @@ def _run_cascade(cfg):
     interval_chart = line_chart(
         [
             Series(
-                "mu+ / lam^2k",
+                f"mu{sign} / lam^2k",
                 [float(row.k) for row in good],
-                [row.mu_plus / lam ** (2 * row.k) for row in good],
+                [
+                    getattr(row, f"mu_{side}") / lam ** (2 * row.k)
+                    for row in good
+                ],
                 marker=True,
-            ),
-            Series(
-                "mu- / lam^2k",
-                [float(row.k) for row in good],
-                [row.mu_minus / lam ** (2 * row.k) for row in good],
-                marker=True,
-            ),
+            )
+            for sign, side in _BORDER_SIGNS
         ],
         title="Bifurcation interval endpoints, rescaled",
         xlabel="k",
@@ -339,29 +339,18 @@ def _run_atlas2d(cfg):
                 [_cell(band.k), _cell(alpha), _cell(mp), _cell(mm)]
             )
     lam = family.lam
-    series = []
-    for band in atlas.bands:
-        scale = lam ** (2 * band.k)
-        series.append(
-            Series(
-                f"k={band.k} mu+",
-                list(atlas.alphas),
-                [
-                    None if v is None else v / scale
-                    for v in band.mu_plus
-                ],
-            )
+    series = [
+        Series(
+            f"k={band.k} mu{sign}",
+            list(atlas.alphas),
+            [
+                None if v is None else v / lam ** (2 * band.k)
+                for v in getattr(band, f"mu_{side}")
+            ],
         )
-        series.append(
-            Series(
-                f"k={band.k} mu-",
-                list(atlas.alphas),
-                [
-                    None if v is None else v / scale
-                    for v in band.mu_minus
-                ],
-            )
-        )
+        for band in atlas.bands
+        for sign, side in _BORDER_SIGNS
+    ]
     chart = line_chart(
         series,
         title="Strip boundaries over the splitting parameter",

@@ -1,13 +1,15 @@
-"""Saddle passages T0^k, their validity window, and the strip geometry
-that the first-return maps T1 o T0^k act on.
+"""Saddle passages T0^k, their validity window, and membership in the
+strip that the first-return maps T1 o T0^k act on.
 
 The local saddle map preserves u = x*y, which gives a closed form for its
 k-th power, and on Taylor jets for its derivatives, with no accumulation
 of roundoff over k.  The return map itself composes the closed-form power
-with the global map in ``rescale.eval_rescaled``.  Strips are the windows
-where returning orbits live: sigma0 near the incoming homoclinic point
-(x_plus, 0), sigma1 = T0^k(sigma0) near the outgoing one (0, y_minus).
-The horseshoe classifier counts crossings of the folded image of the
+with the global map in ``rescale.eval_rescaled``.  Returning orbits live
+in the strip sigma0 near the incoming homoclinic point (x_plus, 0), whose
+image T0^k(sigma0) lies near the outgoing one (0, y_minus).  The window
+``k_min <= k <= k_max`` (``check_window``) bounds the k for which that
+picture holds, and ``in_sigma0`` tests membership exactly.  The
+horseshoe classifier counts crossings of the folded image of the
 tangency fiber through sigma0, sampled adaptively until the count
 stabilizes.
 """
@@ -31,7 +33,6 @@ from .mapcore import (ESCAPE_RADIUS, Jet, _SADDLE_FLOOR, _all, _any, _value,
 
 __all__ = [
     "ReturnMap",
-    "Strip",
     "HorseshoeClass",
     "t0_pow_closed",
     "t0_pow_jacobian",
@@ -41,7 +42,6 @@ __all__ = [
     "k_min",
     "k_max",
     "check_window",
-    "strips",
     "in_sigma0",
     "validate_cross_form",
     "CrossFormReport",
@@ -202,55 +202,6 @@ def build_return_map(family: FamilyHandle, k: int) -> ReturnMap:
     ``spans.LAYERS`` (ROADMAP item 1)."""
     check_window(family, k)
     return ReturnMap(family, k)
-
-
-@dataclass(frozen=True)
-class Strip:
-    which: str
-    k: int
-    box: tuple
-    boundary: np.ndarray
-    center_distance: float
-
-
-def strips(family: FamilyHandle, k: int):
-    """The pair (sigma0, sigma1) with sampled boundaries and axis distances.
-
-    sigma0 boundary curves are preimages of the Pi-minus window edges
-    under T0^k (solved through the invariant); sigma1 is the forward image
-    of sigma0.  Distances are measured at the center line and carry the
-    sign of lam**k in the box but are reported as absolute values.
-    """
-    check_window(family, k)
-    local = family.local
-    delta = window_halfwidth(family)
-    xp, ym = family.x_plus, family.y_minus
-    n_boundary = 64
-    xs = np.linspace(xp - delta, xp + delta, n_boundary)
-    y_lo = solve_y0(local, k, xs, np.full_like(xs, ym - delta))
-    y_hi = solve_y0(local, k, xs, np.full_like(xs, ym + delta))
-    n_edge = max(4, n_boundary // 4)
-    e_right = np.linspace(y_lo[-1], y_hi[-1], n_edge)
-    e_left = np.linspace(y_hi[0], y_lo[0], n_edge)
-    boundary0 = np.concatenate(
-        [
-            np.column_stack([xs, y_lo]),
-            np.column_stack([np.full(n_edge, xs[-1]), e_right]),
-            np.column_stack([xs[::-1], y_hi[::-1]]),
-            np.column_stack([np.full(n_edge, xs[0]), e_left]),
-        ]
-    )
-    ys0 = np.concatenate([y_lo, y_hi])
-    box0 = (float(xs[0]), float(xs[-1]), float(ys0.min()), float(ys0.max()))
-    center0 = solve_y0(local, k, xp, ym)
-    sigma0 = Strip("sigma0", k, box0, boundary0, abs(float(center0)))
-
-    bx, by = t0_pow_closed(local, (boundary0[:, 0], boundary0[:, 1]), k)
-    boundary1 = np.column_stack([bx, by])
-    box1 = (float(bx.min()), float(bx.max()), float(by.min()), float(by.max()))
-    cx, _ = t0_pow_closed(local, (xp, float(center0)), k)
-    sigma1 = Strip("sigma1", k, box1, boundary1, abs(float(cx)))
-    return sigma0, sigma1
 
 
 def in_sigma0(family: FamilyHandle, k: int, x, y):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 __all__ = ["Series", "line_chart", "save_svg"]
 
@@ -85,7 +85,8 @@ def line_chart(series, title="", xlabel="", ylabel="", logy=False) -> str:
         f'height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15">'
+        f"{escape(title, quote=False)}</text>",
     ]
     axis = (
         f'<path d="M {_fmt(_ML)} {_fmt(_MT)} L {_fmt(_ML)} '
@@ -118,12 +119,14 @@ def line_chart(series, title="", xlabel="", ylabel="", logy=False) -> str:
         )
     out.append(
         f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(xlabel)}</text>'
+        f'font-family="sans-serif" font-size="13">'
+        f"{escape(xlabel, quote=False)}</text>"
     )
     out.append(
         f'<text x="20" y="{_H // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {_H // 2})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 20 {_H // 2})">'
+        f"{escape(ylabel, quote=False)}</text>"
     )
     for idx, s in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -164,7 +167,7 @@ def line_chart(series, title="", xlabel="", ylabel="", logy=False) -> str:
         out.append(
             f'<text x="{_W - _MR - 100}" y="{ly + 4}" '
             f'font-family="sans-serif" font-size="11">'
-            f"{escape(s.label)}</text>"
+            f"{escape(s.label, quote=False)}</text>"
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -3,10 +3,13 @@ exit codes, and determinism of the serialized outputs."""
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import homatlas
 from homatlas import cli
 from homatlas.cli import family_from_config, main
 from homatlas.config import load_config
@@ -17,6 +20,22 @@ from homatlas.family import HenonLikeRecipe, ShearSandwichRecipe
 def _envelope(out_dir):
     with open(os.path.join(out_dir, "result.json"), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def test_cli_import_leaves_the_network_stack_unloaded():
+    # every CLI process pays for what ``import homatlas.cli`` loads;
+    # xml.sax.saxutils would bring urllib.request and http.client
+    src = os.path.dirname(os.path.dirname(homatlas.__file__))
+    code = (
+        "import sys, homatlas.cli; "
+        "print([m for m in ('xml.sax', 'urllib.request', 'http.client')"
+        " if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_no_subcommand_is_usage_error(capsys):

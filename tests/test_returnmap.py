@@ -1,5 +1,6 @@
-"""Tests for the first-return machinery: closed saddle powers, strips,
-cross-form residuals, and the horseshoe classifier."""
+"""Tests for the first-return machinery: closed saddle powers, the
+validity window, sigma0 membership, cross-form residuals, and the
+horseshoe classifier."""
 
 import collections
 import math
@@ -33,7 +34,6 @@ from homatlas.returnmap import (
     k_max,
     k_min,
     solve_y0,
-    strips,
     t0_pow_closed,
     t0_pow_jacobian,
     validate_cross_form,
@@ -464,45 +464,6 @@ def test_solve_y0_jet_matches_sympy_implicit_series(lam, k):
         assert abs(got.coeff(*e) - w) <= 1e-13 * abs(w), e
 
 
-def test_strip_distances_exact_without_moser_terms():
-    fam = build_family(LocalMapParams(0.5), HenonLikeRecipe())
-    for k in (5, 9, 13):
-        s0, s1 = strips(fam, k)
-        assert s0.center_distance == pytest.approx(0.5**k, abs=0.0)
-        assert s1.center_distance == pytest.approx(0.5**k, abs=0.0)
-        x_lo, x_hi, y_lo, y_hi = s0.box
-        assert x_lo == pytest.approx(0.9)
-        assert x_hi == pytest.approx(1.1)
-        assert y_lo == pytest.approx(0.5**k * 0.9)
-        assert y_hi == pytest.approx(0.5**k * 1.1)
-
-
-def test_strip_distance_ratio_approaches_one():
-    fam = build_family(LocalMapParams(0.5, (1.0,)), HenonLikeRecipe())
-    ratios = []
-    for k in (6, 9, 12):
-        s0, s1 = strips(fam, k)
-        ratios.append(
-            (s0.center_distance / 0.5**k, s1.center_distance / 0.5**k)
-        )
-    assert abs(ratios[-1][0] - 1.0) < 0.10
-    assert abs(ratios[-1][1] - 1.0) < 0.10
-    # drift toward 1 is monotone for a single positive coefficient
-    assert abs(ratios[2][0] - 1.0) < abs(ratios[1][0] - 1.0) < abs(ratios[0][0] - 1.0)
-
-
-def test_strips_reject_small_k():
-    fam = build_family(LocalMapParams(0.5), HenonLikeRecipe())
-    with pytest.raises(StripWindowError):
-        strips(fam, 2)
-
-
-def test_strips_reject_large_k():
-    fam = build_family(LocalMapParams(0.5), HenonLikeRecipe())
-    with pytest.raises(PrecisionFloorError):
-        strips(fam, k_max(fam) + 1)
-
-
 def test_classifier_enforces_validity_window():
     # lam = 0.99 needs k of about 240 before sigma0 maps into Pi-minus
     fam = build_family(LocalMapParams(0.99), HenonLikeRecipe())
@@ -514,11 +475,8 @@ def test_classifier_enforces_validity_window():
         classify_horseshoe(fam, range(8, k_max(fam) + 2))
 
 
-def test_strip_boundary_brackets_membership():
+def test_in_sigma0_brackets_the_window_edges():
     fam = build_family(LocalMapParams(0.5, (0.8,)), HenonLikeRecipe())
-    s0, s1 = strips(fam, 8)
-    assert s0.boundary.shape[1] == 2
-    assert s1.boundary.shape[0] == s0.boundary.shape[0]
     # points built from targets just inside / outside the Pi-minus window
     local = fam.local
     xs = np.linspace(0.9 + 1e-6, 1.1 - 1e-6, 15)

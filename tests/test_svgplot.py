@@ -1,4 +1,5 @@
-"""Tests for the hand-rolled SVG charts: structure, gaps, log scaling."""
+"""Tests for the hand-rolled SVG charts: structure, gaps, log scaling,
+text escaping."""
 
 from homatlas.svgplot import Series, line_chart, save_svg
 
@@ -15,6 +16,19 @@ def test_basic_chart_structure():
     assert "<polyline" in text
     assert "demo" in text
     assert "residual" in text
+
+
+def test_text_escapes_markup_but_not_quotes():
+    raw = """a&b <c> "d" 'e'"""
+    want = """a&amp;b &lt;c&gt; "d" 'e'"""
+    text = line_chart(
+        [Series(raw, [0.0, 1.0], [0.0, 1.0])],
+        title=raw,
+        xlabel=raw,
+        ylabel=raw,
+    )
+    assert text.count(f">{want}</text>") == 4
+    assert raw not in text
 
 
 def test_marker_series_gets_circles():

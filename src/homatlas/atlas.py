@@ -5,8 +5,9 @@ Everything here composes the bordered locator and the 2-orbit solver
 over grids, one cell after another in grid order.  Each sweep unit (a
 cascade row, an atlas cell, a certificate k) builds its
 ``rescale.RescaleFrame`` once and hands it to every solve of the unit.
-Individual solver failures are recorded as flagged partial results
-instead of aborting a whole sweep.
+Any ``HomatlasError`` of a unit, or of the atlas' tuning of a grid
+column, is recorded as a flagged partial result instead of aborting the
+whole sweep.
 """
 
 from __future__ import annotations
@@ -16,19 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    BracketError,
-    CollapsedOrbitError,
-    CrossFormSolveError,
-    EscapeError,
-    ExtractionError,
-    NewtonDivergedError,
-    PrecisionFloorError,
-    ResonanceWindowError,
-    StripWindowError,
-    TangencyError,
-    TargetUnreachableError,
-)
+from .exceptions import BracketError, HomatlasError, ResonanceWindowError
 from .family import FamilyHandle, tune_to
 from .henon import ELLIPTIC_EVENTS, TRACE_EVENTS
 from .orbits import find_two_periodic, locate_bifurcation, two_orbit_trace
@@ -48,17 +37,6 @@ __all__ = [
     "boundary_slope",
     "certify_global_resonance",
 ]
-
-_SOLVER_ERRORS = (
-    BracketError,
-    CollapsedOrbitError,
-    CrossFormSolveError,
-    EscapeError,
-    NewtonDivergedError,
-    PrecisionFloorError,
-    StripWindowError,
-    TangencyError,
-)
 
 # the M range of a cascade row's phase curve: its resonance flags' bracket
 _M_RANGE = TRACE_EVENTS[ELLIPTIC_EVENTS[0]][2]
@@ -157,7 +135,7 @@ def _cascade_row(family: FamilyHandle, k: int) -> CascadeRow:
             flags=tuple(flags),
             monotone=bool(np.all(np.diff(traces) < 0.0)),
         )
-    except _SOLVER_ERRORS as exc:
+    except HomatlasError as exc:
         return CascadeRow(k, error=f"{type(exc).__name__}: {exc}")
 
 
@@ -225,14 +203,14 @@ def _atlas_cell(fam, k):
         return (None, None, "family tuning failed")
     try:
         frame = build_frame(fam, k)
-    except _SOLVER_ERRORS as exc:
+    except HomatlasError as exc:
         name = type(exc).__name__
         return (None, None, f"plus: {name}; minus: {name}")
     mus, notes = [], []
     for kind in ("plus", "minus"):
         try:
             mus.append(locate_bifurcation(frame, kind))
-        except _SOLVER_ERRORS as exc:
+        except HomatlasError as exc:
             mus.append(None)
             notes.append(f"{kind}: {type(exc).__name__}")
     return (*mus, "; ".join(notes) or None)
@@ -243,9 +221,9 @@ def run_strip_atlas(family_template: FamilyHandle, k_range,
     """Trace the border curves over an alpha-grid of tuned families.
 
     The grid is n_alpha points over [-eps, eps].  Each grid column retunes
-    the family to the target alpha; each cell locates both borders.  Cell
-    failures are flagged and leave holes in the polylines rather than
-    aborting the sweep.
+    the family to the target alpha; each cell locates both borders.  A
+    failed tuning or cell is flagged and leaves holes in the polylines
+    rather than aborting the sweep.
     """
     alphas = tuple(float(a) for a in np.linspace(-eps, eps, int(n_alpha)))
     k_values = tuple(int(k) for k in k_range)
@@ -254,7 +232,7 @@ def run_strip_atlas(family_template: FamilyHandle, k_range,
     for a in alphas:
         try:
             tuned.append(tune_to(family_template, alpha_target=a))
-        except (TargetUnreachableError, ExtractionError) as exc:
+        except HomatlasError as exc:
             tuned.append(None)
             failures.append((None, a, "tune", f"{type(exc).__name__}: {exc}"))
 
@@ -320,7 +298,7 @@ def certify_global_resonance(family: FamilyHandle,
     for k in ks:
         try:
             frame = build_frame(family, k)
-        except _SOLVER_ERRORS as exc:
+        except HomatlasError as exc:
             records.append(_failed_record(k, exc))
             intervals.append((k, None, None))
             continue
@@ -329,7 +307,7 @@ def certify_global_resonance(family: FamilyHandle,
             mu_plus = locate_bifurcation(frame, "plus")
             mu_minus = locate_bifurcation(frame, "minus")
             intervals.append((k,) + tuple(sorted((mu_plus, mu_minus))))
-        except _SOLVER_ERRORS:
+        except HomatlasError:
             intervals.append((k, None, None))
     nesting = _nesting_verdict(intervals)
     if any(rec.failure is not None for rec in records):
@@ -361,7 +339,7 @@ def _cert_record(frame: RescaleFrame) -> CertRecord:
     try:
         m0 = m_from_mu(frame.family, k, 0.0)
         rec = find_two_periodic(frame, m0, (-root, root))
-    except _SOLVER_ERRORS as exc:
+    except HomatlasError as exc:
         return _failed_record(k, exc)
     phase = rec.stability.phase
     if phase is None:

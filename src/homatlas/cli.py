@@ -3,9 +3,12 @@
 Each subcommand validates its configuration, runs one experiment, and
 writes a versioned JSON envelope plus CSV and SVG files into the output
 directory.  CSV and JSON carry raw payload values only; the plots may
-rescale axes for readability.  Exit status is 0 on success, 1 on a
-configuration error, 2 on a numerical failure, with a machine-readable
-error object on stderr in the failure cases.
+rescale axes for readability.  Handlers return raw CSV row values, and
+the writer formats every cell the same way: None as an empty cell,
+booleans as ``true``/``false``, floats with ``repr``, anything else
+with ``str``.  Exit status is 0 on success, 1 on a configuration
+error, 2 on a numerical failure, with a machine-readable error object
+on stderr in the failure cases.
 """
 
 from __future__ import annotations
@@ -97,21 +100,17 @@ def _jsonify(obj):
 
 
 def _cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
+    # the csv module writes None as an empty cell and floats with repr
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
+    return value
 
 
 # ---------------------------------------------------------------- handlers
 # Each returns (result, csv rows, svg charts by file name, warnings); the
 # result stays a dataclass or dict until _write_outputs converts the whole
-# envelope to JSON types.
+# envelope to JSON types, and the row values stay raw until it formats the
+# cells.
 
 
 def _run_henon(cfg):
@@ -139,11 +138,11 @@ def _run_henon(cfg):
     }
     rows = [["quantity", "label", "value"]]
     for name in sorted(values):
-        rows.append(["bifurcation-value", name, _cell(values[name])])
-    rows.append(["b1", _cell(m_req), _cell(b1_at)])
+        rows.append(["bifurcation-value", name, values[name]])
+    rows.append(["b1", m_req, b1_at])
     for m, b1 in zip(scan_m.tolist(), scan_b1):
-        rows.append(["b1-scan", _cell(m), _cell(b1)])
-    rows.append(["horseshoe", _cell(m_h), _cell(certified)])
+        rows.append(["b1-scan", m, b1])
+    rows.append(["horseshoe", m_h, certified])
     chart = line_chart(
         [Series("B1", scan_m.tolist(), scan_b1, marker=True)],
         title="Birkhoff coefficient of the limit map",
@@ -176,11 +175,11 @@ def _run_family_check(cfg):
     rows = [["name", "value"]]
     coeffs = _jsonify(t)
     for name in coeffs:
-        rows.append([name, _cell(coeffs[name])])
+        rows.append([name, coeffs[name]])
     for name in ("alpha", "s0", "bc_minus_one", "identity_residual"):
-        rows.append([name, _cell(payload[name])])
+        rows.append([name, payload[name]])
     for name in ("unit_product", "determinant_identity"):
-        rows.append([f"audit_{name}", _cell(payload["audit"][name])])
+        rows.append([f"audit_{name}", payload["audit"][name]])
     chart = line_chart(
         [
             Series(
@@ -202,10 +201,7 @@ def _run_cross_form(cfg):
     exp = cfg.experiment
     report = validate_cross_form(family, _k_range(family, exp))
     rows = [["k", "sup_normalized", "slope_per_k"]]
-    for k, sup, slope in zip(
-        report.k_values, report.sup_normalized, report.slope_per_k
-    ):
-        rows.append([_cell(k), _cell(sup), _cell(slope)])
+    rows += zip(report.k_values, report.sup_normalized, report.slope_per_k)
     chart = line_chart(
         [
             Series(
@@ -236,8 +232,7 @@ def _run_classify(cfg):
         )
     rows = [["k", "components"]]
     ks = sorted(result.evidence)
-    for k in ks:
-        rows.append([_cell(k), _cell(result.evidence[k])])
+    rows += ([k, result.evidence[k]] for k in ks)
     chart = line_chart(
         [
             Series(
@@ -263,18 +258,10 @@ def _run_cascade(cfg):
     ]
     rows = [["k", "mu_plus", "mu_minus", "monotone", "flags", "error"]]
     for row in result.rows:
-        flag_text = ";".join(
-            f"{fl.tag}:{_cell(fl.mu)}" for fl in row.flags
-        )
+        flag_text = ";".join(f"{fl.tag}:{fl.mu}" for fl in row.flags)
         rows.append(
-            [
-                _cell(row.k),
-                _cell(row.mu_plus),
-                _cell(row.mu_minus),
-                _cell(row.monotone),
-                flag_text,
-                _cell(row.error),
-            ]
+            [row.k, row.mu_plus, row.mu_minus, row.monotone, flag_text,
+             row.error]
         )
     lam = result.lam
     good = [row for row in result.rows if row.error is None]
@@ -335,9 +322,7 @@ def _run_atlas2d(cfg):
         for alpha, mp, mm in zip(
             atlas.alphas, band.mu_plus, band.mu_minus
         ):
-            rows.append(
-                [_cell(band.k), _cell(alpha), _cell(mp), _cell(mm)]
-            )
+            rows.append([band.k, alpha, mp, mm])
     lam = family.lam
     series = [
         Series(
@@ -386,16 +371,8 @@ def _run_resonance(cfg):
     for rec in cert.records:
         lo, hi = spans.get(rec.k, (None, None))
         rows.append(
-            [
-                _cell(rec.k),
-                _cell(rec.cos_phi),
-                _cell(rec.phase),
-                _cell(rec.margin),
-                _cell(rec.limit_error),
-                _cell(lo),
-                _cell(hi),
-                _cell(rec.failure),
-            ]
+            [rec.k, rec.cos_phi, rec.phase, rec.margin, rec.limit_error,
+             lo, hi, rec.failure]
         )
     limit = 1.0 + 2.0 * cert.s0
     ks = [float(rec.k) for rec in cert.records]
@@ -434,10 +411,7 @@ def _run_rescale_verify(cfg):
             f"band {report.slope_band}"
         )
     rows = [["k", "sup_residual", "normalized"]]
-    for k, sup, norm in zip(
-        report.k_values, report.sup_residual, report.normalized
-    ):
-        rows.append([_cell(k), _cell(sup), _cell(norm)])
+    rows += zip(report.k_values, report.sup_residual, report.normalized)
     chart = line_chart(
         [
             Series(
@@ -523,7 +497,7 @@ def _write_outputs(cfg, payload, rows, svgs, warnings, elapsed):
             path = os.path.join(out_dir, f"{cfg.subcommand}.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
-                writer.writerows(rows)
+                writer.writerows([_cell(v) for v in row] for row in rows)
         if "svg" in formats:
             for name, chart in svgs.items():
                 save_svg(os.path.join(out_dir, name), chart)

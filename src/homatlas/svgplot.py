@@ -2,8 +2,9 @@
 
 Hand-rolled on purpose: a fixed canvas, a fixed palette, explicit tick
 placement, and stable float formatting, so that identical inputs
-produce byte-identical files.  Series may contain None gaps; those
-split the polyline into segments.
+produce byte-identical files.  A point is drawn when x and y are not
+None and, on a log axis, y > 0; every other point splits its series'
+polyline into segments.  The axis extents come from the drawn points.
 """
 
 from __future__ import annotations
@@ -41,14 +42,23 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
-def _finite_pairs(series, logy):
+def _segments(series, logy):
+    """Per series, its runs of drawable points in chart coordinates,
+    with y taken as log10 y on a log axis."""
+    out = []
     for s in series:
+        runs, run = [], []
         for x, y in zip(s.xs, s.ys):
-            if x is None or y is None:
-                continue
-            if logy and not y > 0.0:
-                continue
-            yield float(x), math.log10(y) if logy else float(y)
+            if x is None or y is None or (logy and not y > 0.0):
+                if run:
+                    runs.append(run)
+                    run = []
+            else:
+                run.append((float(x), math.log10(y) if logy else float(y)))
+        if run:
+            runs.append(run)
+        out.append(runs)
+    return out
 
 
 def _extent(values):
@@ -66,7 +76,8 @@ def _ticks(lo, hi, n=6):
 
 def line_chart(series, title="", xlabel="", ylabel="", logy=False) -> str:
     """Render series as an SVG document string."""
-    pts = list(_finite_pairs(series, logy))
+    runs = _segments(series, logy)
+    pts = [p for s_runs in runs for run in s_runs for p in run]
     if not pts:
         pts = [(0.0, 0.0), (1.0, 1.0)]
     x_lo, x_hi = _extent([p[0] for p in pts])
@@ -128,21 +139,9 @@ def line_chart(series, title="", xlabel="", ylabel="", logy=False) -> str:
         f'transform="rotate(-90 20 {_H // 2})">'
         f"{escape(ylabel, quote=False)}</text>"
     )
-    for idx, s in enumerate(series):
+    for idx, (s, s_runs) in enumerate(zip(series, runs)):
         color = _PALETTE[idx % len(_PALETTE)]
-        segment = []
-        segments = []
-        for x, y in zip(s.xs, s.ys):
-            bad = x is None or y is None or (logy and not y > 0.0)
-            if bad:
-                if segment:
-                    segments.append(segment)
-                segment = []
-                continue
-            yy = math.log10(y) if logy else float(y)
-            segment.append((sx(float(x)), sy(yy)))
-        if segment:
-            segments.append(segment)
+        segments = [[(sx(x), sy(y)) for x, y in run] for run in s_runs]
         for seg in segments:
             if len(seg) > 1:
                 attr = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in seg)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from homatlas import atlas as atlas_mod
 from homatlas import orbits, returnmap
 from homatlas.atlas import (
     _cascade_row,
@@ -15,7 +16,11 @@ from homatlas.atlas import (
     run_cascade,
     run_strip_atlas,
 )
-from homatlas.exceptions import ResonanceWindowError
+from homatlas.exceptions import (
+    ResonanceWindowError,
+    ResonantParameterError,
+    TangencyError,
+)
 from homatlas.family import (
     HenonLikeRecipe,
     LocalMapParams,
@@ -193,6 +198,40 @@ def test_certificate_incomplete_on_solver_failure():
     assert cert.nesting == "incomplete"
     assert cert.records[0].failure is not None
     assert cert.records[1].failure is None
+
+
+def test_sweeps_record_any_homatlas_error(monkeypatch):
+    # every HomatlasError of a sweep unit or of a tuning is recorded,
+    # not just the solver errors that the units raise today
+    real = atlas_mod.locate_bifurcation
+
+    def resonant_minus(frame, kind):
+        if kind == "minus":
+            raise ResonantParameterError("blocked")
+        return real(frame, kind)
+
+    monkeypatch.setattr(atlas_mod, "locate_bifurcation", resonant_minus)
+    (row,) = run_cascade(_exact_family(), (8,)).rows
+    assert row.error == "ResonantParameterError: blocked"
+    atlas = run_strip_atlas(_exact_family(), (8,), n_alpha=2)
+    assert [f[2:] for f in atlas.failures] == [
+        ("locate", "minus: ResonantParameterError")
+    ] * 2
+    assert all(m is not None for m in atlas.bands[0].mu_plus)
+    cert = certify_global_resonance(_s0_family(-0.4), (8,))
+    assert cert.intervals == ((8, None, None),)
+    assert cert.records[0].failure is None
+
+    def no_tangency(handle, **targets):
+        raise TangencyError("degenerate")
+
+    monkeypatch.setattr(atlas_mod, "tune_to", no_tangency)
+    atlas = run_strip_atlas(_exact_family(), (8,), n_alpha=2)
+    assert atlas.bands[0].mu_plus == (None, None)
+    assert [f[::2] for f in atlas.failures[:2]] == [
+        (None, "tune"), (None, "tune")
+    ]
+    assert atlas.failures[0][3] == "TangencyError: degenerate"
 
 
 def _count_window_checks(monkeypatch):

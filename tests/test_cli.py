@@ -341,6 +341,17 @@ def test_non_finite_result_writes_no_files(tmp_path, capsys, monkeypatch):
     assert os.listdir(out) == ["error.json"]
 
 
+def test_writer_formats_raw_row_values(tmp_path, monkeypatch):
+    def raw_row(cfg):
+        return {}, [[None, True, False, 0.1, 3, "s"]], {}, []
+
+    monkeypatch.setitem(cli._HANDLERS, "henon", raw_row)
+    out = str(tmp_path / "run")
+    assert main(["henon", "--out", out]) == 0
+    with open(os.path.join(out, "henon.csv"), encoding="utf-8") as fh:
+        assert fh.read() == ",true,false,0.1,3,s\n"
+
+
 def test_cross_form_outside_validity_window_fails(tmp_path, capsys):
     out = str(tmp_path / "run")
     argv = ["cross-form", "--set", "k_min=0", "--set", "k_max=2"]

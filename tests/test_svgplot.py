@@ -1,5 +1,9 @@
 """Tests for the hand-rolled SVG charts: structure, gaps, log scaling,
-text escaping."""
+text escaping, and pinned bytes."""
+
+import hashlib
+
+import pytest
 
 from homatlas.svgplot import Series, line_chart, save_svg
 
@@ -69,3 +73,54 @@ def test_save_svg_uses_lf(tmp_path):
     data = path.read_bytes()
     assert b"\r" not in data
     assert data.startswith(b"<svg")
+
+
+# SHA-256 of line_chart's output for charts that exercise each drawing
+# rule; the log-axis y values are exact powers of ten so that log10 is
+# exact on every platform
+_PINNED = [
+    (
+        [Series("gap", [0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, None, 4.0, None])],
+        {},
+        "69e5b6a2f22d822afec2724956315b7c3778f345af6702ce5bd7f314c3d3280f",
+    ),
+    (
+        [
+            Series("a", [0.5, 1.5, 2.5], [3.0, -1.0, 2.0], marker=True),
+            Series("b", [None, 1.0, 2.0], [1.0, 0.25, 0.75]),
+        ],
+        {"title": "t", "xlabel": "x", "ylabel": "y"},
+        "d4b449cde34b265d3e037e0e2a5f6b0f437673ac210ac200492660dc3c3414de",
+    ),
+    (
+        [
+            Series(
+                "s",
+                [0.0, 1.0, 2.0, 3.0, 4.0],
+                [1e-3, 0.0, 1e-5, -1.0, 100.0],
+                marker=True,
+            )
+        ],
+        {"logy": True},
+        "33eae465797c99f5c967a5d88619b6e95173685ac2994a46cc9735012e64830d",
+    ),
+    (
+        [],
+        {},
+        "6ac632e578938dd1e11daacc0b50e83b7e08b94af30928bb9376324befe46580",
+    ),
+    (
+        [Series("a<b>&c", [0.0, 1.0], [0.0, 1.0])],
+        {"title": "x & y < z", "xlabel": "<k>", "ylabel": "\"q\" & 'r'"},
+        "36e7e9c19e80ef037c29b61d6e2fd1b9af38b73ab50db6535c1173e2f3eab2dd",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "series,kwargs,digest", _PINNED,
+    ids=["gap-and-isolated", "markers", "logy", "empty", "escaping"],
+)
+def test_chart_bytes_are_pinned(series, kwargs, digest):
+    text = line_chart(series, **kwargs)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -55,7 +55,7 @@ def family_from_config(fam: dict):
     except (TypeError, ValueError, TangencyError) as exc:
         # recipe constructors reject a non-quadratic tangency up front
         raise ConfigError(f"bad family parameters: {exc}") from exc
-    # the deprecated h0 key is accepted and ignored
+    # the deprecated h0 and n0 keys are accepted and ignored
     handle = build_family(local, recipe, mu=fam["mu"])
     if fam["alpha"] is not None or fam["s0"] is not None:
         handle = tune_to(

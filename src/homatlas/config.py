@@ -21,11 +21,11 @@ from .family import RECIPES
 __all__ = ["RunConfig", "SUBCOMMANDS", "load_config"]
 
 # schema kind of a recipe field's annotation
-_FIELD_KINDS = {"tuple": "floats", "float": "float", "int": "int"}
+_FIELD_KINDS = {"tuple": "floats", "float": "float"}
 
 # value kinds: str, int, float, optfloat (None unless set), floats
 # (comma- or space-separated list).  Each recipe field is a key too, with
-# the field's kind and default; x_plus, y_minus and n0, fields of both
+# the field's kind and default; x_plus and y_minus, fields of both
 # recipes with the same defaults, take one key each; a key that only the
 # recipe not chosen has is refused.
 _RECIPE_KEYS = {f.name for recipe in RECIPES.values() for f in fields(recipe)}
@@ -35,6 +35,7 @@ _FAMILY_SCHEMA = {
     "beta": ("floats", ()),
     "mu": ("float", 0.0),
     "h0": ("float", 0.05),  # deprecated, ignored
+    "n0": ("int", 1),  # deprecated, ignored
     "alpha": ("optfloat", None),
     "s0": ("optfloat", None),
     **{

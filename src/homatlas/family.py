@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .exceptions import (
     ExtractionError,
@@ -37,7 +36,7 @@ from .exceptions import (
     TargetUnreachableError,
 )
 from .mapcore import (HShear, Jet, Lift, MapExpr, Moser, Swap, Translate,
-                      VShear, _secant, eval_map)
+                      VShear, _polyder, _secant, eval_map)
 
 __all__ = [
     "LocalMapParams",
@@ -109,7 +108,6 @@ class HenonLikeRecipe:
     q: tuple = (0.0, 0.0, 1.0)
     x_plus: float = 1.0
     y_minus: float = 1.0
-    n0: int = 1
 
     def __post_init__(self):
         p = tuple(float(v) for v in self.p)
@@ -126,9 +124,10 @@ class HenonLikeRecipe:
             raise TangencyError("x_plus and y_minus must be positive")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        p_prime = npoly.polyder(np.asarray(p))
-        # plain floats keep jet arithmetic off the slower numpy scalars
-        h = tuple(float(v) for v in npoly.polymul(np.asarray(q), p_prime))
+        # Q * P' trimmed as numpy.polynomial's polymul trims (q[2] and p[1]
+        # are nonzero); plain floats keep jet arithmetic off numpy scalars
+        h = np.convolve(np.trim_zeros(q, "b"), np.trim_zeros(_polyder(p), "b"))
+        h = tuple(np.trim_zeros(h, "b").tolist())
         # every stage but the last translation is independent of mu, so
         # it is built once here rather than at every parameter value
         object.__setattr__(
@@ -160,7 +159,6 @@ class ShearSandwichRecipe:
     w2: float = 0.0
     x_plus: float = 1.0
     y_minus: float = 1.0
-    n0: int = 1
 
     def __post_init__(self):
         if abs(self.d) < 1e-12:

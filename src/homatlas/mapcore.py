@@ -369,6 +369,7 @@ def jacobian(expr: MapExpr, p):
 _EVAL_ERRORS = (EscapeError, CrossFormSolveError)
 _ROUNDOFF_FLOOR = 100.0  # stalled within this factor of tol: converged
 _MAX_STEPS = 50
+_DAMPING = tuple(0.5 ** i for i in range(7))  # step factors, 1 down to 1/64
 
 
 def _diverged(message, cause=None):
@@ -411,9 +412,9 @@ def _newton(fun_jac, z0, tol=1e-11, window=None):
     z0 of shape (n,) is one lane, and fun_jac(z) takes and returns it
     alone.  z0 of shape (L, n) is L lanes: fun_jac(z, lanes) gets the rows
     of the listed lanes and returns its outputs with a leading lane axis.
-    Each lane is solved to its own outcome (``_lane_newton``); when lanes
-    fail, the error of the lowest one is raised, as a loop over the lanes
-    in order would raise it.
+    Each lane runs ``_damped_newton`` to its own outcome (``_lane_newton``);
+    when lanes fail, the error of the lowest one is raised, as a loop over
+    the lanes in order would raise it.
     """
     z = np.array(z0, dtype=float)
     if z.ndim == 1:
@@ -433,108 +434,108 @@ def _newton(fun_jac, z0, tol=1e-11, window=None):
             tuple(np.array(v) for v in zip(*(out for _, out in solved))))
 
 
-def _lane_newton(fun_jac, z, tol, window):
-    """The lanes of ``_newton``, each run to its own end: per lane, either
-    its point and the rows of fun_jac's outputs there, or the
-    NewtonDivergedError it failed with.
+def _damped_newton(z, tol, window):
+    """One lane of ``_newton``: a plain damped Newton from the point z (a
+    list of floats) that yields each evaluation and step to ``_lane_newton``.
 
-    Each lane has its own damping, convergence test, roundoff floor and
-    step cap, kept on Python floats; only the evaluation and the LAPACK
-    det and solve run on the batch.  A trial that raises is rerun lane by
-    lane (``_eval_lanes``), so only the lane that raised halves its step,
-    and a lane's failure leaves the other lanes' steps as they would be
-    alone.  A residual that no step lowers but that is within
-    _ROUNDOFF_FLOOR * tol sits at its roundoff floor and counts as
-    converged.
+    ``yield ("eval", point)`` gets the evaluation error, or (rows, norm):
+    fun_jac's outputs at point as rows = (out, k), row k of the batch
+    outputs out, and the residual's max-norm.  ``yield ("step", rows,
+    det_floor)`` gets the Newton step as a list of floats, or None when the
+    Jacobian's |det| is below det_floor.  A step is tried at the factors of
+    _DAMPING, but not outside ``window`` in x or y, until the norm falls by
+    1 - factor/4; when none does, a norm under _ROUNDOFF_FLOOR * tol is the
+    roundoff floor: converged.  Returns the point and rows, or the error.
     """
-    outcomes = [None] * len(z)
-    ok, out, failed = _eval_lanes(fun_jac, z, list(range(len(z))))
-    for lane, exc in failed.items():
-        outcomes[lane] = _diverged("Newton diverged: seed escaped", exc)
-    # the working set: lanes, their points z, fun_jac's outputs out and the
-    # residual norms there, row for row
-    lanes = list(ok)
-    if failed:
-        z = z[lanes]
-    norms = _lane_norms(out[0]) if ok else []
+    reply = yield "eval", z
+    if isinstance(reply, _EVAL_ERRORS):
+        return _diverged("Newton diverged: seed escaped", reply)
+    rows, norm = reply
     for _ in range(_MAX_STEPS):
-        # retire the lanes that converged, that have a singular Jacobian or
-        # whose outcome the last damping loop settled
-        stay, dets = [], None
-        for i, lane in enumerate(lanes):
-            if outcomes[lane] is not None:
+        if norm < tol:
+            return _converged(z, rows)
+        step = yield "step", rows, 1e-14 * max(1.0, norm)
+        if step is None:
+            return _diverged("singular Jacobian near a parabolic point")
+        for alpha in _DAMPING:
+            trial = [v - alpha * s for v, s in zip(z, step)]
+            if window is not None and (abs(trial[0]) > window
+                                       or abs(trial[1]) > window):
                 continue
-            if norms[i] < tol:
-                outcomes[lane] = (z[i], [v[i] for v in out])
+            reply = yield "eval", trial
+            if (not isinstance(reply, _EVAL_ERRORS)
+                    and reply[1] < (1.0 - 0.25 * alpha) * norm):
+                z, (rows, norm) = trial, reply
+                break
+        else:
+            if norm < _ROUNDOFF_FLOOR * tol:
+                return _converged(z, rows)
+            return _diverged("Newton diverged: no descent step")
+    return _diverged(f"Newton diverged after {_MAX_STEPS} damped steps")
+
+
+def _converged(z, rows):
+    out, k = rows
+    return np.array(z), [v[k] for v in out]
+
+
+def _lane_newton(fun_jac, z, tol, window):
+    """Each lane of ``_newton`` run by ``_damped_newton`` to its outcome.
+
+    Each round serves all pending steps with one LAPACK det and solve,
+    then all pending evaluations with one ``_eval_lanes`` batch, whose
+    lane-by-lane rerun gives an error to the lane that raised it alone;
+    so each lane takes the steps it would take alone.
+    """
+    runs = [_damped_newton(point, tol, window) for point in z.tolist()]
+    outcomes = [None] * len(runs)
+    replies = [(lane, None) for lane in range(len(runs))]
+    steps, lanes, points = [], [], []
+    while True:
+        for lane, reply in replies:
+            try:
+                request = runs[lane].send(reply)
+            except StopIteration as stop:
+                outcomes[lane] = stop.value
                 continue
-            if dets is None:
-                dets = np.linalg.det(out[1]).tolist()
-            if abs(dets[i]) < 1e-14 * max(1.0, norms[i]):
-                outcomes[lane] = _diverged(
-                    "singular Jacobian near a parabolic point"
-                )
+            if request[0] == "step":
+                steps.append((lane, request))
             else:
-                stay.append(i)
-        if not stay:
-            break
-        if len(stay) < len(lanes):
-            lanes, z = [lanes[i] for i in stay], z[stay]
-            out, norms = [v[stay] for v in out], [norms[i] for i in stay]
-        step = np.linalg.solve(out[1], out[0][..., np.newaxis])[..., 0]
-        # each round halves the step of every lane still pending, so the
-        # damping factor is one float per round
-        alpha = 1.0
-        pending = list(range(len(lanes)))
-        z_new, out_new = z, out
-        while pending:
-            if len(pending) == len(lanes):
-                z_try = z - alpha * step
-            else:
-                z_try = z[pending] - alpha * step[pending]
-            rows = pending
-            if window is not None:
-                far = [abs(x) > window or abs(y) > window
-                       for x, y in z_try[:, :2].tolist()]
-                if any(far):
-                    near = [r for r, f in enumerate(far) if not f]
-                    rows, z_try = [pending[r] for r in near], z_try[near]
-            moved = []
-            if rows:
-                ok, out_try, _ = _eval_lanes(
-                    fun_jac, z_try, [lanes[i] for i in rows]
-                )
-                limit = 1.0 - 0.25 * alpha
-                for j, (r, norm) in enumerate(
-                    zip(ok, _lane_norms(out_try[0]) if ok else ())
-                ):
-                    if norm < limit * norms[rows[r]]:
-                        moved.append((rows[r], r, j))
-                        norms[rows[r]] = norm
-            if len(moved) == len(lanes):
-                z_new, out_new = z_try, out_try
-                break
-            if moved:
-                if z_new is z:
-                    z_new, out_new = z.copy(), [v.copy() for v in out]
-                for i, r, j in moved:
-                    z_new[i] = z_try[r]
-                    for v, w in zip(out_new, out_try):
-                        v[i] = w[j]
-                moved_rows = {i for i, _, _ in moved}
-                pending = [i for i in pending if i not in moved_rows]
-            alpha /= 2.0
-            if alpha < 1.0 / 64.0:
-                for i in pending:
-                    outcomes[lanes[i]] = (
-                        (z[i], [v[i] for v in out])
-                        if norms[i] < _ROUNDOFF_FLOOR * tol
-                        else _diverged("Newton diverged: no descent step")
-                    )
-                break
-        z, out = z_new, out_new
-    # a lane still without an outcome ran out of steps
-    return [_diverged(f"Newton diverged after {_MAX_STEPS} damped steps")
-            if outcome is None else outcome for outcome in outcomes]
+                lanes.append(lane)
+                points.append(request[1])
+        if steps:
+            replies, steps = _solve_steps(steps, out), []
+        elif lanes:
+            ok, out, errors = _eval_lanes(fun_jac, np.array(points), lanes)
+            replies = list(errors.items())
+            # row k of out belongs to the lane at position ok[k]
+            for k, norm in enumerate(_lane_norms(out[0]) if ok else ()):
+                replies.append((lanes[ok[k]], ((out, k), norm)))
+            lanes, points = [], []
+        else:
+            return outcomes
+
+
+def _solve_steps(steps, out):
+    """[(lane, Newton step or None if singular)] for the step requests
+    [(lane, request)]; a lane asks for a step right after the evaluation
+    it accepted, so all their rows sit in the last batch out, in order."""
+    f, jac = out[0], out[1]
+    if len(steps) < len(f):
+        at = [rows[1] for _, (_, rows, _) in steps]
+        f, jac = f[at], jac[at]
+    dets = np.linalg.det(jac).tolist()
+    replies, keep = [], []
+    for i, (lane, (_, _, det_floor)) in enumerate(steps):
+        if abs(dets[i]) < det_floor:
+            replies.append((lane, None))
+        else:
+            keep.append(i)
+    if len(keep) < len(steps):
+        f, jac = f[keep], jac[keep]
+    deltas = np.linalg.solve(jac, f[..., np.newaxis])[..., 0].tolist()
+    replies += zip([steps[i][0] for i in keep], deltas)
+    return replies
 
 
 def _secant(fun, x0: float, x1: float, target: float, tol: float):

@@ -14,8 +14,8 @@ border, where they give the exact bordered Jacobian.
 The phase curve of a cascade row (``two_orbit_trace`` on the array of M)
 solves the 2-orbits at all its M values as lanes of one Newton: the
 jets' coefficients are arrays over the lanes, so each pass of F serves
-every M, and ``mapcore._lane_newton`` runs each lane, with its own
-damping and convergence test, to its own outcome: a point or an error.
+every M, and each lane runs the damped Newton of a one-lane solve
+(``mapcore._damped_newton``) to its own outcome: a point or an error.
 Each lane that converges is bit for bit the one-lane solve at its M on
 Python floats, whether or not other lanes fail; when any lane fails,
 the row raises the error of the lowest failing M, as a loop over the
@@ -58,7 +58,6 @@ __all__ = [
 @dataclass(frozen=True)
 class OrbitRecord:
     points: tuple
-    period_label: int
     multipliers: tuple
     stability: StabilityClass
     residual: float
@@ -116,7 +115,6 @@ def find_two_periodic(frame: RescaleFrame, m: float, seed) -> OrbitRecord:
         mults = tuple(eigs)
     return OrbitRecord(
         points=(tuple(z.tolist()), tuple(mid.tolist())),
-        period_label=2 * (frame.k + frame.family.recipe.n0),
         multipliers=mults,
         stability=classify_from_trace(
             float(np.trace(jac2)), float(np.linalg.det(jac2))
@@ -159,10 +157,11 @@ def two_orbit_trace(frame: RescaleFrame, m):
     values, each from the limit seed (-sqrt(M), sqrt(M)).
 
     The M values are solved as lanes of one lane-wise Newton
-    (``mapcore._newton``): each pass of ``eval_rescaled`` runs on jets
-    whose coefficients are arrays over the lanes, and each lane's trace
-    is bit for bit that of a one-lane solve at its M.  Returns an array
-    of traces, or raises the NewtonDivergedError of the lowest failing M.
+    (``mapcore._newton``): each pass of ``eval_rescaled`` serves every
+    lane asking for an evaluation, on jets whose coefficients are arrays
+    over those lanes, and each lane's trace is bit for bit that of a
+    one-lane solve at its M.  Returns an array of traces, or raises the
+    NewtonDivergedError of the lowest failing M.
     """
     m = np.asarray(m, dtype=float)
     roots = [math.sqrt(max(v, 1e-9)) for v in m.tolist()]

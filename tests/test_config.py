@@ -45,7 +45,7 @@ def test_family_schema_holds_each_recipe_field():
             assert _FAMILY_SCHEMA[f.name] == (kinds[f.type], f.default)
             recipe_keys.add(f.name)
     assert set(_FAMILY_SCHEMA) - recipe_keys == {
-        "recipe", "lam", "beta", "mu", "h0", "alpha", "s0"
+        "recipe", "lam", "beta", "mu", "h0", "n0", "alpha", "s0"
     }
 
 

@@ -299,7 +299,6 @@ def test_non_positive_homoclinic_points_rejected(recipe, points):
 class _NoSwapRecipe:
     x_plus = 1.0
     y_minus = 1.0
-    n0 = 1
 
     def stages(self, mu):
         return MapExpr((Translate(1.0, mu - 1.0),))
@@ -308,7 +307,6 @@ class _NoSwapRecipe:
 class _BrokenTangencyRecipe:
     x_plus = 1.0
     y_minus = 1.0
-    n0 = 1
 
     def stages(self, mu):
         # linear eta term in the second component: transversal, not tangent
@@ -330,7 +328,6 @@ def test_even_swap_count_rejected():
 class _MisplacedRecipe:
     x_plus = 1.0
     y_minus = 1.0
-    n0 = 1
 
     def stages(self, mu):
         # a fold that lands at (2, mu) instead of the marked (x_plus, mu)
@@ -347,7 +344,6 @@ class _MisplacedRecipe:
 class _FlatRecipe:
     x_plus = 1.0
     y_minus = 1.0
-    n0 = 1
 
     def stages(self, mu):
         # ybar = x + mu: no eta^2 term, so the contact is not quadratic
@@ -381,3 +377,21 @@ def test_fold_invariants_match_closed_forms(b, p2, q2, q3):
     assert abs(fam.taylor.b * fam.taylor.c - 1.0) < 1e-10
     assert abs(fam.alpha - (1.0 / b - 1.0)) < 1e-7
     assert abs(fam.s0 + (p2 / (b * b)) ** 2) < 1e-7
+
+
+def test_fold_shear_is_numpy_polymul_of_q_and_p_prime():
+    # the HShear stage carries Q * P'; numpy.polynomial is the reference,
+    # trailing zeros and underflowing products included
+    from numpy.polynomial import polynomial as npoly
+
+    rng = np.random.default_rng(11)
+    pool = (0.0, 0.0, 1e-200, -1e-170, 0.3, -1.7)
+    for _ in range(500):
+        p = (0.0, 0.1 + rng.random()) + tuple(
+            rng.choice(pool, size=rng.integers(0, 4)).tolist())
+        q = (0.0, 0.0, 0.5 + rng.random()) + tuple(
+            rng.choice(pool, size=rng.integers(0, 4)).tolist())
+        h = HenonLikeRecipe(p=p, q=q).stages(0.0).stages[2].h
+        want = npoly.polymul(np.asarray(q), npoly.polyder(np.asarray(p)))
+        assert type(h) is tuple and all(type(v) is float for v in h)
+        assert [v.hex() for v in h] == [float(v).hex() for v in want], (p, q)

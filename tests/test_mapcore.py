@@ -628,3 +628,58 @@ def test_newton_lanes_each_run_to_their_own_outcome():
     assert list(dict.fromkeys(seen[3])) == [0.0] + [-1.0 / 2**i
                                                    for i in range(7)]
     assert seen[4] == [0.0]
+
+
+def test_newton_lane_whose_seed_raises_diverges_with_that_error():
+    # lanes 0, 1, 2 run toy lanes 2, 1, 0 from seeds 0, 4 and 1: lane 1's
+    # seed lies beyond its escape bound, so the batch reruns lane by lane,
+    # and lane 2 sits at its root already, in the second row of the rerun
+    seen = {}
+    outcomes = _lane_newton(_toy((2, 1, 0), seen),
+                            np.array([[0.0], [4.0], [1.0]]), 1e-11, None)
+    assert isinstance(outcomes[1], NewtonDivergedError)
+    assert str(outcomes[1]) == "Newton diverged: seed escaped"
+    assert isinstance(outcomes[1].__cause__, EscapeError)
+    assert seen[1] == [4.0, 4.0]
+    point, (f, jac) = outcomes[2]
+    assert (point.tolist(), f.tolist(), jac.tolist()) == ([1.0], [0.0],
+                                                          [[1.0]])
+    point, (f, _) = outcomes[0]
+    assert (point.tolist(), f.tolist()) == ([0.0], [5e-10])
+    with pytest.raises(NewtonDivergedError, match="seed escaped") as err:
+        _newton(_toy((2, 1, 0), {}), np.array([[0.0], [4.0], [1.0]]))
+    assert isinstance(err.value.__cause__, EscapeError)
+
+
+def test_newton_lane_stops_after_fifty_accepted_steps():
+    # f(z) = z reported with slope 2: every full step halves z and is
+    # accepted, and at tol 1e-20 the lane runs out of steps at 2**-50
+    seen = []
+
+    def halving(z):
+        seen.append(float(z[0]))
+        return np.array([z[0]]), np.array([[2.0]])
+
+    with pytest.raises(NewtonDivergedError,
+                       match="Newton diverged after 50 damped steps"):
+        _newton(halving, np.ones(1), tol=1e-20)
+    assert seen == [2.0 ** -i for i in range(51)]
+
+
+def test_newton_lane_never_evaluates_a_trial_outside_the_window():
+    # f(x, y) = (x - 1, y - 1) on two lanes from (0, 0): lane 0 reports
+    # half the true slope, so its full step lands at (2, 2), beyond the
+    # window 1.5, and only its half step, at the root, is evaluated;
+    # lane 1 reports the true slope and takes its full step
+    seen = {0: [], 1: []}
+
+    def fun_jac(z, lanes):
+        for lane, row in zip(lanes, z.tolist()):
+            seen[lane].append(tuple(row))
+        slope = [0.5 if lane == 0 else 1.0 for lane in lanes]
+        return z - 1.0, np.array([[[s, 0.0], [0.0, s]] for s in slope])
+
+    z, (f, _) = _newton(fun_jac, np.zeros((2, 2)), window=1.5)
+    assert z.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    assert f.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert seen == {0: [(0.0, 0.0), (1.0, 1.0)], 1: [(0.0, 0.0), (1.0, 1.0)]}

@@ -2,12 +2,17 @@
 (mu, alpha), and the global-resonance certificate.
 
 Everything here composes the bordered locator and the 2-orbit solver
-over grids, one cell after another in grid order.  Each sweep unit (a
-cascade row, an atlas cell, a certificate k) builds its
-``rescale.RescaleFrame`` once and hands it to every solve of the unit.
-Any ``HomatlasError`` of a unit, or of the atlas' tuning of a grid
-column, is recorded as a flagged partial result instead of aborting the
-whole sweep.
+over grids.  Each sweep unit (a cascade row, an atlas cell, a
+certificate k) builds its ``rescale.RescaleFrame`` once and hands it to
+every solve of the unit.  Cascade rows and certificate k run one after
+another.  The strip atlas builds, for each k, the frames of its alpha
+columns in grid order, and then locates the plus border of every column
+as lanes of one bordered Newton (``orbits.locate_bifurcation_lanes``),
+and the minus border likewise; each cell's borders are bit for bit
+those of ``locate_bifurcation`` on its own frame.  Any
+``HomatlasError`` of a unit, or of the atlas' tuning of a grid column,
+is recorded as a flagged partial result instead of aborting the whole
+sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 from .exceptions import BracketError, HomatlasError, ResonanceWindowError
 from .family import FamilyHandle, tune_to
 from .henon import ELLIPTIC_EVENTS, TRACE_EVENTS
-from .orbits import find_two_periodic, locate_bifurcation, two_orbit_trace
+from .orbits import (find_two_periodic, locate_bifurcation,
+                     locate_bifurcation_lanes, two_orbit_trace)
 from .rescale import RescaleFrame, build_frame, m_from_mu
 
 __all__ = [
@@ -196,24 +202,39 @@ def boundary_slope(atlas: StripMap2D, k: int, kind: str,
     return float(np.polyfit(arr[:, 0], arr[:, 1], 1)[0])
 
 
-def _atlas_cell(fam, k):
-    """(mu_plus, mu_minus, note) of one atlas cell; a failed border is
-    None and named in the note."""
-    if fam is None:
-        return (None, None, "family tuning failed")
-    try:
-        frame = build_frame(fam, k)
-    except HomatlasError as exc:
-        name = type(exc).__name__
-        return (None, None, f"plus: {name}; minus: {name}")
-    mus, notes = [], []
-    for kind in ("plus", "minus"):
+def _strip_band(tuned, k: int):
+    """The StripBand of one k over the tuned families (None where the
+    tuning failed), and {column: note} for its failed cells.
+
+    Each family's frame is built on floats, in grid order; then the plus
+    border of every built frame is located as lanes of one bordered
+    Newton, and so is the minus border.  A failed tuning or frame is a
+    hole; each failed border is None and named in the cell's note.
+    """
+    frames, failed = {}, {}
+    for i, fam in enumerate(tuned):
+        if fam is None:
+            failed[i] = ["family tuning failed"]
+            continue
         try:
-            mus.append(locate_bifurcation(frame, kind))
+            frames[i] = build_frame(fam, k)
         except HomatlasError as exc:
-            mus.append(None)
-            notes.append(f"{kind}: {type(exc).__name__}")
-    return (*mus, "; ".join(notes) or None)
+            name = type(exc).__name__
+            failed[i] = [f"plus: {name}; minus: {name}"]
+    mus = {"plus": [None] * len(tuned), "minus": [None] * len(tuned)}
+    for kind, column in mus.items():
+        try:
+            outcomes = locate_bifurcation_lanes(list(frames.values()), kind)
+        except HomatlasError as exc:
+            outcomes = [exc] * len(frames)
+        for i, mu in zip(frames, outcomes):
+            if isinstance(mu, HomatlasError):
+                failed.setdefault(i, []).append(f"{kind}: {type(mu).__name__}")
+            else:
+                column[i] = mu
+    band = StripBand(k=k, mu_plus=tuple(mus["plus"]),
+                     mu_minus=tuple(mus["minus"]))
+    return band, {i: "; ".join(notes) for i, notes in sorted(failed.items())}
 
 
 def run_strip_atlas(family_template: FamilyHandle, k_range,
@@ -221,9 +242,9 @@ def run_strip_atlas(family_template: FamilyHandle, k_range,
     """Trace the border curves over an alpha-grid of tuned families.
 
     The grid is n_alpha points over [-eps, eps].  Each grid column retunes
-    the family to the target alpha; each cell locates both borders.  A
-    failed tuning or cell is flagged and leaves holes in the polylines
-    rather than aborting the sweep.
+    the family to the target alpha; each k locates both borders of its
+    cells (``_strip_band``).  A failed tuning or cell is flagged and
+    leaves holes in the polylines rather than aborting the sweep.
     """
     alphas = tuple(float(a) for a in np.linspace(-eps, eps, int(n_alpha)))
     k_values = tuple(int(k) for k in k_range)
@@ -238,16 +259,10 @@ def run_strip_atlas(family_template: FamilyHandle, k_range,
 
     bands = []
     for k in k_values:
-        plus, minus = [], []
-        for a, fam in zip(alphas, tuned):
-            mu_plus, mu_minus, note = _atlas_cell(fam, k)
-            plus.append(mu_plus)
-            minus.append(mu_minus)
-            if note is not None:
-                failures.append((k, a, "locate", note))
-        bands.append(
-            StripBand(k=k, mu_plus=tuple(plus), mu_minus=tuple(minus))
-        )
+        band, notes = _strip_band(tuned, k)
+        bands.append(band)
+        failures.extend((k, alphas[i], "locate", note)
+                        for i, note in notes.items())
     bands = tuple(bands)
     crossings = []
     for band in bands:

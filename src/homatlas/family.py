@@ -25,7 +25,7 @@ reaches a != 0, f20 != 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .exceptions import (
     TargetUnreachableError,
 )
 from .mapcore import (HShear, Jet, Lift, MapExpr, Moser, Swap, Translate,
-                      VShear, _polyder, _secant, eval_map)
+                      VShear, _polyder, _secant, _stack, eval_map)
 
 __all__ = [
     "LocalMapParams",
@@ -45,6 +45,8 @@ __all__ = [
     "HenonLikeRecipe",
     "ShearSandwichRecipe",
     "RECIPES",
+    "LaneRecipe",
+    "stack_recipes",
     "build_family",
     "extract_taylor",
     "alpha_invariant",
@@ -183,6 +185,35 @@ class ShearSandwichRecipe:
 # the recipe behind each value of the config key [family] recipe; a
 # recipe's dataclass fields are its config keys (see config._FAMILY_SCHEMA)
 RECIPES = {"fold": HenonLikeRecipe, "sandwich": ShearSandwichRecipe}
+
+
+@dataclass(frozen=True)
+class LaneRecipe:
+    """Recipes that differ only in their numbers, as one: each number of
+    their global stages is an array over the recipes (lanes), which the
+    stages run elementwise.  Made by ``stack_recipes``."""
+
+    fixed_stages: tuple
+    x_plus: object
+
+    def stages(self, mu) -> MapExpr:
+        """The stacked global stages at mu: the fixed stages, then the
+        translation by (x_plus, mu) that ends every recipe."""
+        return MapExpr(self.fixed_stages + (Translate(self.x_plus, mu),))
+
+
+def stack_recipes(recipes) -> LaneRecipe:
+    """The recipes' global stages as one ``LaneRecipe``, stage by stage
+    and number by number, as each recipe built them.  The recipes must
+    have the same stages with polynomials of the same lengths, as the
+    tuned families of a strip atlas do (they differ only in p[1])."""
+    columns = zip(*(r.stages(0.0).stages for r in recipes), strict=True)
+    *fixed, last = (
+        type(column[0])(*(_stack([getattr(stage, f.name) for stage in column])
+                          for f in fields(column[0])))
+        for column in columns
+    )
+    return LaneRecipe(tuple(fixed), last.dx)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ The damped Newton, a secant and the bordered locator live here too,
 below every map that runs on jets: ``_locate_trace`` finds the parameter
 M at which the r-orbit of a map family M -> F_M has a given trace of
 D(F^r), for the rescaled return map and for the limit map x' = y,
-y' = M + x - y**2 alike.
+y' = M + x - y**2 alike, on one map or on lanes of maps with one
+outcome per lane.
 """
 
 from __future__ import annotations
@@ -196,6 +197,13 @@ class Jet:
 def _value(v):
     """The value part of a jet; numbers and arrays pass through."""
     return v.c[0] if isinstance(v, Jet) else v
+
+
+def _stack(values):
+    """One array over the lanes' numbers; tuples stack entry by entry."""
+    if isinstance(values[0], tuple):
+        return tuple(_stack(col) for col in zip(*values, strict=True))
+    return np.array(values)
 
 
 def _any(c) -> bool:
@@ -556,19 +564,40 @@ def _secant(fun, x0: float, x1: float, target: float, tol: float):
     raise TargetUnreachableError("target unreachable: secant did not converge")
 
 
+def _jet_rows(jets, n: int):
+    """(f, jac): the value parts of the jets and their n first-order
+    coefficients.  Jets on Python floats give shapes (len(jets),) and
+    (len(jets), n), each from one np.array.  Jets whose coefficients are
+    arrays over L lanes give (L, len(jets)) and (L, len(jets), n), filled
+    column by column, so a coefficient that stayed a float broadcasts."""
+    if not isinstance(jets[0].c[0], np.ndarray):
+        return (np.array([jet.c[0] for jet in jets]),
+                np.array([jet.c[1:n + 1] for jet in jets]))
+    f = np.empty((len(jets[0].c[0]), len(jets)))
+    jac = np.empty(f.shape + (n,))
+    for i, jet in enumerate(jets):
+        f[:, i] = jet.c[0]
+        for j in range(n):
+            jac[:, i, j] = jet.c[1 + j]
+    return f, jac
+
+
 def _border_residual(map_at, rounds: int, trace, z):
     """F^r(x, y) - (x, y) and tr D(F^r) - trace at z = (x, y, M) for r =
     rounds and F = map_at(M), and its exact 3x3 Jacobian, from one pass
     on degree-2 jets in (x, y, M).  map_at(M) returns a planar map
-    p -> p that runs on jets."""
-    x, y, m = Jet.variables(float(z[0]), float(z[1]), float(z[2]), 2)
+    p -> p that runs on jets.  z of shape (3,) is one point on Python
+    floats; z of shape (L, 3) is L lanes, whose jets carry array
+    coefficients, and the outputs get a leading lane axis."""
+    if z.ndim == 1:
+        x, y, m = Jet.variables(float(z[0]), float(z[1]), float(z[2]), 2)
+    else:
+        x, y, m = Jet.variables(z[:, 0], z[:, 1], z[:, 2], 2)
     fun = map_at(m)
     fx, fy = x, y
     for _ in range(rounds):
         fx, fy = fun((fx, fy))
-    rows = (fx - x, fy - y, fx.diff(0) + fy.diff(1) - trace)
-    f = np.array([r.c[0] for r in rows])
-    return f, np.array([r.c[1:4] for r in rows])
+    return _jet_rows((fx - x, fy - y, fx.diff(0) + fy.diff(1) - trace), 3)
 
 
 def _limit_seed(rounds: int, trace):
@@ -582,25 +611,50 @@ def _limit_seed(rounds: int, trace):
     return (-math.sqrt(m), math.sqrt(m), m)
 
 
-def _locate_trace(map_at, rounds: int, trace, m_bracket) -> float:
+def _bracketed(m_star: float, m_bracket):
+    """m_star, or the BracketError when it lies outside m_bracket."""
+    lo, hi = m_bracket
+    if lo <= m_star <= hi:
+        return m_star
+    return BracketError(
+        f"bracket failed: border at M = {m_star!r} outside [{lo}, {hi}]"
+    )
+
+
+def _locate_trace(map_at, rounds: int, trace, m_bracket, n_lanes=None):
     """M where the r-orbit (r = rounds) of map_at(M) has tr D(F^r) = trace.
 
-    Bordered Newton on _border_residual from _limit_seed.  Raises
-    NewtonDivergedError when the Newton fails and BracketError when M
-    lies outside m_bracket.
+    Bordered Newton on _border_residual from _limit_seed.  Without
+    n_lanes, map_at(M) is one map on Python floats, and the locator
+    returns M, or raises NewtonDivergedError when the Newton fails and
+    BracketError when M lies outside m_bracket.  With n_lanes, map_at(M,
+    lanes) is the map of the listed lanes, on a jet M whose coefficients
+    are arrays over them; the lanes run from the same seed as lanes of
+    one Newton (``_lane_newton``), each to the steps it would take alone,
+    and the locator returns one outcome per lane: its M, or its
+    NewtonDivergedError or BracketError.
     """
-    z, _ = _newton(
-        functools.partial(_border_residual, map_at, rounds, trace),
-        np.array(_limit_seed(rounds, trace)),
-        tol=1e-10,
-    )
-    m_star = float(z[2])
-    lo, hi = m_bracket
-    if not lo <= m_star <= hi:
-        raise BracketError(
-            f"bracket failed: border at M = {m_star!r} outside [{lo}, {hi}]"
+    seed = np.array(_limit_seed(rounds, trace))
+    if n_lanes is None:
+        z, _ = _newton(
+            functools.partial(_border_residual, map_at, rounds, trace),
+            seed,
+            tol=1e-10,
         )
-    return m_star
+        m_star = _bracketed(float(z[2]), m_bracket)
+        if isinstance(m_star, BracketError):
+            raise m_star
+        return m_star
+
+    def fun_jac(z, lanes):
+        return _border_residual(lambda m: map_at(m, lanes), rounds, trace, z)
+
+    outcomes = _lane_newton(fun_jac, np.tile(seed, (n_lanes, 1)), 1e-10, None)
+    return [
+        outcome if isinstance(outcome, NewtonDivergedError)
+        else _bracketed(float(outcome[0][2]), m_bracket)
+        for outcome in outcomes
+    ]
 
 
 def iterate(expr: MapExpr, p, n):

@@ -31,6 +31,15 @@ resonance traces; this module hands it M -> F as ``_map_at``, and
 ``henon.bifurcation_values`` hands it the limit map.  Every solver takes
 a ``rescale.RescaleFrame``, the mu-independent part of the map built once
 per (family, k) by the caller, and derives the map at each M from it.
+
+``locate_bifurcation_lanes`` runs the locator on the frames of several
+families at one k (the alpha columns of a strip atlas) as lanes of one
+bordered Newton: the frames are stacked into one frame whose
+per-family numbers are arrays over the lanes, so each pass of F serves
+every lane, and each lane's mu, or its error, is that of
+``locate_bifurcation`` on its own frame.  Both residuals turn their
+output jets into rows with ``mapcore._jet_rows``: one ``np.array`` per
+output on one lane, a leading lane axis on lanes.
 """
 
 from __future__ import annotations
@@ -41,16 +50,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CollapsedOrbitError
+from .exceptions import CollapsedOrbitError, HomatlasError
 from .henon import (ELLIPTIC_EVENTS, TRACE_EVENTS, StabilityClass,
                     classify_from_trace)
-from .mapcore import Jet, _locate_trace, _newton
-from .rescale import RescaleFrame, eval_rescaled, rescaled_window
+from .mapcore import Jet, _jet_rows, _locate_trace, _newton
+from .rescale import (RescaleFrame, eval_rescaled, rescaled_window,
+                      stack_frames)
 
 __all__ = [
     "OrbitRecord",
     "find_two_periodic",
     "locate_bifurcation",
+    "locate_bifurcation_lanes",
     "two_orbit_trace",
 ]
 
@@ -76,12 +87,8 @@ def _orbit_residual(rr, rounds, z):
     fx, fy = x, y = Jet.variables(x, y, 1)
     for _ in range(rounds):
         fx, fy = eval_rescaled(rr, (fx, fy))
-    f = np.empty(z.shape)
-    jac = np.empty(z.shape + (2,))
-    for i, (out, var) in enumerate(((fx, x), (fy, y))):
-        f[..., i] = out.c[0] - var.c[0]
-        jac[..., i, 0], jac[..., i, 1] = out.c[1], out.c[2]
-    return f, jac - np.eye(2), jac
+    f, jac = _jet_rows((fx, fy), 2)
+    return f - z, jac - np.eye(2), jac
 
 
 def _solve_orbit(rr, z0, rounds, window=None):
@@ -134,6 +141,13 @@ _KINDS = {"plus": "fixed-point-birth", "minus": "period-doubling",
           **{name: name for name in ELLIPTIC_EVENTS}}
 
 
+def _event(kind: str):
+    """(rounds, trace, M bracket) of a locator kind."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown bifurcation kind {kind!r}")
+    return TRACE_EVENTS[_KINDS[kind]]
+
+
 def locate_bifurcation(frame: RescaleFrame, kind: str) -> float:
     """Parameter mu where the frame's return map meets a trace event.
 
@@ -144,11 +158,34 @@ def locate_bifurcation(frame: RescaleFrame, kind: str) -> float:
     Raises NewtonDivergedError when the Newton fails and BracketError
     when the M it finds lies outside the event's bracket.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown bifurcation kind {kind!r}")
-    rounds, trace, m_bracket = TRACE_EVENTS[_KINDS[kind]]
-    m_star = _locate_trace(_map_at(frame), rounds, trace, m_bracket)
+    m_star = _locate_trace(_map_at(frame), *_event(kind))
     return frame.mu_from_m(m_star)
+
+
+def locate_bifurcation_lanes(frames, kind: str) -> list:
+    """``locate_bifurcation`` on each of several frames at one k and one
+    local saddle, solved as lanes of one bordered Newton.
+
+    The frames are stacked (``rescale.stack_frames``) so that each pass
+    of ``eval_rescaled`` serves every lane asking for an evaluation, and
+    each lane takes the steps of its one-lane solve.  Returns one outcome
+    per frame, in order: its mu, bit for bit that of
+    ``locate_bifurcation`` on the frame, or the NewtonDivergedError or
+    BracketError that the one-lane solve raises.
+    """
+    stacked = {}
+
+    def map_at(m, lanes):
+        key = tuple(lanes)
+        if key not in stacked:
+            stacked[key] = stack_frames([frames[i] for i in lanes])
+        return functools.partial(eval_rescaled, stacked[key].at_m(m))
+
+    outcomes = _locate_trace(map_at, *_event(kind), n_lanes=len(frames))
+    return [
+        m if isinstance(m, HomatlasError) else frame.mu_from_m(m)
+        for frame, m in zip(frames, outcomes)
+    ]
 
 
 def two_orbit_trace(frame: RescaleFrame, m):

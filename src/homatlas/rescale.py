@@ -15,7 +15,9 @@ Taylor data, lam, x_plus, y_minus and k alone.  ``build_frame`` makes it
 once per sweep unit (a cascade row, an atlas cell, a certificate k), and
 ``RescaleFrame.at_mu`` (or ``at_m``, from the rescaled parameter) is the
 one way to the rescaled return map at a parameter value: it computes only
-the offset at that mu and the global stages there.
+the offset at that mu and the global stages there.  ``stack_frames``
+stacks the frames of several families at one k, so that one map runs
+them all as lanes.
 
 The parameter conversion M <-> mu is the affine relation
 M = -d lam^{-2k} (mu + lam^k (c x^+ - y^-)(1 + k beta1 lam^k x^+ y^-)) - s0
@@ -26,14 +28,15 @@ guarded by a precision floor.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import PrecisionFloorError
-from .family import FamilyHandle
-from .mapcore import MapExpr, _value, eval_map, jacobian_of
+from .family import FamilyHandle, LocalMapParams, stack_recipes
+from .mapcore import MapExpr, _stack, _value, eval_map, jacobian_of
 from .returnmap import check_window, solve_y0, t0_pow_closed
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "RescaledReturnMap",
     "ConvergenceReport",
     "build_frame",
+    "stack_frames",
     "build_chain",
     "to_rescaled",
     "from_rescaled",
@@ -72,17 +76,24 @@ class RescaleFrame:
     """The mu-independent part of the k-th rescaled return map of a family:
     lam**k, the shifted curvature d_k, the mix coefficient nu1, the 2x2
     matrix with its inverse, the offset before the mu-dependent
-    (a lam^k/2 + nu1 m3, a lam^k/2) is subtracted, and the two mu-free
-    summands of the first parameter m1.  Made by ``build_frame``.
+    (half + nu1 m3, half) is subtracted, the two mu-free summands of the
+    first parameter m1, and the numbers of the family that the map at a
+    parameter reads: shift = (f11 x_plus)**2/4, half = a lam^k/2, s0 and
+    the curvature d, the local saddle and the recipe.  Made by
+    ``build_frame``.
 
     The chain at mu maps cross coordinates (x0, y_k) to rescaled
     (X, Y) = matrix (x0, y_k) + offset(mu), and inverse undoes matrix.
     matrix and inverse are 2x2 tuples of rows and the offset a 2-tuple,
     all of Python floats (offset[0] is a jet or an array when mu is), so
     that ``to_rescaled`` and ``from_rescaled`` run on plain scalars, jets
-    and array lanes, never numpy scalars."""
+    and array lanes, never numpy scalars.
 
-    family: FamilyHandle
+    ``stack_frames`` stacks the frames of several families at one k into
+    one frame whose per-family numbers are arrays over them (lanes); its
+    family is None."""
+
+    family: FamilyHandle | None
     k: int
     lamk: float
     d_k: float
@@ -91,25 +102,36 @@ class RescaleFrame:
     inverse: tuple
     base: tuple
     m1_terms: tuple
+    shift: float
+    half: float
+    s0: float
+    d: float
+    local: LocalMapParams
+    recipe: object
 
     def _m3(self, mu):
-        """The parameter after the scaling step of the chain at mu; an
-        array mu takes its compensated sum lane by lane."""
-        if isinstance(mu, np.ndarray):
-            m1 = np.array([math.fsum([v, *self.m1_terms]) for v in mu.tolist()])
+        """The parameter after the scaling step of the chain at mu.  When
+        the value part of mu is an array, the compensated sum of m1 runs
+        lane by lane, each lane with its own m1_terms."""
+        mu0 = _value(mu)
+        if isinstance(mu0, np.ndarray):
+            columns = [v.tolist() if isinstance(v, np.ndarray)
+                       else itertools.repeat(v)
+                       for v in (mu0, *self.m1_terms)]
+            m1 = np.array(list(map(math.fsum, zip(*columns))))
+            if mu is not mu0:
+                m1 = m1 + (mu - mu0)
         else:
-            mu0 = _value(mu)
             m1 = math.fsum([mu0, *self.m1_terms]) + (mu - mu0)
         m2 = -self.d_k / self.lamk**2 * m1
-        return m2 + (self.family.taylor.f11 * self.family.x_plus) ** 2 / 4.0
+        return m2 + self.shift
 
     def offset(self, mu) -> tuple:
         """The offset of the chain at parameter mu.  A jet mu (see
         ``mapcore.Jet``) gives offset[0] as a jet carrying d/dmu."""
         m3 = self._m3(mu)
-        half = 0.5 * self.family.taylor.a * self.lamk
         base0, base1 = self.base
-        return (base0 - (half + self.nu1 * m3), base1 - half)
+        return (base0 - (self.half + self.nu1 * m3), base1 - self.half)
 
     def m_effective(self, mu):
         """The additive parameter of the normal form that the chain at mu
@@ -120,9 +142,8 @@ class RescaleFrame:
 
     def mu_from_m(self, m):
         """The parameter mu at rescaled parameter M, as ``mu_from_m`` but
-        from the frame's own lam**k and first-order base; elementwise on
-        arrays."""
-        return _mu_from_m(self.family, self.lamk, self.m1_terms[0], m)
+        from the frame's own numbers; elementwise on arrays."""
+        return _mu_from_m(self.s0, self.d, self.lamk, self.m1_terms[0], m)
 
     def at_mu(self, mu) -> RescaledReturnMap:
         """The rescaled return map at parameter mu: a float, a jet, or an
@@ -131,7 +152,7 @@ class RescaleFrame:
             frame=self,
             mu=mu,
             offset=self.offset(mu),
-            stages=self.family.recipe.stages(mu),
+            stages=self.recipe.stages(mu),
         )
 
     def at_m(self, m) -> RescaledReturnMap:
@@ -174,6 +195,36 @@ def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
             _first_order_base(family, k),
             lamk * lamk * xp * (a * t.c + t.f20 * xp),
         ),
+        shift=(t.f11 * xp) ** 2 / 4.0,
+        half=0.5 * a * lamk,
+        s0=family.s0,
+        d=t.d,
+        local=family.local,
+        recipe=family.recipe,
+    )
+
+
+# the per-family numbers of a frame; the others are shared by the lanes
+_LANE_FIELDS = ("d_k", "nu1", "matrix", "inverse", "base", "m1_terms",
+                "shift", "half", "s0", "d")
+
+
+def stack_frames(frames) -> RescaleFrame:
+    """The frames of several families at one k and one local saddle,
+    stacked into one frame whose per-family numbers are arrays over the
+    frames (lanes), and whose recipe is ``family.stack_recipes`` of
+    theirs.  Each number is stacked as the frame computed it on Python
+    floats, so that each lane of a map built from the stacked frame gets
+    the bits of its own frame's map."""
+    first = frames[0]
+    if any(f.k != first.k or f.local != first.local for f in frames):
+        raise ValueError("stacked frames must share k and the local saddle")
+    return replace(
+        first,
+        family=None,
+        recipe=stack_recipes([f.recipe for f in frames]),
+        **{name: _stack([getattr(f, name) for f in frames])
+           for name in _LANE_FIELDS},
     )
 
 
@@ -214,14 +265,15 @@ def m_from_mu(family: FamilyHandle, k: int, mu: float) -> float:
     return -t.d / lamk**2 * total - family.s0
 
 
-def _mu_from_m(family: FamilyHandle, lamk, base, m):
-    """mu at rescaled parameter M, given lam**k and the first-order base;
-    elementwise on arrays."""
-    return -base - (m + family.s0) * lamk**2 / family.taylor.d
+def _mu_from_m(s0, d, lamk, base, m):
+    """mu at rescaled parameter M, given the family's s0 and curvature d,
+    lam**k and the first-order base; elementwise on arrays."""
+    return -base - (m + s0) * lamk**2 / d
 
 
 def mu_from_m(family: FamilyHandle, k: int, m: float) -> float:
-    return _mu_from_m(family, family.lam ** k, _first_order_base(family, k), m)
+    return _mu_from_m(family.s0, family.taylor.d, family.lam ** k,
+                      _first_order_base(family, k), m)
 
 
 @dataclass(frozen=True)
@@ -238,7 +290,7 @@ class RescaledReturnMap:
 
 def rescaled_window(rr: RescaledReturnMap) -> float:
     """Half-width of the rescaled domain, growing like |lam|**(-k/4)."""
-    return abs(rr.frame.family.lam) ** (-rr.frame.k / 4.0)
+    return abs(rr.frame.local.lam) ** (-rr.frame.k / 4.0)
 
 
 def eval_rescaled(rr: RescaledReturnMap, p):
@@ -248,7 +300,7 @@ def eval_rescaled(rr: RescaledReturnMap, p):
     height y0; the outgoing one is explicit because the image point runs
     through the saddle forward.
     """
-    local, k = rr.frame.family.local, rr.frame.k
+    local, k = rr.frame.local, rr.frame.k
     x0, yk = from_rescaled(rr, p)
     y0 = solve_y0(local, k, x0, yk)
     xk, _ = t0_pow_closed(local, (x0, y0), k)

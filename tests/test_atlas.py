@@ -17,6 +17,8 @@ from homatlas.atlas import (
     run_strip_atlas,
 )
 from homatlas.exceptions import (
+    EscapeError,
+    HomatlasError,
     ResonanceWindowError,
     ResonantParameterError,
     TangencyError,
@@ -24,6 +26,7 @@ from homatlas.exceptions import (
 from homatlas.family import (
     HenonLikeRecipe,
     LocalMapParams,
+    ShearSandwichRecipe,
     build_family,
     tune_to,
 )
@@ -210,7 +213,16 @@ def test_sweeps_record_any_homatlas_error(monkeypatch):
             raise ResonantParameterError("blocked")
         return real(frame, kind)
 
+    real_lanes = atlas_mod.locate_bifurcation_lanes
+
+    def resonant_minus_lanes(frames, kind):
+        if kind == "minus":
+            raise ResonantParameterError("blocked")
+        return real_lanes(frames, kind)
+
     monkeypatch.setattr(atlas_mod, "locate_bifurcation", resonant_minus)
+    monkeypatch.setattr(atlas_mod, "locate_bifurcation_lanes",
+                        resonant_minus_lanes)
     (row,) = run_cascade(_exact_family(), (8,)).rows
     assert row.error == "ResonantParameterError: blocked"
     atlas = run_strip_atlas(_exact_family(), (8,), n_alpha=2)
@@ -292,3 +304,127 @@ def test_cascade_row_map_passes(monkeypatch):
     row = _cascade_row(family, 10)
     assert row.error is None and len(row.phi_curve) == 25
     assert len(calls) <= 33
+
+
+def _fold_family(lam=0.5, beta=()):
+    return build_family(LocalMapParams(lam, beta),
+                        HenonLikeRecipe(p=(0.0, 1.0, 0.3)))
+
+
+def _one_lane_cell(fam, k):
+    """(mu_plus, mu_minus, note) of one atlas cell from locate_bifurcation
+    on the cell's own float frame, worded as the sweep words its notes."""
+    if fam is None:
+        return (None, None, "family tuning failed")
+    try:
+        frame = build_frame(fam, k)
+    except HomatlasError as exc:
+        name = type(exc).__name__
+        return (None, None, f"plus: {name}; minus: {name}")
+    mus, notes = [], []
+    for kind in ("plus", "minus"):
+        try:
+            mus.append(locate_bifurcation(frame, kind))
+        except HomatlasError as exc:
+            mus.append(None)
+            notes.append(f"{kind}: {type(exc).__name__}")
+    return (*mus, "; ".join(notes) or None)
+
+
+def _hex(mu):
+    return None if mu is None else mu.hex()
+
+
+def _assert_cells_match_one_lane_solves(template, k_range, **grid):
+    """Every cell of run_strip_atlas equals its one-lane solves bit for
+    bit, and every failure note is the one-lane wording; returns the
+    atlas."""
+    atlas = run_strip_atlas(template, k_range, **grid)
+    tuned = []
+    for a in atlas.alphas:
+        try:
+            tuned.append(tune_to(template, alpha_target=a))
+        except HomatlasError:
+            tuned.append(None)
+    failures = [f for f in atlas.failures if f[2] == "tune"]
+    for band in atlas.bands:
+        for i, (a, fam) in enumerate(zip(atlas.alphas, tuned)):
+            plus, minus, note = _one_lane_cell(fam, band.k)
+            assert _hex(band.mu_plus[i]) == _hex(plus)
+            assert _hex(band.mu_minus[i]) == _hex(minus)
+            if note is not None:
+                failures.append((band.k, a, "locate", note))
+    assert list(atlas.failures) == failures
+    return atlas
+
+
+@pytest.mark.parametrize("template, k_range, grid, n_failed", [
+    # a benchmark-like fold
+    (_fold_family(), range(8, 13), {"n_alpha": 21}, 0),
+    # Moser terms, also with a negative multiplier
+    (_fold_family(beta=(1.0,)), range(8, 11), {"n_alpha": 9}, 0),
+    (_fold_family(-0.51, (0.5,)), range(8, 11), {"n_alpha": 9}, 0),
+    # k = 3 lies below the strip window: every frame fails
+    (_fold_family(), range(3, 9), {"n_alpha": 5}, 5),
+    # the outer columns' borders leave their brackets
+    (_fold_family(), range(8, 10), {"eps": 3.0, "n_alpha": 9}, 2),
+    # the sandwich recipe exposes no knob: every tuning fails
+    (build_family(LocalMapParams(0.5), ShearSandwichRecipe()), (8, 9),
+     {"n_alpha": 3}, 9),
+])
+def test_strip_atlas_cells_match_one_lane_solves(template, k_range, grid,
+                                                 n_failed):
+    atlas = _assert_cells_match_one_lane_solves(template, k_range, **grid)
+    assert len(atlas.failures) == n_failed
+
+
+def test_strip_atlas_lane_that_escapes_fails_alone(monkeypatch):
+    # one lane's every evaluation escapes: the batch raises, each lane
+    # reruns alone, and only that lane's cell fails
+    template = _fold_family()
+    alpha = float(np.linspace(-0.05, 0.05, 5)[3])
+    poisoned = tune_to(template, alpha_target=alpha)
+    # the first-order base of that cell, unique over the grid
+    base = build_frame(poisoned, 9).m1_terms[0]
+    real = orbits.eval_rescaled
+
+    def escaping(rr, p):
+        if np.any(np.asarray(rr.frame.m1_terms[0]) == base):
+            raise EscapeError("forced escape")
+        return real(rr, p)
+
+    monkeypatch.setattr(orbits, "eval_rescaled", escaping)
+    atlas = _assert_cells_match_one_lane_solves(template, (8, 9), n_alpha=5)
+    assert atlas.failures == ((
+        9, alpha, "locate",
+        "plus: NewtonDivergedError; minus: NewtonDivergedError",
+    ),)
+    monkeypatch.undo()
+    clean = run_strip_atlas(template, (8, 9), n_alpha=5)
+    for band, ref in zip(atlas.bands, clean.bands):
+        for kind in ("mu_plus", "mu_minus"):
+            got = [_hex(mu) for mu in getattr(band, kind)]
+            want = [_hex(mu) for mu in getattr(ref, kind)]
+            if band.k == 9:
+                got[3] = want[3] = None
+            assert got == want
+
+
+def test_strip_atlas_map_passes(monkeypatch):
+    # each k locates each border as lanes of one Newton over the alpha
+    # column: 20 rescaled-map passes where one solve per cell made 164
+    base = build_family(
+        LocalMapParams(0.5),
+        HenonLikeRecipe(p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 1.0)),
+    )
+    calls = []
+    real = orbits.eval_rescaled
+
+    def counted(rr, p):
+        calls.append(None)
+        return real(rr, p)
+
+    monkeypatch.setattr(orbits, "eval_rescaled", counted)
+    atlas = run_strip_atlas(base, (8, 9), n_alpha=9)
+    assert atlas.failures == ()
+    assert len(calls) <= 20

@@ -1,5 +1,5 @@
 """Smoke tests of ``tools/plan_digests.py`` on one ``geometry`` pass and
-on its fixed extra cascade inputs."""
+on its fixed extra cascade and atlas2d inputs."""
 
 import importlib.util
 import sys
@@ -44,10 +44,12 @@ def test_one_geometry_pass_digests_the_same_twice(monkeypatch, capsys):
     assert all(line.split()[4] == "0" for line in lines)
 
 
-def test_extra_cascade_inputs_digest_the_same_twice(monkeypatch, capsys):
+def test_extra_sweep_inputs_digest_the_same_twice(monkeypatch, capsys):
     tool = _tool()
     lines = _digest_twice(monkeypatch, capsys, tool,
                           lambda: iter([tool._extra_plan()]))
     assert [line.split()[:5] for line in lines] == [
-        ["-", "extra", str(i), "cascade", "0"] for i in range(len(tool.EXTRA))
+        ["-", "extra", str(i), argv[0], "0"]
+        for i, argv in enumerate(tool.EXTRA)
     ]
+    assert {argv[0] for argv in tool.EXTRA} == {"cascade", "atlas2d"}

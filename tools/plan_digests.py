@@ -8,8 +8,8 @@ SRC_DIR is the directory holding the ``homatlas`` package to test, e.g.
 ``src`` of this checkout or of a second checkout of another commit.  The
 script runs every invocation of the ``cascade`` (8 passes), ``atlas`` (4)
 and ``geometry`` (128) plans that ``perfbench/run.py --seconds 30`` draws
-for seeds 301 and 302, 2616 invocations in all, and then the five fixed
-``EXTRA`` cascade inputs that those plans do not reach, through
+for seeds 301 and 302, 2616 invocations in all, and then the ten fixed
+``EXTRA`` cascade and atlas2d inputs that those plans do not reach, through
 ``homatlas.cli.main`` in this process.  It prints one line per
 invocation, with seed ``-`` and workload ``extra`` for the fixed ones::
 
@@ -37,16 +37,23 @@ SEEDS = (301, 302)
 SECONDS = 30.0
 
 
-# cascade inputs outside the benchmark plans: Moser terms, the sandwich
-# recipe, negative lam, and a k range whose rows fail the strip window
+# sweep inputs outside the benchmark plans: Moser terms, the sandwich
+# recipe, negative lam, and a k range whose rows or cells fail the strip
+# window; for the atlas also borders outside their brackets (eps=3.0) and
+# a recipe whose every tuning fails
 EXTRA = tuple(
-    ("cascade", *[arg for kv in sets.split() for arg in ("--set", kv)])
-    for sets in (
-        "beta=0.5",
-        "beta=0.3 lam=-0.5",
-        "recipe=sandwich",
-        "recipe=sandwich lam=-0.47 beta=1.0",
-        "k_min=0 k_max=1",
+    (subcommand, *[arg for kv in sets.split() for arg in ("--set", kv)])
+    for subcommand, sets in (
+        ("cascade", "beta=0.5"),
+        ("cascade", "beta=0.3 lam=-0.5"),
+        ("cascade", "recipe=sandwich"),
+        ("cascade", "recipe=sandwich lam=-0.47 beta=1.0"),
+        ("cascade", "k_min=0 k_max=1"),
+        ("atlas2d", "p=0,1,0.3 beta=1.0 n_alpha=9"),
+        ("atlas2d", "p=0,1,0.3 lam=-0.51 beta=0.5 n_alpha=9"),
+        ("atlas2d", "p=0,1,0.3 k_min=3 k_max=9 n_alpha=5"),
+        ("atlas2d", "p=0,1,0.3 eps=3.0 n_alpha=9"),
+        ("atlas2d", "recipe=sandwich n_alpha=5"),
     )
 )
 

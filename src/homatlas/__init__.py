@@ -16,6 +16,7 @@ from .exceptions import (
     ResonanceWindowError,
     PrecisionFloorError,
     NonFiniteResultError,
+    DomainError,
     ConfigError,
 )
 from .mapcore import (

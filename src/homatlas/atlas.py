@@ -3,16 +3,21 @@
 
 Everything here composes the bordered locator and the 2-orbit solver
 over grids.  Each sweep unit (a cascade row, an atlas cell, a
-certificate k) builds its ``rescale.RescaleFrame`` once and hands it to
-every solve of the unit.  Cascade rows and certificate k run one after
-another.  The strip atlas builds, for each k, the frames of its alpha
-columns in grid order, and then locates the plus border of every column
-as lanes of one bordered Newton (``orbits.locate_bifurcation_lanes``),
-and the minus border likewise; each cell's borders are bit for bit
-those of ``locate_bifurcation`` on its own frame.  Any
-``HomatlasError`` of a unit, or of the atlas' tuning of a grid column,
-is recorded as a flagged partial result instead of aborting the whole
-sweep.
+certificate k) builds its ``rescale.RescaleFrame`` once, on floats; the
+frames of a sweep are stacked once (``rescale.stack_frames``), and its
+solves run as lanes across the units, each lane selecting its unit's
+frame by index.  A cascade locates the plus borders of all its rows as
+lanes of one bordered Newton (``orbits.locate_bifurcation_lanes``), the
+minus borders and the resonance flags as lanes of another, and the
+phase curves of all its rows as lanes of one 2-orbit Newton
+(``orbits.two_orbit_trace_lanes``).  The certificate locates the
+borders of all its k likewise.  The strip atlas stacks, for each k, the
+frames of its alpha columns, and locates the plus border of every
+column as lanes of one bordered Newton, and the minus border likewise.
+Every lane is bit for bit the one-lane solve on its own frame
+(``locate_bifurcation``, ``two_orbit_trace``).  Any ``HomatlasError`` of
+a unit, or of the atlas' tuning of a grid column, is recorded as a
+flagged partial result instead of aborting the whole sweep.
 """
 
 from __future__ import annotations
@@ -22,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BracketError, HomatlasError, ResonanceWindowError
+from .exceptions import (BracketError, DomainError, HomatlasError,
+                         ResonanceWindowError)
 from .family import FamilyHandle, tune_to
 from .henon import ELLIPTIC_EVENTS, TRACE_EVENTS
-from .orbits import (find_two_periodic, locate_bifurcation,
-                     locate_bifurcation_lanes, two_orbit_trace)
-from .rescale import RescaleFrame, build_frame, m_from_mu
+from .orbits import (find_two_periodic, locate_bifurcation_lanes,
+                     two_orbit_trace_lanes)
+from .rescale import RescaleFrame, build_frame, m_from_mu, stack_frames
 
 __all__ = [
     "ResonanceFlag",
@@ -47,6 +53,9 @@ __all__ = [
 # the M range of a cascade row's phase curve: its resonance flags' bracket
 _M_RANGE = TRACE_EVENTS[ELLIPTIC_EVENTS[0]][2]
 _N_PHI = 25
+# the located events of a cascade row, in the order the row reports
+# their errors: the borders, then the flags
+_ROW_EVENTS = ("plus", "minus") + ELLIPTIC_EVENTS
 # distance of s0 from an exceptional value that withholds a certificate
 _FLAG_TOL = 1e-4
 
@@ -115,39 +124,87 @@ class ResonanceCertificate:
     verdict: str
 
 
-def _cascade_row(family: FamilyHandle, k: int) -> CascadeRow:
+def _named(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _lane_outcomes(solve, stacked, index, args) -> list:
+    """solve(the lanes of stacked at index, args): one outcome per lane.
+    A call that raises a HomatlasError gives every lane that error; no
+    lanes make no call."""
+    if not index:
+        return []
     try:
-        frame = build_frame(family, k)
-        mu_plus = locate_bifurcation(frame, "plus")
-        mu_minus = locate_bifurcation(frame, "minus")
-        m_grid = np.linspace(*_M_RANGE, _N_PHI)
-        traces = two_orbit_trace(frame, m_grid)
-        mus = frame.mu_from_m(m_grid)
-        phis = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
-        curve = tuple(zip(mus.tolist(), phis.tolist()))
-        flags = []
-        for tag in ELLIPTIC_EVENTS:
-            try:
-                mu = locate_bifurcation(frame, tag)
-            except BracketError:
-                continue
-            flags.append(ResonanceFlag(tag, mu))
-        return CascadeRow(
-            k=k,
-            mu_plus=mu_plus,
-            mu_minus=mu_minus,
-            interval=tuple(sorted((mu_plus, mu_minus))),
-            phi_curve=curve,
-            flags=tuple(flags),
-            monotone=bool(np.all(np.diff(traces) < 0.0)),
-        )
+        return solve(stacked.take(index), args)
     except HomatlasError as exc:
-        return CascadeRow(k, error=f"{type(exc).__name__}: {exc}")
+        return [exc] * len(index)
 
 
-def run_cascade(family: FamilyHandle, k_range):
-    """Bifurcation intervals, phase curves, and resonance flags per k."""
-    rows = tuple(_cascade_row(family, int(k)) for k in k_range)
+def _row(frame: RescaleFrame, located, traces) -> CascadeRow:
+    """A cascade row from its lanes' outcomes: located, one per
+    _ROW_EVENTS, and traces, its phase curve's (empty when a border
+    failed).  The first error in the order plus, minus, phase curve,
+    flags is the row's; a flag whose M leaves its bracket is left out."""
+    k, (mu_plus, mu_minus, *marks) = frame.k, located
+    for outcome in (mu_plus, mu_minus, *traces):
+        if isinstance(outcome, HomatlasError):
+            return CascadeRow(k, error=_named(outcome))
+    flags = []
+    for tag, mu in zip(ELLIPTIC_EVENTS, marks):
+        if isinstance(mu, BracketError):
+            continue
+        if isinstance(mu, HomatlasError):
+            return CascadeRow(k, error=_named(mu))
+        flags.append(ResonanceFlag(tag, mu))
+    traces = np.array(traces)
+    mus = frame.mu_from_m(np.linspace(*_M_RANGE, _N_PHI))
+    phis = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
+    return CascadeRow(
+        k=k,
+        mu_plus=mu_plus,
+        mu_minus=mu_minus,
+        interval=tuple(sorted((mu_plus, mu_minus))),
+        phi_curve=tuple(zip(mus.tolist(), phis.tolist())),
+        flags=tuple(flags),
+        monotone=bool(np.all(np.diff(traces) < 0.0)),
+    )
+
+
+def run_cascade(family: FamilyHandle, k_range) -> CascadeResult:
+    """Bifurcation intervals, phase curves, and resonance flags per k.
+
+    Each k's frame is built on floats and the frames are stacked once;
+    then one call of the locator solves the plus borders of all rows as
+    one bordered Newton and their minus borders and flags as another,
+    and the phase curves of the rows whose borders were found run as
+    lanes of one 2-orbit Newton, 25 lanes per row.  A row whose frame
+    fails takes no lanes.
+    """
+    ks = tuple(int(k) for k in k_range)
+    frames, errors = [], {}
+    for k in ks:
+        try:
+            frames.append(build_frame(family, k))
+        except HomatlasError as exc:
+            errors[k] = exc
+    stacked = stack_frames(frames) if frames else None
+    n = len(frames)
+    found = _lane_outcomes(locate_bifurcation_lanes, stacked,
+                           list(range(n)) * len(_ROW_EVENTS),
+                           [kind for kind in _ROW_EVENTS for _ in frames])
+    located = [found[j::n] for j in range(n)]
+    curved = [j for j in range(n) if not any(
+        isinstance(mu, HomatlasError) for mu in located[j][:2])]
+    grid = np.linspace(*_M_RANGE, _N_PHI).tolist()
+    traces = _lane_outcomes(two_orbit_trace_lanes, stacked,
+                            [j for j in curved for _ in grid],
+                            grid * len(curved))
+    curves = {j: traces[c * _N_PHI:(c + 1) * _N_PHI]
+              for c, j in enumerate(curved)}
+    solved = iter(_row(frame, located[j], curves.get(j, ()))
+                  for j, frame in enumerate(frames))
+    rows = tuple(CascadeRow(k, error=_named(errors[k])) if k in errors
+                 else next(solved) for k in ks)
     return CascadeResult(
         lam=family.lam, alpha=family.alpha, s0=family.s0, rows=rows
     )
@@ -197,7 +254,7 @@ def boundary_slope(atlas: StripMap2D, k: int, kind: str,
         if m is not None and abs(a) >= alpha_min
     ]
     if len(pts) < 2:
-        raise ValueError(f"not enough boundary points for k={k} {kind}")
+        raise DomainError(f"not enough boundary points for k={k} {kind}")
     arr = np.array(pts)
     return float(np.polyfit(arr[:, 0], arr[:, 1], 1)[0])
 
@@ -206,10 +263,11 @@ def _strip_band(tuned, k: int):
     """The StripBand of one k over the tuned families (None where the
     tuning failed), and {column: note} for its failed cells.
 
-    Each family's frame is built on floats, in grid order; then the plus
-    border of every built frame is located as lanes of one bordered
-    Newton, and so is the minus border.  A failed tuning or frame is a
-    hole; each failed border is None and named in the cell's note.
+    Each family's frame is built on floats, in grid order, and the
+    frames are stacked once; then the plus border of every built frame
+    is located as lanes of one bordered Newton, and so is the minus
+    border.  A failed tuning or frame is a hole; each failed border is
+    None and named in the cell's note.
     """
     frames, failed = {}, {}
     for i, fam in enumerate(tuned):
@@ -222,11 +280,11 @@ def _strip_band(tuned, k: int):
             name = type(exc).__name__
             failed[i] = [f"plus: {name}; minus: {name}"]
     mus = {"plus": [None] * len(tuned), "minus": [None] * len(tuned)}
+    stacked = stack_frames(list(frames.values())) if frames else None
     for kind, column in mus.items():
-        try:
-            outcomes = locate_bifurcation_lanes(list(frames.values()), kind)
-        except HomatlasError as exc:
-            outcomes = [exc] * len(frames)
+        outcomes = _lane_outcomes(locate_bifurcation_lanes, stacked,
+                                  list(range(len(frames))),
+                                  [kind] * len(frames))
         for i, mu in zip(frames, outcomes):
             if isinstance(mu, HomatlasError):
                 failed.setdefault(i, []).append(f"{kind}: {type(mu).__name__}")
@@ -255,7 +313,7 @@ def run_strip_atlas(family_template: FamilyHandle, k_range,
             tuned.append(tune_to(family_template, alpha_target=a))
         except HomatlasError as exc:
             tuned.append(None)
-            failures.append((None, a, "tune", f"{type(exc).__name__}: {exc}"))
+            failures.append((None, a, "tune", _named(exc)))
 
     bands = []
     for k in k_values:
@@ -297,7 +355,9 @@ def certify_global_resonance(family: FamilyHandle,
 
     Requires s0 in (-1, 0).  Proximity of s0 to an exceptional value is
     flagged and downgrades the verdict from "certified" to "withheld";
-    a missing or non-elliptic orbit at any k gives "incomplete".
+    a missing or non-elliptic orbit at any k gives "incomplete".  The
+    plus and minus borders of all k whose frame was built are located as
+    lanes across k (``orbits.locate_bifurcation_lanes``).
     """
     s0 = family.s0
     if not (-1.0 < s0 < 0.0):
@@ -308,21 +368,25 @@ def certify_global_resonance(family: FamilyHandle,
         tag for value, tag in _EXCEPTIONAL_S0 if abs(s0 - value) <= _FLAG_TOL
     )
     ks = tuple(int(k) for k in k_range)
-    records = []
-    intervals = []
+    records, frames = [], {}
     for k in ks:
         try:
-            frame = build_frame(family, k)
+            frames[k] = build_frame(family, k)
         except HomatlasError as exc:
             records.append(_failed_record(k, exc))
-            intervals.append((k, None, None))
             continue
-        records.append(_cert_record(frame))
-        try:
-            mu_plus = locate_bifurcation(frame, "plus")
-            mu_minus = locate_bifurcation(frame, "minus")
-            intervals.append((k,) + tuple(sorted((mu_plus, mu_minus))))
-        except HomatlasError:
+        records.append(_cert_record(frames[k]))
+    stacked = stack_frames(list(frames.values())) if frames else None
+    n = len(frames)
+    found = _lane_outcomes(locate_bifurcation_lanes, stacked,
+                           list(range(n)) * 2, ["plus"] * n + ["minus"] * n)
+    borders = {k: found[j::n] for j, k in enumerate(frames)}
+    intervals = []
+    for k in ks:
+        pair = borders.get(k, ())
+        if pair and not any(isinstance(mu, HomatlasError) for mu in pair):
+            intervals.append((k,) + tuple(sorted(pair)))
+        else:
             intervals.append((k, None, None))
     nesting = _nesting_verdict(intervals)
     if any(rec.failure is not None for rec in records):
@@ -343,7 +407,7 @@ def certify_global_resonance(family: FamilyHandle,
 
 
 def _failed_record(k: int, exc: Exception) -> CertRecord:
-    return CertRecord(k, failure=f"{type(exc).__name__}: {exc}")
+    return CertRecord(k, failure=_named(exc))
 
 
 def _cert_record(frame: RescaleFrame) -> CertRecord:

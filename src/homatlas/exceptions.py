@@ -66,7 +66,15 @@ class PrecisionFloorError(HomatlasError):
 
 
 class NonFiniteResultError(HomatlasError):
-    """A result holds NaN or infinity, which JSON cannot carry."""
+    """A number that must be finite is NaN or infinity: a result, which
+    JSON cannot carry, or a number of a rescaling frame."""
+
+
+class DomainError(HomatlasError, ValueError):
+    """An argument lies outside the domain of a function: a multiplier
+    with |lam| outside (0, 1), an M without the orbit asked for, a
+    negative iterate count, an unknown locator kind, too few points for a
+    fit, or frames of different saddles to stack."""
 
 
 class ConfigError(HomatlasError):

@@ -30,13 +30,14 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .exceptions import (
+    DomainError,
     ExtractionError,
     OrientationError,
     TangencyError,
     TargetUnreachableError,
 )
 from .mapcore import (HShear, Jet, Lift, MapExpr, Moser, Swap, Translate,
-                      VShear, _polyder, _secant, _stack, eval_map)
+                      VShear, _polyder, _secant, _stack, _take, eval_map)
 
 __all__ = [
     "LocalMapParams",
@@ -64,7 +65,7 @@ class LocalMapParams:
 
     def __post_init__(self):
         if not 0.0 < abs(self.lam) < 1.0:
-            raise ValueError("multiplier must satisfy 0 < |lam| < 1")
+            raise DomainError("multiplier must satisfy 0 < |lam| < 1")
         # the saddle stage depends on lam and beta alone; built once here
         # rather than on every saddle passage
         object.__setattr__(
@@ -201,6 +202,15 @@ class LaneRecipe:
         translation by (x_plus, mu) that ends every recipe."""
         return MapExpr(self.fixed_stages + (Translate(self.x_plus, mu),))
 
+    def take(self, index) -> "LaneRecipe":
+        """The lanes at index, as one ``LaneRecipe``."""
+        stages = tuple(
+            type(stage)(*(_take(getattr(stage, f.name), index)
+                          for f in fields(stage)))
+            for stage in self.fixed_stages
+        )
+        return LaneRecipe(stages, self.x_plus[index])
+
 
 def stack_recipes(recipes) -> LaneRecipe:
     """The recipes' global stages as one ``LaneRecipe``, stage by stage
@@ -328,17 +338,20 @@ _TUNE_TOL = 1e-8
 
 
 def _tune_knob(local, recipe, mu, index, invariant, target, x0, x1):
-    """The recipe with P's coefficient p[index] moved by secant from the
-    seeds x0, x1 until the family's invariant ("alpha" or "s0") is target."""
+    """The family whose recipe has P's coefficient p[index] moved by
+    secant from the seeds x0, x1 until the family's invariant ("alpha" or
+    "s0") is target: the family that the secant built at the value it
+    accepted."""
     p = list(recipe.p) + [0.0] * (index + 1 - len(recipe.p))
+    families = {}
 
     def invariant_of(value):
         p[index] = value
         fam = build_family(local, replace(recipe, p=tuple(p)), mu)
+        families[value] = fam
         return getattr(fam, invariant)
 
-    p[index] = _secant(invariant_of, x0, x1, target, _TUNE_TOL)
-    return replace(recipe, p=tuple(p))
+    return families[_secant(invariant_of, x0, x1, target, _TUNE_TOL)]
 
 
 def tune_to(
@@ -351,7 +364,8 @@ def tune_to(
     The alpha knob is the linear coefficient b of P (so c = 1/b moves with
     it and bc = 1 stays an identity); the s0 knob is the quadratic
     coefficient of P.  Only the fold recipe exposes these knobs, and its
-    reachable set is s0 <= 0.
+    reachable set is s0 <= 0.  Returns the family that the last secant
+    built at the knob value it accepted.
     """
     if alpha_target is None and s0_target is None:
         return handle
@@ -369,8 +383,9 @@ def tune_to(
         if abs(c_needed) < 1e-10:
             raise TargetUnreachableError("target unreachable: alpha = -1 needs c = 0")
         b_seed = 1.0 / c_needed
-        recipe = _tune_knob(local, recipe, mu, 1, "alpha", alpha_target,
-                            b_seed, b_seed * (1.0 + 1e-3))
+        out = _tune_knob(local, recipe, mu, 1, "alpha", alpha_target,
+                         b_seed, b_seed * (1.0 + 1e-3))
+        recipe = out.recipe
 
     if s0_target is not None:
         if s0_target > 1e-12:
@@ -380,10 +395,9 @@ def tune_to(
         b = recipe.p[1]
         # s0 = -(f11*x_plus)^2/4 with f11 = -2 p2 / b^2; seed from inversion.
         p2_seed = b * b * math.sqrt(max(-s0_target, 0.0)) / recipe.x_plus
-        recipe = _tune_knob(local, recipe, mu, 2, "s0", s0_target,
-                            p2_seed, p2_seed + 1e-3)
+        out = _tune_knob(local, recipe, mu, 2, "s0", s0_target,
+                         p2_seed, p2_seed + 1e-3)
 
-    out = build_family(local, recipe, mu)
     if alpha_target is not None and abs(out.alpha - alpha_target) > 10 * _TUNE_TOL:
         raise TargetUnreachableError("target unreachable: alpha residual too large")
     if s0_target is not None and abs(out.s0 - s0_target) > 10 * _TUNE_TOL:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ExtractionError, ResonantParameterError
+from .exceptions import (DomainError, ExtractionError,
+                         ResonantParameterError)
 from .mapcore import (HShear, Jet, MapExpr, Swap, _locate_trace, _secant,
                       jacobian_of)
 
@@ -113,7 +114,7 @@ def classify_from_trace(trace: float, det: float) -> StabilityClass:
 def two_periodic_orbit(M: float):
     """The 2-periodic orbit (-s, s) <-> (s, -s), s = sqrt(M), for M > 0."""
     if M <= 0.0:
-        raise ValueError("no real 2-periodic orbit for M <= 0")
+        raise DomainError("no real 2-periodic orbit for M <= 0")
     s = math.sqrt(M)
     p1 = (-s, s)
     p2 = (s, -s)
@@ -163,7 +164,7 @@ def birkhoff_b1(M: float) -> float:
     that cos(phi) = 1 - 2M rounds to 1, the 1:1 resonance value.
     """
     if not 0.0 < M < 1.0:
-        raise ValueError("elliptic 2-periodic orbit requires 0 < M < 1")
+        raise DomainError("elliptic 2-periodic orbit requires 0 < M < 1")
     if abs(M - 0.5) < 1e-9 or abs(M - 0.75) < 1e-9:
         raise ResonantParameterError(f"strong resonance at M = {M}")
     if 1.0 - 2.0 * M == 1.0:
@@ -209,7 +210,7 @@ def rotation_number_slope(M: float):
     the same coefficient as birkhoff_b1, by an independent route.
     """
     if not 0.0 < M < 1.0:
-        raise ValueError("requires 0 < M < 1")
+        raise DomainError("requires 0 < M < 1")
     radii, n_steps = (0.015, 0.025, 0.035, 0.045), 20000
     s = math.sqrt(M)
     _, _, v, ell = _elliptic_frame(M)

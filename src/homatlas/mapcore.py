@@ -22,7 +22,8 @@ The damped Newton, a secant and the bordered locator live here too,
 below every map that runs on jets: ``_locate_trace`` finds the parameter
 M at which the r-orbit of a map family M -> F_M has a given trace of
 D(F^r), for the rescaled return map and for the limit map x' = y,
-y' = M + x - y**2 alike, on one map or on lanes of maps with one
+y' = M + x - y**2 alike, on one map; ``_locate_trace_lanes`` does so on
+lanes of maps, each lane with its own trace and bracket, with one
 outcome per lane.
 """
 
@@ -38,6 +39,7 @@ import numpy as np
 from .exceptions import (
     BracketError,
     CrossFormSolveError,
+    DomainError,
     EscapeError,
     NewtonDivergedError,
     TargetUnreachableError,
@@ -204,6 +206,13 @@ def _stack(values):
     if isinstance(values[0], tuple):
         return tuple(_stack(col) for col in zip(*values, strict=True))
     return np.array(values)
+
+
+def _take(values, index):
+    """The lanes at index of ``_stack``'s arrays; tuples entry by entry."""
+    if isinstance(values, tuple):
+        return tuple(_take(v, index) for v in values)
+    return values[index]
 
 
 def _any(c) -> bool:
@@ -621,46 +630,54 @@ def _bracketed(m_star: float, m_bracket):
     )
 
 
-def _locate_trace(map_at, rounds: int, trace, m_bracket, n_lanes=None):
+def _locate_trace(map_at, rounds: int, trace, m_bracket):
     """M where the r-orbit (r = rounds) of map_at(M) has tr D(F^r) = trace.
 
-    Bordered Newton on _border_residual from _limit_seed.  Without
-    n_lanes, map_at(M) is one map on Python floats, and the locator
-    returns M, or raises NewtonDivergedError when the Newton fails and
-    BracketError when M lies outside m_bracket.  With n_lanes, map_at(M,
-    lanes) is the map of the listed lanes, on a jet M whose coefficients
-    are arrays over them; the lanes run from the same seed as lanes of
-    one Newton (``_lane_newton``), each to the steps it would take alone,
-    and the locator returns one outcome per lane: its M, or its
-    NewtonDivergedError or BracketError.
+    Bordered Newton on _border_residual from _limit_seed; map_at(M) is
+    one map on Python floats.  Returns M, or raises NewtonDivergedError
+    when the Newton fails and BracketError when M lies outside m_bracket.
     """
     seed = np.array(_limit_seed(rounds, trace))
-    if n_lanes is None:
-        z, _ = _newton(
-            functools.partial(_border_residual, map_at, rounds, trace),
-            seed,
-            tol=1e-10,
-        )
-        m_star = _bracketed(float(z[2]), m_bracket)
-        if isinstance(m_star, BracketError):
-            raise m_star
-        return m_star
+    z, _ = _newton(
+        functools.partial(_border_residual, map_at, rounds, trace),
+        seed,
+        tol=1e-10,
+    )
+    m_star = _bracketed(float(z[2]), m_bracket)
+    if isinstance(m_star, BracketError):
+        raise m_star
+    return m_star
+
+
+def _locate_trace_lanes(map_at, rounds: int, traces, m_brackets):
+    """``_locate_trace`` on lanes, lane i with its own trace traces[i]
+    and bracket m_brackets[i], all with the same round count.
+
+    map_at(M, lanes) is the map of the listed lanes, on a jet M whose
+    coefficients are arrays over them.  Each lane runs from its own limit
+    seed as a lane of one Newton (``_lane_newton``), to the steps it would
+    take alone; returns one outcome per lane: its M, or its
+    NewtonDivergedError or BracketError.
+    """
+    targets = np.array(traces, dtype=float)
+    seeds = np.array([_limit_seed(rounds, t) for t in targets.tolist()])
 
     def fun_jac(z, lanes):
-        return _border_residual(lambda m: map_at(m, lanes), rounds, trace, z)
+        return _border_residual(lambda m: map_at(m, lanes), rounds,
+                                targets[lanes], z)
 
-    outcomes = _lane_newton(fun_jac, np.tile(seed, (n_lanes, 1)), 1e-10, None)
+    outcomes = _lane_newton(fun_jac, seeds, 1e-10, None)
     return [
         outcome if isinstance(outcome, NewtonDivergedError)
-        else _bracketed(float(outcome[0][2]), m_bracket)
-        for outcome in outcomes
+        else _bracketed(float(outcome[0][2]), bracket)
+        for outcome, bracket in zip(outcomes, m_brackets)
     ]
 
 
 def iterate(expr: MapExpr, p, n):
     """n-fold composition; raises EscapeError with the failing iterate index."""
     if n < 0:
-        raise ValueError("iterate count must be nonnegative")
+        raise DomainError("iterate count must be nonnegative")
     x, y = p
     for j in range(n):
         try:

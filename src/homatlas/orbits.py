@@ -11,15 +11,15 @@ Every solve runs r = 1 or 2 rounds of the rescaled return map F on Taylor
 jets: of degree 1 in (X, Y) for an orbit, of degree 2 in (X, Y, M) for a
 border, where they give the exact bordered Jacobian.
 
-The phase curve of a cascade row (``two_orbit_trace`` on the array of M)
-solves the 2-orbits at all its M values as lanes of one Newton: the
-jets' coefficients are arrays over the lanes, so each pass of F serves
-every M, and each lane runs the damped Newton of a one-lane solve
-(``mapcore._damped_newton``) to its own outcome: a point or an error.
+A phase curve (``two_orbit_trace_lanes`` on an array of M) solves the
+2-orbits at all its M values as lanes of one Newton: the jets'
+coefficients are arrays over the lanes, so each pass of F serves every
+M, and each lane runs the damped Newton of a one-lane solve
+(``mapcore._damped_newton``) to its own outcome: a trace or an error.
 Each lane that converges is bit for bit the one-lane solve at its M on
-Python floats, whether or not other lanes fail; when any lane fails,
-the row raises the error of the lowest failing M, as a loop over the
-grid would.
+Python floats, whether or not other lanes fail.  ``two_orbit_trace``
+raises the error of the lowest failing M, as a loop over the grid
+would.
 
 Bifurcation location works in the parameter M rather than mu, again for
 conditioning.  A fixed point has multipliers (+1, -1) exactly when its
@@ -32,11 +32,13 @@ resonance traces; this module hands it M -> F as ``_map_at``, and
 a ``rescale.RescaleFrame``, the mu-independent part of the map built once
 per (family, k) by the caller, and derives the map at each M from it.
 
-``locate_bifurcation_lanes`` runs the locator on the frames of several
-families at one k (the alpha columns of a strip atlas) as lanes of one
-bordered Newton: the frames are stacked into one frame whose
-per-family numbers are arrays over the lanes, so each pass of F serves
-every lane, and each lane's mu, or its error, is that of
+Both lane entries take a stacked frame (``rescale.stack_frames``) whose
+lanes may be the frames of several families (the alpha columns of a
+strip atlas) or of one family at several k (the rows of a cascade, the
+k of a certificate), selected by index (``RescaleFrame.take``), so each
+pass of F serves every lane.  ``locate_bifurcation_lanes`` gives each
+lane its own event and runs the lanes of one round count as one
+bordered Newton; each lane's mu, or its error, is that of
 ``locate_bifurcation`` on its own frame.  Both residuals turn their
 output jets into rows with ``mapcore._jet_rows``: one ``np.array`` per
 output on one lane, a leading lane axis on lanes.
@@ -50,12 +52,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CollapsedOrbitError, HomatlasError
+from .exceptions import (CollapsedOrbitError, DomainError, HomatlasError,
+                         NewtonDivergedError)
 from .henon import (ELLIPTIC_EVENTS, TRACE_EVENTS, StabilityClass,
                     classify_from_trace)
-from .mapcore import Jet, _jet_rows, _locate_trace, _newton
-from .rescale import (RescaleFrame, eval_rescaled, rescaled_window,
-                      stack_frames)
+from .mapcore import (Jet, _jet_rows, _lane_newton, _locate_trace,
+                      _locate_trace_lanes, _newton)
+from .rescale import RescaleFrame, eval_rescaled, rescaled_window
 
 __all__ = [
     "OrbitRecord",
@@ -63,6 +66,7 @@ __all__ = [
     "locate_bifurcation",
     "locate_bifurcation_lanes",
     "two_orbit_trace",
+    "two_orbit_trace_lanes",
 ]
 
 
@@ -144,7 +148,7 @@ _KINDS = {"plus": "fixed-point-birth", "minus": "period-doubling",
 def _event(kind: str):
     """(rounds, trace, M bracket) of a locator kind."""
     if kind not in _KINDS:
-        raise ValueError(f"unknown bifurcation kind {kind!r}")
+        raise DomainError(f"unknown bifurcation kind {kind!r}")
     return TRACE_EVENTS[_KINDS[kind]]
 
 
@@ -162,49 +166,91 @@ def locate_bifurcation(frame: RescaleFrame, kind: str) -> float:
     return frame.mu_from_m(m_star)
 
 
-def locate_bifurcation_lanes(frames, kind: str) -> list:
-    """``locate_bifurcation`` on each of several frames at one k and one
-    local saddle, solved as lanes of one bordered Newton.
+def _lane_frames(frame: RescaleFrame):
+    """lanes -> the frame of the listed lanes.  A frame on floats serves
+    every lane as it is; a stacked frame gives them by index
+    (``RescaleFrame.take``), taken once per lane list."""
+    if frame.family is not None:
+        return lambda lanes: frame
+    taken = {}
 
-    The frames are stacked (``rescale.stack_frames``) so that each pass
-    of ``eval_rescaled`` serves every lane asking for an evaluation, and
-    each lane takes the steps of its one-lane solve.  Returns one outcome
-    per frame, in order: its mu, bit for bit that of
-    ``locate_bifurcation`` on the frame, or the NewtonDivergedError or
-    BracketError that the one-lane solve raises.
-    """
-    stacked = {}
-
-    def map_at(m, lanes):
+    def of(lanes):
         key = tuple(lanes)
-        if key not in stacked:
-            stacked[key] = stack_frames([frames[i] for i in lanes])
-        return functools.partial(eval_rescaled, stacked[key].at_m(m))
+        if key not in taken:
+            taken[key] = frame.take(lanes)
+        return taken[key]
 
-    outcomes = _locate_trace(map_at, *_event(kind), n_lanes=len(frames))
+    return of
+
+
+def locate_bifurcation_lanes(frame: RescaleFrame, kinds) -> list:
+    """``locate_bifurcation`` on each lane of a stacked frame, lane i for
+    the event kinds[i].
+
+    The lanes of each round count (1 for "plus", 2 for the others) run
+    from their own limit seeds as lanes of one bordered Newton, each lane
+    to its own trace and M bracket; each pass of ``eval_rescaled`` serves
+    every lane asking for an evaluation, and each lane takes the steps of
+    its one-lane solve.  Returns one outcome per lane, in order: its mu,
+    bit for bit that of ``locate_bifurcation`` on the lane's frame, or
+    the NewtonDivergedError or BracketError that the one-lane solve
+    raises.  A frame on floats serves every lane.
+    """
+    events = [_event(kind) for kind in kinds]
+    lane_frame = _lane_frames(frame)
+    outcomes = [None] * len(events)
+    for rounds in sorted({rounds for rounds, _, _ in events}):
+        group = [i for i, event in enumerate(events) if event[0] == rounds]
+
+        def map_at(m, lanes):
+            rows = lane_frame([group[i] for i in lanes])
+            return functools.partial(eval_rescaled, rows.at_m(m))
+
+        found = _locate_trace_lanes(map_at, rounds,
+                                    [events[i][1] for i in group],
+                                    [events[i][2] for i in group])
+        for i, m in zip(group, found):
+            outcomes[i] = m
+    ms = [0.0 if isinstance(m, HomatlasError) else m for m in outcomes]
+    mus = frame.mu_from_m(np.array(ms)).tolist()
+    return [m if isinstance(m, HomatlasError) else mu
+            for m, mu in zip(outcomes, mus)]
+
+
+def two_orbit_trace_lanes(frame: RescaleFrame, m) -> list:
+    """Traces of the second-iterate derivative along the continued
+    2-orbit branch, at an array of rescaled M values, each from the limit
+    seed (-sqrt(M), sqrt(M)): one outcome per M.
+
+    frame serves every M, or is a stacked frame with one lane per M.  The
+    M values are solved as lanes of one lane-wise Newton
+    (``mapcore._lane_newton``): each pass of ``eval_rescaled`` serves
+    every lane asking for an evaluation, on jets whose coefficients are
+    arrays over those lanes.  Each outcome is the lane's trace, bit for
+    bit that of a one-lane solve at its M on its frame, or its
+    NewtonDivergedError.
+    """
+    m = np.asarray(m, dtype=float)
+    roots = [math.sqrt(max(v, 1e-9)) for v in m.tolist()]
+    lane_frame = _lane_frames(frame)
+
+    def residual(z, lanes):
+        return _orbit_residual(lane_frame(lanes).at_m(m[lanes]), 2, z)
+
+    outcomes = _lane_newton(residual, np.array([(-r, r) for r in roots]),
+                            1e-11, None)
     return [
-        m if isinstance(m, HomatlasError) else frame.mu_from_m(m)
-        for frame, m in zip(frames, outcomes)
+        outcome if isinstance(outcome, NewtonDivergedError)
+        else float(outcome[1][2][0, 0] + outcome[1][2][1, 1])
+        for outcome in outcomes
     ]
 
 
 def two_orbit_trace(frame: RescaleFrame, m):
-    """Traces of the second-iterate derivative along the continued
-    2-orbit branch of the frame's return map, at an array of rescaled M
-    values, each from the limit seed (-sqrt(M), sqrt(M)).
-
-    The M values are solved as lanes of one lane-wise Newton
-    (``mapcore._newton``): each pass of ``eval_rescaled`` serves every
-    lane asking for an evaluation, on jets whose coefficients are arrays
-    over those lanes, and each lane's trace is bit for bit that of a
-    one-lane solve at its M.  Returns an array of traces, or raises the
-    NewtonDivergedError of the lowest failing M.
-    """
-    m = np.asarray(m, dtype=float)
-    roots = [math.sqrt(max(v, 1e-9)) for v in m.tolist()]
-
-    def residual(z, lanes):
-        return _orbit_residual(frame.at_m(m[lanes]), 2, z)
-
-    _, (_, _, jac2) = _newton(residual, [(-r, r) for r in roots])
-    return np.trace(jac2, axis1=1, axis2=2)
+    """The traces of ``two_orbit_trace_lanes`` as an array, or the
+    NewtonDivergedError of the lowest failing M."""
+    traces = two_orbit_trace_lanes(frame, m)
+    for trace in traces:
+        if isinstance(trace, NewtonDivergedError):
+            raise trace
+    return np.array(traces)

@@ -15,9 +15,12 @@ Taylor data, lam, x_plus, y_minus and k alone.  ``build_frame`` makes it
 once per sweep unit (a cascade row, an atlas cell, a certificate k), and
 ``RescaleFrame.at_mu`` (or ``at_m``, from the rescaled parameter) is the
 one way to the rescaled return map at a parameter value: it computes only
-the offset at that mu and the global stages there.  ``stack_frames``
-stacks the frames of several families at one k, so that one map runs
-them all as lanes.
+the offset at that mu and the global stages there.  The frame owns the
+saddle power lam**k that every passage of its map reads, so its
+k-dependent numbers are data.  ``stack_frames`` stacks the frames of
+several families, or of one family at several k, into one frame whose
+lanes one map runs all at once, and ``RescaleFrame.take`` selects lanes
+of a stacked frame by index.
 
 The parameter conversion M <-> mu is the affine relation
 M = -d lam^{-2k} (mu + lam^k (c x^+ - y^-)(1 + k beta1 lam^k x^+ y^-)) - s0
@@ -34,9 +37,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import PrecisionFloorError
-from .family import FamilyHandle, LocalMapParams, stack_recipes
-from .mapcore import MapExpr, _stack, _value, eval_map, jacobian_of
+from .exceptions import DomainError, NonFiniteResultError, PrecisionFloorError
+from .family import FamilyHandle, LaneRecipe, LocalMapParams, stack_recipes
+from .mapcore import MapExpr, _stack, _take, _value, eval_map, jacobian_of
 from .returnmap import check_window, solve_y0, t0_pow_closed
 
 __all__ = [
@@ -74,8 +77,9 @@ def _tuples(mat: np.ndarray) -> tuple:
 @dataclass(frozen=True)
 class RescaleFrame:
     """The mu-independent part of the k-th rescaled return map of a family:
-    lam**k, the shifted curvature d_k, the mix coefficient nu1, the 2x2
-    matrix with its inverse, the offset before the mu-dependent
+    lam**k (the saddle power that every passage of its map reads) with
+    its square lamk2, the shifted curvature d_k, the mix coefficient nu1,
+    the 2x2 matrix with its inverse, the offset before the mu-dependent
     (half + nu1 m3, half) is subtracted, the two mu-free summands of the
     first parameter m1, and the numbers of the family that the map at a
     parameter reads: shift = (f11 x_plus)**2/4, half = a lam^k/2, s0 and
@@ -89,13 +93,13 @@ class RescaleFrame:
     that ``to_rescaled`` and ``from_rescaled`` run on plain scalars, jets
     and array lanes, never numpy scalars.
 
-    ``stack_frames`` stacks the frames of several families at one k into
-    one frame whose per-family numbers are arrays over them (lanes); its
-    family is None."""
+    ``stack_frames`` stacks frames into one frame whose per-frame numbers,
+    k among them, are arrays over them (lanes); its family is None."""
 
     family: FamilyHandle | None
     k: int
     lamk: float
+    lamk2: float
     d_k: float
     nu1: float
     matrix: tuple
@@ -123,7 +127,7 @@ class RescaleFrame:
                 m1 = m1 + (mu - mu0)
         else:
             m1 = math.fsum([mu0, *self.m1_terms]) + (mu - mu0)
-        m2 = -self.d_k / self.lamk**2 * m1
+        m2 = -self.d_k / self.lamk2 * m1
         return m2 + self.shift
 
     def offset(self, mu) -> tuple:
@@ -138,12 +142,12 @@ class RescaleFrame:
         reaches.  The contract-level M of ``m_from_mu`` differs from it by
         O(k lam^k) terms that the frozen-zero convention does not remove."""
         a = self.family.taylor.a
-        return self._m3(mu) * (1.0 + self.nu1) + 0.25 * a**2 * self.lamk**2
+        return self._m3(mu) * (1.0 + self.nu1) + 0.25 * a**2 * self.lamk2
 
     def mu_from_m(self, m):
         """The parameter mu at rescaled parameter M, as ``mu_from_m`` but
         from the frame's own numbers; elementwise on arrays."""
-        return _mu_from_m(self.s0, self.d, self.lamk, self.m1_terms[0], m)
+        return _mu_from_m(self.s0, self.d, self.lamk2, self.m1_terms[0], m)
 
     def at_mu(self, mu) -> RescaledReturnMap:
         """The rescaled return map at parameter mu: a float, a jet, or an
@@ -160,10 +164,28 @@ class RescaleFrame:
         jet, or an array of lanes."""
         return self.at_mu(self.mu_from_m(m))
 
+    def take(self, index) -> RescaleFrame:
+        """The lanes at index (a sequence of lane numbers, repeats allowed)
+        of a stacked frame, as one stacked frame: the frame itself when
+        index lists all its lanes in order."""
+        index = np.asarray(index, dtype=np.intp)
+        if np.array_equal(index, np.arange(len(self.s0))):
+            return self
+        recipe = self.recipe
+        return replace(
+            self,
+            recipe=(recipe.take(index) if isinstance(recipe, LaneRecipe)
+                    else recipe),
+            **{name: _take(getattr(self, name), index)
+               for name in _LANE_FIELDS},
+        )
+
 
 def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
     """The frame of the family's k-th rescaled return map; raises unless k
-    lies in the validity window (see ``returnmap.check_window``)."""
+    lies in the validity window (see ``returnmap.check_window``), and
+    NonFiniteResultError when a number of the frame overflows binary64
+    (x_plus or y_minus near 1e300, say)."""
     check_window(family, k)
     t = family.taylor
     lam, xp, ym = family.lam, family.x_plus, family.y_minus
@@ -182,10 +204,11 @@ def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
     shift1 = np.array([xp + a * lamk * xp, ym])
     w = 0.5 * t.f11 * xp
     base = mix @ (np.diag([su, sv]) @ (-shift1) - np.array([w, w]))
-    return RescaleFrame(
+    frame = RescaleFrame(
         family=family,
         k=k,
         lamk=lamk,
+        lamk2=lamk**2,
         d_k=d_k,
         nu1=nu1,
         matrix=_tuples(a_mat),
@@ -202,27 +225,42 @@ def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
         local=family.local,
         recipe=family.recipe,
     )
+    # a list, not a tuple: CPython keeps freed tuples of up to 20 items
+    # on free lists, and one 20-item tuple per frame raised the peak RSS
+    # of 5000 repeated benchmark invocations by about 0.5 MB
+    numbers = [frame.lamk, frame.lamk2, frame.d_k, frame.nu1, *frame.base,
+               *frame.m1_terms, frame.shift, frame.half, frame.s0, frame.d,
+               *itertools.chain(*frame.matrix, *frame.inverse)]
+    if not all(map(math.isfinite, numbers)):
+        raise NonFiniteResultError(
+            f"the rescaling chain at k={k} overflows binary64"
+        )
+    return frame
 
 
-# the per-family numbers of a frame; the others are shared by the lanes
-_LANE_FIELDS = ("d_k", "nu1", "matrix", "inverse", "base", "m1_terms",
-                "shift", "half", "s0", "d")
+# the per-frame numbers of a frame; the local saddle is shared by the lanes
+_LANE_FIELDS = ("k", "lamk", "lamk2", "d_k", "nu1", "matrix", "inverse",
+                "base", "m1_terms", "shift", "half", "s0", "d")
 
 
 def stack_frames(frames) -> RescaleFrame:
-    """The frames of several families at one k and one local saddle,
-    stacked into one frame whose per-family numbers are arrays over the
-    frames (lanes), and whose recipe is ``family.stack_recipes`` of
-    theirs.  Each number is stacked as the frame computed it on Python
-    floats, so that each lane of a map built from the stacked frame gets
-    the bits of its own frame's map."""
+    """Frames of one local saddle (of several families, or of one family
+    at several k) stacked into one frame whose per-frame numbers are
+    arrays over the frames (lanes), and whose recipe is theirs when they
+    share one, else ``family.stack_recipes`` of theirs.  Each number,
+    lam**k and k among
+    them, is stacked as the frame computed it on Python floats, never
+    computed from a stacked array, so that each lane of a map built from
+    the stacked frame gets the bits of its own frame's map."""
     first = frames[0]
-    if any(f.k != first.k or f.local != first.local for f in frames):
-        raise ValueError("stacked frames must share k and the local saddle")
+    if any(f.local != first.local for f in frames):
+        raise DomainError("stacked frames must share the local saddle")
+    shared = all(f.recipe is first.recipe for f in frames)
     return replace(
         first,
         family=None,
-        recipe=stack_recipes([f.recipe for f in frames]),
+        recipe=(first.recipe if shared
+                else stack_recipes([f.recipe for f in frames])),
         **{name: _stack([getattr(f, name) for f in frames])
            for name in _LANE_FIELDS},
     )
@@ -265,14 +303,14 @@ def m_from_mu(family: FamilyHandle, k: int, mu: float) -> float:
     return -t.d / lamk**2 * total - family.s0
 
 
-def _mu_from_m(s0, d, lamk, base, m):
+def _mu_from_m(s0, d, lamk2, base, m):
     """mu at rescaled parameter M, given the family's s0 and curvature d,
-    lam**k and the first-order base; elementwise on arrays."""
-    return -base - (m + s0) * lamk**2 / d
+    lam**2k and the first-order base; elementwise on arrays."""
+    return -base - (m + s0) * lamk2 / d
 
 
 def mu_from_m(family: FamilyHandle, k: int, m: float) -> float:
-    return _mu_from_m(family.s0, family.taylor.d, family.lam ** k,
+    return _mu_from_m(family.s0, family.taylor.d, (family.lam ** k) ** 2,
                       _first_order_base(family, k), m)
 
 
@@ -300,12 +338,12 @@ def eval_rescaled(rr: RescaledReturnMap, p):
     height y0; the outgoing one is explicit because the image point runs
     through the saddle forward.
     """
-    local, k = rr.frame.local, rr.frame.k
+    local, k, lamk = rr.frame.local, rr.frame.k, rr.frame.lamk
     x0, yk = from_rescaled(rr, p)
-    y0 = solve_y0(local, k, x0, yk)
-    xk, _ = t0_pow_closed(local, (x0, y0), k)
+    y0 = solve_y0(local, k, x0, yk, lamk)
+    xk, _ = t0_pow_closed(local, (x0, y0), k, lamk)
     xb0, yb0 = eval_map(rr.stages, (xk, yk))
-    _, ybk = t0_pow_closed(local, (xb0, yb0), k)
+    _, ybk = t0_pow_closed(local, (xb0, yb0), k, lamk)
     return to_rescaled(rr, (xb0, ybk))
 
 

@@ -60,7 +60,8 @@ def _signed_pow(base, k: int):
     the higher coefficients from the series base0**k * sum C(k, j) r**j,
     r = (base - base0)/base0.  A jet whose value part is an array follows
     the float path lane by lane, so each lane gets the bits its one-lane
-    jet would; plain arrays keep numpy's power.
+    jet would; there k may be an array of ints, one per lane, and each
+    lane takes its own.  Plain arrays keep numpy's power.
     """
     if isinstance(base, Jet):
         b0 = base.c[0]
@@ -70,7 +71,8 @@ def _signed_pow(base, k: int):
             term = term * r * ((k - j + 1) / j)
             total = total + term
         if isinstance(b0, np.ndarray):
-            return np.array([_signed_pow(v, k) for v in b0.tolist()]) * total
+            lanes = zip(b0.tolist(), np.broadcast_to(k, b0.shape).tolist())
+            return np.array([_signed_pow(v, kv) for v, kv in lanes]) * total
         return _signed_pow(b0, k) * total
     if type(base) is float:
         try:
@@ -81,20 +83,27 @@ def _signed_pow(base, k: int):
         return base ** k
 
 
-def t0_pow_closed(local: LocalMapParams, p, k: int):
+def t0_pow_closed(local: LocalMapParams, p, k: int, lamk=None):
     """k-th power of the saddle map using the invariant u = x*y.
 
     x_k = lam**k * x * B(u)**k and y_k = x*y/x_k; one scaling factor is
     computed and applied to both coordinates.  Runs on floats, arrays and
-    jets; the guards test value parts.  Without Moser terms B is the number
-    1.0 (``Moser.bval``), so the factor is the float lam**k for every lane
-    of an array, bit for bit the value that floats and jets get.
+    jets; the guards test value parts.  Without Moser terms B is 1.0
+    (``Moser.bval``) and the factor is lamk, lam**k as the caller's
+    ``rescale.RescaleFrame`` holds it (by default lam**k): one float
+    for every lane of an array, or one number per lane when the lanes
+    have their own k.  With Moser terms each lane of a jet takes
+    (lam B)**k with its own k, an int or an array of ints (see
+    ``_signed_pow``).
     """
     x, y = p
-    b = local.stage().bval(x, y)
-    if _any(_value(b) <= _SADDLE_FLOOR):
-        raise EscapeError("saddle factor left its positive domain")
-    factor = _signed_pow(local.lam * b, k)
+    if not local.moser_coeffs:
+        factor = _signed_pow(local.lam, k) if lamk is None else lamk
+    else:
+        b = local.stage().bval(x, y)
+        if _any(_value(b) <= _SADDLE_FLOOR):
+            raise EscapeError("saddle factor left its positive domain")
+        factor = _signed_pow(local.lam * b, k)
     xk = x * factor
     yk = y / factor
     if _any(abs(_value(xk)) + abs(_value(yk)) > ESCAPE_RADIUS):
@@ -108,21 +117,26 @@ def t0_pow_jacobian(local: LocalMapParams, p, k: int):
     return jacobian_of(lambda z: t0_pow_closed(local, z, k), p)
 
 
-def solve_y0(local: LocalMapParams, k: int, x0, yk):
+def solve_y0(local: LocalMapParams, k: int, x0, yk, lamk=None):
     """Solve y0 from the cross pair (x0, y_k): y0 = lam**k y_k B(x0 y0)**k.
 
-    Without Moser terms B = 1 and y0 = lam**k y_k, for floats, arrays and
-    jets alike.  Otherwise one fixed-point loop serves floats and arrays:
+    lamk is lam**k as the caller's ``rescale.RescaleFrame`` holds it (by
+    default Python's power of float(lam)).  Without Moser terms B = 1 and
+    y0 = lamk y_k, for floats, arrays and jets alike; lamk may then be one
+    number per lane.  Otherwise one fixed-point loop serves floats and
+    arrays:
     it starts from the B = 1 value and stops when every lane has moved by
     at most 1e-15 relative; the contraction factor is O(k lam**k), so a
     handful of sweeps reaches full precision.  An iterate that runs away
     to +-inf or nan raises CrossFormSolveError.  On jets the value
     converges in that loop, on floats; a jet whose value part is an array
     runs it lane by lane, so each lane stops on its own and gets the bits
-    of its one-lane jet.  Then n Newton steps with the derivative frozen
-    at the value each gain one order of the degree-n jet.
+    of its one-lane jet; lanes with their own k and lamk (arrays over the
+    lanes) each run with theirs.  Then n Newton steps with the derivative
+    frozen at the value each gain one order of the degree-n jet.
     """
-    lamk = float(local.lam) ** k
+    if lamk is None:
+        lamk = float(local.lam) ** k
     if not local.moser_coeffs:
         return lamk * yk
     stage = local.stage()
@@ -133,8 +147,10 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk):
 
         v0, vk = _value(x0), _value(yk)
         if isinstance(v0, np.ndarray) or isinstance(vk, np.ndarray):
-            lanes = zip(*(v.tolist() for v in np.broadcast_arrays(v0, vk)))
-            y0 = np.array([solve_y0(local, k, a, b) for a, b in lanes])
+            lanes = zip(*(v.tolist()
+                          for v in np.broadcast_arrays(v0, vk, k, lamk)))
+            y0 = np.array([solve_y0(local, kv, a, b, lk)
+                           for a, b, kv, lk in lanes])
         else:
             y0 = solve_y0(local, k, v0, vk)
         slope = phi(v0, vk, Jet.variables(y0, 1)[0]).c[1]

@@ -1,5 +1,6 @@
 """Cascade, strip-atlas, and resonance-certificate orchestration."""
 
+import dataclasses
 import math
 import sys
 
@@ -9,7 +10,10 @@ import pytest
 from homatlas import atlas as atlas_mod
 from homatlas import orbits, returnmap
 from homatlas.atlas import (
-    _cascade_row,
+    _M_RANGE,
+    _N_PHI,
+    CascadeRow,
+    ResonanceFlag,
     boundary_slope,
     certify_global_resonance,
     pairwise_intersections,
@@ -17,8 +21,10 @@ from homatlas.atlas import (
     run_strip_atlas,
 )
 from homatlas.exceptions import (
+    BracketError,
     EscapeError,
     HomatlasError,
+    NewtonDivergedError,
     ResonanceWindowError,
     ResonantParameterError,
     TangencyError,
@@ -30,7 +36,8 @@ from homatlas.family import (
     build_family,
     tune_to,
 )
-from homatlas.orbits import locate_bifurcation
+from homatlas.henon import ELLIPTIC_EVENTS
+from homatlas.orbits import locate_bifurcation, two_orbit_trace
 from homatlas.rescale import build_frame
 
 
@@ -205,22 +212,15 @@ def test_certificate_incomplete_on_solver_failure():
 
 def test_sweeps_record_any_homatlas_error(monkeypatch):
     # every HomatlasError of a sweep unit or of a tuning is recorded,
-    # not just the solver errors that the units raise today
-    real = atlas_mod.locate_bifurcation
-
-    def resonant_minus(frame, kind):
-        if kind == "minus":
-            raise ResonantParameterError("blocked")
-        return real(frame, kind)
-
+    # not just the solver errors that the units raise today: a locator
+    # call with minus lanes raises for all its lanes
     real_lanes = atlas_mod.locate_bifurcation_lanes
 
-    def resonant_minus_lanes(frames, kind):
-        if kind == "minus":
+    def resonant_minus_lanes(frame, kinds):
+        if "minus" in kinds:
             raise ResonantParameterError("blocked")
-        return real_lanes(frames, kind)
+        return real_lanes(frame, kinds)
 
-    monkeypatch.setattr(atlas_mod, "locate_bifurcation", resonant_minus)
     monkeypatch.setattr(atlas_mod, "locate_bifurcation_lanes",
                         resonant_minus_lanes)
     (row,) = run_cascade(_exact_family(), (8,)).rows
@@ -274,7 +274,7 @@ def test_each_sweep_unit_checks_its_window_once(monkeypatch):
         locate_bifurcation(build_frame(family, 9), kind)
         assert calls == [9]
     calls.clear()
-    row = _cascade_row(family, 9)
+    (row,) = run_cascade(family, (9,)).rows
     assert row.error is None and len(row.phi_curve) == 25
     assert len(row.flags) == 3
     assert calls == [9]
@@ -285,9 +285,9 @@ def test_each_sweep_unit_checks_its_window_once(monkeypatch):
 
 
 def test_cascade_row_map_passes(monkeypatch):
-    # the phase curve's 25 grid points share every map pass of one
-    # lane-wise Newton: 33 rescaled-map passes per row where one solve
-    # per grid point made 177
+    # the seven rows' borders and flags share the map passes of two lane
+    # Newtons across k, and their 175 phase-curve points those of one
+    # more: 17 rescaled-map passes where one row at a time made 230
     base = build_family(
         LocalMapParams(0.5),
         HenonLikeRecipe(p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 1.0)),
@@ -301,9 +301,10 @@ def test_cascade_row_map_passes(monkeypatch):
         return real(rr, p)
 
     monkeypatch.setattr(orbits, "eval_rescaled", counted)
-    row = _cascade_row(family, 10)
-    assert row.error is None and len(row.phi_curve) == 25
-    assert len(calls) <= 33
+    rows = run_cascade(family, range(8, 15)).rows
+    assert all(row.error is None and len(row.phi_curve) == 25
+               for row in rows)
+    assert len(calls) <= 17
 
 
 def _fold_family(lam=0.5, beta=()):
@@ -428,3 +429,157 @@ def test_strip_atlas_map_passes(monkeypatch):
     atlas = run_strip_atlas(base, (8, 9), n_alpha=9)
     assert atlas.failures == ()
     assert len(calls) <= 20
+
+
+# the cross-k lane families: both recipes, without Moser terms or with
+# one, over six |lam| of both signs; each family runs the rows k = 8..14
+_CROSS_K_RECIPES = {
+    "fold": lambda local: tune_to(
+        build_family(local, HenonLikeRecipe(p=(0.0, 1.0, 0.3),
+                                            q=(0.0, 0.0, 1.0, 1.0))),
+        alpha_target=-0.1,
+    ),
+    "sandwich": lambda local: build_family(local, ShearSandwichRecipe()),
+}
+_CROSS_K_LAMS = tuple(sign * lam
+                      for lam in (0.45, 0.47, 0.49, 0.51, 0.53, 0.55)
+                      for sign in (1.0, -1.0))
+_CROSS_K_BETAS = [(), (0.5,), (1.0,)]
+# the rows of those families that fail, all with a NewtonDivergedError
+_CROSS_K_FAILED_ROWS = {("fold", (1.0,)): 5, ("sandwich", (0.5,)): 5,
+                        ("sandwich", (1.0,)): 15}
+
+
+def _hexed(value):
+    """value with every float replaced by its float.hex, recursively."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(_hexed(v) for v in value)
+    return value
+
+
+def _one_lane_row(family, k):
+    """The cascade row of k from one-lane solves on its own float frame
+    (``locate_bifurcation``, ``two_orbit_trace``), event after event, in
+    the sweep's error order and wording."""
+    try:
+        frame = build_frame(family, k)
+        mu_plus = locate_bifurcation(frame, "plus")
+        mu_minus = locate_bifurcation(frame, "minus")
+        m_grid = np.linspace(*_M_RANGE, _N_PHI)
+        traces = two_orbit_trace(frame, m_grid)
+        flags = []
+        for tag in ELLIPTIC_EVENTS:
+            try:
+                mu = locate_bifurcation(frame, tag)
+            except BracketError:
+                continue
+            flags.append(ResonanceFlag(tag, mu))
+    except HomatlasError as exc:
+        return CascadeRow(k, error=f"{type(exc).__name__}: {exc}")
+    phis = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
+    return CascadeRow(
+        k=k,
+        mu_plus=mu_plus,
+        mu_minus=mu_minus,
+        interval=tuple(sorted((mu_plus, mu_minus))),
+        phi_curve=tuple(zip(frame.mu_from_m(m_grid).tolist(),
+                            phis.tolist())),
+        flags=tuple(flags),
+        monotone=bool(np.all(np.diff(traces) < 0.0)),
+    )
+
+
+@pytest.mark.parametrize("beta", _CROSS_K_BETAS)
+@pytest.mark.parametrize("recipe", sorted(_CROSS_K_RECIPES))
+def test_cascade_lanes_match_one_lane_solves(recipe, beta):
+    """Every border, flag and phase point of run_cascade's lanes across
+    k, and every row error, is bit for bit that of the one-lane solves
+    on the row's own frame, over 84 rows per case."""
+    failed = 0
+    for lam in _CROSS_K_LAMS:
+        family = _CROSS_K_RECIPES[recipe](LocalMapParams(lam, beta))
+        rows = run_cascade(family, range(8, 15)).rows
+        for row in rows:
+            want = _one_lane_row(family, row.k)
+            assert (_hexed(dataclasses.astuple(row))
+                    == _hexed(dataclasses.astuple(want))), (lam, row.k)
+            failed += row.error is not None
+    # rows whose phase curve has a grid point without a 2-orbit fail
+    # (sandwich with beta 1.0 at lam 0.51, k = 8 and 9, say)
+    assert failed == _CROSS_K_FAILED_ROWS.get((recipe, beta), 0)
+
+
+@pytest.mark.parametrize("beta", _CROSS_K_BETAS)
+@pytest.mark.parametrize("recipe", [
+    "fold", ShearSandwichRecipe(p1=-0.3),  # s0 = -0.1: inside the window
+])
+def test_certificate_lanes_match_one_lane_solves(recipe, beta):
+    """Every interval of the certificate's border lanes across k is bit
+    for bit that of the one-lane solves on the k's own frame."""
+    for lam in _CROSS_K_LAMS:
+        local = LocalMapParams(lam, beta)
+        family = (_CROSS_K_RECIPES["fold"](local) if recipe == "fold"
+                  else build_family(local, recipe))
+        cert = certify_global_resonance(family, range(8, 15))
+        for k, lo, hi in cert.intervals:
+            frame = build_frame(family, k)
+            try:
+                want = sorted(locate_bifurcation(frame, kind)
+                              for kind in ("plus", "minus"))
+            except HomatlasError:
+                want = [None, None]
+            assert _hexed((lo, hi)) == _hexed(tuple(want)), (lam, k)
+
+
+def test_cascade_row_reports_its_first_error_in_order(monkeypatch):
+    """Each row reports the first failure in the order frame, plus,
+    minus, phase curve (lowest M first), flags, where a flag's
+    BracketError only drops that flag; a row takes no phase lanes once a
+    border failed, and no lanes at all once its frame failed."""
+    def diverged(site):
+        return NewtonDivergedError(f"at {site}")
+
+    inject = {
+        8: {"plus": diverged("plus"), "minus": diverged("minus")},
+        9: {"minus": diverged("minus"), 3: diverged("phase")},
+        10: {7: diverged("phase 7"), 5: diverged("phase 5"),
+             "twistless": diverged("twistless")},
+        11: {"resonance-1:4": BracketError("bracket"),
+             "twistless": diverged("twistless"),
+             "resonance-1:3": diverged("1:3")},
+        12: {"resonance-1:4": BracketError("bracket")},
+    }
+    grid = np.linspace(*_M_RANGE, _N_PHI).tolist()
+    lanes = {"locate": [], "trace": []}
+    real_locate = atlas_mod.locate_bifurcation_lanes
+    real_trace = atlas_mod.two_orbit_trace_lanes
+
+    def locate(frame, kinds):
+        lanes["locate"] += frame.k.tolist()
+        return [inject.get(k, {}).get(kind, mu) for k, kind, mu in
+                zip(frame.k.tolist(), kinds, real_locate(frame, kinds))]
+
+    def trace(frame, m):
+        lanes["trace"] += frame.k.tolist()
+        return [inject.get(k, {}).get(grid.index(v), t) for k, v, t in
+                zip(frame.k.tolist(), m, real_trace(frame, m))]
+
+    monkeypatch.setattr(atlas_mod, "locate_bifurcation_lanes", locate)
+    monkeypatch.setattr(atlas_mod, "two_orbit_trace_lanes", trace)
+    result = run_cascade(_exact_family(), (3, *range(8, 14)))
+    rows = {row.k: row for row in result.rows}
+    assert rows[3].error.startswith("StripWindowError")
+    assert [rows[k].error for k in range(8, 14)] == [
+        "NewtonDivergedError: at plus",
+        "NewtonDivergedError: at minus",
+        "NewtonDivergedError: at phase 5",
+        "NewtonDivergedError: at twistless",
+        None,
+        None,
+    ]
+    assert [f.tag for f in rows[12].flags] == ["twistless", "resonance-1:3"]
+    assert len(rows[13].flags) == 3
+    assert sorted(set(lanes["locate"])) == list(range(8, 14))
+    assert lanes["trace"] == [k for k in range(10, 14) for _ in grid]

@@ -330,6 +330,28 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys, sub, override):
     assert not os.path.exists(os.path.join(out, "result.json"))
 
 
+@pytest.mark.parametrize("beta", ["0.5", "-1,0"])
+def test_overflowing_frame_is_a_numerical_error(tmp_path, capsys, beta):
+    # y_minus = 1e300 with a Moser term overflows the first-order mu
+    # offset of every frame: each cascade row records the error, and
+    # rescale-verify exits 2 with a JSON error object, where both once
+    # escaped with a bare ValueError from math.fsum
+    sets = ["--set", "y_minus=1e300", "--set", f"beta={beta}",
+            "--set", "k_min=8", "--set", "k_max=9"]
+    out = str(tmp_path / "cascade")
+    assert main(["cascade", *sets, "--out", out]) == 0
+    rows = _envelope(out)["payload"]["rows"]
+    assert [r["k"] for r in rows] == [8, 9]
+    for r in rows:
+        assert r["error"].startswith("NonFiniteResultError: ")
+    out = str(tmp_path / "verify")
+    capsys.readouterr()
+    assert main(["rescale-verify", *sets, "--out", out]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NonFiniteResultError"
+    assert os.listdir(out) == ["error.json"]
+
+
 def test_non_finite_result_writes_no_files(tmp_path, capsys, monkeypatch):
     def nan_result(cfg):
         return {"value": float("nan")}, [["value"], ["nan"]], {}, []

@@ -1,0 +1,39 @@
+"""Every out-of-domain argument of a public function raises
+``DomainError``, which is both a ``HomatlasError`` and a ``ValueError``."""
+
+import pytest
+
+from homatlas import atlas, henon, mapcore, orbits, rescale
+from homatlas.exceptions import DomainError, HomatlasError
+from homatlas.family import HenonLikeRecipe, LocalMapParams, build_family
+
+
+def _frame(lam):
+    return rescale.build_frame(
+        build_family(LocalMapParams(lam), HenonLikeRecipe()), 8
+    )
+
+
+def _one_point_atlas():
+    band = atlas.StripBand(k=8, mu_plus=(0.1,), mu_minus=(0.2,))
+    return atlas.StripMap2D(alphas=(0.0,), k_values=(8,), bands=(band,),
+                            intersections=(), axis_crossings=(),
+                            failures=())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: LocalMapParams(1.5),
+    lambda: henon.two_periodic_orbit(0.0),
+    lambda: henon.birkhoff_b1(1.2),
+    lambda: henon.rotation_number_slope(1.5),
+    lambda: mapcore.iterate(henon.map_expr(0.5), (0.0, 0.0), -1),
+    lambda: orbits.locate_bifurcation(_frame(0.5), "flip"),
+    lambda: atlas.boundary_slope(_one_point_atlas(), 8, "plus"),
+    lambda: rescale.stack_frames([_frame(0.5), _frame(0.55)]),
+], ids=["lam", "two_periodic_orbit", "birkhoff_b1", "rotation_number_slope",
+        "iterate", "locate_bifurcation", "boundary_slope", "stack_frames"])
+def test_out_of_domain_argument_is_a_domain_error(call):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert isinstance(info.value, HomatlasError)
+    assert isinstance(info.value, ValueError)

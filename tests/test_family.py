@@ -6,6 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homatlas import family as family_mod
 from homatlas.exceptions import (
     OrientationError,
     TangencyError,
@@ -267,6 +268,29 @@ def test_tune_both_targets_together():
     assert abs(tuned.alpha + 0.1) < 1e-8
     assert abs(tuned.s0 + 0.25) < 1e-8
     assert abs(tuned.taylor.b * tuned.taylor.c - 1.0) < 1e-10
+
+
+def test_tune_returns_the_family_its_secant_accepted(monkeypatch):
+    # a strip atlas' 21 alpha tunings build 21 families, one per accepted
+    # secant seed, where rebuilding the tuned recipe made 42; each
+    # returned family is the one build_family gives for its recipe
+    fam = build_family(LOCAL, HenonLikeRecipe(p=(0.0, 1.0, 0.3),
+                                              q=(0.0, 0.0, 1.0, 1.0)))
+    calls = []
+    real = family_mod.build_family
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(family_mod, "build_family", counted)
+    tuned = [tune_to(fam, alpha_target=a)
+             for a in np.linspace(-0.05, 0.05, 21).tolist()]
+    assert len(calls) == 21
+    tuned.append(tune_to(fam, alpha_target=-0.1, s0_target=-0.25))
+    monkeypatch.undo()
+    for out in tuned:
+        assert repr(out) == repr(build_family(LOCAL, out.recipe, out.mu))
 
 
 def test_tune_rejects_positive_s0_for_fold_recipe():

@@ -11,9 +11,10 @@ lanes of one bordered Newton (``orbits.locate_bifurcation_lanes``), the
 minus borders and the resonance flags as lanes of another, and the
 phase curves of all its rows as lanes of one 2-orbit Newton
 (``orbits.two_orbit_trace_lanes``).  The certificate locates the
-borders of all its k likewise.  The strip atlas stacks, for each k, the
-frames of its alpha columns, and locates the plus border of every
-column as lanes of one bordered Newton, and the minus border likewise.
+borders of all its k likewise.  The strip atlas stacks the frames of
+all its (k, alpha column) cells once, and locates the plus border of
+every cell as lanes of one bordered Newton, and the minus border as
+lanes of another: 11 rescaled-map passes for 5 k over 21 columns.
 Every lane is bit for bit the one-lane solve on its own frame
 (``locate_bifurcation``, ``two_orbit_trace``).  Any ``HomatlasError`` of
 a unit, or of the atlas' tuning of a grid column, is recorded as a
@@ -259,50 +260,21 @@ def boundary_slope(atlas: StripMap2D, k: int, kind: str,
     return float(np.polyfit(arr[:, 0], arr[:, 1], 1)[0])
 
 
-def _strip_band(tuned, k: int):
-    """The StripBand of one k over the tuned families (None where the
-    tuning failed), and {column: note} for its failed cells.
-
-    Each family's frame is built on floats, in grid order, and the
-    frames are stacked once; then the plus border of every built frame
-    is located as lanes of one bordered Newton, and so is the minus
-    border.  A failed tuning or frame is a hole; each failed border is
-    None and named in the cell's note.
-    """
-    frames, failed = {}, {}
-    for i, fam in enumerate(tuned):
-        if fam is None:
-            failed[i] = ["family tuning failed"]
-            continue
-        try:
-            frames[i] = build_frame(fam, k)
-        except HomatlasError as exc:
-            name = type(exc).__name__
-            failed[i] = [f"plus: {name}; minus: {name}"]
-    mus = {"plus": [None] * len(tuned), "minus": [None] * len(tuned)}
-    stacked = stack_frames(list(frames.values())) if frames else None
-    for kind, column in mus.items():
-        outcomes = _lane_outcomes(locate_bifurcation_lanes, stacked,
-                                  list(range(len(frames))),
-                                  [kind] * len(frames))
-        for i, mu in zip(frames, outcomes):
-            if isinstance(mu, HomatlasError):
-                failed.setdefault(i, []).append(f"{kind}: {type(mu).__name__}")
-            else:
-                column[i] = mu
-    band = StripBand(k=k, mu_plus=tuple(mus["plus"]),
-                     mu_minus=tuple(mus["minus"]))
-    return band, {i: "; ".join(notes) for i, notes in sorted(failed.items())}
-
-
 def run_strip_atlas(family_template: FamilyHandle, k_range,
                     eps: float = 0.05, n_alpha: int = 41) -> StripMap2D:
     """Trace the border curves over an alpha-grid of tuned families.
 
     The grid is n_alpha points over [-eps, eps].  Each grid column retunes
-    the family to the target alpha; each k locates both borders of its
-    cells (``_strip_band``).  A failed tuning or cell is flagged and
-    leaves holes in the polylines rather than aborting the sweep.
+    the family to the target alpha.  The frame of every (k, column) cell
+    is built on floats, k after k and column after column, and the frames
+    are stacked once; then the plus border of every cell is located as
+    lanes of one bordered Newton, and the minus border as lanes of
+    another.  A failed tuning or frame is a hole, and each failed border
+    is None and named in its cell's note; the failures list the tuning
+    holes first, then the notes of each k by column.  An error that the
+    locator raises for a whole call gives that border's note to the cells
+    of every k, not only of one k, and leaves the other border as it was
+    found.
     """
     alphas = tuple(float(a) for a in np.linspace(-eps, eps, int(n_alpha)))
     k_values = tuple(int(k) for k in k_range)
@@ -315,13 +287,38 @@ def run_strip_atlas(family_template: FamilyHandle, k_range,
             tuned.append(None)
             failures.append((None, a, "tune", _named(exc)))
 
-    bands = []
-    for k in k_values:
-        band, notes = _strip_band(tuned, k)
-        bands.append(band)
-        failures.extend((k, alphas[i], "locate", note)
-                        for i, note in notes.items())
-    bands = tuple(bands)
+    # cells are (position in k_values, column); notes keep cell order
+    cells, frames, notes = [], [], {}
+    for j, k in enumerate(k_values):
+        for i, fam in enumerate(tuned):
+            if fam is None:
+                notes[j, i] = ["family tuning failed"]
+                continue
+            try:
+                frames.append(build_frame(fam, k))
+            except HomatlasError as exc:
+                name = type(exc).__name__
+                notes[j, i] = [f"plus: {name}; minus: {name}"]
+                continue
+            cells.append((j, i))
+    stacked = stack_frames(frames) if frames else None
+    mus = {kind: [[None] * len(alphas) for _ in k_values]
+           for kind in ("plus", "minus")}
+    for kind, grid in mus.items():
+        outcomes = _lane_outcomes(locate_bifurcation_lanes, stacked,
+                                  list(range(len(cells))),
+                                  [kind] * len(cells))
+        for (j, i), mu in zip(cells, outcomes):
+            if isinstance(mu, HomatlasError):
+                notes.setdefault((j, i), []).append(
+                    f"{kind}: {type(mu).__name__}")
+            else:
+                grid[j][i] = mu
+    bands = tuple(StripBand(k=k, mu_plus=tuple(mus["plus"][j]),
+                            mu_minus=tuple(mus["minus"][j]))
+                  for j, k in enumerate(k_values))
+    failures.extend((k_values[j], alphas[i], "locate", "; ".join(note))
+                    for (j, i), note in sorted(notes.items()))
     crossings = []
     for band in bands:
         hit = False

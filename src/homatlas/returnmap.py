@@ -130,10 +130,11 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk, lamk=None):
     handful of sweeps reaches full precision.  An iterate that runs away
     to +-inf or nan raises CrossFormSolveError.  On jets the value
     converges in that loop, on floats; a jet whose value part is an array
-    runs it lane by lane, so each lane stops on its own and gets the bits
-    of its one-lane jet; lanes with their own k and lamk (arrays over the
-    lanes) each run with theirs.  Then n Newton steps with the derivative
-    frozen at the value each gain one order of the degree-n jet.
+    runs it on all lanes at once (``_y0_lanes``), each lane with its own
+    power and its own stop, so each lane gets the bits of its one-lane
+    jet; lanes with their own k and lamk (arrays over the lanes) each run
+    with theirs.  Then n Newton steps with the derivative frozen at the
+    value each gain one order of the degree-n jet.
     """
     if lamk is None:
         lamk = float(local.lam) ** k
@@ -147,10 +148,7 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk, lamk=None):
 
         v0, vk = _value(x0), _value(yk)
         if isinstance(v0, np.ndarray) or isinstance(vk, np.ndarray):
-            lanes = zip(*(v.tolist()
-                          for v in np.broadcast_arrays(v0, vk, k, lamk)))
-            y0 = np.array([solve_y0(local, kv, a, b, lk)
-                           for a, b, kv, lk in lanes])
+            y0 = _y0_lanes(stage, k, lamk, v0, vk)
         else:
             y0 = solve_y0(local, k, v0, vk)
         slope = phi(v0, vk, Jet.variables(y0, 1)[0]).c[1]
@@ -172,6 +170,35 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk, lamk=None):
                 raise CrossFormSolveError("cross-form solve ran away")
             return y_new
         y0 = y_new
+    raise CrossFormSolveError("cross-form solve failed to converge")
+
+
+def _y0_lanes(stage, k, lamk, x0, yk):
+    """``solve_y0``'s fixed-point loop on floats, run on the lanes of the
+    arrays x0 and yk at once (k and lamk: one per lane, or shared).  Each
+    pass evaluates B on the lanes still moving, takes Python's power of
+    each lane's B to its own k (``_signed_pow``), and lets every lane that
+    met the stop rule leave; so each lane takes the steps, and gets the
+    bits, of its one-lane loop.  Raises when any lane fails."""
+    x0, yk, k, lamk = np.broadcast_arrays(x0, yk, k, lamk)
+    ks = k.tolist()
+    scale = lamk * yk
+    y0 = scale.copy()
+    live = np.arange(y0.size)
+    for _ in range(60):
+        b = stage.bval(x0[live], y0[live])
+        if _any(b <= _SADDLE_FLOOR):
+            raise CrossFormSolveError("saddle factor left its positive domain")
+        powers = [_signed_pow(v, ks[i]) for i, v in zip(live.tolist(),
+                                                        b.tolist())]
+        y_new = scale[live] * np.array(powers)
+        done = abs(y_new - y0[live]) <= 1e-15 * np.maximum(1.0, abs(y_new))
+        if not _all(abs(y_new[done]) < math.inf):
+            raise CrossFormSolveError("cross-form solve ran away")
+        y0[live] = y_new
+        live = live[~done]
+        if not live.size:
+            return y0
     raise CrossFormSolveError("cross-form solve failed to converge")
 
 

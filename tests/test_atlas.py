@@ -284,6 +284,20 @@ def test_each_sweep_unit_checks_its_window_once(monkeypatch):
     assert calls == [8, 8, 9, 9]
 
 
+def _count_map_passes(monkeypatch):
+    """Patch a counter onto orbits.eval_rescaled; returns the list that
+    gets one entry per rescaled-map pass."""
+    calls = []
+    real = orbits.eval_rescaled
+
+    def counted(rr, p):
+        calls.append(None)
+        return real(rr, p)
+
+    monkeypatch.setattr(orbits, "eval_rescaled", counted)
+    return calls
+
+
 def test_cascade_row_map_passes(monkeypatch):
     # the seven rows' borders and flags share the map passes of two lane
     # Newtons across k, and their 175 phase-curve points those of one
@@ -293,14 +307,7 @@ def test_cascade_row_map_passes(monkeypatch):
         HenonLikeRecipe(p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 1.0)),
     )
     family = tune_to(base, alpha_target=-0.1)
-    calls = []
-    real = orbits.eval_rescaled
-
-    def counted(rr, p):
-        calls.append(None)
-        return real(rr, p)
-
-    monkeypatch.setattr(orbits, "eval_rescaled", counted)
+    calls = _count_map_passes(monkeypatch)
     rows = run_cascade(family, range(8, 15)).rows
     assert all(row.error is None and len(row.phi_curve) == 25
                for row in rows)
@@ -411,24 +418,60 @@ def test_strip_atlas_lane_that_escapes_fails_alone(monkeypatch):
             assert got == want
 
 
-def test_strip_atlas_map_passes(monkeypatch):
-    # each k locates each border as lanes of one Newton over the alpha
-    # column: 20 rescaled-map passes where one solve per cell made 164
-    base = build_family(
+def _fold_q_family():
+    return build_family(
         LocalMapParams(0.5),
         HenonLikeRecipe(p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 1.0)),
     )
-    calls = []
-    real = orbits.eval_rescaled
 
-    def counted(rr, p):
-        calls.append(None)
-        return real(rr, p)
 
-    monkeypatch.setattr(orbits, "eval_rescaled", counted)
-    atlas = run_strip_atlas(base, (8, 9), n_alpha=9)
+def test_strip_atlas_map_passes(monkeypatch):
+    # every (k, column) cell locates each border as a lane of one Newton:
+    # 11 rescaled-map passes, where one k at a time made 20 and one solve
+    # per cell 164
+    calls = _count_map_passes(monkeypatch)
+    atlas = run_strip_atlas(_fold_q_family(), (8, 9), n_alpha=9)
     assert atlas.failures == ()
-    assert len(calls) <= 20
+    assert len(calls) <= 11
+
+
+def test_benchmark_like_strip_atlas_map_passes(monkeypatch):
+    # five k over 21 columns take the passes of two Newtons too: 11, where
+    # one k at a time made 47
+    calls = _count_map_passes(monkeypatch)
+    atlas = run_strip_atlas(_fold_q_family(), range(8, 13), n_alpha=21)
+    assert atlas.failures == ()
+    assert len(calls) <= 11
+
+
+def test_strip_atlas_whole_call_error_reaches_every_k(monkeypatch):
+    # the cells of all k share one locator call per border: an error that
+    # the minus call raises notes every cell of every k, and spares the
+    # plus borders
+    real_lanes = atlas_mod.locate_bifurcation_lanes
+    kinds_seen = []
+
+    def resonant_minus_lanes(frame, kinds):
+        kinds_seen.append(set(kinds))
+        if "minus" in kinds:
+            raise ResonantParameterError("blocked")
+        return real_lanes(frame, kinds)
+
+    monkeypatch.setattr(atlas_mod, "locate_bifurcation_lanes",
+                        resonant_minus_lanes)
+    atlas = run_strip_atlas(_exact_family(), (8, 9), n_alpha=3)
+    assert kinds_seen == [{"plus"}, {"minus"}]
+    assert atlas.failures == tuple(
+        (k, a, "locate", "minus: ResonantParameterError")
+        for k in (8, 9) for a in atlas.alphas
+    )
+    monkeypatch.undo()
+    clean = run_strip_atlas(_exact_family(), (8, 9), n_alpha=3)
+    for band, ref in zip(atlas.bands, clean.bands):
+        assert band.mu_minus == (None, None, None)
+        assert [_hex(mu) for mu in band.mu_plus] == [
+            _hex(mu) for mu in ref.mu_plus]
+        assert None not in band.mu_plus
 
 
 # the cross-k lane families: both recipes, without Moser terms or with

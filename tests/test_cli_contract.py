@@ -1,6 +1,7 @@
-"""The CLI contract over hostile config values: every run of
-``homatlas.cli.main`` either succeeds with strict JSON or fails with a
-JSON error object and exit code 1 or 2; no exception escapes."""
+"""The CLI contract over hostile config values, one key at a time and two
+or three keys together: every run of ``homatlas.cli.main`` either
+succeeds with strict JSON or fails with a JSON error object and exit code
+1 or 2; no exception escapes."""
 
 import contextlib
 import io
@@ -8,7 +9,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homatlas import cli
@@ -30,18 +31,15 @@ def _no_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    case=st.sampled_from(SUBCOMMANDS).flatmap(
-        lambda sub: st.tuples(st.just(sub), st.sampled_from(_keys(sub)))
-    ),
-    value=st.sampled_from(VALUES),
-)
-def test_hostile_value_is_a_result_or_a_json_error(case, value):
-    subcommand, (section, key) = case
-    argv = [subcommand, "--set", f"{section}.{key}={value}"]
+def _assert_result_or_json_error(subcommand, sets):
+    """Run subcommand with the --set pairs (section, key, value), capped
+    by CAPS where a key is not set, and check the contract."""
+    argv = [subcommand]
+    for section, key, value in sets:
+        argv += ["--set", f"{section}.{key}={value}"]
+    keys = {key for _, key, _ in sets}
     for cap, cap_value in CAPS.items():
-        if cap != key and cap in _EXPERIMENT_SCHEMAS[subcommand]:
+        if cap not in keys and cap in _EXPERIMENT_SCHEMAS[subcommand]:
             argv += ["--set", f"experiment.{cap}={cap_value}"]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out_dir:
@@ -54,3 +52,36 @@ def test_hostile_value_is_a_result_or_a_json_error(case, value):
     assert rc in (1, 2), argv
     last = err.getvalue().strip().splitlines()[-1]
     assert json.loads(last)["error"]["type"], argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(SUBCOMMANDS).flatmap(
+        lambda sub: st.tuples(st.just(sub), st.sampled_from(_keys(sub)))
+    ),
+    value=st.sampled_from(VALUES),
+)
+def test_hostile_value_is_a_result_or_a_json_error(case, value):
+    subcommand, (section, key) = case
+    _assert_result_or_json_error(subcommand, [(section, key, value)])
+
+
+def _combined_sets(sub):
+    """Two or three distinct keys of sub, each with a drawn value."""
+    return st.lists(
+        st.sampled_from(_keys(sub)), min_size=2, max_size=3, unique=True
+    ).flatmap(lambda keys: st.lists(
+        st.sampled_from(VALUES), min_size=len(keys), max_size=len(keys)
+    ).map(lambda values: [(*key, v) for key, v in zip(keys, values)]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.sampled_from(SUBCOMMANDS).flatmap(
+    lambda sub: st.tuples(st.just(sub), _combined_sets(sub))
+))
+# a frame whose numbers overflow under a Moser term
+@example(case=("cascade", [("family", "y_minus", "1e300"),
+                           ("family", "beta", "0.5")]))
+def test_combined_hostile_values_are_a_result_or_a_json_error(case):
+    subcommand, sets = case
+    _assert_result_or_json_error(subcommand, sets)

@@ -8,7 +8,7 @@ SRC_DIR is the directory holding the ``homatlas`` package to test, e.g.
 ``src`` of this checkout or of a second checkout of another commit.  The
 script runs every invocation of the ``cascade`` (8 passes), ``atlas`` (4)
 and ``geometry`` (128) plans that ``perfbench/run.py --seconds 30`` draws
-for seeds 301 and 302, 2616 invocations in all, and then the ten fixed
+for seeds 301 and 302, 2616 invocations in all, and then the eleven fixed
 ``EXTRA`` cascade and atlas2d inputs that those plans do not reach, through
 ``homatlas.cli.main`` in this process.  It prints one line per
 invocation, with seed ``-`` and workload ``extra`` for the fixed ones::
@@ -39,8 +39,9 @@ SECONDS = 30.0
 
 # sweep inputs outside the benchmark plans: Moser terms, the sandwich
 # recipe, negative lam, and a k range whose rows or cells fail the strip
-# window; for the atlas also borders outside their brackets (eps=3.0) and
-# a recipe whose every tuning fails
+# window; for the atlas also borders outside their brackets (eps=3.0), a
+# recipe whose every tuning fails, and holes that differ from k to k
+# (lam=-0.55 eps=2.0: a tuning hole, and failed cells at every k)
 EXTRA = tuple(
     (subcommand, *[arg for kv in sets.split() for arg in ("--set", kv)])
     for subcommand, sets in (
@@ -54,6 +55,7 @@ EXTRA = tuple(
         ("atlas2d", "p=0,1,0.3 k_min=3 k_max=9 n_alpha=5"),
         ("atlas2d", "p=0,1,0.3 eps=3.0 n_alpha=9"),
         ("atlas2d", "recipe=sandwich n_alpha=5"),
+        ("atlas2d", "p=0,1,0.3 lam=-0.55 eps=2.0 k_min=6 k_max=14 n_alpha=9"),
     )
 )
 

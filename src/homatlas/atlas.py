@@ -11,12 +11,13 @@ lanes of one bordered Newton (``orbits.locate_bifurcation_lanes``), the
 minus borders and the resonance flags as lanes of another, and the
 phase curves of all its rows as lanes of one 2-orbit Newton
 (``orbits.two_orbit_trace_lanes``).  The certificate locates the
-borders of all its k likewise.  The strip atlas stacks the frames of
-all its (k, alpha column) cells once, and locates the plus border of
-every cell as lanes of one bordered Newton, and the minus border as
-lanes of another: 11 rescaled-map passes for 5 k over 21 columns.
-Every lane is bit for bit the one-lane solve on its own frame
-(``locate_bifurcation``, ``two_orbit_trace``).  Any ``HomatlasError`` of
+borders of all its k likewise, and their 2-orbits at mu = 0 as lanes of
+one more (``orbits.find_two_periodic_lanes``): 15 rescaled-map passes
+for k = 8..14, where one 2-orbit solve per k made 58.  The strip atlas
+locates the plus border of all its (k, alpha column) cells as lanes of
+one bordered Newton, and the minus border as lanes of another: 11
+rescaled-map passes for 5 k over 21 columns.  Every lane is bit for bit
+the one-lane solve on its own frame.  Any ``HomatlasError`` of
 a unit, or of the atlas' tuning of a grid column, is recorded as a
 flagged partial result instead of aborting the whole sweep.
 """
@@ -32,7 +33,7 @@ from .exceptions import (BracketError, DomainError, HomatlasError,
                          ResonanceWindowError)
 from .family import FamilyHandle, tune_to
 from .henon import ELLIPTIC_EVENTS, TRACE_EVENTS
-from .orbits import (find_two_periodic, locate_bifurcation_lanes,
+from .orbits import (find_two_periodic_lanes, locate_bifurcation_lanes,
                      two_orbit_trace_lanes)
 from .rescale import RescaleFrame, build_frame, m_from_mu, stack_frames
 
@@ -129,14 +130,14 @@ def _named(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _lane_outcomes(solve, stacked, index, args) -> list:
-    """solve(the lanes of stacked at index, args): one outcome per lane.
+def _lane_outcomes(solve, stacked, index, *args) -> list:
+    """solve(the lanes of stacked at index, *args): one outcome per lane.
     A call that raises a HomatlasError gives every lane that error; no
     lanes make no call."""
     if not index:
         return []
     try:
-        return solve(stacked.take(index), args)
+        return solve(stacked.take(index), *args)
     except HomatlasError as exc:
         return [exc] * len(index)
 
@@ -353,8 +354,10 @@ def certify_global_resonance(family: FamilyHandle,
     Requires s0 in (-1, 0).  Proximity of s0 to an exceptional value is
     flagged and downgrades the verdict from "certified" to "withheld";
     a missing or non-elliptic orbit at any k gives "incomplete".  The
-    plus and minus borders of all k whose frame was built are located as
-    lanes across k (``orbits.locate_bifurcation_lanes``).
+    borders and the 2-orbits at mu = 0 (from the limit 2-orbit
+    (-sqrt(-s0), sqrt(-s0))) of all k run as lanes across k; a k whose
+    frame fails takes no lanes, and an error raised for a whole call
+    reaches every k.
     """
     s0 = family.s0
     if not (-1.0 < s0 < 0.0):
@@ -365,19 +368,25 @@ def certify_global_resonance(family: FamilyHandle,
         tag for value, tag in _EXCEPTIONAL_S0 if abs(s0 - value) <= _FLAG_TOL
     )
     ks = tuple(int(k) for k in k_range)
-    records, frames = [], {}
+    frames, errors = [], {}
     for k in ks:
         try:
-            frames[k] = build_frame(family, k)
+            frames.append(build_frame(family, k))
         except HomatlasError as exc:
-            records.append(_failed_record(k, exc))
-            continue
-        records.append(_cert_record(frames[k]))
-    stacked = stack_frames(list(frames.values())) if frames else None
+            errors[k] = exc
+    stacked = stack_frames(frames) if frames else None
     n = len(frames)
     found = _lane_outcomes(locate_bifurcation_lanes, stacked,
                            list(range(n)) * 2, ["plus"] * n + ["minus"] * n)
-    borders = {k: found[j::n] for j, k in enumerate(frames)}
+    root = math.sqrt(-s0)
+    two_orbits = _lane_outcomes(
+        find_two_periodic_lanes, stacked, list(range(n)),
+        [m_from_mu(family, f.k, 0.0) for f in frames], [(-root, root)] * n)
+    solved = iter(_cert_record(frame.k, s0, orbit)
+                  for frame, orbit in zip(frames, two_orbits))
+    records = tuple(_failed_record(k, errors[k]) if k in errors
+                    else next(solved) for k in ks)
+    borders = {k: found[j::n] for j, k in enumerate(f.k for f in frames)}
     intervals = []
     for k in ks:
         pair = borders.get(k, ())
@@ -395,7 +404,7 @@ def certify_global_resonance(family: FamilyHandle,
     return ResonanceCertificate(
         s0=s0,
         k_range=ks,
-        records=tuple(records),
+        records=records,
         intervals=tuple(intervals),
         nesting=nesting,
         flags=flags,
@@ -407,19 +416,14 @@ def _failed_record(k: int, exc: Exception) -> CertRecord:
     return CertRecord(k, failure=_named(exc))
 
 
-def _cert_record(frame: RescaleFrame) -> CertRecord:
-    """The frame's elliptic 2-orbit at mu = 0, solved from the limit
-    2-orbit (-sqrt(-s0), sqrt(-s0)), against the limit cos(phi) = 1 + 2 s0."""
-    k, s0 = frame.k, frame.family.s0
-    root = math.sqrt(-s0)
-    try:
-        m0 = m_from_mu(frame.family, k, 0.0)
-        rec = find_two_periodic(frame, m0, (-root, root))
-    except HomatlasError as exc:
-        return _failed_record(k, exc)
-    phase = rec.stability.phase
+def _cert_record(k: int, s0: float, orbit) -> CertRecord:
+    """The record of k from its 2-orbit at mu = 0 (an ``OrbitRecord``, or
+    the error of its solve), against the limit cos(phi) = 1 + 2 s0."""
+    if isinstance(orbit, HomatlasError):
+        return _failed_record(k, orbit)
+    phase = orbit.stability.phase
     if phase is None:
-        tag = rec.stability.tag
+        tag = orbit.stability.tag
         return CertRecord(k, failure=f"orbit not elliptic: {tag}")
     cos_phi = math.cos(phase)
     return CertRecord(

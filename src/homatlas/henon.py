@@ -10,7 +10,8 @@ coefficient of that orbit, a covering-relation horseshoe certificate for
 large M, and the table of bifurcation values on the M axis, each re-derived
 numerically instead of hard-coded: derivatives come from Taylor jets
 through ``step``, and the borders and resonances from the same bordered
-locator (``mapcore._locate_trace``) that serves the rescaled return map.
+locator (``mapcore._locate_trace_lanes``) that serves the rescaled return
+map, one lane per event.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from .exceptions import (DomainError, ExtractionError,
                          ResonantParameterError)
-from .mapcore import (HShear, Jet, MapExpr, Swap, _locate_trace, _secant,
-                      jacobian_of)
+from .mapcore import (HShear, Jet, MapExpr, Swap, _locate_trace_lanes,
+                      _raised, _secant, jacobian_of)
 
 __all__ = [
     "TRACE_EVENTS",
@@ -279,23 +280,20 @@ def bifurcation_values():
     """The distinguished M values, each recovered by root finding.
 
     Each ``TRACE_EVENTS`` row but twistless comes from the bordered
-    locator ``mapcore._locate_trace`` run on ``step``.  The twistless
-    value is the root of the Birkhoff coefficient, by secant, so that it
-    checks the table's trace -1/2 by an independent route.  The table is
-    computed once per process; each call returns a fresh dict of it.
+    locator ``mapcore._locate_trace_lanes`` run on ``step``, one lane per
+    row, in one call.  The twistless value is the root of the Birkhoff
+    coefficient, by secant, so that it checks the table's trace -1/2 by
+    an independent route.  The table is computed once per process; each
+    call returns a fresh dict of it.
     """
     return dict(_bifurcation_table())
 
 
 @functools.cache
 def _bifurcation_table():
-    def map_at(m):
-        return functools.partial(step, m)
-
-    table = {
-        name: _locate_trace(map_at, rounds, trace, m_bracket)
-        for name, (rounds, trace, m_bracket) in TRACE_EVENTS.items()
-        if name != "twistless"
-    }
+    names = [name for name in TRACE_EVENTS if name != "twistless"]
+    found = _locate_trace_lanes(lambda m, lanes: functools.partial(step, m),
+                                [TRACE_EVENTS[name] for name in names])
+    table = dict(zip(names, _raised(found)))
     table["twistless"] = _secant(birkhoff_b1, 0.55, 0.70, 0.0, 1e-13)
     return table

@@ -19,12 +19,13 @@ directly, since a numpy reduction of a single bool costs far more than the
 comparison.
 
 The damped Newton, a secant and the bordered locator live here too,
-below every map that runs on jets: ``_locate_trace`` finds the parameter
-M at which the r-orbit of a map family M -> F_M has a given trace of
-D(F^r), for the rescaled return map and for the limit map x' = y,
-y' = M + x - y**2 alike, on one map; ``_locate_trace_lanes`` does so on
-lanes of maps, each lane with its own trace and bracket, with one
-outcome per lane.
+below every map that runs on jets.  Every solve is a lane solve: one
+Newton driver (``_lane_newton``) runs each lane to its own outcome, and a
+batch of one lane runs on Python floats, as fast as a solve written for
+floats.  The one locator ``_locate_trace_lanes`` finds, per lane, the M
+at which the r-orbit of a map family M -> F_M has a given trace of
+D(F^r), for the rescaled return map and the limit map x' = y,
+y' = M + x - y**2 alike.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .exceptions import (
     CrossFormSolveError,
     DomainError,
     EscapeError,
+    HomatlasError,
     NewtonDivergedError,
     TargetUnreachableError,
 )
@@ -422,38 +424,9 @@ def _lane_norms(f):
     return np.abs(f).max(axis=1).tolist()
 
 
-def _newton(fun_jac, z0, tol=1e-11, window=None):
-    """Damped Newton on fun_jac, lane by lane; returns the converged
-    point(s) and fun_jac's outputs (f, jac, ...) there, or raises.
-
-    z0 of shape (n,) is one lane, and fun_jac(z) takes and returns it
-    alone.  z0 of shape (L, n) is L lanes: fun_jac(z, lanes) gets the rows
-    of the listed lanes and returns its outputs with a leading lane axis.
-    Each lane runs ``_damped_newton`` to its own outcome (``_lane_newton``);
-    when lanes fail, the error of the lowest one is raised, as a loop over
-    the lanes in order would raise it.
-    """
-    z = np.array(z0, dtype=float)
-    if z.ndim == 1:
-        def one_lane(rows, lanes):
-            return [v[np.newaxis] for v in fun_jac(rows[0])]
-
-        solved = _lane_newton(one_lane, z[np.newaxis], tol, window)
-    else:
-        solved = _lane_newton(fun_jac, z, tol, window)
-    for outcome in solved:
-        if isinstance(outcome, NewtonDivergedError):
-            raise outcome
-    if z.ndim == 1:
-        ((point, out),) = solved
-        return point, tuple(out)
-    return (np.array([point for point, _ in solved]),
-            tuple(np.array(v) for v in zip(*(out for _, out in solved))))
-
-
 def _damped_newton(z, tol, window):
-    """One lane of ``_newton``: a plain damped Newton from the point z (a
-    list of floats) that yields each evaluation and step to ``_lane_newton``.
+    """One lane of ``_lane_newton``: a plain damped Newton from the point z
+    (a list of floats) that yields each evaluation and step to the driver.
 
     ``yield ("eval", point)`` gets the evaluation error, or (rows, norm):
     fun_jac's outputs at point as rows = (out, k), row k of the batch
@@ -496,15 +469,20 @@ def _converged(z, rows):
     return np.array(z), [v[k] for v in out]
 
 
-def _lane_newton(fun_jac, z, tol, window):
-    """Each lane of ``_newton`` run by ``_damped_newton`` to its outcome.
+def _lane_newton(fun_jac, z, tol, windows=None):
+    """``_damped_newton`` from each row of z (shape (L, n)), with one trial
+    window per lane (None: none), to one outcome per lane: the point with
+    fun_jac's outputs (f, jac, ...) there, or its NewtonDivergedError.
 
-    Each round serves all pending steps with one LAPACK det and solve,
-    then all pending evaluations with one ``_eval_lanes`` batch, whose
-    lane-by-lane rerun gives an error to the lane that raised it alone;
-    so each lane takes the steps it would take alone.
+    fun_jac(z, lanes) gets the rows of the listed lanes and returns its
+    outputs with a leading lane axis.  Each round serves all pending
+    steps with one LAPACK det and solve, then all pending evaluations
+    with one ``_eval_lanes`` batch, whose lane-by-lane rerun gives an
+    error to the lane that raised it alone; so each lane takes the steps
+    it would take alone.
     """
-    runs = [_damped_newton(point, tol, window) for point in z.tolist()]
+    runs = [_damped_newton(point, tol, window) for point, window
+            in zip(z.tolist(), windows or itertools.repeat(None))]
     outcomes = [None] * len(runs)
     replies = [(lane, None) for lane in range(len(runs))]
     steps, lanes, points = [], [], []
@@ -575,13 +553,14 @@ def _secant(fun, x0: float, x1: float, target: float, tol: float):
 
 def _jet_rows(jets, n: int):
     """(f, jac): the value parts of the jets and their n first-order
-    coefficients.  Jets on Python floats give shapes (len(jets),) and
-    (len(jets), n), each from one np.array.  Jets whose coefficients are
-    arrays over L lanes give (L, len(jets)) and (L, len(jets), n), filled
-    column by column, so a coefficient that stayed a float broadcasts."""
+    coefficients, with a leading lane axis: (L, len(jets)) and
+    (L, len(jets), n).  Jets on Python floats are one lane, each output
+    from one np.array.  Jets whose coefficients are arrays over L lanes
+    are filled column by column, so a coefficient that stayed a float
+    broadcasts."""
     if not isinstance(jets[0].c[0], np.ndarray):
-        return (np.array([jet.c[0] for jet in jets]),
-                np.array([jet.c[1:n + 1] for jet in jets]))
+        return (np.array([[jet.c[0] for jet in jets]]),
+                np.array([[jet.c[1:n + 1] for jet in jets]]))
     f = np.empty((len(jets[0].c[0]), len(jets)))
     jac = np.empty(f.shape + (n,))
     for i, jet in enumerate(jets):
@@ -595,11 +574,11 @@ def _border_residual(map_at, rounds: int, trace, z):
     """F^r(x, y) - (x, y) and tr D(F^r) - trace at z = (x, y, M) for r =
     rounds and F = map_at(M), and its exact 3x3 Jacobian, from one pass
     on degree-2 jets in (x, y, M).  map_at(M) returns a planar map
-    p -> p that runs on jets.  z of shape (3,) is one point on Python
-    floats; z of shape (L, 3) is L lanes, whose jets carry array
-    coefficients, and the outputs get a leading lane axis."""
-    if z.ndim == 1:
-        x, y, m = Jet.variables(float(z[0]), float(z[1]), float(z[2]), 2)
+    p -> p that runs on jets.  z of shape (L, 3) is L lanes, whose jets
+    carry array coefficients; one lane runs on Python floats.  The
+    outputs have a leading lane axis."""
+    if len(z) == 1:
+        x, y, m = Jet.variables(*z[0].tolist(), 2)
     else:
         x, y, m = Jet.variables(z[:, 0], z[:, 1], z[:, 2], 2)
     fun = map_at(m)
@@ -630,48 +609,48 @@ def _bracketed(m_star: float, m_bracket):
     )
 
 
-def _locate_trace(map_at, rounds: int, trace, m_bracket):
-    """M where the r-orbit (r = rounds) of map_at(M) has tr D(F^r) = trace.
-
-    Bordered Newton on _border_residual from _limit_seed; map_at(M) is
-    one map on Python floats.  Returns M, or raises NewtonDivergedError
-    when the Newton fails and BracketError when M lies outside m_bracket.
-    """
-    seed = np.array(_limit_seed(rounds, trace))
-    z, _ = _newton(
-        functools.partial(_border_residual, map_at, rounds, trace),
-        seed,
-        tol=1e-10,
-    )
-    m_star = _bracketed(float(z[2]), m_bracket)
-    if isinstance(m_star, BracketError):
-        raise m_star
-    return m_star
+def _lane_values(values, lanes):
+    """values (an array over the lanes) at the listed lanes; a Python
+    float for one lane, so that a batch of one lane runs on floats."""
+    return values[lanes[0]].item() if len(lanes) == 1 else values[lanes]
 
 
-def _locate_trace_lanes(map_at, rounds: int, traces, m_brackets):
-    """``_locate_trace`` on lanes, lane i with its own trace traces[i]
-    and bracket m_brackets[i], all with the same round count.
+def _raised(outcomes):
+    """Lane outcomes, or the error of the lowest failing lane raised, as a
+    loop over the lanes would raise it."""
+    for outcome in outcomes:
+        if isinstance(outcome, HomatlasError):
+            raise outcome
+    return outcomes
+
+
+def _locate_trace_lanes(map_at, events):
+    """M where the r-orbit of map_at(M) has tr D(F^r) = trace, on lanes:
+    lane i for the event events[i] = (r, trace, M bracket).
 
     map_at(M, lanes) is the map of the listed lanes, on a jet M whose
-    coefficients are arrays over them.  Each lane runs from its own limit
-    seed as a lane of one Newton (``_lane_newton``), to the steps it would
-    take alone; returns one outcome per lane: its M, or its
-    NewtonDivergedError or BracketError.
+    coefficients are arrays over them (floats for one lane).  The lanes of
+    each round count run from their limit seeds as lanes of one bordered
+    Newton (``_lane_newton``).  Returns one outcome per lane: its M, or
+    its NewtonDivergedError, or BracketError when M leaves its bracket.
     """
-    targets = np.array(traces, dtype=float)
-    seeds = np.array([_limit_seed(rounds, t) for t in targets.tolist()])
+    outcomes = [None] * len(events)
+    for rounds in sorted({rounds for rounds, _, _ in events}):
+        group = [i for i, event in enumerate(events) if event[0] == rounds]
+        targets = np.array([events[i][1] for i in group], dtype=float)
+        seeds = np.array([_limit_seed(rounds, t) for t in targets.tolist()])
 
-    def fun_jac(z, lanes):
-        return _border_residual(lambda m: map_at(m, lanes), rounds,
-                                targets[lanes], z)
+        def fun_jac(z, lanes):
+            index = [group[i] for i in lanes]
+            return _border_residual(lambda m: map_at(m, index), rounds,
+                                    _lane_values(targets, lanes), z)
 
-    outcomes = _lane_newton(fun_jac, seeds, 1e-10, None)
-    return [
-        outcome if isinstance(outcome, NewtonDivergedError)
-        else _bracketed(float(outcome[0][2]), bracket)
-        for outcome, bracket in zip(outcomes, m_brackets)
-    ]
+        for i, outcome in zip(group, _lane_newton(fun_jac, seeds, 1e-10)):
+            outcomes[i] = (
+                outcome if isinstance(outcome, NewtonDivergedError)
+                else _bracketed(float(outcome[0][2]), events[i][2])
+            )
+    return outcomes
 
 
 def iterate(expr: MapExpr, p, n):

@@ -11,37 +11,28 @@ Every solve runs r = 1 or 2 rounds of the rescaled return map F on Taylor
 jets: of degree 1 in (X, Y) for an orbit, of degree 2 in (X, Y, M) for a
 border, where they give the exact bordered Jacobian.
 
-A phase curve (``two_orbit_trace_lanes`` on an array of M) solves the
-2-orbits at all its M values as lanes of one Newton: the jets'
-coefficients are arrays over the lanes, so each pass of F serves every
-M, and each lane runs the damped Newton of a one-lane solve
-(``mapcore._damped_newton``) to its own outcome: a trace or an error.
-Each lane that converges is bit for bit the one-lane solve at its M on
-Python floats, whether or not other lanes fail.  ``two_orbit_trace``
-raises the error of the lowest failing M, as a loop over the grid
-would.
+Every solve is a lane solve.  One 2-orbit Newton serves the phase curve
+(``two_orbit_trace_lanes``), ``find_two_periodic`` and the resonance
+certificate (``find_two_periodic_lanes``), and one bordered locator
+(``mapcore._locate_trace_lanes``) every border and resonance trace,
+solving (F^r(z) - z, tr D(F^r) - t) = 0 in M rather than mu, for
+conditioning: a fixed point has multipliers (+1, -1) exactly when its
+trace vanishes, because their product is -1, and the 2-orbit a double
+multiplier -1 when tr D(F^2) = -2.  The jets' coefficients are arrays
+over the lanes, so each pass of F serves every lane, and each lane runs
+the damped Newton of a one-lane solve (``mapcore._damped_newton``) to
+its own outcome: a value or an error.  A batch of one lane runs on
+Python floats, and each lane that converges is bit for bit that
+one-lane solve.  ``two_orbit_trace``, ``find_two_periodic`` and
+``locate_bifurcation`` raise the error of their lowest failing lane.
 
-Bifurcation location works in the parameter M rather than mu, again for
-conditioning.  A fixed point has multipliers (+1, -1) exactly when its
-trace vanishes, because the product of its multipliers is -1; the
-2-orbit has a double multiplier -1 when the trace of the second-iterate
-derivative is -2.  The bordered locator ``mapcore._locate_trace`` solves
-(F^r(z) - z, tr D(F^r) - t) = 0 for both borders and for the 2-orbit's
-resonance traces; this module hands it M -> F as ``_map_at``, and
-``henon.bifurcation_values`` hands it the limit map.  Every solver takes
-a ``rescale.RescaleFrame``, the mu-independent part of the map built once
-per (family, k) by the caller, and derives the map at each M from it.
-
-Both lane entries take a stacked frame (``rescale.stack_frames``) whose
-lanes may be the frames of several families (the alpha columns of a
-strip atlas) or of one family at several k (the rows of a cascade, the
-k of a certificate), selected by index (``RescaleFrame.take``), so each
-pass of F serves every lane.  ``locate_bifurcation_lanes`` gives each
-lane its own event and runs the lanes of one round count as one
-bordered Newton; each lane's mu, or its error, is that of
-``locate_bifurcation`` on its own frame.  Both residuals turn their
-output jets into rows with ``mapcore._jet_rows``: one ``np.array`` per
-output on one lane, a leading lane axis on lanes.
+Every solver takes a ``rescale.RescaleFrame``, the mu-independent part
+of the map built once per (family, k) by the caller: a frame on floats
+serves every lane, and a stacked frame (``rescale.stack_frames``) of
+several families or of one family at several k holds one lane per
+outcome, selected by index (``RescaleFrame.take``).  Lane counts, M
+values and seeds that do not fit raise DomainError before any
+evaluation.
 """
 
 from __future__ import annotations
@@ -56,13 +47,14 @@ from .exceptions import (CollapsedOrbitError, DomainError, HomatlasError,
                          NewtonDivergedError)
 from .henon import (ELLIPTIC_EVENTS, TRACE_EVENTS, StabilityClass,
                     classify_from_trace)
-from .mapcore import (Jet, _jet_rows, _lane_newton, _locate_trace,
-                      _locate_trace_lanes, _newton)
-from .rescale import RescaleFrame, eval_rescaled, rescaled_window
+from .mapcore import (Jet, _jet_rows, _lane_newton, _lane_values,
+                      _locate_trace_lanes, _raised)
+from .rescale import RescaleFrame, eval_rescaled
 
 __all__ = [
     "OrbitRecord",
     "find_two_periodic",
+    "find_two_periodic_lanes",
     "locate_bifurcation",
     "locate_bifurcation_lanes",
     "two_orbit_trace",
@@ -80,45 +72,94 @@ class OrbitRecord:
 
 
 def _orbit_residual(rr, rounds, z):
-    """F^rounds(z) - z, its Jacobian D(F^rounds) - I and D(F^rounds) at z,
-    from one pass on degree-1 jets.  z of shape (2,) is one point on
-    Python floats; z of shape (L, 2) is L lanes, each at its own lane of
-    rr, whose jets carry array coefficients."""
-    if z.ndim == 1:
-        x, y = float(z[0]), float(z[1])
+    """F^rounds(z) - z, its Jacobian D(F^rounds) - I, D(F^rounds) and
+    F(z) at each lane of z (shape (L, 2)), each at its lane of rr, from
+    one pass on degree-1 jets; one lane runs on Python floats.  The
+    outputs have a leading lane axis."""
+    if len(z) == 1:
+        x, y = z[0].tolist()
     else:
         x, y = z[:, 0], z[:, 1]
-    fx, fy = x, y = Jet.variables(x, y, 1)
-    for _ in range(rounds):
+    x, y = Jet.variables(x, y, 1)
+    first = fx, fy = eval_rescaled(rr, (x, y))
+    for _ in range(rounds - 1):
         fx, fy = eval_rescaled(rr, (fx, fy))
-    f, jac = _jet_rows((fx, fy), 2)
-    return f - z, jac - np.eye(2), jac
+    f, jac = _jet_rows((fx, fy, *first), 2)
+    jac = jac[:, :2]
+    return f[:, :2] - z, jac - np.eye(2), jac, f[:, 2:]
 
 
-def _solve_orbit(rr, z0, rounds, window=None):
-    """Newton for F^rounds(z) = z from a rescaled seed; returns z, the
-    residual and D(F^rounds) there.  Each step reads the residual and
-    D(F^rounds) from one pass on degree-1 jets."""
-    z, (f, _, jac) = _newton(
-        functools.partial(_orbit_residual, rr, rounds), z0, window=window
-    )
-    return z, f, jac
+def _check_lanes(frame: RescaleFrame, n: int):
+    """DomainError unless a stacked frame has n lanes; a frame on floats
+    serves any number of lanes."""
+    if frame.family is None and n != len(frame.k):
+        raise DomainError(f"{n} lanes asked of a frame of {len(frame.k)}")
 
 
-def find_two_periodic(frame: RescaleFrame, m: float, seed) -> OrbitRecord:
-    """2-periodic orbit of the frame's return map at rescaled parameter M,
-    from a rescaled seed; rejects collapse onto a fixed point.
+def _finite(values, ndim: int, what: str):
+    """values as an ndim-D float array of finite numbers, or a
+    DomainError naming what they are."""
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be numbers") from exc
+    if values.ndim != ndim or not np.isfinite(values).all():
+        raise DomainError(f"{what} must be a {ndim}-D array of finite numbers")
+    return values
 
-    Points and residual are in rescaled coordinates.  The multipliers are
-    the eigenvalues of D(F^2); at a converged orbit its determinant agrees
-    with +1 to solver accuracy.
-    """
-    rr = frame.at_m(m)
-    win = 1.5 * rescaled_window(rr) + 2.0
-    z, f, jac2 = _solve_orbit(rr, seed, 2, window=win)
-    mid = np.array(eval_rescaled(rr, z))
+
+def _per_lane_list(make):
+    """lanes -> make(lanes), made once per lane list."""
+    made = {}
+
+    def of(lanes):
+        key = tuple(lanes)
+        if key not in made:
+            made[key] = make(lanes)
+        return made[key]
+
+    return of
+
+
+def _two_orbit_lanes(frame: RescaleFrame, m, seeds, windows=None):
+    """The 2-orbit at each M of m (one per lane) from its seed, as lanes
+    of one Newton with one trial window per lane or none: per lane the
+    point with ``_orbit_residual``'s outputs there, or the error."""
+    maps = _per_lane_list(
+        lambda lanes: frame.take(lanes).at_m(_lane_values(m, lanes)))
+    return _lane_newton(lambda z, lanes: _orbit_residual(maps(lanes), 2, z),
+                        seeds, 1e-11, windows)
+
+
+def find_two_periodic_lanes(frame: RescaleFrame, m, seeds) -> list:
+    """``find_two_periodic`` at each M of m from its seed (one pair per
+    M), as lanes of one Newton, each in the window 1.5 |lam|**(-k/4) + 2
+    of its own k.  Returns per M its OrbitRecord, bit for bit that of the
+    one-lane solve on its frame, or its NewtonDivergedError or
+    CollapsedOrbitError; the collapse check reads F(z) from the last
+    evaluation."""
+    m = _finite(m, 1, "M")
+    _check_lanes(frame, len(m))
+    seeds = _finite(seeds, 2, "the seeds")
+    if seeds.shape != (len(m), 2):
+        raise DomainError("each M takes one seed pair (X, Y)")
+    ks = frame.k.tolist() if frame.family is None else [frame.k] * len(m)
+    lam = abs(frame.local.lam)
+    windows = [1.5 * lam ** (-k / 4.0) + 2.0 for k in ks]
+    outcomes = _two_orbit_lanes(frame, m, seeds, windows)
+    mus = frame.mu_from_m(m).tolist()
+    return [outcome if isinstance(outcome, NewtonDivergedError)
+            else _orbit_record(*outcome, mu)
+            for outcome, mu in zip(outcomes, mus)]
+
+
+def _orbit_record(z, out, mu):
+    """The OrbitRecord of a converged 2-orbit lane at z, from
+    ``_orbit_residual``'s outputs there, or the CollapsedOrbitError when
+    F(z) sits on z."""
+    f, _, jac2, mid = out
     if float(np.max(np.abs(mid - z))) < 1e-6:
-        raise CollapsedOrbitError("collapsed to fixed point")
+        return CollapsedOrbitError("collapsed to fixed point")
     eigs = np.linalg.eigvals(jac2)
     if float(np.max(np.abs(eigs.imag))) < 1e-9 * float(np.max(np.abs(eigs))):
         mults = tuple(sorted(eigs.real, key=abs, reverse=True))
@@ -131,13 +172,20 @@ def find_two_periodic(frame: RescaleFrame, m: float, seed) -> OrbitRecord:
             float(np.trace(jac2)), float(np.linalg.det(jac2))
         ),
         residual=float(np.max(np.abs(f))),
-        mu_at=rr.mu,
+        mu_at=mu,
     )
 
 
-def _map_at(frame: RescaleFrame):
-    """M -> the rescaled return map at M, for the bordered locator."""
-    return lambda m: functools.partial(eval_rescaled, frame.at_m(m))
+def find_two_periodic(frame: RescaleFrame, m: float, seed) -> OrbitRecord:
+    """2-periodic orbit of the frame's return map at rescaled parameter M,
+    from a rescaled seed; rejects collapse onto a fixed point.
+
+    Points and residual are in rescaled coordinates.  The multipliers are
+    the eigenvalues of D(F^2); at a converged orbit its determinant agrees
+    with +1 to solver accuracy.  The one-lane case of
+    ``find_two_periodic_lanes``, whose error it raises.
+    """
+    return _raised(find_two_periodic_lanes(frame, [m], [seed]))[0]
 
 
 # kind -> its row of henon.TRACE_EVENTS
@@ -160,61 +208,34 @@ def locate_bifurcation(frame: RescaleFrame, kind: str) -> float:
     multiplier -1, where tr D(F^2) = -2; a name of
     ``henon.ELLIPTIC_EVENTS`` targets that resonance trace of the 2-orbit.
     Raises NewtonDivergedError when the Newton fails and BracketError
-    when the M it finds lies outside the event's bracket.
+    when the M it finds lies outside the event's bracket: the one-lane
+    case of ``locate_bifurcation_lanes``.
     """
-    m_star = _locate_trace(_map_at(frame), *_event(kind))
-    return frame.mu_from_m(m_star)
-
-
-def _lane_frames(frame: RescaleFrame):
-    """lanes -> the frame of the listed lanes.  A frame on floats serves
-    every lane as it is; a stacked frame gives them by index
-    (``RescaleFrame.take``), taken once per lane list."""
-    if frame.family is not None:
-        return lambda lanes: frame
-    taken = {}
-
-    def of(lanes):
-        key = tuple(lanes)
-        if key not in taken:
-            taken[key] = frame.take(lanes)
-        return taken[key]
-
-    return of
+    return _raised(locate_bifurcation_lanes(frame, [kind]))[0]
 
 
 def locate_bifurcation_lanes(frame: RescaleFrame, kinds) -> list:
-    """``locate_bifurcation`` on each lane of a stacked frame, lane i for
-    the event kinds[i].
+    """``locate_bifurcation`` on each lane, lane i for the event kinds[i].
 
     The lanes of each round count (1 for "plus", 2 for the others) run
     from their own limit seeds as lanes of one bordered Newton, each lane
-    to its own trace and M bracket; each pass of ``eval_rescaled`` serves
-    every lane asking for an evaluation, and each lane takes the steps of
-    its one-lane solve.  Returns one outcome per lane, in order: its mu,
-    bit for bit that of ``locate_bifurcation`` on the lane's frame, or
-    the NewtonDivergedError or BracketError that the one-lane solve
-    raises.  A frame on floats serves every lane.
+    to its own trace and M bracket, taking the steps of its one-lane
+    solve.  Returns one outcome per lane, in order: its mu, bit for bit
+    that of ``locate_bifurcation`` on the lane's frame, or the
+    NewtonDivergedError or BracketError that the one-lane solve raises.
     """
     events = [_event(kind) for kind in kinds]
-    lane_frame = _lane_frames(frame)
-    outcomes = [None] * len(events)
-    for rounds in sorted({rounds for rounds, _, _ in events}):
-        group = [i for i, event in enumerate(events) if event[0] == rounds]
+    _check_lanes(frame, len(events))
+    lane_frame = _per_lane_list(frame.take)
 
-        def map_at(m, lanes):
-            rows = lane_frame([group[i] for i in lanes])
-            return functools.partial(eval_rescaled, rows.at_m(m))
+    def map_at(m, lanes):
+        return functools.partial(eval_rescaled, lane_frame(lanes).at_m(m))
 
-        found = _locate_trace_lanes(map_at, rounds,
-                                    [events[i][1] for i in group],
-                                    [events[i][2] for i in group])
-        for i, m in zip(group, found):
-            outcomes[i] = m
-    ms = [0.0 if isinstance(m, HomatlasError) else m for m in outcomes]
+    found = _locate_trace_lanes(map_at, events)
+    ms = [0.0 if isinstance(m, HomatlasError) else m for m in found]
     mus = frame.mu_from_m(np.array(ms)).tolist()
     return [m if isinstance(m, HomatlasError) else mu
-            for m, mu in zip(outcomes, mus)]
+            for m, mu in zip(found, mus)]
 
 
 def two_orbit_trace_lanes(frame: RescaleFrame, m) -> list:
@@ -222,23 +243,14 @@ def two_orbit_trace_lanes(frame: RescaleFrame, m) -> list:
     2-orbit branch, at an array of rescaled M values, each from the limit
     seed (-sqrt(M), sqrt(M)): one outcome per M.
 
-    frame serves every M, or is a stacked frame with one lane per M.  The
-    M values are solved as lanes of one lane-wise Newton
-    (``mapcore._lane_newton``): each pass of ``eval_rescaled`` serves
-    every lane asking for an evaluation, on jets whose coefficients are
-    arrays over those lanes.  Each outcome is the lane's trace, bit for
-    bit that of a one-lane solve at its M on its frame, or its
-    NewtonDivergedError.
+    The M values are solved as lanes of one Newton, without a trial
+    window.  Each outcome is the lane's trace, bit for bit that of a
+    one-lane solve at its M on its frame, or its NewtonDivergedError.
     """
-    m = np.asarray(m, dtype=float)
+    m = _finite(m, 1, "M")
+    _check_lanes(frame, len(m))
     roots = [math.sqrt(max(v, 1e-9)) for v in m.tolist()]
-    lane_frame = _lane_frames(frame)
-
-    def residual(z, lanes):
-        return _orbit_residual(lane_frame(lanes).at_m(m[lanes]), 2, z)
-
-    outcomes = _lane_newton(residual, np.array([(-r, r) for r in roots]),
-                            1e-11, None)
+    outcomes = _two_orbit_lanes(frame, m, np.array([(-r, r) for r in roots]))
     return [
         outcome if isinstance(outcome, NewtonDivergedError)
         else float(outcome[1][2][0, 0] + outcome[1][2][1, 1])
@@ -249,8 +261,4 @@ def two_orbit_trace_lanes(frame: RescaleFrame, m) -> list:
 def two_orbit_trace(frame: RescaleFrame, m):
     """The traces of ``two_orbit_trace_lanes`` as an array, or the
     NewtonDivergedError of the lowest failing M."""
-    traces = two_orbit_trace_lanes(frame, m)
-    for trace in traces:
-        if isinstance(trace, NewtonDivergedError):
-            raise trace
-    return np.array(traces)
+    return np.array(_raised(two_orbit_trace_lanes(frame, m)))

@@ -167,7 +167,10 @@ class RescaleFrame:
     def take(self, index) -> RescaleFrame:
         """The lanes at index (a sequence of lane numbers, repeats allowed)
         of a stacked frame, as one stacked frame: the frame itself when
-        index lists all its lanes in order."""
+        index lists all its lanes in order, and a frame on floats, which
+        serves every lane, always."""
+        if self.family is not None:
+            return self
         index = np.asarray(index, dtype=np.intp)
         if np.array_equal(index, np.arange(len(self.s0))):
             return self

@@ -13,6 +13,7 @@ from homatlas.atlas import (
     _M_RANGE,
     _N_PHI,
     CascadeRow,
+    CertRecord,
     ResonanceFlag,
     boundary_slope,
     certify_global_resonance,
@@ -37,8 +38,9 @@ from homatlas.family import (
     tune_to,
 )
 from homatlas.henon import ELLIPTIC_EVENTS
-from homatlas.orbits import locate_bifurcation, two_orbit_trace
-from homatlas.rescale import build_frame
+from homatlas.orbits import (find_two_periodic, locate_bifurcation,
+                             two_orbit_trace)
+from homatlas.rescale import build_frame, m_from_mu
 
 
 def _exact_family(lam=0.5):
@@ -234,6 +236,21 @@ def test_sweeps_record_any_homatlas_error(monkeypatch):
     assert cert.intervals == ((8, None, None),)
     assert cert.records[0].failure is None
 
+    # the 2-orbits of all k share one lane call: an error that it raises
+    # is the record of every k
+    def resonant_orbit_lanes(frame, m, seeds):
+        raise ResonantParameterError("blocked")
+
+    monkeypatch.setattr(atlas_mod, "find_two_periodic_lanes",
+                        resonant_orbit_lanes)
+    cert = certify_global_resonance(_s0_family(-0.4), (3, 8, 9))
+    assert [rec.failure for rec in cert.records] == [
+        "StripWindowError: strip outside window: k=3 < 4",
+        "ResonantParameterError: blocked",
+        "ResonantParameterError: blocked",
+    ]
+    assert cert.verdict == "incomplete"
+
     def no_tangency(handle, **targets):
         raise TangencyError("degenerate")
 
@@ -312,6 +329,19 @@ def test_cascade_row_map_passes(monkeypatch):
     assert all(row.error is None and len(row.phi_curve) == 25
                for row in rows)
     assert len(calls) <= 17
+
+
+def test_certificate_map_passes(monkeypatch):
+    # the borders of all seven k share the map passes of two lane Newtons,
+    # and their 2-orbits at mu = 0 those of one more, whose last
+    # evaluation also serves the collapse check: 15 rescaled-map passes,
+    # where one 2-orbit solve per k made 58
+    family = build_family(LocalMapParams(0.5),
+                          HenonLikeRecipe(p=(0.0, 1.0, 0.3162)))
+    calls = _count_map_passes(monkeypatch)
+    cert = certify_global_resonance(family, range(8, 15))
+    assert cert.verdict == "certified"
+    assert len(calls) <= 15
 
 
 def _fold_family(lam=0.5, beta=()):
@@ -554,26 +584,91 @@ def test_cascade_lanes_match_one_lane_solves(recipe, beta):
     assert failed == _CROSS_K_FAILED_ROWS.get((recipe, beta), 0)
 
 
+def _one_lane_record(family, k):
+    """The certificate record of k from ``find_two_periodic`` on its own
+    float frame, from the limit 2-orbit at mu = 0, in the sweep's
+    wording."""
+    root = math.sqrt(-family.s0)
+    try:
+        frame = build_frame(family, k)
+        orbit = find_two_periodic(frame, m_from_mu(family, k, 0.0),
+                                  (-root, root))
+    except HomatlasError as exc:
+        return CertRecord(k, failure=f"{type(exc).__name__}: {exc}")
+    phase = orbit.stability.phase
+    if phase is None:
+        return CertRecord(
+            k, failure=f"orbit not elliptic: {orbit.stability.tag}")
+    cos_phi = math.cos(phase)
+    return CertRecord(k, cos_phi=cos_phi, phase=phase,
+                      margin=2.0 - abs(2.0 * cos_phi),
+                      limit_error=abs(cos_phi - (1.0 + 2.0 * family.s0)))
+
+
+def _check_certificate_lanes(family):
+    """Assert that every interval and record of the certificate over
+    k = 8..14 is bit for bit that of the one-lane solves on the k's own
+    frame; returns the certificate."""
+    cert = certify_global_resonance(family, range(8, 15))
+    for (k, lo, hi), rec in zip(cert.intervals, cert.records):
+        frame = build_frame(family, k)
+        try:
+            want = sorted(locate_bifurcation(frame, kind)
+                          for kind in ("plus", "minus"))
+        except HomatlasError:
+            want = [None, None]
+        assert _hexed((lo, hi)) == _hexed(tuple(want)), k
+        assert (_hexed(dataclasses.astuple(rec))
+                == _hexed(dataclasses.astuple(_one_lane_record(family, k)))
+                ), k
+    return cert
+
+
 @pytest.mark.parametrize("beta", _CROSS_K_BETAS)
 @pytest.mark.parametrize("recipe", [
     "fold", ShearSandwichRecipe(p1=-0.3),  # s0 = -0.1: inside the window
 ])
 def test_certificate_lanes_match_one_lane_solves(recipe, beta):
-    """Every interval of the certificate's border lanes across k is bit
-    for bit that of the one-lane solves on the k's own frame."""
+    """Every interval and record of the certificate's lanes across k is
+    bit for bit that of the one-lane solves on the k's own frame."""
     for lam in _CROSS_K_LAMS:
         local = LocalMapParams(lam, beta)
         family = (_CROSS_K_RECIPES["fold"](local) if recipe == "fold"
                   else build_family(local, recipe))
-        cert = certify_global_resonance(family, range(8, 15))
-        for k, lo, hi in cert.intervals:
-            frame = build_frame(family, k)
-            try:
-                want = sorted(locate_bifurcation(frame, kind)
-                              for kind in ("plus", "minus"))
-            except HomatlasError:
-                want = [None, None]
-            assert _hexed((lo, hi)) == _hexed(tuple(want)), (lam, k)
+        _check_certificate_lanes(family)
+
+
+# certificate families whose 2-orbits fail: one that collapses onto a
+# fixed point at k = 9, is a saddle at k = 11 and 13 and diverges at the
+# other k, and a sandwich whose every 2-orbit seed escapes
+_FAILING_CERTIFICATES = {
+    "collapse": (
+        lambda: tune_to(
+            build_family(LocalMapParams(-0.630, (-0.741,)),
+                         HenonLikeRecipe(q=(0.0, 0.0, 1.0, 1.946),
+                                         y_minus=0.874)),
+            s0_target=-0.8964,
+        ),
+        {"CollapsedOrbitError: collapsed to fixed point",
+         "orbit not elliptic: saddle",
+         "NewtonDivergedError: Newton diverged: no descent step"},
+    ),
+    "diverging": (
+        lambda: build_family(LocalMapParams(-0.531, (2.881,)),
+                             ShearSandwichRecipe(p1=-0.294, w1=0.131,
+                                                 y_minus=2.604)),
+        {"NewtonDivergedError: Newton diverged: seed escaped"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_CERTIFICATES))
+def test_failing_certificate_lanes_match_one_lane_solves(case):
+    """The failed records of the certificate's 2-orbit lanes carry the
+    errors of the one-lane solves, and its other records their values."""
+    family, failures = _FAILING_CERTIFICATES[case]
+    cert = _check_certificate_lanes(family())
+    assert {rec.failure for rec in cert.records} - {None} == failures
 
 
 def test_cascade_row_reports_its_first_error_in_order(monkeypatch):

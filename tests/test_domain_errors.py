@@ -1,6 +1,8 @@
 """Every out-of-domain argument of a public function raises
 ``DomainError``, which is both a ``HomatlasError`` and a ``ValueError``."""
 
+import math
+
 import pytest
 
 from homatlas import atlas, henon, mapcore, orbits, rescale
@@ -12,6 +14,10 @@ def _frame(lam):
     return rescale.build_frame(
         build_family(LocalMapParams(lam), HenonLikeRecipe()), 8
     )
+
+
+def _two_lanes():
+    return rescale.stack_frames([_frame(0.5), _frame(0.5)])
 
 
 def _one_point_atlas():
@@ -30,8 +36,18 @@ def _one_point_atlas():
     lambda: orbits.locate_bifurcation(_frame(0.5), "flip"),
     lambda: atlas.boundary_slope(_one_point_atlas(), 8, "plus"),
     lambda: rescale.stack_frames([_frame(0.5), _frame(0.55)]),
+    lambda: orbits.find_two_periodic(_frame(0.5), 0.4, (0.1, 0.2, 0.3)),
+    lambda: orbits.find_two_periodic(_frame(0.5), 0.4, (0.1, (0.2, 0.3))),
+    lambda: orbits.two_orbit_trace(_frame(0.5), [[0.3]]),
+    lambda: orbits.two_orbit_trace(_frame(0.5), [math.inf]),
+    lambda: orbits.locate_bifurcation_lanes(_two_lanes(), ["plus"] * 3),
+    lambda: orbits.two_orbit_trace_lanes(_two_lanes(), [0.3, 0.4, 0.5]),
 ], ids=["lam", "two_periodic_orbit", "birkhoff_b1", "rotation_number_slope",
-        "iterate", "locate_bifurcation", "boundary_slope", "stack_frames"])
+        "iterate", "locate_bifurcation", "boundary_slope", "stack_frames",
+        "find_two_periodic_seed", "find_two_periodic_ragged_seed",
+        "two_orbit_trace_m_shape",
+        "two_orbit_trace_m_finite", "locate_bifurcation_lanes_count",
+        "two_orbit_trace_lanes_count"])
 def test_out_of_domain_argument_is_a_domain_error(call):
     with pytest.raises(DomainError) as info:
         call()

@@ -24,8 +24,8 @@ from homatlas.henon import (
 from homatlas.mapcore import (
     Jet,
     _border_residual,
+    _lane_newton,
     _limit_seed,
-    _newton,
     eval_map,
     jacobian,
 )
@@ -238,7 +238,8 @@ def test_limit_locator_from_perturbed_seeds():
         for _ in range(5):
             seed = np.asarray(_limit_seed(rounds, trace))
             seed = seed + rng.uniform(-1e-2, 1e-2, size=3)
-            z, _ = _newton(residual, seed, tol=1e-10)
+            ((z, _),) = _lane_newton(lambda z, lanes: residual(z),
+                                     seed[np.newaxis], 1e-10)
             assert abs(z[2] - exact) <= 1e-12
 
 

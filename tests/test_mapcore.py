@@ -23,7 +23,6 @@ from homatlas.mapcore import (
     _kernels,
     _lane_newton,
     _layout,
-    _newton,
     eval_map,
     iterate,
     jacobian,
@@ -544,7 +543,7 @@ _TOY_LANES = (
 
 
 def _toy(order, seen):
-    """fun_jac of ``_newton`` over the toy lanes in ``order``; records
+    """fun_jac of ``_lane_newton`` over the toy lanes in ``order``; records
     every point each toy lane is evaluated at."""
 
     def fun_jac(z, lanes):
@@ -561,9 +560,21 @@ def _toy(order, seen):
     return fun_jac
 
 
+def _solve(fun_jac, z0, tol=1e-11, windows=None):
+    """``_lane_newton``'s converged points and outputs stacked over the
+    lanes, or the error of the lowest failing lane raised, as a loop over
+    the lanes in order would raise it."""
+    outcomes = _lane_newton(fun_jac, z0, tol, windows)
+    for outcome in outcomes:
+        if isinstance(outcome, NewtonDivergedError):
+            raise outcome
+    return (np.array([point for point, _ in outcomes]),
+            tuple(np.array(v) for v in zip(*(out for _, out in outcomes))))
+
+
 def test_newton_lanes_keep_their_own_damping_and_floor():
     seen = {}
-    z, (f, jac) = _newton(_toy((0, 1, 2), seen), np.zeros((3, 1)))
+    z, (f, jac) = _solve(_toy((0, 1, 2), seen), np.zeros((3, 1)))
     assert z[:, 0].tolist() == [1.0, 2.0, 0.0]
     assert f[:, 0].tolist() == [0.0, 0.0, 5e-10]
     # the escape reruns the batch lane by lane: lane 0 keeps its full step
@@ -576,13 +587,13 @@ def test_newton_lanes_keep_their_own_damping_and_floor():
     assert trials == [-5e-10 / 2**i for i in range(7)]
     # each lane agrees with its own one-lane solve
     for lane, want in enumerate((1.0, 2.0, 0.0)):
-        def one(z, lane=lane):
-            f, d = _TOY_LANES[lane](float(z[0]))
-            if lane == 1 and z[0] > 3.0:
+        def one(z, lanes, lane=lane):
+            f, d = _TOY_LANES[lane](float(z[0, 0]))
+            if lane == 1 and z[0, 0] > 3.0:
                 raise EscapeError("toy lane escaped")
-            return np.array([f]), np.array([[d]])
+            return np.array([[f]]), np.array([[[d]]])
 
-        assert _newton(one, np.zeros(1))[0].tolist() == [want]
+        assert _solve(one, np.zeros((1, 1)))[0].tolist() == [[want]]
 
 
 def test_newton_lanes_raise_the_lowest_failure():
@@ -590,9 +601,9 @@ def test_newton_lanes_raise_the_lowest_failure():
     # fails later, after seven damped trials; the loop over the lanes in
     # order meets lane 3 first, so its error is the one raised
     with pytest.raises(NewtonDivergedError, match="no descent step"):
-        _newton(_toy((0, 1, 2, 3, 4), {}), np.zeros((5, 1)))
+        _solve(_toy((0, 1, 2, 3, 4), {}), np.zeros((5, 1)))
     with pytest.raises(NewtonDivergedError, match="singular Jacobian"):
-        _newton(_toy((0, 4, 3), {}), np.zeros((3, 1)))
+        _solve(_toy((0, 4, 3), {}), np.zeros((3, 1)))
 
 
 def test_newton_lanes_each_run_to_their_own_outcome():
@@ -611,10 +622,8 @@ def test_newton_lanes_each_run_to_their_own_outcome():
             continue
         # every converging lane, above the lowest failure too, is bit for
         # bit its own one-lane solve
-        one = _toy((toy,), {})
-        point, out = _newton(
-            lambda z: [v[0] for v in one(z[np.newaxis], [0])], np.zeros(1)
-        )
+        ((point, out),) = _lane_newton(_toy((toy,), {}), np.zeros((1, 1)),
+                                       1e-11)
         assert outcome[0].tolist() == point.tolist()
         assert [v.tolist() for v in outcome[1]] == [v.tolist() for v in out]
     # the lanes above the lowest failure ran to their roots
@@ -647,7 +656,7 @@ def test_newton_lane_whose_seed_raises_diverges_with_that_error():
     point, (f, _) = outcomes[0]
     assert (point.tolist(), f.tolist()) == ([0.0], [5e-10])
     with pytest.raises(NewtonDivergedError, match="seed escaped") as err:
-        _newton(_toy((2, 1, 0), {}), np.array([[0.0], [4.0], [1.0]]))
+        _solve(_toy((2, 1, 0), {}), np.array([[0.0], [4.0], [1.0]]))
     assert isinstance(err.value.__cause__, EscapeError)
 
 
@@ -656,13 +665,13 @@ def test_newton_lane_stops_after_fifty_accepted_steps():
     # accepted, and at tol 1e-20 the lane runs out of steps at 2**-50
     seen = []
 
-    def halving(z):
-        seen.append(float(z[0]))
-        return np.array([z[0]]), np.array([[2.0]])
+    def halving(z, lanes):
+        seen.append(float(z[0, 0]))
+        return np.array([[z[0, 0]]]), np.array([[[2.0]]])
 
     with pytest.raises(NewtonDivergedError,
                        match="Newton diverged after 50 damped steps"):
-        _newton(halving, np.ones(1), tol=1e-20)
+        _solve(halving, np.ones((1, 1)), tol=1e-20)
     assert seen == [2.0 ** -i for i in range(51)]
 
 
@@ -679,7 +688,14 @@ def test_newton_lane_never_evaluates_a_trial_outside_the_window():
         slope = [0.5 if lane == 0 else 1.0 for lane in lanes]
         return z - 1.0, np.array([[[s, 0.0], [0.0, s]] for s in slope])
 
-    z, (f, _) = _newton(fun_jac, np.zeros((2, 2)), window=1.5)
+    z, (f, _) = _solve(fun_jac, np.zeros((2, 2)), windows=[1.5, 1.5])
     assert z.tolist() == [[1.0, 1.0], [1.0, 1.0]]
     assert f.tolist() == [[0.0, 0.0], [0.0, 0.0]]
     assert seen == {0: [(0.0, 0.0), (1.0, 1.0)], 1: [(0.0, 0.0), (1.0, 1.0)]}
+    # each lane has its own window: without one, lane 0 evaluates its full
+    # step at (2, 2), rejects it and takes the half step
+    seen = {0: [], 1: []}
+    z, _ = _solve(fun_jac, np.zeros((2, 2)), windows=[None, 1.5])
+    assert z.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    assert seen == {0: [(0.0, 0.0), (2.0, 2.0), (1.0, 1.0)],
+                    1: [(0.0, 0.0), (1.0, 1.0)]}

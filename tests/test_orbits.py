@@ -1,5 +1,6 @@
 """Orbit location, classification, and bifurcation borders."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -27,13 +28,11 @@ from homatlas.mapcore import (
     _border_residual,
     _lane_newton,
     _limit_seed,
-    _locate_trace,
+    _locate_trace_lanes,
     eval_map,
 )
 from homatlas.orbits import (
-    _map_at,
     _orbit_residual,
-    _solve_orbit,
     find_two_periodic,
     locate_bifurcation,
     two_orbit_trace,
@@ -65,12 +64,39 @@ def _s04_family(lam=0.5):
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+def _one_lane_orbit(rr, z0, rounds, window=None):
+    """z, the residual and D(F^rounds) of F^rounds(z) = z by the one-lane
+    Newton from a rescaled seed, or its error raised."""
+    (outcome,) = _lane_newton(
+        lambda z, lanes: _orbit_residual(rr, rounds, z),
+        np.array([z0], dtype=float), 1e-11, [window],
+    )
+    if isinstance(outcome, NewtonDivergedError):
+        raise outcome
+    z, (f, _, jac, _) = outcome
+    return z, f, jac
+
+
+def _rescaled_map_at(frame):
+    """M -> the frame's rescaled return map at M, for the locator."""
+    return lambda m: functools.partial(eval_rescaled, frame.at_m(m))
+
+
+def _locate_one(map_at, rounds, trace, m_bracket):
+    """M of the one-lane bordered locator on map_at, or its error raised."""
+    (m_star,) = _locate_trace_lanes(lambda m, lanes: map_at(m),
+                                    [(rounds, trace, m_bracket)])
+    if isinstance(m_star, Exception):
+        raise m_star
+    return m_star
+
+
 def _fixed_point(rr, seed):
     """Fixed point of the rescaled return map rr from a rescaled seed, in
     the window the 2-orbit solver uses: the point, the residual, the
     multipliers by decreasing modulus and the stability class."""
     window = 1.5 * rescaled_window(rr) + 2.0
-    z, f, jac = _solve_orbit(rr, seed, 1, window=window)
+    z, f, jac = _one_lane_orbit(rr, seed, 1, window=window)
     mults = sorted(np.linalg.eigvals(jac).real, key=abs, reverse=True)
     stab = classify_from_trace(float(np.trace(jac)), float(np.linalg.det(jac)))
     return z, float(np.max(np.abs(f))), mults, stab
@@ -252,7 +278,7 @@ _LANE_LAMS = tuple(sign * lam for lam in (0.45, 0.47, 0.49, 0.51, 0.53, 0.55)
 def _one_lane_trace(frame, m):
     """tr D(F^2) of the 2-orbit at M from a one-lane solve on floats."""
     root = math.sqrt(max(m, 1e-9))
-    _, _, jac = _solve_orbit(frame.at_m(m), (-root, root), 2)
+    _, _, jac = _one_lane_orbit(frame.at_m(m), (-root, root), 2)
     return float(np.trace(jac))
 
 
@@ -301,8 +327,8 @@ def test_failing_lane_leaves_the_other_lanes_their_one_lane_solves():
     assert isinstance(outcomes[0], NewtonDivergedError)
     assert str(outcomes[0]) == str(one.value)
     for i, (m, root) in enumerate(zip(grid.tolist()[1:], roots[1:]), 1):
-        z, f, jac = _solve_orbit(frame.at_m(m), (-root, root), 2)
-        point, (f_lane, _, jac_lane) = outcomes[i]
+        z, f, jac = _one_lane_orbit(frame.at_m(m), (-root, root), 2)
+        point, (f_lane, _, jac_lane, _) = outcomes[i]
         for lane, want in ((point, z), (f_lane, f), (jac_lane, jac)):
             assert ([v.hex() for v in lane.ravel().tolist()]
                     == [v.hex() for v in want.ravel().tolist()]), i
@@ -359,17 +385,17 @@ _FLAG_TARGETS = tuple(TRACE_EVENTS[name][1] for name in ELLIPTIC_EVENTS)
 def test_border_jacobian_matches_central_differences(kind, k):
     family = _cubic_family()
     rounds, target = _BORDERS[kind]
-    z = np.array(_limit_seed(rounds, target))
-    map_at = _map_at(build_frame(family, k))
-    _, jac = _border_residual(map_at, rounds, target, z)
+    z = np.array([_limit_seed(rounds, target)])
+    map_at = _rescaled_map_at(build_frame(family, k))
+    _, (jac,) = _border_residual(map_at, rounds, target, z)
     fd = np.empty((3, 3))
     for j in range(3):
-        h = 1e-6 * max(1.0, abs(z[j]))
+        h = 1e-6 * max(1.0, abs(z[0, j]))
         zp, zm = z.copy(), z.copy()
-        zp[j] += h
-        zm[j] -= h
-        fp = _border_residual(map_at, rounds, target, zp)[0]
-        fm = _border_residual(map_at, rounds, target, zm)[0]
+        zp[0, j] += h
+        zm[0, j] -= h
+        (fp,) = _border_residual(map_at, rounds, target, zp)[0]
+        (fm,) = _border_residual(map_at, rounds, target, zm)[0]
         fd[:, j] = (fp - fm) / (2.0 * h)
     assert np.max(np.abs(jac - fd)) <= 1e-5 * np.max(np.abs(fd))
 
@@ -417,8 +443,8 @@ def test_border_matches_mpmath_border(kind, k):
 @pytest.mark.parametrize("target", _FLAG_TARGETS)
 def test_flag_trace_matches_mpmath(target, k):
     family = _cubic_family()
-    map_at = _map_at(build_frame(family, k))
-    m_star = _locate_trace(map_at, 2, target, (0.02, 0.98))
+    map_at = _rescaled_map_at(build_frame(family, k))
+    m_star = _locate_one(map_at, 2, target, (0.02, 0.98))
     oracle = _mpmath_border(family, k, 2, target)
     assert abs(mu_from_m(family, k, m_star) - oracle) <= 1e-10 * 0.5 ** (2 * k)
 
@@ -489,13 +515,13 @@ def test_certificate_two_orbit_matches_mpmath(family, k):
 
 
 def test_bracket_error_outside_border():
-    map_at = _map_at(build_frame(_exact_family(), 10))
+    map_at = _rescaled_map_at(build_frame(_exact_family(), 10))
     for rounds, target in _BORDERS.values():
         with pytest.raises(BracketError):
-            _locate_trace(map_at, rounds, target, (2.0, 3.0))
+            _locate_one(map_at, rounds, target, (2.0, 3.0))
     # the 1:3 flag sits at M = 3/4, outside this bracket
     with pytest.raises(BracketError):
-        _locate_trace(map_at, 2, -1.0, (0.02, 0.7))
+        _locate_one(map_at, 2, -1.0, (0.02, 0.7))
 
 
 @settings(max_examples=25, deadline=None)

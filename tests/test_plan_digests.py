@@ -52,4 +52,5 @@ def test_extra_sweep_inputs_digest_the_same_twice(monkeypatch, capsys):
         ["-", "extra", str(i), argv[0], "0"]
         for i, argv in enumerate(tool.EXTRA)
     ]
-    assert {argv[0] for argv in tool.EXTRA} == {"cascade", "atlas2d"}
+    assert {argv[0] for argv in tool.EXTRA} == {"cascade", "atlas2d",
+                                                "resonance"}

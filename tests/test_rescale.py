@@ -17,7 +17,6 @@ from homatlas.family import (
     tune_to,
 )
 from homatlas.mapcore import Jet
-from homatlas.orbits import _map_at
 from homatlas.rescale import (
     _theil_sen_slope,
     build_chain,
@@ -270,7 +269,7 @@ def test_scalar_and_jet_evaluations_stay_on_python_floats(recipe):
     out = eval_rescaled(rr, Jet.variables(0.1, -0.2, 1))
     assert all(type(c) is float for jet in out for c in jet.c)
     x, y, m = Jet.variables(0.1, -0.2, 0.5, 2)
-    out = _map_at(build_frame(fam, k))(m)((x, y))
+    out = eval_rescaled(build_frame(fam, k).at_m(m), (x, y))
     assert all(type(c) is float for jet in out for c in jet.c)
 
 

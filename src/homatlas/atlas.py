@@ -1,29 +1,30 @@
 """Sweep orchestration: cascades in mu, two-parameter strip maps in
 (mu, alpha), and the global-resonance certificate.
 
-Everything here composes the bordered locator and the 2-orbit solver
-over grids.  Each sweep unit (a cascade row, an atlas cell, a
-certificate k) builds its ``rescale.RescaleFrame`` once, on floats; the
-frames of a sweep are stacked once (``rescale.stack_frames``), and its
-solves run as lanes across the units, each lane selecting its unit's
-frame by index.  A cascade locates the plus borders of all its rows as
-lanes of one bordered Newton (``orbits.locate_bifurcation_lanes``), the
-minus borders and the resonance flags as lanes of another, and the
-phase curves of all its rows as lanes of one 2-orbit Newton
-(``orbits.two_orbit_trace_lanes``).  The certificate locates the
-borders of all its k likewise, and their 2-orbits at mu = 0 as lanes of
-one more (``orbits.find_two_periodic_lanes``): 15 rescaled-map passes
-for k = 8..14, where one 2-orbit solve per k made 58.  The strip atlas
-locates the plus border of all its (k, alpha column) cells as lanes of
-one bordered Newton, and the minus border as lanes of another: 11
-rescaled-map passes for 5 k over 21 columns.  Every lane is bit for bit
-the one-lane solve on its own frame.  Any ``HomatlasError`` of
-a unit, or of the atlas' tuning of a grid column, is recorded as a
-flagged partial result instead of aborting the whole sweep.
+Every sweep runs its units (a cascade row, an atlas cell, a certificate
+k) as lanes through one helper, ``_Sweep``.  It builds each unit's
+``rescale.RescaleFrame`` once, on floats and in unit order, keeps the
+``HomatlasError`` of a unit whose frame fails, and stacks the other
+frames once (``rescale.stack_frames``).  ``_Sweep.solve(entry, lanes)``
+makes one lane call of an ``orbits`` entry over the lanes that the units
+ask for, each lane selecting its unit's frame by index, and hands each
+unit its lanes' outcomes; an error raised for the whole call is the
+outcome of every lane, and a unit whose frame failed takes no lanes.
+Each sweep makes two such calls: a cascade locates the borders and
+resonance flags of its rows (``orbits.locate_bifurcation_lanes``), then
+solves the phase curves of the rows whose borders were found
+(``orbits.two_orbit_trace_lanes``); the certificate locates the borders
+of its k, then solves their 2-orbits at mu = 0
+(``orbits.find_two_periodic_lanes``); the strip atlas locates the plus
+border of every cell, then the minus border.  Every lane is bit for bit
+the one-lane solve on its own frame.  Any ``HomatlasError`` of a unit,
+or of the atlas' tuning of a grid column, is recorded as a flagged
+partial result instead of aborting the whole sweep.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .exceptions import (BracketError, DomainError, HomatlasError,
                          ResonanceWindowError)
 from .family import FamilyHandle, tune_to
 from .henon import ELLIPTIC_EVENTS, TRACE_EVENTS
+from .mapcore import _whole
 from .orbits import (find_two_periodic_lanes, locate_bifurcation_lanes,
                      two_orbit_trace_lanes)
 from .rescale import RescaleFrame, build_frame, m_from_mu, stack_frames
@@ -130,16 +132,44 @@ def _named(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _lane_outcomes(solve, stacked, index, *args) -> list:
-    """solve(the lanes of stacked at index, *args): one outcome per lane.
-    A call that raises a HomatlasError gives every lane that error; no
-    lanes make no call."""
-    if not index:
-        return []
-    try:
-        return solve(stacked.take(index), *args)
-    except HomatlasError as exc:
-        return [exc] * len(index)
+def _failed(outcomes):
+    """The first HomatlasError among outcomes, or None."""
+    return next((o for o in outcomes if isinstance(o, HomatlasError)), None)
+
+
+class _Sweep:
+    """The units of a sweep as lanes: each unit's frame built on floats,
+    in unit order, and the frames stacked once.  A unit whose frame fails
+    keeps its HomatlasError in ``errors`` and takes no lanes."""
+
+    def __init__(self, units):
+        """units: (unit, family, k) in unit order."""
+        self.frames, self.errors = {}, {}
+        for unit, family, k in units:
+            try:
+                self.frames[unit] = build_frame(family, k)
+            except HomatlasError as exc:
+                self.errors[unit] = exc
+        self._lane = {unit: j for j, unit in enumerate(self.frames)}
+        self._stacked = (stack_frames(list(self.frames.values()))
+                         if self.frames else None)
+
+    def solve(self, entry, lanes) -> dict:
+        """One lane call entry(frame, *args) over the lanes of lanes =
+        {unit: [args of each of its lanes]}: frame holds each lane's
+        unit, and args[i] the i-th argument of every lane.  Returns
+        {unit: its lanes' outcomes}.  A HomatlasError raised for the
+        whole call is every lane's outcome; no lanes make no call."""
+        index = [self._lane[u] for u, args in lanes.items() for _ in args]
+        outcomes = iter(())
+        if index:
+            try:
+                outcomes = iter(entry(
+                    self._stacked.take(index),
+                    *zip(*(a for args in lanes.values() for a in args))))
+            except HomatlasError as exc:
+                outcomes = itertools.repeat(exc)
+        return {u: [next(outcomes) for _ in args] for u, args in lanes.items()}
 
 
 def _row(frame: RescaleFrame, located, traces) -> CascadeRow:
@@ -148,16 +178,12 @@ def _row(frame: RescaleFrame, located, traces) -> CascadeRow:
     failed).  The first error in the order plus, minus, phase curve,
     flags is the row's; a flag whose M leaves its bracket is left out."""
     k, (mu_plus, mu_minus, *marks) = frame.k, located
-    for outcome in (mu_plus, mu_minus, *traces):
-        if isinstance(outcome, HomatlasError):
-            return CascadeRow(k, error=_named(outcome))
-    flags = []
-    for tag, mu in zip(ELLIPTIC_EVENTS, marks):
-        if isinstance(mu, BracketError):
-            continue
-        if isinstance(mu, HomatlasError):
-            return CascadeRow(k, error=_named(mu))
-        flags.append(ResonanceFlag(tag, mu))
+    error = _failed((mu_plus, mu_minus, *traces, *(
+        mu for mu in marks if not isinstance(mu, BracketError))))
+    if error is not None:
+        return CascadeRow(k, error=_named(error))
+    flags = [ResonanceFlag(tag, mu) for tag, mu in zip(ELLIPTIC_EVENTS, marks)
+             if not isinstance(mu, BracketError)]
     traces = np.array(traces)
     mus = frame.mu_from_m(np.linspace(*_M_RANGE, _N_PHI))
     phis = np.arccos(np.clip(traces / 2.0, -1.0, 1.0))
@@ -182,31 +208,18 @@ def run_cascade(family: FamilyHandle, k_range) -> CascadeResult:
     lanes of one 2-orbit Newton, 25 lanes per row.  A row whose frame
     fails takes no lanes.
     """
-    ks = tuple(int(k) for k in k_range)
-    frames, errors = [], {}
-    for k in ks:
-        try:
-            frames.append(build_frame(family, k))
-        except HomatlasError as exc:
-            errors[k] = exc
-    stacked = stack_frames(frames) if frames else None
-    n = len(frames)
-    found = _lane_outcomes(locate_bifurcation_lanes, stacked,
-                           list(range(n)) * len(_ROW_EVENTS),
-                           [kind for kind in _ROW_EVENTS for _ in frames])
-    located = [found[j::n] for j in range(n)]
-    curved = [j for j in range(n) if not any(
-        isinstance(mu, HomatlasError) for mu in located[j][:2])]
+    ks = tuple(_whole(k, "k") for k in k_range)
+    sweep = _Sweep((j, family, k) for j, k in enumerate(ks))
+    located = sweep.solve(locate_bifurcation_lanes, {
+        j: [(kind,) for kind in _ROW_EVENTS] for j in sweep.frames})
     grid = np.linspace(*_M_RANGE, _N_PHI).tolist()
-    traces = _lane_outcomes(two_orbit_trace_lanes, stacked,
-                            [j for j in curved for _ in grid],
-                            grid * len(curved))
-    curves = {j: traces[c * _N_PHI:(c + 1) * _N_PHI]
-              for c, j in enumerate(curved)}
-    solved = iter(_row(frame, located[j], curves.get(j, ()))
-                  for j, frame in enumerate(frames))
-    rows = tuple(CascadeRow(k, error=_named(errors[k])) if k in errors
-                 else next(solved) for k in ks)
+    traces = sweep.solve(two_orbit_trace_lanes, {
+        j: [(m,) for m in grid] for j, found in located.items()
+        if _failed(found[:2]) is None})
+    rows = tuple(CascadeRow(k, error=_named(sweep.errors[j]))
+                 if j in sweep.errors
+                 else _row(sweep.frames[j], located[j], traces.get(j, ()))
+                 for j, k in enumerate(ks))
     return CascadeResult(
         lam=family.lam, alpha=family.alpha, s0=family.s0, rows=rows
     )
@@ -247,9 +260,12 @@ def pairwise_intersections(atlas: StripMap2D, alpha_min: float = 0.0):
 
 def boundary_slope(atlas: StripMap2D, k: int, kind: str,
                    alpha_min: float = 0.0) -> float:
-    """Least-squares slope of the mu(alpha) boundary polyline."""
-    (band,) = [b for b in atlas.bands if b.k == k]
-    values = band.mu_plus if kind == "plus" else band.mu_minus
+    """Least-squares slope of the mu(alpha) boundary polyline of the
+    first band of k, kind "plus" or "minus"."""
+    band = next((b for b in atlas.bands if b.k == k), None)
+    if band is None or kind not in ("plus", "minus"):
+        raise DomainError(f"no {kind!r} border of k={k} in the atlas")
+    values = getattr(band, "mu_" + kind)
     pts = [
         (a, m)
         for a, m in zip(atlas.alphas, values)
@@ -277,8 +293,11 @@ def run_strip_atlas(family_template: FamilyHandle, k_range,
     of every k, not only of one k, and leaves the other border as it was
     found.
     """
-    alphas = tuple(float(a) for a in np.linspace(-eps, eps, int(n_alpha)))
-    k_values = tuple(int(k) for k in k_range)
+    if not math.isfinite(eps):
+        raise DomainError(f"eps must be finite, not {eps!r}")
+    alphas = tuple(float(a) for a in np.linspace(
+        -eps, eps, _whole(n_alpha, "n_alpha")))
+    k_values = tuple(_whole(k, "k") for k in k_range)
     failures = []
     tuned = []
     for a in alphas:
@@ -288,28 +307,21 @@ def run_strip_atlas(family_template: FamilyHandle, k_range,
             tuned.append(None)
             failures.append((None, a, "tune", _named(exc)))
 
-    # cells are (position in k_values, column); notes keep cell order
-    cells, frames, notes = [], [], {}
-    for j, k in enumerate(k_values):
-        for i, fam in enumerate(tuned):
-            if fam is None:
-                notes[j, i] = ["family tuning failed"]
-                continue
-            try:
-                frames.append(build_frame(fam, k))
-            except HomatlasError as exc:
-                name = type(exc).__name__
-                notes[j, i] = [f"plus: {name}; minus: {name}"]
-                continue
-            cells.append((j, i))
-    stacked = stack_frames(frames) if frames else None
+    # cells are (position in k_values, column): a repeated k keeps its band
+    cells = [(j, i) for j in range(len(k_values)) for i in range(len(alphas))]
+    sweep = _Sweep(((j, i), tuned[i], k_values[j]) for j, i in cells
+                   if tuned[i] is not None)
+    notes = {(j, i): ["family tuning failed"] for j, i in cells
+             if tuned[i] is None}
+    for cell, exc in sweep.errors.items():
+        name = type(exc).__name__
+        notes[cell] = [f"plus: {name}; minus: {name}"]
     mus = {kind: [[None] * len(alphas) for _ in k_values]
            for kind in ("plus", "minus")}
     for kind, grid in mus.items():
-        outcomes = _lane_outcomes(locate_bifurcation_lanes, stacked,
-                                  list(range(len(cells))),
-                                  [kind] * len(cells))
-        for (j, i), mu in zip(cells, outcomes):
+        found = sweep.solve(locate_bifurcation_lanes,
+                            {cell: [(kind,)] for cell in sweep.frames})
+        for (j, i), (mu,) in found.items():
             if isinstance(mu, HomatlasError):
                 notes.setdefault((j, i), []).append(
                     f"{kind}: {type(mu).__name__}")
@@ -367,33 +379,20 @@ def certify_global_resonance(family: FamilyHandle,
     flags = tuple(
         tag for value, tag in _EXCEPTIONAL_S0 if abs(s0 - value) <= _FLAG_TOL
     )
-    ks = tuple(int(k) for k in k_range)
-    frames, errors = [], {}
-    for k in ks:
-        try:
-            frames.append(build_frame(family, k))
-        except HomatlasError as exc:
-            errors[k] = exc
-    stacked = stack_frames(frames) if frames else None
-    n = len(frames)
-    found = _lane_outcomes(locate_bifurcation_lanes, stacked,
-                           list(range(n)) * 2, ["plus"] * n + ["minus"] * n)
+    ks = tuple(_whole(k, "k") for k in k_range)
+    sweep = _Sweep((j, family, k) for j, k in enumerate(ks))
+    borders = sweep.solve(locate_bifurcation_lanes, {
+        j: [("plus",), ("minus",)] for j in sweep.frames})
     root = math.sqrt(-s0)
-    two_orbits = _lane_outcomes(
-        find_two_periodic_lanes, stacked, list(range(n)),
-        [m_from_mu(family, f.k, 0.0) for f in frames], [(-root, root)] * n)
-    solved = iter(_cert_record(frame.k, s0, orbit)
-                  for frame, orbit in zip(frames, two_orbits))
-    records = tuple(_failed_record(k, errors[k]) if k in errors
-                    else next(solved) for k in ks)
-    borders = {k: found[j::n] for j, k in enumerate(f.k for f in frames)}
-    intervals = []
-    for k in ks:
-        pair = borders.get(k, ())
-        if pair and not any(isinstance(mu, HomatlasError) for mu in pair):
-            intervals.append((k,) + tuple(sorted(pair)))
-        else:
-            intervals.append((k, None, None))
+    two_orbits = sweep.solve(find_two_periodic_lanes, {
+        j: [(m_from_mu(family, frame.k, 0.0), (-root, root))]
+        for j, frame in sweep.frames.items()})
+    records = tuple(_failed_record(k, sweep.errors[j]) if j in sweep.errors
+                    else _cert_record(k, s0, two_orbits[j][0])
+                    for j, k in enumerate(ks))
+    intervals = [(k, *sorted(borders[j]))
+                 if j in borders and _failed(borders[j]) is None
+                 else (k, None, None) for j, k in enumerate(ks)]
     nesting = _nesting_verdict(intervals)
     if any(rec.failure is not None for rec in records):
         verdict = "incomplete"

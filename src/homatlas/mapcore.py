@@ -20,11 +20,14 @@ comparison.
 
 The damped Newton, a secant and the bordered locator live here too,
 below every map that runs on jets.  Every solve is a lane solve: one
-Newton driver (``_lane_newton``) runs each lane to its own outcome, and a
-batch of one lane runs on Python floats, as fast as a solve written for
-floats.  The one locator ``_locate_trace_lanes`` finds, per lane, the M
-at which the r-orbit of a map family M -> F_M has a given trace of
-D(F^r), for the rescaled return map and the limit map x' = y,
+Newton driver (``_lane_newton``) runs each lane to its own outcome.  A
+batch of one lane starts on Python floats and stays on them when the
+map's numbers are floats too (a frame on floats, or the limit map), as
+fast as a solve written for floats; a lane of a stacked frame runs on
+1-element arrays, with the same bits but at two to four times the cost
+(see ``orbits``).  The one locator ``_locate_trace_lanes`` finds, per
+lane, the M at which the r-orbit of a map family M -> F_M has a given
+trace of D(F^r), for the rescaled return map and the limit map x' = y,
 y' = M + x - y**2 alike.
 """
 
@@ -575,8 +578,9 @@ def _border_residual(map_at, rounds: int, trace, z):
     rounds and F = map_at(M), and its exact 3x3 Jacobian, from one pass
     on degree-2 jets in (x, y, M).  map_at(M) returns a planar map
     p -> p that runs on jets.  z of shape (L, 3) is L lanes, whose jets
-    carry array coefficients; one lane runs on Python floats.  The
-    outputs have a leading lane axis."""
+    carry array coefficients; one lane starts on Python floats, and stays
+    on them when map_at's numbers are floats.  The outputs have a leading
+    lane axis."""
     if len(z) == 1:
         x, y, m = Jet.variables(*z[0].tolist(), 2)
     else:
@@ -611,8 +615,19 @@ def _bracketed(m_star: float, m_bracket):
 
 def _lane_values(values, lanes):
     """values (an array over the lanes) at the listed lanes; a Python
-    float for one lane, so that a batch of one lane runs on floats."""
+    float for one lane, so that a batch of one lane runs on floats where
+    the map's numbers are floats too."""
     return values[lanes[0]].item() if len(lanes) == 1 else values[lanes]
+
+
+def _whole(value, what: str) -> int:
+    """value as an int, or DomainError unless it is a whole number."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} must be a whole number, not {value!r}")
 
 
 def _raised(outcomes):
@@ -629,7 +644,8 @@ def _locate_trace_lanes(map_at, events):
     lane i for the event events[i] = (r, trace, M bracket).
 
     map_at(M, lanes) is the map of the listed lanes, on a jet M whose
-    coefficients are arrays over them (floats for one lane).  The lanes of
+    coefficients are arrays over them (floats for one lane, which stay
+    floats only when the map's numbers are floats).  The lanes of
     each round count run from their limit seeds as lanes of one bordered
     Newton (``_lane_newton``).  Returns one outcome per lane: its M, or
     its NewtonDivergedError, or BracketError when M leaves its bracket.
@@ -655,7 +671,7 @@ def _locate_trace_lanes(map_at, events):
 
 def iterate(expr: MapExpr, p, n):
     """n-fold composition; raises EscapeError with the failing iterate index."""
-    if n < 0:
+    if _whole(n, "iterate count") < 0:
         raise DomainError("iterate count must be nonnegative")
     x, y = p
     for j in range(n):

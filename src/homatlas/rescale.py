@@ -39,7 +39,8 @@ import numpy as np
 
 from .exceptions import DomainError, NonFiniteResultError, PrecisionFloorError
 from .family import FamilyHandle, LaneRecipe, LocalMapParams, stack_recipes
-from .mapcore import MapExpr, _stack, _take, _value, eval_map, jacobian_of
+from .mapcore import (MapExpr, _stack, _take, _value, _whole, eval_map,
+                      jacobian_of)
 from .returnmap import check_window, solve_y0, t0_pow_closed
 
 __all__ = [
@@ -294,6 +295,7 @@ def from_rescaled(rr: RescaledReturnMap, p):
 
 
 def m_from_mu(family: FamilyHandle, k: int, mu: float) -> float:
+    _whole(k, "k")
     t = family.taylor
     lamk = family.lam ** k
     base = _first_order_base(family, k)
@@ -313,6 +315,7 @@ def _mu_from_m(s0, d, lamk2, base, m):
 
 
 def mu_from_m(family: FamilyHandle, k: int, m: float) -> float:
+    _whole(k, "k")
     return _mu_from_m(family.s0, family.taylor.d, (family.lam ** k) ** 2,
                       _first_order_base(family, k), m)
 
@@ -395,6 +398,8 @@ def convergence_report(family: FamilyHandle, k_values, m: float,
     chain's own additive constant M_eff, so that only genuine coordinate
     residuals are measured and not the O(k lam^k) parameter offset.
     """
+    if _whole(grid_n, "grid_n") < 1:
+        raise DomainError("grid_n must be at least 1")
     lin = np.linspace(-2.0, 2.0, grid_n)
     gx, gy = np.meshgrid(lin, lin)
     gx, gy = gx.ravel(), gy.ravel()

@@ -23,13 +23,14 @@ import numpy as np
 
 from .exceptions import (
     CrossFormSolveError,
+    DomainError,
     EscapeError,
     PrecisionFloorError,
     StripWindowError,
 )
 from .family import FamilyHandle, LocalMapParams
 from .mapcore import (ESCAPE_RADIUS, Jet, _SADDLE_FLOOR, _all, _any, _value,
-                      eval_map, jacobian_of)
+                      _whole, eval_map, jacobian_of)
 
 __all__ = [
     "ReturnMap",
@@ -105,7 +106,11 @@ def t0_pow_closed(local: LocalMapParams, p, k: int, lamk=None):
             raise EscapeError("saddle factor left its positive domain")
         factor = _signed_pow(local.lam * b, k)
     xk = x * factor
-    yk = y / factor
+    try:
+        yk = y / factor
+    except ZeroDivisionError:
+        # the factor underflowed: y_k is infinite
+        raise EscapeError("orbit escaped during the saddle passage") from None
     if _any(abs(_value(xk)) + abs(_value(yk)) > ESCAPE_RADIUS):
         raise EscapeError("orbit escaped during the saddle passage")
     return xk, yk
@@ -150,7 +155,7 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk, lamk=None):
         if isinstance(v0, np.ndarray) or isinstance(vk, np.ndarray):
             y0 = _y0_lanes(stage, k, lamk, v0, vk)
         else:
-            y0 = solve_y0(local, k, v0, vk)
+            y0 = solve_y0(local, k, v0, vk, lamk)
         slope = phi(v0, vk, Jet.variables(y0, 1)[0]).c[1]
         y = phi(x0, yk, y0)
         for _ in range(y.n):
@@ -231,7 +236,9 @@ class ReturnMap:
 
 def check_window(family: FamilyHandle, k: int) -> None:
     """The validity window of every strip computation: raise unless
-    k_min(family) <= k <= k_max(family)."""
+    k_min(family) <= k <= k_max(family), and DomainError unless k is a
+    whole number."""
+    _whole(k, "k")
     if k < k_min(family):
         raise StripWindowError(f"strip outside window: k={k} < {k_min(family)}")
     if k > k_max(family):
@@ -263,7 +270,7 @@ def in_sigma0(family: FamilyHandle, k: int, x, y):
     valid = b > _SADDLE_FLOOR
     if isinstance(b, np.ndarray):
         b = np.where(valid, b, 1.0)
-    factor = _signed_pow(family.lam * b, k)
+    factor = _signed_pow(family.lam * b, _whole(k, "k"))
     xk = x * factor
     yk = y / factor
     ok_there = valid & (np.abs(xk) <= delta) & (np.abs(yk - family.y_minus) <= delta)
@@ -292,6 +299,8 @@ def validate_cross_form(family: FamilyHandle, k_values) -> CrossFormReport:
     drawn from the family's strip window, and every k must lie in the
     validity window (see ``check_window``).
     """
+    if len(k_values) == 0:
+        raise DomainError("validate_cross_form needs at least one k")
     for k in k_values:
         check_window(family, k)
     local = family.local

@@ -605,14 +605,16 @@ def _one_lane_record(family, k):
                       limit_error=abs(cos_phi - (1.0 + 2.0 * family.s0)))
 
 
-def _check_certificate_lanes(family):
+def _check_certificate_lanes(family, k_range=range(8, 15)):
     """Assert that every interval and record of the certificate over
-    k = 8..14 is bit for bit that of the one-lane solves on the k's own
+    k_range is bit for bit that of the one-lane solves on the k's own
     frame; returns the certificate."""
-    cert = certify_global_resonance(family, range(8, 15))
+    cert = certify_global_resonance(family, k_range)
+    assert [rec.k for rec in cert.records] == list(k_range)
+    assert [k for k, _, _ in cert.intervals] == list(k_range)
     for (k, lo, hi), rec in zip(cert.intervals, cert.records):
-        frame = build_frame(family, k)
         try:
+            frame = build_frame(family, k)
             want = sorted(locate_bifurcation(frame, kind)
                           for kind in ("plus", "minus"))
         except HomatlasError:
@@ -721,3 +723,35 @@ def test_cascade_row_reports_its_first_error_in_order(monkeypatch):
     assert len(rows[13].flags) == 3
     assert sorted(set(lanes["locate"])) == list(range(8, 14))
     assert lanes["trace"] == [k for k in range(10, 14) for _ in grid]
+
+
+@pytest.mark.parametrize("k_range", [(8, 8, 9), (9, 8, 9, 8), (1, 2, 3)],
+                         ids=["repeated", "repeated-unsorted", "all-failing"])
+def test_repeated_and_failing_units_match_one_lane_solves(monkeypatch,
+                                                          k_range):
+    """A repeated k gets its own row, record and band, each bit for bit
+    the one-lane solves on its float frame; a range whose every frame
+    fails makes no lane call."""
+    calls = []
+    for name in ("locate_bifurcation_lanes", "two_orbit_trace_lanes",
+                 "find_two_periodic_lanes"):
+        def counted(frame, *args, real=getattr(atlas_mod, name)):
+            calls.append(frame.k.tolist())
+            return real(frame, *args)
+
+        monkeypatch.setattr(atlas_mod, name, counted)
+    family = _CROSS_K_RECIPES["fold"](LocalMapParams(0.5))
+    rows = run_cascade(family, k_range).rows
+    assert [row.k for row in rows] == list(k_range)
+    for row in rows:
+        assert (_hexed(dataclasses.astuple(row))
+                == _hexed(dataclasses.astuple(_one_lane_row(family, row.k))))
+    _check_certificate_lanes(family, k_range)
+    if min(k_range) < 4:
+        assert calls == []
+        return
+    assert all(row.error is None for row in rows)
+    atlas = _assert_cells_match_one_lane_solves(_fold_family(), k_range,
+                                                eps=3.0, n_alpha=9)
+    assert [band.k for band in atlas.bands] == list(k_range)
+    assert len(atlas.failures) == len(k_range)

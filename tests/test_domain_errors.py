@@ -5,24 +5,28 @@ import math
 
 import pytest
 
-from homatlas import atlas, henon, mapcore, orbits, rescale
+from homatlas import atlas, henon, mapcore, orbits, rescale, returnmap
 from homatlas.exceptions import DomainError, HomatlasError
 from homatlas.family import HenonLikeRecipe, LocalMapParams, build_family
 
 
 def _frame(lam):
-    return rescale.build_frame(
-        build_family(LocalMapParams(lam), HenonLikeRecipe()), 8
-    )
+    return rescale.build_frame(_family(lam), 8)
 
 
 def _two_lanes():
     return rescale.stack_frames([_frame(0.5), _frame(0.5)])
 
 
-def _one_point_atlas():
-    band = atlas.StripBand(k=8, mu_plus=(0.1,), mu_minus=(0.2,))
-    return atlas.StripMap2D(alphas=(0.0,), k_values=(8,), bands=(band,),
+def _family(lam=0.5, p=(0.0, 1.0)):
+    return build_family(LocalMapParams(lam), HenonLikeRecipe(p=p))
+
+
+def _atlas(n):
+    """An atlas of k = 8 over n columns."""
+    alphas = tuple(0.01 * i for i in range(n))
+    band = atlas.StripBand(k=8, mu_plus=alphas, mu_minus=alphas)
+    return atlas.StripMap2D(alphas=alphas, k_values=(8,), bands=(band,),
                             intersections=(), axis_crossings=(),
                             failures=())
 
@@ -34,7 +38,7 @@ def _one_point_atlas():
     lambda: henon.rotation_number_slope(1.5),
     lambda: mapcore.iterate(henon.map_expr(0.5), (0.0, 0.0), -1),
     lambda: orbits.locate_bifurcation(_frame(0.5), "flip"),
-    lambda: atlas.boundary_slope(_one_point_atlas(), 8, "plus"),
+    lambda: atlas.boundary_slope(_atlas(1), 8, "plus"),
     lambda: rescale.stack_frames([_frame(0.5), _frame(0.55)]),
     lambda: orbits.find_two_periodic(_frame(0.5), 0.4, (0.1, 0.2, 0.3)),
     lambda: orbits.find_two_periodic(_frame(0.5), 0.4, (0.1, (0.2, 0.3))),
@@ -42,12 +46,27 @@ def _one_point_atlas():
     lambda: orbits.two_orbit_trace(_frame(0.5), [math.inf]),
     lambda: orbits.locate_bifurcation_lanes(_two_lanes(), ["plus"] * 3),
     lambda: orbits.two_orbit_trace_lanes(_two_lanes(), [0.3, 0.4, 0.5]),
+    lambda: rescale.build_frame(_family(-0.5), 10.5),
+    lambda: atlas.run_cascade(_family(), [10.5]),
+    lambda: atlas.run_cascade(_family(), [math.nan]),
+    lambda: atlas.run_strip_atlas(_family(), [10.5], n_alpha=2),
+    lambda: atlas.certify_global_resonance(_family(p=(0.0, 1.0, 0.3)),
+                                           [10.5]),
+    lambda: mapcore.iterate(henon.map_expr(0.5), (0.0, 0.0), 1.5),
+    lambda: atlas.boundary_slope(_atlas(2), 9, "plus"),
+    lambda: atlas.boundary_slope(_atlas(2), 8, "upper"),
+    lambda: rescale.convergence_report(_family(), (8, 9), 0.5, grid_n=0),
+    lambda: returnmap.validate_cross_form(_family(), []),
 ], ids=["lam", "two_periodic_orbit", "birkhoff_b1", "rotation_number_slope",
         "iterate", "locate_bifurcation", "boundary_slope", "stack_frames",
         "find_two_periodic_seed", "find_two_periodic_ragged_seed",
         "two_orbit_trace_m_shape",
         "two_orbit_trace_m_finite", "locate_bifurcation_lanes_count",
-        "two_orbit_trace_lanes_count"])
+        "two_orbit_trace_lanes_count", "build_frame_half_k",
+        "run_cascade_half_k", "run_cascade_nan_k", "run_strip_atlas_half_k",
+        "certify_global_resonance_half_k", "iterate_half_count",
+        "boundary_slope_missing_k", "boundary_slope_kind",
+        "convergence_report_empty_grid", "validate_cross_form_no_k"])
 def test_out_of_domain_argument_is_a_domain_error(call):
     with pytest.raises(DomainError) as info:
         call()

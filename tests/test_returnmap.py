@@ -200,6 +200,17 @@ def test_solve_y0_without_beta_is_the_linear_passage():
     assert [repr(c) for c in got.c] == [repr(c) for c in (lamk * jy).c]
 
 
+def test_solve_y0_jet_value_uses_the_callers_lamk():
+    # a jet on float values solves its value part with the given lamk, as
+    # the float solve and an array-lane jet do
+    local, k, lamk = LocalMapParams(0.5, (0.5,)), 10, 1.001 * 0.5**10
+    want = solve_y0(local, k, 1.0, 1.0, lamk)
+    jx, jy = Jet.variables(1.0, 1.0, 2)
+    assert solve_y0(local, k, jx, jy, lamk).c[0].hex() == want.hex()
+    jx, jy = Jet.variables(np.ones(1), np.ones(1), 2)
+    assert float(solve_y0(local, k, jx, jy, lamk).c[0][0]).hex() == want.hex()
+
+
 def _float_y0(local, k, x0, yk):
     """The saddle-passage fixed point on Python floats alone, with the
     solver's start, power and stop rule."""

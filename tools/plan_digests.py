@@ -8,7 +8,7 @@ SRC_DIR is the directory holding the ``homatlas`` package to test, e.g.
 ``src`` of this checkout or of a second checkout of another commit.  The
 script runs every invocation of the ``cascade`` (8 passes), ``atlas`` (4)
 and ``geometry`` (128) plans that ``perfbench/run.py --seconds 30`` draws
-for seeds 301 and 302, 2616 invocations in all, and then the eighteen fixed
+for seeds 301 and 302, 2616 invocations in all, and then the twenty fixed
 ``EXTRA`` cascade, atlas2d and resonance inputs that those plans do not
 reach, through
 ``homatlas.cli.main`` in this process.  It prints one line per
@@ -42,11 +42,12 @@ SECONDS = 30.0
 # recipe, negative lam, and a k range whose rows or cells fail the strip
 # window; for the atlas also borders outside their brackets (eps=3.0), a
 # recipe whose every tuning fails, and holes that differ from k to k
-# (lam=-0.55 eps=2.0: a tuning hole, and failed cells at every k); for
-# the certificate every verdict and record failure that the plans never
-# give: certified, withheld (s0=-0.5), a window error at k=3..5, a 2-orbit
-# that collapses or is a saddle, a diverging 2-orbit, nesting violated,
-# and mu=0 outside an interval
+# (lam=-0.55 eps=2.0: a tuning hole, and failed cells at every k), and
+# every tuning found but every frame failed (k=1..3); for the certificate
+# every verdict and record failure that the plans never give: certified,
+# withheld (s0=-0.5), a window error at k=3..5, a window error at every
+# k (k=1..3), a 2-orbit that collapses or is a saddle, a diverging
+# 2-orbit, nesting violated, and mu=0 outside an interval
 EXTRA = tuple(
     (subcommand, *[arg for kv in sets.split() for arg in ("--set", kv)])
     for subcommand, sets in (
@@ -61,9 +62,11 @@ EXTRA = tuple(
         ("atlas2d", "p=0,1,0.3 eps=3.0 n_alpha=9"),
         ("atlas2d", "recipe=sandwich n_alpha=5"),
         ("atlas2d", "p=0,1,0.3 lam=-0.55 eps=2.0 k_min=6 k_max=14 n_alpha=9"),
+        ("atlas2d", "p=0,1,0.3 k_min=1 k_max=3 n_alpha=3"),
         ("resonance", "s0=-0.4 lam=-0.55 beta=0.5"),
         ("resonance", "s0=-0.5"),
         ("resonance", "s0=-0.375 k_min=3 k_max=9"),
+        ("resonance", "s0=-0.4 k_min=1 k_max=3"),
         ("resonance", "s0=-0.8964 q=0,0,1,1.946 lam=-0.630 beta=-0.741"
                       " y_minus=0.874"),
         ("resonance", "recipe=sandwich p1=-0.294 w1=0.131 lam=-0.531"

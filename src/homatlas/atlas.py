@@ -3,13 +3,17 @@
 
 Every sweep runs its units (a cascade row, an atlas cell, a certificate
 k) as lanes through one helper, ``_Sweep``.  It builds each unit's
-``rescale.RescaleFrame`` once, on floats and in unit order, keeps the
-``HomatlasError`` of a unit whose frame fails, and stacks the other
-frames once (``rescale.stack_frames``).  ``_Sweep.solve(entry, lanes)``
-makes one lane call of an ``orbits`` entry over the lanes that the units
-ask for, each lane selecting its unit's frame by index, and hands each
-unit its lanes' outcomes; an error raised for the whole call is the
-outcome of every lane, and a unit whose frame failed takes no lanes.
+``rescale.RescaleFrame`` once, on floats and in unit order, and stacks
+the frames that were built once (``rescale.stack_frames``).
+``_Sweep.solve(entry, lanes)`` makes one lane call of an ``orbits``
+entry over the lanes that the units ask for, each lane selecting its
+unit's frame by index, and hands each unit its lanes' outcomes, a value
+or a ``HomatlasError`` per lane.  Failures take this one path: a unit
+whose frame failed takes no lanes, and its frame's error is the outcome
+of each of its lanes; an error raised for the whole call is the outcome
+of every lane in it.  A sweep reads a unit's first error from its
+outcomes (``mapcore._failed``) and never asks how the unit failed.
+
 Each sweep makes two such calls: a cascade locates the borders and
 resonance flags of its rows (``orbits.locate_bifurcation_lanes``), then
 solves the phase curves of the rows whose borders were found
@@ -34,7 +38,7 @@ from .exceptions import (BracketError, DomainError, HomatlasError,
                          ResonanceWindowError)
 from .family import FamilyHandle, tune_to
 from .henon import ELLIPTIC_EVENTS, TRACE_EVENTS
-from .mapcore import _whole
+from .mapcore import _failed, _whole
 from .orbits import (find_two_periodic_lanes, locate_bifurcation_lanes,
                      two_orbit_trace_lanes)
 from .rescale import RescaleFrame, build_frame, m_from_mu, stack_frames
@@ -132,52 +136,54 @@ def _named(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _failed(outcomes):
-    """The first HomatlasError among outcomes, or None."""
-    return next((o for o in outcomes if isinstance(o, HomatlasError)), None)
-
-
 class _Sweep:
-    """The units of a sweep as lanes: each unit's frame built on floats,
-    in unit order, and the frames stacked once.  A unit whose frame fails
-    keeps its HomatlasError in ``errors`` and takes no lanes."""
+    """The units of a sweep as lanes: ``frames`` holds each unit's frame,
+    built on floats in unit order, or the HomatlasError that building it
+    raised, and the built frames are stacked once."""
 
     def __init__(self, units):
         """units: (unit, family, k) in unit order."""
-        self.frames, self.errors = {}, {}
+        self.frames = {}
         for unit, family, k in units:
             try:
                 self.frames[unit] = build_frame(family, k)
             except HomatlasError as exc:
-                self.errors[unit] = exc
-        self._lane = {unit: j for j, unit in enumerate(self.frames)}
-        self._stacked = (stack_frames(list(self.frames.values()))
-                         if self.frames else None)
+                self.frames[unit] = exc
+        built = [unit for unit, frame in self.frames.items()
+                 if isinstance(frame, RescaleFrame)]
+        self._lane = {unit: j for j, unit in enumerate(built)}
+        self._stacked = (stack_frames([self.frames[u] for u in built])
+                         if built else None)
 
     def solve(self, entry, lanes) -> dict:
         """One lane call entry(frame, *args) over the lanes of lanes =
         {unit: [args of each of its lanes]}: frame holds each lane's
         unit, and args[i] the i-th argument of every lane.  Returns
-        {unit: its lanes' outcomes}.  A HomatlasError raised for the
-        whole call is every lane's outcome; no lanes make no call."""
-        index = [self._lane[u] for u, args in lanes.items() for _ in args]
+        {unit: its lanes' outcomes}.  A unit whose frame failed takes no
+        lanes, and its frame's error is the outcome of each of its lanes;
+        a HomatlasError raised for the whole call is the outcome of every
+        lane in it; no lanes make no call."""
+        live = {u: args for u, args in lanes.items() if u in self._lane}
+        index = [self._lane[u] for u, args in live.items() for _ in args]
         outcomes = iter(())
         if index:
             try:
                 outcomes = iter(entry(
                     self._stacked.take(index),
-                    *zip(*(a for args in lanes.values() for a in args))))
+                    *zip(*(a for args in live.values() for a in args))))
             except HomatlasError as exc:
                 outcomes = itertools.repeat(exc)
-        return {u: [next(outcomes) for _ in args] for u, args in lanes.items()}
+        return {u: [next(outcomes) if u in live else self.frames[u]
+                    for _ in args] for u, args in lanes.items()}
 
 
-def _row(frame: RescaleFrame, located, traces) -> CascadeRow:
-    """A cascade row from its lanes' outcomes: located, one per
+def _row(k: int, frame, located, traces) -> CascadeRow:
+    """A cascade row from its frame (or the frame's error, which is then
+    every outcome of located) and its lanes' outcomes: located, one per
     _ROW_EVENTS, and traces, its phase curve's (empty when a border
     failed).  The first error in the order plus, minus, phase curve,
     flags is the row's; a flag whose M leaves its bracket is left out."""
-    k, (mu_plus, mu_minus, *marks) = frame.k, located
+    mu_plus, mu_minus, *marks = located
     error = _failed((mu_plus, mu_minus, *traces, *(
         mu for mu in marks if not isinstance(mu, BracketError))))
     if error is not None:
@@ -206,7 +212,7 @@ def run_cascade(family: FamilyHandle, k_range) -> CascadeResult:
     one bordered Newton and their minus borders and flags as another,
     and the phase curves of the rows whose borders were found run as
     lanes of one 2-orbit Newton, 25 lanes per row.  A row whose frame
-    fails takes no lanes.
+    fails takes no lanes and reports its frame's error.
     """
     ks = tuple(_whole(k, "k") for k in k_range)
     sweep = _Sweep((j, family, k) for j, k in enumerate(ks))
@@ -216,9 +222,7 @@ def run_cascade(family: FamilyHandle, k_range) -> CascadeResult:
     traces = sweep.solve(two_orbit_trace_lanes, {
         j: [(m,) for m in grid] for j, found in located.items()
         if _failed(found[:2]) is None})
-    rows = tuple(CascadeRow(k, error=_named(sweep.errors[j]))
-                 if j in sweep.errors
-                 else _row(sweep.frames[j], located[j], traces.get(j, ()))
+    rows = tuple(_row(k, sweep.frames[j], located[j], traces.get(j, ()))
                  for j, k in enumerate(ks))
     return CascadeResult(
         lam=family.lam, alpha=family.alpha, s0=family.s0, rows=rows
@@ -313,9 +317,6 @@ def run_strip_atlas(family_template: FamilyHandle, k_range,
                    if tuned[i] is not None)
     notes = {(j, i): ["family tuning failed"] for j, i in cells
              if tuned[i] is None}
-    for cell, exc in sweep.errors.items():
-        name = type(exc).__name__
-        notes[cell] = [f"plus: {name}; minus: {name}"]
     mus = {kind: [[None] * len(alphas) for _ in k_values]
            for kind in ("plus", "minus")}
     for kind, grid in mus.items():
@@ -368,8 +369,8 @@ def certify_global_resonance(family: FamilyHandle,
     a missing or non-elliptic orbit at any k gives "incomplete".  The
     borders and the 2-orbits at mu = 0 (from the limit 2-orbit
     (-sqrt(-s0), sqrt(-s0))) of all k run as lanes across k; a k whose
-    frame fails takes no lanes, and an error raised for a whole call
-    reaches every k.
+    frame fails takes no lanes and its record carries the frame's error,
+    and an error raised for a whole call reaches every k.
     """
     s0 = family.s0
     if not (-1.0 < s0 < 0.0):
@@ -384,14 +385,16 @@ def certify_global_resonance(family: FamilyHandle,
     borders = sweep.solve(locate_bifurcation_lanes, {
         j: [("plus",), ("minus",)] for j in sweep.frames})
     root = math.sqrt(-s0)
-    two_orbits = sweep.solve(find_two_periodic_lanes, {
-        j: [(m_from_mu(family, frame.k, 0.0), (-root, root))]
-        for j, frame in sweep.frames.items()})
-    records = tuple(_failed_record(k, sweep.errors[j]) if j in sweep.errors
-                    else _cert_record(k, s0, two_orbits[j][0])
+    # M at mu = 0 is taken inside the call, so only for a k whose frame
+    # was built: at a k whose lam**2k leaves binary64 m_from_mu raises,
+    # and that k must fail by its frame's error, not abort the certificate
+    two_orbits = sweep.solve(
+        lambda frame, k, seed: find_two_periodic_lanes(
+            frame, [m_from_mu(family, kj, 0.0) for kj in k], seed),
+        {j: [(k, (-root, root))] for j, k in enumerate(ks)})
+    records = tuple(_cert_record(k, s0, two_orbits[j][0])
                     for j, k in enumerate(ks))
-    intervals = [(k, *sorted(borders[j]))
-                 if j in borders and _failed(borders[j]) is None
+    intervals = [(k, *sorted(borders[j])) if _failed(borders[j]) is None
                  else (k, None, None) for j, k in enumerate(ks)]
     nesting = _nesting_verdict(intervals)
     if any(rec.failure is not None for rec in records):
@@ -411,15 +414,11 @@ def certify_global_resonance(family: FamilyHandle,
     )
 
 
-def _failed_record(k: int, exc: Exception) -> CertRecord:
-    return CertRecord(k, failure=_named(exc))
-
-
 def _cert_record(k: int, s0: float, orbit) -> CertRecord:
     """The record of k from its 2-orbit at mu = 0 (an ``OrbitRecord``, or
     the error of its solve), against the limit cos(phi) = 1 + 2 s0."""
     if isinstance(orbit, HomatlasError):
-        return _failed_record(k, orbit)
+        return CertRecord(k, failure=_named(orbit))
     phase = orbit.stability.phase
     if phase is None:
         tag = orbit.stability.tag

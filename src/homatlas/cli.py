@@ -6,9 +6,15 @@ directory.  CSV and JSON carry raw payload values only; the plots may
 rescale axes for readability.  Handlers return raw CSV row values, and
 the writer formats every cell the same way: None as an empty cell,
 booleans as ``true``/``false``, floats with ``repr``, anything else
-with ``str``.  Exit status is 0 on success, 1 on a configuration
-error, 2 on a numerical failure, with a machine-readable error object
-on stderr in the failure cases.
+with ``str``.
+
+``main`` runs one path, load the config, parse the output formats, run
+the handler, write the outputs, and leaves it through one handler per
+exit status: 0 on success; 1 on a ``ConfigError`` (a bad config, or
+output that cannot be written), with a JSON error object on stderr and
+no file; 2 on any other ``HomatlasError`` (a numerical failure, or a
+result that JSON cannot carry), with the same object on stderr and in
+``error.json`` in the output directory.
 """
 
 from __future__ import annotations
@@ -462,13 +468,12 @@ def _formats(cfg) -> tuple:
     return chosen
 
 
-def _write_outputs(cfg, payload, rows, svgs, warnings, elapsed):
+def _write_outputs(cfg, formats, payload, rows, svgs, warnings, elapsed):
     """Serialize the result envelope, then write the chosen formats.  A
     non-finite number raises NonFiniteResultError before any file is
     written; an OSError from making the output directory or writing into
     it raises ConfigError."""
     out_dir = cfg.output["dir"]
-    formats = _formats(cfg)
     envelope = _jsonify({
         "schema_version": 1,
         "tool": "homatlas",
@@ -505,16 +510,12 @@ def _write_outputs(cfg, payload, rows, svgs, warnings, elapsed):
         raise ConfigError(f"cannot write output to {out_dir!r}: {exc}") from exc
 
 
-def _error_obj(subcommand, exc):
-    return {
+def _report_error(subcommand, exc, out_dir=None):
+    obj = {
         "schema_version": 1,
         "subcommand": subcommand,
         "error": {"type": type(exc).__name__, "message": str(exc)},
     }
-
-
-def _report_error(subcommand, exc, out_dir=None):
-    obj = _error_obj(subcommand, exc)
     print(json.dumps(obj, sort_keys=True), file=sys.stderr)
     if out_dir is not None:
         try:
@@ -567,27 +568,16 @@ def main(argv=None) -> int:
             overrides=args.set,
             out_dir=args.out,
         )
-        _formats(cfg)
+        formats = _formats(cfg)
+        start = time.monotonic()
+        result = _HANDLERS[cfg.subcommand](cfg)
+        _write_outputs(cfg, formats, *result, time.monotonic() - start)
     except ConfigError as exc:
         _report_error(args.command, exc)
         return 1
-    start = time.monotonic()
-    try:
-        payload, rows, svgs, warnings = _HANDLERS[cfg.subcommand](cfg)
-    except ConfigError as exc:
-        _report_error(cfg.subcommand, exc)
-        return 1
     except HomatlasError as exc:
-        _report_error(cfg.subcommand, exc, out_dir=cfg.output["dir"])
-        return 2
-    elapsed = time.monotonic() - start
-    try:
-        _write_outputs(cfg, payload, rows, svgs, warnings, elapsed)
-    except ConfigError as exc:
-        _report_error(cfg.subcommand, exc)
-        return 1
-    except NonFiniteResultError as exc:
-        _report_error(cfg.subcommand, exc, out_dir=cfg.output["dir"])
+        # load_config raises only ConfigError, so cfg is set here
+        _report_error(args.command, exc, out_dir=cfg.output["dir"])
         return 2
     return 0
 

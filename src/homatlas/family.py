@@ -56,6 +56,11 @@ __all__ = [
 ]
 
 
+def _check_finite(what: str, numbers) -> None:
+    if not all(map(math.isfinite, numbers)):
+        raise DomainError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class LocalMapParams:
     """Saddle map x -> lam*x*B(xy), y -> y/(lam*B(xy)) with B(u)=1+sum beta_i u^i."""
@@ -66,6 +71,7 @@ class LocalMapParams:
     def __post_init__(self):
         if not 0.0 < abs(self.lam) < 1.0:
             raise DomainError("multiplier must satisfy 0 < |lam| < 1")
+        _check_finite("the Moser coefficients", self.moser_coeffs)
         # the saddle stage depends on lam and beta alone; built once here
         # rather than on every saddle passage
         object.__setattr__(
@@ -115,6 +121,8 @@ class HenonLikeRecipe:
     def __post_init__(self):
         p = tuple(float(v) for v in self.p)
         q = tuple(float(v) for v in self.q)
+        _check_finite("the recipe's numbers", (*p, *q, self.x_plus,
+                                               self.y_minus))
         if len(p) < 2 or abs(p[1]) < 1e-12:
             raise TangencyError("P'(0) must be nonzero")
         if abs(p[0]) > 1e-14:
@@ -164,6 +172,8 @@ class ShearSandwichRecipe:
     y_minus: float = 1.0
 
     def __post_init__(self):
+        _check_finite("the recipe's numbers",
+                      [getattr(self, f.name) for f in fields(self)])
         if abs(self.d) < 1e-12:
             raise TangencyError("quadratic tangency needs d != 0")
         if not (self.x_plus > 0.0 and self.y_minus > 0.0):

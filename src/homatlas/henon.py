@@ -77,6 +77,8 @@ def step(M: float, p):
 
 def fixed_points(M: float):
     """Fixed points with their multipliers; both are saddles for M > 0."""
+    if not math.isfinite(M):
+        raise DomainError(f"M must be finite, not {M!r}")
     if M < 0.0:
         return []
     s = math.sqrt(M)
@@ -94,6 +96,8 @@ def classify_from_trace(trace: float, det: float) -> StabilityClass:
     product -1); det = +1 covers second-iterate derivatives where elliptic
     behavior is possible.
     """
+    if not (math.isfinite(trace) and math.isfinite(det)):
+        raise DomainError(f"trace {trace!r} and det {det!r} must be finite")
     tol = 1e-9  # a trace this close to a special value takes its tag
     if det < 0.0:
         if abs(trace) <= tol:

@@ -47,6 +47,7 @@ from .exceptions import (
     EscapeError,
     HomatlasError,
     NewtonDivergedError,
+    PrecisionFloorError,
     TargetUnreachableError,
 )
 
@@ -630,12 +631,30 @@ def _whole(value, what: str) -> int:
     raise DomainError(f"{what} must be a whole number, not {value!r}")
 
 
+def _failed(outcomes):
+    """The error of the lowest failing lane among lane outcomes, or None."""
+    return next((o for o in outcomes if isinstance(o, HomatlasError)), None)
+
+
+def _lamk2(lam: float, k) -> float:
+    """lam**2k as (lam**k)**2 at a whole k; PrecisionFloorError where it
+    underflows to 0.0, since no rescaled quantity is defined there, and
+    DomainError where it overflows (a k far below 0)."""
+    try:
+        lamk2 = (lam ** _whole(k, "k")) ** 2
+    except OverflowError:
+        raise DomainError(f"lam**2k overflows at k={k}") from None
+    if lamk2 == 0.0:
+        raise PrecisionFloorError(f"lam**2k underflows to 0 at k={k}")
+    return lamk2
+
+
 def _raised(outcomes):
     """Lane outcomes, or the error of the lowest failing lane raised, as a
     loop over the lanes would raise it."""
-    for outcome in outcomes:
-        if isinstance(outcome, HomatlasError):
-            raise outcome
+    error = _failed(outcomes)
+    if error is not None:
+        raise error
     return outcomes
 
 

@@ -22,13 +22,10 @@ multiplier -1 when tr D(F^2) = -2.  The jets' coefficients are arrays
 over the lanes, so each pass of F serves every lane, and each lane runs
 the damped Newton of a one-lane solve (``mapcore._damped_newton``) to
 its own outcome: a value or an error.  A batch of one lane runs on
-Python floats on a frame on floats.  A lane of a stacked frame runs on
-1-element arrays, with the same bits but at two to four times the cost:
-at k = 11 of p = 0,1,0.3, q = 0,0,1,1, lam 0.5, alpha -0.1, the best of
-7 x 50 calls on a 2-vCPU Xeon (Python 3.11, numpy 2.4) take 1.03 ms
-against 0.45 ms for a 2-orbit trace and 2.09 ms against 0.48 ms for the
-minus border.  Each lane that converges is bit for bit the one-lane
-solve on its own frame on floats.  ``two_orbit_trace``,
+Python floats on a frame on floats, because a lane of a stacked frame
+runs on 1-element arrays: the same bits at a few times the cost (the
+timings are in CHANGES.md).  Each lane that converges is bit for bit the
+one-lane solve on its own frame on floats.  ``two_orbit_trace``,
 ``find_two_periodic`` and ``locate_bifurcation`` raise the error of
 their lowest failing lane.
 

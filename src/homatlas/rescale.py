@@ -39,8 +39,8 @@ import numpy as np
 
 from .exceptions import DomainError, NonFiniteResultError, PrecisionFloorError
 from .family import FamilyHandle, LaneRecipe, LocalMapParams, stack_recipes
-from .mapcore import (MapExpr, _stack, _take, _value, _whole, eval_map,
-                      jacobian_of)
+from .mapcore import (MapExpr, _lamk2, _stack, _take, _value, _whole,
+                      eval_map, jacobian_of)
 from .returnmap import check_window, solve_y0, t0_pow_closed
 
 __all__ = [
@@ -187,7 +187,8 @@ class RescaleFrame:
 
 def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
     """The frame of the family's k-th rescaled return map; raises unless k
-    lies in the validity window (see ``returnmap.check_window``), and
+    lies in the validity window (see ``returnmap.check_window``),
+    DomainError when the chain is singular (d_k = 0), and
     NonFiniteResultError when a number of the frame overflows binary64
     (x_plus or y_minus near 1e300, say)."""
     check_window(family, k)
@@ -196,6 +197,10 @@ def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
     a, b = t.a, t.b
     lamk = lam ** k
     d_k = t.d + lamk * t.f12 * xp
+    if d_k == 0.0:
+        # the chain would scale both coordinates by 0, a singular matrix
+        raise DomainError(f"the rescaling chain at k={k} is singular: "
+                          "d + lam**k f12 x_plus = 0")
     nu1 = -(t.e02 / (b * t.d)) * lamk
     # the second mix coefficient must be -nu1 - a*lam^k so that the linear
     # x-term of the first component and the xy-term of the second cancel
@@ -295,9 +300,8 @@ def from_rescaled(rr: RescaledReturnMap, p):
 
 
 def m_from_mu(family: FamilyHandle, k: int, mu: float) -> float:
-    _whole(k, "k")
+    lamk2 = _lamk2(family.lam, k)
     t = family.taylor
-    lamk = family.lam ** k
     base = _first_order_base(family, k)
     total = math.fsum([mu, base])
     eps = np.finfo(float).eps
@@ -305,7 +309,7 @@ def m_from_mu(family: FamilyHandle, k: int, mu: float) -> float:
         raise PrecisionFloorError(
             "mu sits too close to the cancellation point of the M formula"
         )
-    return -t.d / lamk**2 * total - family.s0
+    return -t.d / lamk2 * total - family.s0
 
 
 def _mu_from_m(s0, d, lamk2, base, m):
@@ -315,8 +319,7 @@ def _mu_from_m(s0, d, lamk2, base, m):
 
 
 def mu_from_m(family: FamilyHandle, k: int, m: float) -> float:
-    _whole(k, "k")
-    return _mu_from_m(family.s0, family.taylor.d, (family.lam ** k) ** 2,
+    return _mu_from_m(family.s0, family.taylor.d, _lamk2(family.lam, k),
                       _first_order_base(family, k), m)
 
 
@@ -371,10 +374,13 @@ def fit_cubic_coefficient(rr: RescaledReturnMap) -> float:
 
 def _theil_sen_slope(x, y) -> float:
     """Theil-Sen slope: the median of the pairwise slopes dy/dx over pairs
-    with dx > 0."""
+    with dx > 0; DomainError when no pair has one (every x the same)."""
     dx = x[:, np.newaxis] - x
     dy = y[:, np.newaxis] - y
-    return float(np.median(dy[dx > 0] / dx[dx > 0]))
+    pairs = dx > 0
+    if not pairs.any():
+        raise DomainError("a slope in k needs two distinct k")
+    return float(np.median(dy[pairs] / dx[pairs]))
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ from .exceptions import (
     StripWindowError,
 )
 from .family import FamilyHandle, LocalMapParams
-from .mapcore import (ESCAPE_RADIUS, Jet, _SADDLE_FLOOR, _all, _any, _value,
-                      _whole, eval_map, jacobian_of)
+from .mapcore import (ESCAPE_RADIUS, Jet, _SADDLE_FLOOR, _all, _any, _lamk2,
+                      _value, _whole, eval_map, jacobian_of)
 
 __all__ = [
     "ReturnMap",
@@ -260,8 +260,10 @@ def in_sigma0(family: FamilyHandle, k: int, x, y):
     Points where the saddle factor leaves its domain are simply outside,
     never an error, since arbitrary image points get tested here.  As in
     ``t0_pow_closed``, a saddle without Moser terms scales every point by
-    the one float lam**k.
+    the one float lam**k.  A k whose lam**2k leaves binary64 is refused
+    (``mapcore._lamk2``).
     """
+    _lamk2(family.lam, k)
     delta = window_halfwidth(family)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -407,8 +409,10 @@ def classify_horseshoe(family: FamilyHandle, k_values) -> HorseshoeClass:
     -sign(d) * sign(lam**k) * sign(alpha) > 0.  The tag reflects the
     measured pattern; "inconclusive" is returned when sampling cannot
     stabilize a count (only expected near alpha = 0).  Every k must lie
-    in the validity window (see ``check_window``).
+    in the validity window (see ``check_window``), and there must be one.
     """
+    if len(k_values) == 0:
+        raise DomainError("no k to classify")
     for k in k_values:
         check_window(family, k)
     t = family.taylor

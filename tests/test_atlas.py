@@ -212,6 +212,14 @@ def test_certificate_incomplete_on_solver_failure():
     assert cert.records[1].failure is None
 
 
+def test_certificate_records_a_k_whose_lam_2k_leaves_binary64():
+    # m_from_mu raises at k = +-2000; each k still fails by its frame
+    cert = certify_global_resonance(_s0_family(-0.4), (2000, 10, -2000))
+    assert [rec.failure and rec.failure.split(":")[0]
+            for rec in cert.records] == [
+        "PrecisionFloorError", None, "StripWindowError"]
+
+
 def test_sweeps_record_any_homatlas_error(monkeypatch):
     # every HomatlasError of a sweep unit or of a tuning is recorded,
     # not just the solver errors that the units raise today: a locator

@@ -82,6 +82,38 @@ def _combined_sets(sub):
 # a frame whose numbers overflow under a Moser term
 @example(case=("cascade", [("family", "y_minus", "1e300"),
                            ("family", "beta", "0.5")]))
+# a rescaling chain that is singular at k = 10 (d + lam**10 f12 x_plus = 0)
+@example(case=("cascade", [("family", "p", "0,1,16"),
+                           ("family", "q", "0,0,-1"),
+                           ("experiment", "k_max", "10")]))
 def test_combined_hostile_values_are_a_result_or_a_json_error(case):
     subcommand, sets = case
+    _assert_result_or_json_error(subcommand, sets)
+
+
+# family keys drawn from inside their valid ranges, so that two or three
+# of them together reach the solvers rather than the config checks
+IN_RANGE = {
+    "lam": st.floats(0.4, 0.6) | st.floats(-0.6, -0.4),
+    "beta": st.floats(-1.0, 1.0),
+    "x_plus": st.floats(0.5, 2.0),
+    "y_minus": st.floats(0.5, 2.0),
+    "s0": st.floats(-0.9, -0.1),
+    "alpha": st.floats(-0.05, 0.05),
+}
+
+
+def _in_range_sets():
+    """Two or three distinct keys of IN_RANGE, each with a drawn value."""
+    return st.lists(
+        st.sampled_from(sorted(IN_RANGE)), min_size=2, max_size=3, unique=True
+    ).flatmap(lambda keys: st.tuples(
+        *(IN_RANGE[key].map(repr) for key in keys)
+    ).map(lambda values: [("family", *kv) for kv in zip(keys, values)]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(subcommand=st.sampled_from(SUBCOMMANDS), sets=_in_range_sets())
+def test_combined_in_range_values_are_a_result_or_a_json_error(subcommand,
+                                                               sets):
     _assert_result_or_json_error(subcommand, sets)

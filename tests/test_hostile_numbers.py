@@ -11,7 +11,7 @@ import pytest
 import homatlas
 from homatlas import (HenonLikeRecipe, HShear, LocalMapParams, Lift, MapExpr,
                       Moser, ShearSandwichRecipe, Swap, Translate, VShear)
-from homatlas.exceptions import HomatlasError
+from homatlas.exceptions import HomatlasError, PrecisionFloorError
 
 _FAMILY = homatlas.build_family(LocalMapParams(-0.5),
                                 HenonLikeRecipe(p=(0.0, 1.0, 0.3)))
@@ -177,3 +177,16 @@ def test_hostile_number_gives_a_result_or_a_homatlas_error(call, args):
             call(*args)
         except HomatlasError:
             pass
+
+
+@pytest.mark.parametrize("call", [
+    lambda: homatlas.m_from_mu(_S0_FAMILY, 2000, 0.0),
+    lambda: homatlas.mu_from_m(_S0_FAMILY, 2000, 0.4),
+    lambda: homatlas.in_sigma0(_S0_FAMILY, 2000, 1.0, 1.0),
+], ids=["m_from_mu", "mu_from_m", "in_sigma0"])
+def test_underflowing_lam_2k_is_a_precision_floor_error(call):
+    # 0.5**2000 underflows to 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionFloorError):
+            call()

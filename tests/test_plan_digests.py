@@ -1,5 +1,5 @@
-"""Smoke tests of ``tools/plan_digests.py`` on one ``geometry`` pass and
-on its fixed extra cascade and atlas2d inputs."""
+"""Smoke tests of ``tools/plan_digests.py`` on one ``geometry`` pass, on
+its fixed extra sweep inputs and on its fixed failing inputs."""
 
 import importlib.util
 import sys
@@ -54,3 +54,14 @@ def test_extra_sweep_inputs_digest_the_same_twice(monkeypatch, capsys):
     ]
     assert {argv[0] for argv in tool.EXTRA} == {"cascade", "atlas2d",
                                                 "resonance"}
+
+
+def test_failing_inputs_digest_the_same_twice(monkeypatch, capsys):
+    tool = _tool()
+    lines = _digest_twice(monkeypatch, capsys, tool,
+                          lambda: iter([tool._failing_plan()]))
+    assert [line.split()[:5] for line in lines] == [
+        ["-", "failing", str(i), argv[0], rc]
+        for i, (argv, rc) in enumerate(zip(tool.FAILING, "1111" + "2" * 7,
+                                           strict=True))
+    ]

@@ -366,7 +366,8 @@ def certify_global_resonance(family: FamilyHandle,
 
     Requires s0 in (-1, 0).  Proximity of s0 to an exceptional value is
     flagged and downgrades the verdict from "certified" to "withheld";
-    a missing or non-elliptic orbit at any k gives "incomplete".  The
+    a missing or non-elliptic orbit at any k gives "incomplete", and
+    no k is a DomainError.  The
     borders and the 2-orbits at mu = 0 (from the limit 2-orbit
     (-sqrt(-s0), sqrt(-s0))) of all k run as lanes across k; a k whose
     frame fails takes no lanes and its record carries the frame's error,
@@ -381,6 +382,8 @@ def certify_global_resonance(family: FamilyHandle,
         tag for value, tag in _EXCEPTIONAL_S0 if abs(s0 - value) <= _FLAG_TOL
     )
     ks = tuple(_whole(k, "k") for k in k_range)
+    if not ks:
+        raise DomainError("no k to certify")
     sweep = _Sweep((j, family, k) for j, k in enumerate(ks))
     borders = sweep.solve(locate_bifurcation_lanes, {
         j: [("plus",), ("minus",)] for j in sweep.frames})

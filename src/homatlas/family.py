@@ -37,7 +37,7 @@ from .exceptions import (
     TargetUnreachableError,
 )
 from .mapcore import (HShear, Jet, Lift, MapExpr, Moser, Swap, Translate,
-                      VShear, _polyder, _secant, _stack, _take, eval_map)
+                      VShear, _polyder, _stack, _take, eval_map)
 
 __all__ = [
     "LocalMapParams",
@@ -343,25 +343,8 @@ def build_family(local: LocalMapParams, recipe,
     )
 
 
-# |invariant - target| at which tune_to's secant stops
-_TUNE_TOL = 1e-8
-
-
-def _tune_knob(local, recipe, mu, index, invariant, target, x0, x1):
-    """The family whose recipe has P's coefficient p[index] moved by
-    secant from the seeds x0, x1 until the family's invariant ("alpha" or
-    "s0") is target: the family that the secant built at the value it
-    accepted."""
-    p = list(recipe.p) + [0.0] * (index + 1 - len(recipe.p))
-    families = {}
-
-    def invariant_of(value):
-        p[index] = value
-        fam = build_family(local, replace(recipe, p=tuple(p)), mu)
-        families[value] = fam
-        return getattr(fam, invariant)
-
-    return families[_secant(invariant_of, x0, x1, target, _TUNE_TOL)]
+# |invariant - target| that tune_to accepts
+_TUNE_TOL = 1e-7
 
 
 def tune_to(
@@ -371,11 +354,14 @@ def tune_to(
 ) -> FamilyHandle:
     """Retune the recipe knobs so the extracted invariants hit the targets.
 
-    The alpha knob is the linear coefficient b of P (so c = 1/b moves with
-    it and bc = 1 stays an identity); the s0 knob is the quadratic
-    coefficient of P.  Only the fold recipe exposes these knobs, and its
-    reachable set is s0 <= 0.  Returns the family that the last secant
-    built at the knob value it accepted.
+    The alpha knob is the linear coefficient b = P'(0) of P, set to
+    x_plus/((1 + alpha) y_minus), since alpha = c x_plus/y_minus - 1 with
+    c = 1/b (so bc = 1 stays an identity); the s0 knob is the quadratic
+    coefficient p2 of P, set to b**2 sqrt(-s0)/x_plus, since
+    s0 = -(f11 x_plus)**2/4 with f11 = -2 p2/b**2.  Only the fold recipe
+    exposes these knobs, and its reachable set is s0 <= 0.  Returns the
+    family built once from the tuned recipe, after checking that its
+    invariants are within 1e-7 of the targets.
     """
     if alpha_target is None and s0_target is None:
         return handle
@@ -384,32 +370,25 @@ def tune_to(
         raise TargetUnreachableError(
             "target unreachable: this recipe exposes no tuning knobs"
         )
-    mu = handle.mu
-    local = handle.local
+    p = list(recipe.p)
 
     if alpha_target is not None:
-        # alpha = c*x_plus/y_minus - 1 with c = 1/P'(0) is linear in 1/b.
         c_needed = (1.0 + alpha_target) * recipe.y_minus / recipe.x_plus
         if abs(c_needed) < 1e-10:
             raise TargetUnreachableError("target unreachable: alpha = -1 needs c = 0")
-        b_seed = 1.0 / c_needed
-        out = _tune_knob(local, recipe, mu, 1, "alpha", alpha_target,
-                         b_seed, b_seed * (1.0 + 1e-3))
-        recipe = out.recipe
+        p[1] = 1.0 / c_needed
 
     if s0_target is not None:
         if s0_target > 1e-12:
             raise TargetUnreachableError(
                 "target unreachable: this recipe realizes only s0 <= 0"
             )
-        b = recipe.p[1]
-        # s0 = -(f11*x_plus)^2/4 with f11 = -2 p2 / b^2; seed from inversion.
-        p2_seed = b * b * math.sqrt(max(-s0_target, 0.0)) / recipe.x_plus
-        out = _tune_knob(local, recipe, mu, 2, "s0", s0_target,
-                         p2_seed, p2_seed + 1e-3)
+        p += [0.0] * (3 - len(p))
+        p[2] = p[1] * p[1] * math.sqrt(max(-s0_target, 0.0)) / recipe.x_plus
 
-    if alpha_target is not None and abs(out.alpha - alpha_target) > 10 * _TUNE_TOL:
+    out = build_family(handle.local, replace(recipe, p=tuple(p)), handle.mu)
+    if alpha_target is not None and abs(out.alpha - alpha_target) > _TUNE_TOL:
         raise TargetUnreachableError("target unreachable: alpha residual too large")
-    if s0_target is not None and abs(out.s0 - s0_target) > 10 * _TUNE_TOL:
+    if s0_target is not None and abs(out.s0 - s0_target) > _TUNE_TOL:
         raise TargetUnreachableError("target unreachable: s0 residual too large")
     return out

@@ -95,7 +95,7 @@ def _orbit_residual(rr, rounds, z):
 def _check_lanes(frame: RescaleFrame, n: int):
     """DomainError unless a stacked frame has n lanes; a frame on floats
     serves any number of lanes."""
-    if frame.family is None and n != len(frame.k):
+    if np.ndim(frame.k) and n != len(frame.k):
         raise DomainError(f"{n} lanes asked of a frame of {len(frame.k)}")
 
 
@@ -146,7 +146,7 @@ def find_two_periodic_lanes(frame: RescaleFrame, m, seeds) -> list:
     seeds = _finite(seeds, 2, "the seeds")
     if seeds.shape != (len(m), 2):
         raise DomainError("each M takes one seed pair (X, Y)")
-    ks = frame.k.tolist() if frame.family is None else [frame.k] * len(m)
+    ks = np.broadcast_to(frame.k, len(m)).tolist()
     lam = abs(frame.local.lam)
     windows = [1.5 * lam ** (-k / 4.0) + 2.0 for k in ks]
     outcomes = _two_orbit_lanes(frame, m, seeds, windows)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -82,10 +82,11 @@ class RescaleFrame:
     its square lamk2, the shifted curvature d_k, the mix coefficient nu1,
     the 2x2 matrix with its inverse, the offset before the mu-dependent
     (half + nu1 m3, half) is subtracted, the two mu-free summands of the
-    first parameter m1, and the numbers of the family that the map at a
+    first parameter m1, the numbers of the family that the map at a
     parameter reads: shift = (f11 x_plus)**2/4, half = a lam^k/2, s0 and
-    the curvature d, the local saddle and the recipe.  Made by
-    ``build_frame``.
+    the curvature d, then m_tail = a**2 lamk2/4, the mu-free summand of
+    ``m_effective``, and last the local saddle and the recipe.  A frame
+    holds only these numbers and the two.  Made by ``build_frame``.
 
     The chain at mu maps cross coordinates (x0, y_k) to rescaled
     (X, Y) = matrix (x0, y_k) + offset(mu), and inverse undoes matrix.
@@ -95,9 +96,9 @@ class RescaleFrame:
     and array lanes, never numpy scalars.
 
     ``stack_frames`` stacks frames into one frame whose per-frame numbers,
-    k among them, are arrays over them (lanes); its family is None."""
+    k among them, are arrays over them (lanes); k is a number in a frame
+    of one unit and an array in a stacked frame."""
 
-    family: FamilyHandle | None
     k: int
     lamk: float
     lamk2: float
@@ -111,6 +112,7 @@ class RescaleFrame:
     half: float
     s0: float
     d: float
+    m_tail: float
     local: LocalMapParams
     recipe: object
 
@@ -142,8 +144,7 @@ class RescaleFrame:
         """The additive parameter of the normal form that the chain at mu
         reaches.  The contract-level M of ``m_from_mu`` differs from it by
         O(k lam^k) terms that the frozen-zero convention does not remove."""
-        a = self.family.taylor.a
-        return self._m3(mu) * (1.0 + self.nu1) + 0.25 * a**2 * self.lamk2
+        return self._m3(mu) * (1.0 + self.nu1) + self.m_tail
 
     def mu_from_m(self, m):
         """The parameter mu at rescaled parameter M, as ``mu_from_m`` but
@@ -169,12 +170,16 @@ class RescaleFrame:
         """The lanes at index (a sequence of lane numbers, repeats allowed)
         of a stacked frame, as one stacked frame: the frame itself when
         index lists all its lanes in order, and a frame on floats, which
-        serves every lane, always."""
-        if self.family is not None:
+        serves every lane, always.  DomainError for a lane number outside
+        0 .. lanes - 1 of a stacked frame."""
+        if np.ndim(self.k) == 0:
             return self
         index = np.asarray(index, dtype=np.intp)
-        if np.array_equal(index, np.arange(len(self.s0))):
+        if np.array_equal(index, np.arange(len(self.k))):
             return self
+        if not ((index >= 0) & (index < len(self.k))).all():
+            raise DomainError(f"lanes {index.tolist()} asked of a frame of "
+                              f"{len(self.k)}")
         recipe = self.recipe
         return replace(
             self,
@@ -213,8 +218,12 @@ def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
     shift1 = np.array([xp + a * lamk * xp, ym])
     w = 0.5 * t.f11 * xp
     base = mix @ (np.diag([su, sv]) @ (-shift1) - np.array([w, w]))
+    try:
+        m_tail = 0.25 * a**2 * lamk**2
+    except OverflowError:
+        # a**2 leaves binary64 (|a| > 1.3e154); only m_effective reads it
+        m_tail = math.inf
     frame = RescaleFrame(
-        family=family,
         k=k,
         lamk=lamk,
         lamk2=lamk**2,
@@ -231,6 +240,7 @@ def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
         half=0.5 * a * lamk,
         s0=family.s0,
         d=t.d,
+        m_tail=m_tail,
         local=family.local,
         recipe=family.recipe,
     )
@@ -247,9 +257,10 @@ def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
     return frame
 
 
-# the per-frame numbers of a frame; the local saddle is shared by the lanes
-_LANE_FIELDS = ("k", "lamk", "lamk2", "d_k", "nu1", "matrix", "inverse",
-                "base", "m1_terms", "shift", "half", "s0", "d")
+# the per-frame numbers of a frame: every field but the local saddle,
+# which the lanes share, and the recipe, which stacks as recipes do
+_LANE_FIELDS = tuple(f.name for f in fields(RescaleFrame)
+                     if f.name not in ("local", "recipe"))
 
 
 def stack_frames(frames) -> RescaleFrame:
@@ -260,14 +271,16 @@ def stack_frames(frames) -> RescaleFrame:
     lam**k and k among
     them, is stacked as the frame computed it on Python floats, never
     computed from a stacked array, so that each lane of a map built from
-    the stacked frame gets the bits of its own frame's map."""
+    the stacked frame gets the bits of its own frame's map.  DomainError
+    for no frames."""
+    if len(frames) == 0:
+        raise DomainError("no frames to stack")
     first = frames[0]
     if any(f.local != first.local for f in frames):
         raise DomainError("stacked frames must share the local saddle")
     shared = all(f.recipe is first.recipe for f in frames)
     return replace(
         first,
-        family=None,
         recipe=(first.recipe if shared
                 else stack_recipes([f.recipe for f in frames])),
         **{name: _stack([getattr(f, name) for f in frames])
@@ -403,7 +416,10 @@ def convergence_report(family: FamilyHandle, k_values, m: float,
     compared against Y' = M_eff + X - Y^2 + (f03/d^2) lam^k Y^3 with the
     chain's own additive constant M_eff, so that only genuine coordinate
     residuals are measured and not the O(k lam^k) parameter offset.
+    DomainError for no k.
     """
+    if len(k_values) == 0:
+        raise DomainError("no k to report")
     if _whole(grid_n, "grid_n") < 1:
         raise DomainError("grid_n must be at least 1")
     lin = np.linspace(-2.0, 2.0, grid_n)

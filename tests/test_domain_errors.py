@@ -71,6 +71,11 @@ def _atlas(n):
                                        [8, 8, 8], 0.5),
     lambda: rescale.m_from_mu(_family(), -2000, 0.0),
     lambda: rescale.mu_from_m(_family(), -2000, 0.4),
+    lambda: rescale.stack_frames([]),
+    lambda: _two_lanes().take([5]),
+    lambda: _two_lanes().take([-1]),
+    lambda: atlas.certify_global_resonance(_family(p=(0.0, 1.0, 0.3)), []),
+    lambda: rescale.convergence_report(_family(), [], 0.5),
 ], ids=["lam", "two_periodic_orbit", "birkhoff_b1", "rotation_number_slope",
         "iterate", "locate_bifurcation", "boundary_slope", "stack_frames",
         "find_two_periodic_seed", "find_two_periodic_ragged_seed",
@@ -85,7 +90,9 @@ def _atlas(n):
         "fixed_points_nan", "henon_recipe_nan", "sandwich_recipe_nan",
         "moser_coefficient_nan", "classify_horseshoe_no_k",
         "convergence_report_one_k", "m_from_mu_overflow",
-        "mu_from_m_overflow"])
+        "mu_from_m_overflow", "stack_frames_none", "take_lane_past_end",
+        "take_negative_lane", "certify_global_resonance_no_k",
+        "convergence_report_no_k"])
 def test_out_of_domain_argument_is_a_domain_error(call):
     with pytest.raises(DomainError) as info:
         call()

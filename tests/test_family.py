@@ -270,10 +270,10 @@ def test_tune_both_targets_together():
     assert abs(tuned.taylor.b * tuned.taylor.c - 1.0) < 1e-10
 
 
-def test_tune_returns_the_family_its_secant_accepted(monkeypatch):
-    # a strip atlas' 21 alpha tunings build 21 families, one per accepted
-    # secant seed, where rebuilding the tuned recipe made 42; each
-    # returned family is the one build_family gives for its recipe
+def test_tune_builds_the_tuned_family_once(monkeypatch):
+    # a strip atlas' 21 alpha tunings build 21 families, and a tuning to
+    # both targets builds one; each returned family is the one
+    # build_family gives for its recipe
     fam = build_family(LOCAL, HenonLikeRecipe(p=(0.0, 1.0, 0.3),
                                               q=(0.0, 0.0, 1.0, 1.0)))
     calls = []
@@ -288,9 +288,28 @@ def test_tune_returns_the_family_its_secant_accepted(monkeypatch):
              for a in np.linspace(-0.05, 0.05, 21).tolist()]
     assert len(calls) == 21
     tuned.append(tune_to(fam, alpha_target=-0.1, s0_target=-0.25))
+    assert len(calls) == 22
     monkeypatch.undo()
     for out in tuned:
         assert repr(out) == repr(build_family(LOCAL, out.recipe, out.mu))
+
+
+def test_tune_without_targets_returns_the_family_itself():
+    fam = build_family(LOCAL, HenonLikeRecipe(p=(0, 1), q=(0, 0, 1)))
+    assert tune_to(fam) is fam
+
+
+@pytest.mark.parametrize("targets, invariant", [
+    ({"alpha_target": 1e9}, "alpha"),
+    ({"s0_target": -1e9}, "s0"),
+])
+def test_tune_refuses_a_closed_form_that_misses_its_target(targets, invariant):
+    # the spacing of binary64 at 1e9 is 1.2e-7, so the invariant that the
+    # closed-form knob gives lands a round-off step away, beyond 1e-7
+    fam = build_family(LOCAL, HenonLikeRecipe(p=(0, 1), q=(0, 0, 1)))
+    with pytest.raises(TargetUnreachableError,
+                       match=f"{invariant} residual too large"):
+        tune_to(fam, **targets)
 
 
 def test_tune_rejects_positive_s0_for_fold_recipe():

@@ -7,7 +7,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homatlas.exceptions import EscapeError, NewtonDivergedError
+from homatlas.exceptions import (EscapeError, NewtonDivergedError,
+                                 TargetUnreachableError)
 from homatlas.family import HenonLikeRecipe, LocalMapParams
 from homatlas.mapcore import (
     HShear,
@@ -23,6 +24,7 @@ from homatlas.mapcore import (
     _kernels,
     _lane_newton,
     _layout,
+    _secant,
     eval_map,
     iterate,
     jacobian,
@@ -699,3 +701,29 @@ def test_newton_lane_never_evaluates_a_trial_outside_the_window():
     assert z.tolist() == [[1.0, 1.0], [1.0, 1.0]]
     assert seen == {0: [(0.0, 0.0), (2.0, 2.0), (1.0, 1.0)],
                     1: [(0.0, 0.0), (1.0, 1.0)]}
+
+
+def test_secant_stops_when_two_values_tie():
+    # a flat function gives the secant step a zero denominator
+    calls = []
+
+    def flat(x):
+        calls.append(x)
+        return 1.0
+
+    with pytest.raises(TargetUnreachableError, match="did not converge"):
+        _secant(flat, 0.0, 1.0, 0.0, 1e-12)
+    assert calls == [0.0, 1.0]
+
+
+def test_secant_gives_up_after_forty_steps():
+    # cos(x) + 2 never reaches 0, and no two of its values tie
+    calls = []
+
+    def rootless(x):
+        calls.append(x)
+        return math.cos(x) + 2.0
+
+    with pytest.raises(TargetUnreachableError, match="did not converge"):
+        _secant(rootless, 0.0, 1.0, 0.0, 1e-12)
+    assert len(calls) == 42

@@ -105,7 +105,7 @@ def _fixed_point(rr, seed):
 def _strip_point(rr, z):
     """The entry point (x0, y0) in sigma0 of a rescaled point."""
     x0, yk = from_rescaled(rr, z)
-    return x0, float(solve_y0(rr.frame.family.local, rr.frame.k, x0, yk))
+    return x0, float(solve_y0(rr.frame.local, rr.frame.k, x0, yk))
 
 
 def test_fixed_points_at_quarter_are_saddles():

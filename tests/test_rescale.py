@@ -29,6 +29,7 @@ from homatlas.rescale import (
     mu_from_m,
     rescaled_jacobian,
     rescaled_window,
+    stack_frames,
     to_rescaled,
 )
 
@@ -354,3 +355,24 @@ def test_chain_matches_the_uncached_numpy_chain(name, jet_mu):
                        "inverse": rr.frame.inverse}
                 for field, value in ref.items():
                     assert _bits(got[field]) == _bits(value), field
+
+
+@pytest.mark.parametrize("recipe", [
+    HenonLikeRecipe(p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 1.0)),
+    ShearSandwichRecipe(),
+], ids=["fold", "sandwich"])
+def test_stacked_m_effective_is_each_frames_own(recipe):
+    fam = build_family(LocalMapParams(0.5, (0.5,)), recipe)
+    frames = [build_frame(fam, k) for k in range(8, 13)]
+    mus = [frame.mu_from_m(m)
+           for frame, m in zip(frames, (0.1, 0.3, 0.5, 0.7, 0.9))]
+    got = stack_frames(frames).m_effective(np.array(mus)).tolist()
+    assert [v.hex() for v in got] == [
+        frame.m_effective(mu).hex() for frame, mu in zip(frames, mus)]
+
+
+def test_frame_builds_when_only_m_effective_overflows():
+    # a = w1 + p1 = 1e160, so a**2 leaves binary64 while every number of
+    # the chain stays finite: the frame builds, and m_effective reads inf
+    fam = build_family(LocalMapParams(0.5), ShearSandwichRecipe(w1=1e160))
+    assert build_frame(fam, 8).m_effective(0.0) == math.inf

@@ -3,6 +3,7 @@ validity window, sigma0 membership, cross-form residuals, and the
 horseshoe classifier."""
 
 import collections
+import itertools
 import math
 
 import mpmath as mp
@@ -569,6 +570,38 @@ def test_classifier_sign_cases():
         assert hc.predicted == tag
         assert hc.agrees
         assert hc.evidence == counts
+
+
+def test_classifier_tags_an_unstable_count_inconclusive(monkeypatch):
+    # the fold tuned to alpha -0.2 counts 2 at every k (see the sign
+    # cases); a count that never stabilizes at k = 10 makes the tag
+    # inconclusive, whatever the other k count
+    fam = tune_to(build_family(LocalMapParams(0.5), HenonLikeRecipe()),
+                  alpha_target=-0.2)
+    monkeypatch.setattr(returnmap, "_component_count",
+                        lambda family, k: None if k == 10 else 2)
+    hc = classify_horseshoe(fam, range(8, 15))
+    assert hc.evidence == {k: None if k == 10 else 2 for k in range(8, 15)}
+    assert hc.tag == "inconclusive"
+    assert hc.predicted == "alpha-negative-horseshoes"
+    assert not hc.agrees
+
+
+def test_component_count_is_none_when_the_runs_never_repeat(monkeypatch):
+    # a run count that changes at every resolution, up to the cap of 2**15
+    # samples, never stabilizes
+    fam = build_family(LocalMapParams(0.5), HenonLikeRecipe())
+    counts = itertools.count()
+    sizes = []
+
+    def changing(inside):
+        sizes.append(len(inside))
+        return next(counts)
+
+    monkeypatch.setattr(returnmap, "_count_runs", changing)
+    assert returnmap._component_count(fam, 8) is None
+    assert sizes[-1] == 2**15
+    assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
 
 
 def test_classifier_with_moser_coefficient():

@@ -19,7 +19,10 @@ both of which are checked at build time.
 Two recipes are provided.  The fold recipe composes a swap, a product shear
 and a cotangent lift, giving a = 0 and x-independent first component; the
 shear-sandwich recipe conjugates the swap by shears on both sides and
-reaches a != 0, f20 != 0.
+reaches a != 0, f20 != 0.  ``build_family`` builds a recipe's global
+stages once per family; a rescale frame keeps every stage but the last,
+mu-dependent translation, and ``rescale.stack_frames`` stacks the stages
+of several frames number by number.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .exceptions import (
     TargetUnreachableError,
 )
 from .mapcore import (HShear, Jet, Lift, MapExpr, Moser, Swap, Translate,
-                      VShear, _polyder, _stack, _take, eval_map)
+                      VShear, _polyder, eval_map)
 
 __all__ = [
     "LocalMapParams",
@@ -46,8 +49,6 @@ __all__ = [
     "HenonLikeRecipe",
     "ShearSandwichRecipe",
     "RECIPES",
-    "LaneRecipe",
-    "stack_recipes",
     "build_family",
     "extract_taylor",
     "alpha_invariant",
@@ -59,6 +60,14 @@ __all__ = [
 def _check_finite(what: str, numbers) -> None:
     if not all(map(math.isfinite, numbers)):
         raise DomainError(f"{what} must be finite")
+
+
+def _trimmed(coeffs: tuple) -> tuple:
+    """coeffs without trailing zeros, as ``np.trim_zeros(coeffs, "b")``."""
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0.0:
+        n -= 1
+    return coeffs[:n]
 
 
 @dataclass(frozen=True)
@@ -135,20 +144,14 @@ class HenonLikeRecipe:
             raise TangencyError("x_plus and y_minus must be positive")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        # Q * P' trimmed as numpy.polynomial's polymul trims (q[2] and p[1]
-        # are nonzero); plain floats keep jet arithmetic off numpy scalars
-        h = np.convolve(np.trim_zeros(q, "b"), np.trim_zeros(_polyder(p), "b"))
-        h = tuple(np.trim_zeros(h, "b").tolist())
-        # every stage but the last translation is independent of mu, so
-        # it is built once here rather than at every parameter value
-        object.__setattr__(
-            self,
-            "_fixed_stages",
-            (Translate(0.0, -self.y_minus), Swap(), HShear(h), Lift(p)),
-        )
 
     def stages(self, mu: float) -> MapExpr:
-        return MapExpr(self._fixed_stages + (Translate(self.x_plus, mu),))
+        # Q * P' trimmed as numpy.polynomial's polymul trims (q[2] and p[1]
+        # are nonzero); plain floats keep jet arithmetic off numpy scalars
+        h = np.convolve(_trimmed(self.q), _trimmed(_polyder(self.p)))
+        return MapExpr((Translate(0.0, -self.y_minus), Swap(),
+                        HShear(_trimmed(tuple(h.tolist()))), Lift(self.p),
+                        Translate(self.x_plus, mu)))
 
 
 @dataclass(frozen=True)
@@ -196,44 +199,6 @@ class ShearSandwichRecipe:
 # the recipe behind each value of the config key [family] recipe; a
 # recipe's dataclass fields are its config keys (see config._FAMILY_SCHEMA)
 RECIPES = {"fold": HenonLikeRecipe, "sandwich": ShearSandwichRecipe}
-
-
-@dataclass(frozen=True)
-class LaneRecipe:
-    """Recipes that differ only in their numbers, as one: each number of
-    their global stages is an array over the recipes (lanes), which the
-    stages run elementwise.  Made by ``stack_recipes``."""
-
-    fixed_stages: tuple
-    x_plus: object
-
-    def stages(self, mu) -> MapExpr:
-        """The stacked global stages at mu: the fixed stages, then the
-        translation by (x_plus, mu) that ends every recipe."""
-        return MapExpr(self.fixed_stages + (Translate(self.x_plus, mu),))
-
-    def take(self, index) -> "LaneRecipe":
-        """The lanes at index, as one ``LaneRecipe``."""
-        stages = tuple(
-            type(stage)(*(_take(getattr(stage, f.name), index)
-                          for f in fields(stage)))
-            for stage in self.fixed_stages
-        )
-        return LaneRecipe(stages, self.x_plus[index])
-
-
-def stack_recipes(recipes) -> LaneRecipe:
-    """The recipes' global stages as one ``LaneRecipe``, stage by stage
-    and number by number, as each recipe built them.  The recipes must
-    have the same stages with polynomials of the same lengths, as the
-    tuned families of a strip atlas do (they differ only in p[1])."""
-    columns = zip(*(r.stages(0.0).stages for r in recipes), strict=True)
-    *fixed, last = (
-        type(column[0])(*(_stack([getattr(stage, f.name) for stage in column])
-                          for f in fields(column[0])))
-        for column in columns
-    )
-    return LaneRecipe(tuple(fixed), last.dx)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -208,17 +208,31 @@ def _value(v):
 
 
 def _stack(values):
-    """One array over the lanes' numbers; tuples stack entry by entry."""
-    if isinstance(values[0], tuple):
-        return tuple(_stack(col) for col in zip(*values, strict=True))
+    """One array over the lanes' numbers; tuples stack entry by entry and
+    map stages number by number.  DomainError unless the lanes' tuples
+    have one length and their stages one type."""
+    first = values[0]
+    if isinstance(first, tuple):
+        if any(len(v) != len(first) for v in values):
+            raise DomainError("lanes of different lengths do not stack")
+        return tuple(_stack(col) for col in zip(*values))
+    if is_dataclass(first):
+        if any(type(v) is not type(first) for v in values):
+            raise DomainError("lanes of different stages do not stack")
+        return type(first)(*(_stack([getattr(v, f.name) for v in values])
+                             for f in fields(first)))
     return np.array(values)
 
 
 def _take(values, index):
-    """The lanes at index of ``_stack``'s arrays; tuples entry by entry."""
+    """The lanes at index of ``_stack``'s arrays; tuples entry by entry
+    and map stages number by number."""
+    if isinstance(values, np.ndarray):
+        return values[index]
     if isinstance(values, tuple):
         return tuple(_take(v, index) for v in values)
-    return values[index]
+    return type(values)(*(_take(getattr(values, f.name), index)
+                          for f in fields(values)))
 
 
 def _any(c) -> bool:
@@ -690,7 +704,8 @@ def _locate_trace_lanes(map_at, events):
 
 def iterate(expr: MapExpr, p, n):
     """n-fold composition; raises EscapeError with the failing iterate index."""
-    if _whole(n, "iterate count") < 0:
+    n = _whole(n, "iterate count")
+    if n < 0:
         raise DomainError("iterate count must be nonnegative")
     x, y = p
     for j in range(n):

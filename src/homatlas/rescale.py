@@ -8,19 +8,20 @@ the global map; the asymptotically small corrections that a general
 smooth family would carry are frozen at zero here, because the model
 families are exact and the measured residuals are the ground truth.
 
-Only the parameter offset of the chain depends on mu.  Everything else
+Only the parameter offset of the chain and the translation by
+(x_plus, mu) that ends the global stages depend on mu.  Everything else
 (the validity-window check, lam**k, the 2x2 matrix and its inverse, the
-mu-free part of the offset) is a ``RescaleFrame`` that depends on the
-Taylor data, lam, x_plus, y_minus and k alone.  ``build_frame`` makes it
-once per sweep unit (a cascade row, an atlas cell, a certificate k), and
-``RescaleFrame.at_mu`` (or ``at_m``, from the rescaled parameter) is the
-one way to the rescaled return map at a parameter value: it computes only
-the offset at that mu and the global stages there.  The frame owns the
-saddle power lam**k that every passage of its map reads, so its
-k-dependent numbers are data.  ``stack_frames`` stacks the frames of
-several families, or of one family at several k, into one frame whose
-lanes one map runs all at once, and ``RescaleFrame.take`` selects lanes
-of a stacked frame by index.
+mu-free part of the offset, the other global stages) is a
+``RescaleFrame`` that depends on the Taylor data, the global stages, lam
+and k alone.  ``build_frame`` makes it once per sweep unit (a cascade
+row, an atlas cell, a certificate k), and ``RescaleFrame.at_mu`` (or
+``at_m``, from the rescaled parameter) is the one way to the rescaled
+return map at a parameter value: it computes only the offset at that mu
+and the last translation.  The frame owns the saddle power lam**k that
+every passage of its map reads, so its k-dependent numbers are data.
+``stack_frames`` stacks the frames of several families, or of one family
+at several k, into one frame whose lanes one map runs all at once, and
+``RescaleFrame.take`` selects lanes of a stacked frame by index.
 
 The parameter conversion M <-> mu is the affine relation
 M = -d lam^{-2k} (mu + lam^k (c x^+ - y^-)(1 + k beta1 lam^k x^+ y^-)) - s0
@@ -38,9 +39,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .exceptions import DomainError, NonFiniteResultError, PrecisionFloorError
-from .family import FamilyHandle, LaneRecipe, LocalMapParams, stack_recipes
-from .mapcore import (MapExpr, _lamk2, _stack, _take, _value, _whole,
-                      eval_map, jacobian_of)
+from .family import FamilyHandle, LocalMapParams
+from .mapcore import (MapExpr, Translate, _lamk2, _stack, _take, _value,
+                      _whole, eval_map, jacobian_of)
 from .returnmap import check_window, solve_y0, t0_pow_closed
 
 __all__ = [
@@ -85,8 +86,10 @@ class RescaleFrame:
     first parameter m1, the numbers of the family that the map at a
     parameter reads: shift = (f11 x_plus)**2/4, half = a lam^k/2, s0 and
     the curvature d, then m_tail = a**2 lamk2/4, the mu-free summand of
-    ``m_effective``, and last the local saddle and the recipe.  A frame
-    holds only these numbers and the two.  Made by ``build_frame``.
+    ``m_effective``, the global stages but their last, mu-dependent
+    translation by (x_plus, mu), whose x_plus comes next, and last the
+    local saddle.  A frame holds only these numbers and the saddle.
+    Made by ``build_frame``.
 
     The chain at mu maps cross coordinates (x0, y_k) to rescaled
     (X, Y) = matrix (x0, y_k) + offset(mu), and inverse undoes matrix.
@@ -96,8 +99,9 @@ class RescaleFrame:
     and array lanes, never numpy scalars.
 
     ``stack_frames`` stacks frames into one frame whose per-frame numbers,
-    k among them, are arrays over them (lanes); k is a number in a frame
-    of one unit and an array in a stacked frame."""
+    k and the stages' numbers among them, are arrays over them (lanes);
+    k is a number in a frame of one unit and an array in a stacked
+    frame."""
 
     k: int
     lamk: float
@@ -113,8 +117,9 @@ class RescaleFrame:
     s0: float
     d: float
     m_tail: float
+    stages: tuple
+    x_plus: float
     local: LocalMapParams
-    recipe: object
 
     def _m3(self, mu):
         """The parameter after the scaling step of the chain at mu.  When
@@ -158,7 +163,7 @@ class RescaleFrame:
             frame=self,
             mu=mu,
             offset=self.offset(mu),
-            stages=self.recipe.stages(mu),
+            stages=MapExpr(self.stages + (Translate(self.x_plus, mu),)),
         )
 
     def at_m(self, m) -> RescaledReturnMap:
@@ -170,24 +175,21 @@ class RescaleFrame:
         """The lanes at index (a sequence of lane numbers, repeats allowed)
         of a stacked frame, as one stacked frame: the frame itself when
         index lists all its lanes in order, and a frame on floats, which
-        serves every lane, always.  DomainError for a lane number outside
-        0 .. lanes - 1 of a stacked frame."""
+        serves every lane, always.  DomainError for a lane number of a
+        stacked frame that is not whole or lies outside 0 .. lanes - 1."""
         if np.ndim(self.k) == 0:
             return self
-        index = np.asarray(index, dtype=np.intp)
-        if np.array_equal(index, np.arange(len(self.k))):
+        lanes = np.asarray(index)
+        if np.array_equal(lanes, np.arange(len(self.k))):
             return self
-        if not ((index >= 0) & (index < len(self.k))).all():
-            raise DomainError(f"lanes {index.tolist()} asked of a frame of "
+        if lanes.dtype.kind != "i":
+            lanes = np.array([_whole(i, "a lane number") for i in index],
+                             dtype=np.intp)
+        if not ((lanes >= 0) & (lanes < len(self.k))).all():
+            raise DomainError(f"lanes {lanes.tolist()} asked of a frame of "
                               f"{len(self.k)}")
-        recipe = self.recipe
-        return replace(
-            self,
-            recipe=(recipe.take(index) if isinstance(recipe, LaneRecipe)
-                    else recipe),
-            **{name: _take(getattr(self, name), index)
-               for name in _LANE_FIELDS},
-        )
+        return replace(self, **{name: _take(getattr(self, name), lanes)
+                                for name in _LANE_FIELDS})
 
 
 def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
@@ -241,8 +243,9 @@ def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
         s0=family.s0,
         d=t.d,
         m_tail=m_tail,
+        stages=family.global_stages.stages[:-1],
+        x_plus=xp,
         local=family.local,
-        recipe=family.recipe,
     )
     # a list, not a tuple: CPython keeps freed tuples of up to 20 items
     # on free lists, and one 20-item tuple per frame raised the peak RSS
@@ -258,34 +261,29 @@ def build_frame(family: FamilyHandle, k: int) -> RescaleFrame:
 
 
 # the per-frame numbers of a frame: every field but the local saddle,
-# which the lanes share, and the recipe, which stacks as recipes do
+# which the lanes share
 _LANE_FIELDS = tuple(f.name for f in fields(RescaleFrame)
-                     if f.name not in ("local", "recipe"))
+                     if f.name != "local")
 
 
 def stack_frames(frames) -> RescaleFrame:
     """Frames of one local saddle (of several families, or of one family
     at several k) stacked into one frame whose per-frame numbers are
-    arrays over the frames (lanes), and whose recipe is theirs when they
-    share one, else ``family.stack_recipes`` of theirs.  Each number,
-    lam**k and k among
-    them, is stacked as the frame computed it on Python floats, never
-    computed from a stacked array, so that each lane of a map built from
-    the stacked frame gets the bits of its own frame's map.  DomainError
-    for no frames."""
+    arrays over the frames (lanes); the global stages stack stage by
+    stage and number by number.  Each number, lam**k, k and the stages'
+    among them, is stacked as the frame computed it on Python floats,
+    never computed from a stacked array, so that each lane of a map
+    built from the stacked frame gets the bits of its own frame's map.
+    DomainError for no frames, for frames of different local saddles,
+    and for frames whose stages differ in type or polynomial length
+    (the fold recipe at p = (0, 1) and at p = (0, 1, 0.3), say)."""
     if len(frames) == 0:
         raise DomainError("no frames to stack")
     first = frames[0]
     if any(f.local != first.local for f in frames):
         raise DomainError("stacked frames must share the local saddle")
-    shared = all(f.recipe is first.recipe for f in frames)
-    return replace(
-        first,
-        recipe=(first.recipe if shared
-                else stack_recipes([f.recipe for f in frames])),
-        **{name: _stack([getattr(f, name) for f in frames])
-           for name in _LANE_FIELDS},
-    )
+    return replace(first, **{name: _stack([getattr(f, name) for f in frames])
+                             for name in _LANE_FIELDS})
 
 
 def build_chain(family: FamilyHandle, k: int) -> RescaledReturnMap:
@@ -420,7 +418,8 @@ def convergence_report(family: FamilyHandle, k_values, m: float,
     """
     if len(k_values) == 0:
         raise DomainError("no k to report")
-    if _whole(grid_n, "grid_n") < 1:
+    grid_n = _whole(grid_n, "grid_n")
+    if grid_n < 1:
         raise DomainError("grid_n must be at least 1")
     lin = np.linspace(-2.0, 2.0, grid_n)
     gx, gy = np.meshgrid(lin, lin)

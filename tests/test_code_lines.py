@@ -1,0 +1,42 @@
+"""``tools/code_lines.py`` counts code lines without docstrings,
+comments or blanks, every line of a multi-line statement included."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SNIPPET = '''"""A module docstring
+over two lines."""
+
+import math  # a trailing comment
+
+
+def f(x):
+    """A function docstring."""
+    # a comment line
+    return math.fsum([
+        x,
+        1.0,
+    ])
+'''
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", ROOT / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_snippet_counts_import_def_and_the_four_call_lines():
+    assert _tool().code_lines(SNIPPET) == 6
+
+
+def test_main_prints_each_module_and_the_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SNIPPET)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    assert _tool().main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{tmp_path / 'a.py'} 6", f"{tmp_path / 'b.py'} 1", "total 7"]

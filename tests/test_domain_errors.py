@@ -76,6 +76,13 @@ def _atlas(n):
     lambda: _two_lanes().take([-1]),
     lambda: atlas.certify_global_resonance(_family(p=(0.0, 1.0, 0.3)), []),
     lambda: rescale.convergence_report(_family(), [], 0.5),
+    lambda: rescale.stack_frames([
+        _frame(0.5), rescale.build_frame(_family(p=(0.0, 1.0, 0.3)), 8)]),
+    lambda: rescale.stack_frames([_frame(0.5), rescale.build_frame(
+        build_family(LocalMapParams(0.5), ShearSandwichRecipe()), 8)]),
+    lambda: _two_lanes().take([0.5]),
+    lambda: _two_lanes().take([1.9]),
+    lambda: _two_lanes().take(["1"]),
 ], ids=["lam", "two_periodic_orbit", "birkhoff_b1", "rotation_number_slope",
         "iterate", "locate_bifurcation", "boundary_slope", "stack_frames",
         "find_two_periodic_seed", "find_two_periodic_ragged_seed",
@@ -92,7 +99,9 @@ def _atlas(n):
         "convergence_report_one_k", "m_from_mu_overflow",
         "mu_from_m_overflow", "stack_frames_none", "take_lane_past_end",
         "take_negative_lane", "certify_global_resonance_no_k",
-        "convergence_report_no_k"])
+        "convergence_report_no_k", "stack_frames_polynomial_lengths",
+        "stack_frames_stage_types", "take_half_lane", "take_fractional_lane",
+        "take_string_lane"])
 def test_out_of_domain_argument_is_a_domain_error(call):
     with pytest.raises(DomainError) as info:
         call()

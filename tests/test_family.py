@@ -438,3 +438,23 @@ def test_fold_shear_is_numpy_polymul_of_q_and_p_prime():
         want = npoly.polymul(np.asarray(q), npoly.polyder(np.asarray(p)))
         assert type(h) is tuple and all(type(v) is float for v in h)
         assert [v.hex() for v in h] == [float(v).hex() for v in want], (p, q)
+
+
+@pytest.mark.parametrize("p, q, want", [
+    ((0.0, 1.0), (0.0, 0.0, 1.0, 0.0),
+     ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"]),
+    ((0.0, 1.0, 0.3, 0.0), (0.0, 0.0, 1.0, 1.0),
+     ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0",
+      "0x1.999999999999ap+0", "0x1.3333333333333p-1"]),
+    ((0.0, 0.7, 0.3), (0.0, 0.0, 1.3, 0.0, 0.0),
+     ["0x0.0p+0", "0x0.0p+0", "0x1.d1eb851eb851ep-1",
+      "0x1.8f5c28f5c28f6p-1"]),
+    # the top product 2e-200 * 1e-170 underflows to 0 and is trimmed
+    ((0.0, 1.1, 1e-200), (0.0, 0.0, 0.9, 1e-170),
+     ["0x0.0p+0", "0x0.0p+0", "0x1.fae147ae147afp-1",
+      "0x1.54144d23361c1p-565"]),
+])
+def test_fold_shear_keeps_its_pinned_bits(p, q, want):
+    # the bits the fold recipe's shear had when numpy trimmed the zeros
+    h = HenonLikeRecipe(p=p, q=q).stages(0.0).stages[2].h
+    assert [v.hex() for v in h] == want

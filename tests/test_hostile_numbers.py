@@ -1,7 +1,7 @@
 """Every public callable of ``homatlas``, given NaN, inf, or a
-non-integer for a whole number, in any one of its numeric arguments,
-returns a result or raises a ``HomatlasError``: never another exception,
-and never a warning."""
+non-integer or a whole float for a whole number, in any one of its
+numeric arguments, returns a result or raises a ``HomatlasError``: never
+another exception, and never a warning."""
 
 import math
 import warnings
@@ -162,7 +162,7 @@ def _hostile_calls():
         for path, number in _slots(args):
             bad = [math.nan, math.inf]
             if isinstance(number, int):
-                bad.append(number + 0.5)
+                bad += [number + 0.5, float(number)]
             for value in bad:
                 where = ".".join(map(str, path))
                 yield pytest.param(call, _put(args, path, value),

@@ -2,6 +2,7 @@
 convergence of rescaled return maps to the limit quadratic form."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from homatlas.family import (
 )
 from homatlas.mapcore import Jet
 from homatlas.rescale import (
+    RescaleFrame,
     _theil_sen_slope,
     build_chain,
     build_frame,
@@ -376,3 +378,78 @@ def test_frame_builds_when_only_m_effective_overflows():
     # the chain stays finite: the frame builds, and m_effective reads inf
     fam = build_family(LocalMapParams(0.5), ShearSandwichRecipe(w1=1e160))
     assert build_frame(fam, 8).m_effective(0.0) == math.inf
+
+
+def _fold_lanes():
+    fam = tune_to(build_family(LocalMapParams(0.5), HenonLikeRecipe(
+        p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 1.0))), alpha_target=-0.1)
+    return [build_frame(fam, k) for k in range(8, 15)]
+
+
+def _atlas_lanes():
+    # three columns of a strip atlas, each a family tuned to its alpha,
+    # k after k and column after column
+    fam = build_family(LocalMapParams(0.5), HenonLikeRecipe(
+        p=(0.0, 1.0, 0.3), q=(0.0, 0.0, 1.0, 1.0)))
+    columns = [tune_to(fam, alpha_target=a) for a in (-0.05, 0.0, 0.05)]
+    return [build_frame(col, k) for k in range(8, 13) for col in columns]
+
+
+def _sandwich_lanes():
+    fam = build_family(LocalMapParams(0.5, (0.5,)), ShearSandwichRecipe())
+    return [build_frame(fam, k) for k in range(8, 13)]
+
+
+_LANE_SETS = {"fold": _fold_lanes, "atlas": _atlas_lanes,
+              "sandwich": _sandwich_lanes}
+
+
+def _stage_numbers(expr):
+    """The stage types, then every number of the stages in order."""
+    numbers = [type(stage).__name__ for stage in expr.stages]
+    for stage in expr.stages:
+        for f in fields(stage):
+            value = getattr(stage, f.name)
+            numbers += value if isinstance(value, tuple) else [value]
+    return numbers
+
+
+def _lane_bits(v):
+    """A stacked field down to its bytes and dtypes, stage types included."""
+    if isinstance(v, np.ndarray):
+        return (v.dtype.str, v.shape, v.tobytes())
+    if isinstance(v, tuple):
+        return tuple(_lane_bits(c) for c in v)
+    return (type(v).__name__,
+            tuple(_lane_bits(getattr(v, f.name)) for f in fields(v)))
+
+
+@pytest.mark.parametrize("name", sorted(_LANE_SETS))
+def test_each_stacked_lane_is_its_own_frame(name):
+    frames = _LANE_SETS[name]()
+    n = len(frames)
+    stacked = stack_frames(frames)
+    mus = [frame.mu_from_m(m)
+           for frame, m in zip(frames, np.linspace(0.1, 0.9, n).tolist())]
+    lanes = stacked.at_mu(np.array(mus))
+    xs, ys = np.linspace(-0.3, 0.3, n), np.linspace(0.2, -0.2, n)
+    lane_out = eval_rescaled(lanes, Jet.variables(xs, ys, 2))
+    for i, (frame, mu) in enumerate(zip(frames, mus)):
+        one = frame.at_mu(mu)
+        assert [v if isinstance(v, str) else v[i].hex()
+                for v in _stage_numbers(lanes.stages)] == [
+            v if isinstance(v, str) else float(v).hex()
+            for v in _stage_numbers(one.stages)]
+        one_out = eval_rescaled(
+            one, Jet.variables(xs[i].item(), ys[i].item(), 2))
+        assert [np.broadcast_to(c, n)[i].hex()
+                for jet in lane_out for c in jet.c] == [
+            float(c).hex() for jet in one_out for c in jet.c]
+    subset = [n - 1, 0, n // 2, n - 1]
+    taken = stacked.take(subset)
+    want = stack_frames([frames[i] for i in subset])
+    assert taken.local == want.local
+    for f in fields(RescaleFrame):
+        if f.name != "local":
+            assert _lane_bits(getattr(taken, f.name)) == _lane_bits(
+                getattr(want, f.name)), f.name

@@ -21,8 +21,9 @@ comparison.
 The damped Newton, a secant and the bordered locator live here too,
 below every map that runs on jets.  Every solve is a lane solve: one
 Newton driver (``_lane_newton``) runs each lane to its own outcome.  A
-batch of one lane starts on Python floats and stays on them when the
-map's numbers are floats too (a frame on floats, or the limit map), as
+batch of one lane starts on Python floats (``_lane_jets`` and
+``_lane_values`` alone decide that) and stays on them when the map's
+numbers are floats too (a frame on floats, or the limit map), as
 fast as a solve written for floats; a lane of a stacked frame runs on
 1-element arrays, with the same bits but at two to four times the cost
 (see ``orbits``).  The one locator ``_locate_trace_lanes`` finds, per
@@ -588,18 +589,20 @@ def _jet_rows(jets, n: int):
     return f, jac
 
 
+def _lane_jets(z, n: int):
+    """Degree-n jets, one variable per column of z (shape (L, m)), whose
+    coefficients are arrays over the L lanes; one lane starts on Python
+    floats, and stays on them where the map's numbers are floats too."""
+    return Jet.variables(*(z[0].tolist() if len(z) == 1 else z.T), n)
+
+
 def _border_residual(map_at, rounds: int, trace, z):
     """F^r(x, y) - (x, y) and tr D(F^r) - trace at z = (x, y, M) for r =
     rounds and F = map_at(M), and its exact 3x3 Jacobian, from one pass
-    on degree-2 jets in (x, y, M).  map_at(M) returns a planar map
-    p -> p that runs on jets.  z of shape (L, 3) is L lanes, whose jets
-    carry array coefficients; one lane starts on Python floats, and stays
-    on them when map_at's numbers are floats.  The outputs have a leading
-    lane axis."""
-    if len(z) == 1:
-        x, y, m = Jet.variables(*z[0].tolist(), 2)
-    else:
-        x, y, m = Jet.variables(z[:, 0], z[:, 1], z[:, 2], 2)
+    on degree-2 jets in (x, y, M) (``_lane_jets``).  map_at(M) returns a
+    planar map p -> p that runs on jets.  z of shape (L, 3) is L lanes.
+    The outputs have a leading lane axis."""
+    x, y, m = _lane_jets(z, 2)
     fun = map_at(m)
     fx, fy = x, y
     for _ in range(rounds):

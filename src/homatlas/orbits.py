@@ -50,7 +50,7 @@ from .exceptions import (CollapsedOrbitError, DomainError, HomatlasError,
                          NewtonDivergedError)
 from .henon import (ELLIPTIC_EVENTS, TRACE_EVENTS, StabilityClass,
                     classify_from_trace)
-from .mapcore import (Jet, _jet_rows, _lane_newton, _lane_values,
+from .mapcore import (_jet_rows, _lane_jets, _lane_newton, _lane_values,
                       _locate_trace_lanes, _raised)
 from .rescale import RescaleFrame, eval_rescaled
 
@@ -77,13 +77,9 @@ class OrbitRecord:
 def _orbit_residual(rr, rounds, z):
     """F^rounds(z) - z, its Jacobian D(F^rounds) - I, D(F^rounds) and
     F(z) at each lane of z (shape (L, 2)), each at its lane of rr, from
-    one pass on degree-1 jets; one lane runs on Python floats when rr's
-    numbers are floats.  The outputs have a leading lane axis."""
-    if len(z) == 1:
-        x, y = z[0].tolist()
-    else:
-        x, y = z[:, 0], z[:, 1]
-    x, y = Jet.variables(x, y, 1)
+    one pass on degree-1 jets (``mapcore._lane_jets``).  The outputs have
+    a leading lane axis."""
+    x, y = _lane_jets(z, 1)
     first = fx, fy = eval_rescaled(rr, (x, y))
     for _ in range(rounds - 1):
         fx, fy = eval_rescaled(rr, (fx, fy))

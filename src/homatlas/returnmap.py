@@ -129,16 +129,16 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk, lamk=None):
     default Python's power of float(lam)).  Without Moser terms B = 1 and
     y0 = lamk y_k, for floats, arrays and jets alike; lamk may then be one
     number per lane.  Otherwise one fixed-point loop serves floats and
-    arrays:
-    it starts from the B = 1 value and stops when every lane has moved by
-    at most 1e-15 relative; the contraction factor is O(k lam**k), so a
-    handful of sweeps reaches full precision.  An iterate that runs away
-    to +-inf or nan raises CrossFormSolveError.  On jets the value
-    converges in that loop, on floats; a jet whose value part is an array
-    runs it on all lanes at once (``_y0_lanes``), each lane with its own
-    power and its own stop, so each lane gets the bits of its one-lane
-    jet; lanes with their own k and lamk (arrays over the lanes) each run
-    with theirs.  Then n Newton steps with the derivative frozen at the
+    arrays: it starts from the B = 1 value and stops when every lane has
+    moved by at most 1e-15 relative; the contraction factor is O(k
+    lam**k), so a handful of sweeps reaches full precision.  The pass in
+    which any iterate is +-inf or nan raises CrossFormSolveError ("ran
+    away"), before B is evaluated on it.  On jets the value converges in
+    that loop, on floats; a jet whose value part is an array solves each
+    lane's value alone, on Python floats with that lane's own x0, y_k, k
+    and lamk (arrays over the lanes, or shared), so each lane gets the
+    bits of its one-lane jet, and the batch raises the error of the first
+    lane that fails.  Then n Newton steps with the derivative frozen at the
     value each gain one order of the degree-n jet.
     """
     if lamk is None:
@@ -153,7 +153,9 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk, lamk=None):
 
         v0, vk = _value(x0), _value(yk)
         if isinstance(v0, np.ndarray) or isinstance(vk, np.ndarray):
-            y0 = _y0_lanes(stage, k, lamk, v0, vk)
+            columns = np.broadcast_arrays(v0, vk, k, lamk)
+            y0 = np.array([solve_y0(local, kj, x, y, lj) for x, y, kj, lj
+                           in zip(*(c.tolist() for c in columns))])
         else:
             y0 = solve_y0(local, k, v0, vk, lamk)
         slope = phi(v0, vk, Jet.variables(y0, 1)[0]).c[1]
@@ -169,41 +171,12 @@ def solve_y0(local: LocalMapParams, k: int, x0, yk, lamk=None):
         if _any(b <= _SADDLE_FLOOR):
             raise CrossFormSolveError("saddle factor left its positive domain")
         y_new = lamk * yk * _signed_pow(b, k)
-        if _all(abs(y_new - y0) <= 1e-15 * np.maximum(1.0, abs(y_new))):
-            # inf passes the stop rule; a nan lane never does
-            if not _all(abs(y_new) < math.inf):
-                raise CrossFormSolveError("cross-form solve ran away")
+        size = abs(y_new)
+        if not _all(size < math.inf):
+            raise CrossFormSolveError("cross-form solve ran away")
+        if _all(abs(y_new - y0) <= 1e-15 * np.maximum(1.0, size)):
             return y_new
         y0 = y_new
-    raise CrossFormSolveError("cross-form solve failed to converge")
-
-
-def _y0_lanes(stage, k, lamk, x0, yk):
-    """``solve_y0``'s fixed-point loop on floats, run on the lanes of the
-    arrays x0 and yk at once (k and lamk: one per lane, or shared).  Each
-    pass evaluates B on the lanes still moving, takes Python's power of
-    each lane's B to its own k (``_signed_pow``), and lets every lane that
-    met the stop rule leave; so each lane takes the steps, and gets the
-    bits, of its one-lane loop.  Raises when any lane fails."""
-    x0, yk, k, lamk = np.broadcast_arrays(x0, yk, k, lamk)
-    ks = k.tolist()
-    scale = lamk * yk
-    y0 = scale.copy()
-    live = np.arange(y0.size)
-    for _ in range(60):
-        b = stage.bval(x0[live], y0[live])
-        if _any(b <= _SADDLE_FLOOR):
-            raise CrossFormSolveError("saddle factor left its positive domain")
-        powers = [_signed_pow(v, ks[i]) for i, v in zip(live.tolist(),
-                                                        b.tolist())]
-        y_new = scale[live] * np.array(powers)
-        done = abs(y_new - y0[live]) <= 1e-15 * np.maximum(1.0, abs(y_new))
-        if not _all(abs(y_new[done]) < math.inf):
-            raise CrossFormSolveError("cross-form solve ran away")
-        y0[live] = y_new
-        live = live[~done]
-        if not live.size:
-            return y0
     raise CrossFormSolveError("cross-form solve failed to converge")
 
 

@@ -229,6 +229,28 @@ def test_henon_tiny_m_is_a_resonance_error(tmp_path, capsys):
     assert main(["henon", "--set", "M=1e-12", "--out", out]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["cross-form", "--set", "beta=5"],
+    ["cross-form", "--set", "beta=7"],
+    ["rescale-verify", "--set", "beta=14", "--set", "k_max=9"],
+    ["classify", "--set", "beta=14", "--set", "k_max=9"],
+])
+def test_runaway_saddle_passage_writes_one_json_error(tmp_path, argv):
+    # the iterate that overflowed raised at once; B was evaluated on inf
+    # before, and numpy's RuntimeWarning preceded the JSON error
+    src = os.path.dirname(os.path.dirname(homatlas.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "homatlas.cli", *argv,
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == {"message": "cross-form solve ran away",
+                            "type": "CrossFormSolveError"}
+
+
 @pytest.mark.parametrize(
     "subcommand",
     ["cross-form", "classify", "cascade", "atlas2d", "resonance",

@@ -212,6 +212,30 @@ def test_solve_y0_jet_value_uses_the_callers_lamk():
     assert float(solve_y0(local, k, jx, jy, lamk).c[0][0]).hex() == want.hex()
 
 
+def test_solve_y0_lanes_are_each_lanes_one_lane_jet_solve():
+    # a jet over five lanes, each with its own k and lamk, solves each
+    # lane's value on floats: every coefficient is its one-lane solve's
+    local, lam = LocalMapParams(0.5, (0.5,)), 0.5
+    ks = [8, 9, 10, 11, 12]
+    lamks = [lam**k for k in ks]
+    xs, ys = np.random.default_rng(33).uniform(0.9, 1.1, (2, 5))
+    got = solve_y0(local, np.array(ks), *Jet.variables(xs, ys, 2),
+                   np.array(lamks))
+    for i, (k, lamk) in enumerate(zip(ks, lamks)):
+        want = solve_y0(local, k, *Jet.variables(float(xs[i]),
+                                                 float(ys[i]), 2), lamk)
+        assert [float(np.broadcast_to(c, (5,))[i]).hex() for c in got.c] == [
+            float(c).hex() for c in want.c]
+    # a lane whose own solve runs away fails the batch with its error
+    with pytest.raises(CrossFormSolveError, match="ran away") as alone:
+        solve_y0(local, 10, *Jet.variables(1e6, float(ys[2]), 2), lamks[2])
+    xs[2] = 1e6
+    with pytest.raises(CrossFormSolveError) as batch:
+        solve_y0(local, np.array(ks), *Jet.variables(xs, ys, 2),
+                 np.array(lamks))
+    assert str(batch.value) == str(alone.value)
+
+
 def _float_y0(local, k, x0, yk):
     """The saddle-passage fixed point on Python floats alone, with the
     solver's start, power and stop rule."""
